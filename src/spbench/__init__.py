@@ -8,6 +8,7 @@ from .core import (
     EvaluationError,
     ProblemInstance,
     Provenance,
+    RootSystem,
     SolutionSet,
     StationaryPoint,
     classify,

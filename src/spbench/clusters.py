@@ -20,15 +20,16 @@ from .core import EvaluationError, ProblemInstance
 _COINCIDENCE_TOL = 1e-12
 
 
-def _pair_distances(pos, label):
-    """All pairwise distance data (i, j, separation vector, length)."""
-    n = len(pos)
+def _pair_distances(pos, pairs, label=None):
+    """Separation vectors, the distance matrix and the lengths of the pairs
+    ``pairs`` (upper-triangle indices).  With a label, coincident particles
+    raise EvaluationError."""
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    if np.any(dist[iu, ju] < _COINCIDENCE_TOL):
+    lengths = dist[pairs]
+    if label is not None and np.any(lengths < _COINCIDENCE_TOL):
         raise EvaluationError(f"{label}: coincident particles (pair distance < {_COINCIDENCE_TOL})")
-    return diff, dist, iu, ju
+    return diff, dist, lengths
 
 
 class ThomsonSphere(ProblemInstance):
@@ -47,6 +48,7 @@ class ThomsonSphere(ProblemInstance):
             raise ValueError(f"need at least 2 charges, got {charges}")
         super().__init__(2 * charges - 3, label if label is not None else f"thomson-{charges}")
         self.charges = charges
+        self._pairs = np.triu_indices(charges, k=1)
 
     def positions(self, p):
         p = self.check_point(p)
@@ -60,14 +62,12 @@ class ThomsonSphere(ProblemInstance):
         return pos
 
     def energy(self, p):
-        pos = self.positions(p)
-        _, dist, iu, ju = _pair_distances(pos, self.label)
-        return float(np.sum(1.0 / dist[iu, ju]))
+        _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
+        return float(np.sum(1.0 / lengths))
 
     def gradient(self, p):
         p = self.check_point(p)
-        pos = self.positions(p)
-        diff, dist, iu, ju = _pair_distances(pos, self.label)
+        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
         # d(1/r)/dx_i summed over partners j
         np.fill_diagonal(dist, 1.0)
         w = 1.0 / dist**3
@@ -97,11 +97,7 @@ class ThomsonSphere(ProblemInstance):
             for i in range(2, self.charges):
                 p[1 + 2 * (i - 2)] = rng.uniform(0.1, math.pi - 0.1)
                 p[2 + 2 * (i - 2)] = np.pi - rng.uniform(0.0, 2.0 * np.pi)
-            pos = self.positions(p)
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
-            iu, ju = np.triu_indices(self.charges, k=1)
-            if np.min(dist[iu, ju]) >= min_separation:
+            if np.min(_pair_distances(self.positions(p), self._pairs)[2]) >= min_separation:
                 return p
         raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
                            f"found in {max_tries} tries")
@@ -122,6 +118,7 @@ class _PairPotentialCluster(ProblemInstance):
         n = 1 if atoms == 2 else 3 * atoms - 6
         super().__init__(n, label)
         self.atoms = atoms
+        self._pairs = np.triu_indices(atoms, k=1)
 
     def positions(self, p):
         p = self.check_point(p)
@@ -141,13 +138,11 @@ class _PairPotentialCluster(ProblemInstance):
         raise NotImplementedError
 
     def energy(self, p):
-        pos = self.positions(p)
-        _, dist, iu, ju = _pair_distances(pos, self.label)
-        return float(np.sum(self._pair_energy(dist[iu, ju])))
+        _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
+        return float(np.sum(self._pair_energy(lengths)))
 
     def gradient(self, p):
-        pos = self.positions(p)
-        diff, dist, iu, ju = _pair_distances(pos, self.label)
+        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
         np.fill_diagonal(dist, 1.0)
         w = self._pair_dvdr(dist) / dist
         np.fill_diagonal(w, 0.0)
@@ -164,11 +159,7 @@ class _PairPotentialCluster(ProblemInstance):
         half_width = 2.0 if self.atoms <= 4 else 1.2 * self.atoms ** (1.0 / 3.0) + 1.0
         for _ in range(max_tries):
             p = rng.uniform(-half_width, half_width, self.n)
-            pos = self.positions(p)
-            diff = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
-            iu, ju = np.triu_indices(self.atoms, k=1)
-            if np.min(dist[iu, ju]) >= min_separation:
+            if np.min(_pair_distances(self.positions(p), self._pairs)[2]) >= min_separation:
                 return p
         raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
                            f"found in {max_tries} tries")

@@ -4,9 +4,9 @@ classification, finite-difference checks, and duplicate removal.
 Every problem family subclasses ProblemInstance.  Gradient families (the
 lattice and cluster models) expose the objective as ``energy`` and the system
 to solve is its gradient.  Root-finding families (game and puzzle systems)
-expose the polynomial system as ``residual`` and report the squared residual
-norm as their ``energy`` so that descent methods and classification have a
-scalar landscape to work with.
+subclass RootSystem: they expose the polynomial system as ``residual`` and
+report the squared residual norm as their ``energy`` so that descent methods
+and classification have a scalar landscape to work with.
 """
 
 from __future__ import annotations
@@ -74,6 +74,28 @@ class ProblemInstance:
     def sample_start(self, rng):
         """Draw one solver start from the family's default region."""
         raise NotImplementedError
+
+
+class RootSystem(ProblemInstance):
+    """A system f(x) = 0 seen through the landscape W = |f|^2.
+
+    Subclasses implement ``residual`` and ``residual_jacobian``; the energy
+    is f . f and the gradient 2 J^T f.
+    """
+
+    def residual(self, p):
+        raise NotImplementedError
+
+    def residual_jacobian(self, p):
+        raise NotImplementedError
+
+    def energy(self, p):
+        f = self.residual(p)
+        return float(f @ f)
+
+    def gradient(self, p):
+        f = self.residual(p)
+        return 2.0 * self.residual_jacobian(p).T @ f
 
 
 def fd_gradient(instance, p, step=1e-5):
@@ -212,13 +234,17 @@ def point_distance(a, b, metric=EUCLIDEAN):
     in (-pi, pi] before taking the Euclidean norm, so vectors that differ by
     whole turns in any component compare as equal.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return float(np.linalg.norm(_wrap(d, metric)))
+
+
+def _wrap(d, metric):
+    """Coordinate differences under ``metric``: unchanged for the Euclidean
+    one, each component wrapped onto (-pi, pi] for the angular one."""
     if metric == EUCLIDEAN:
-        return float(np.linalg.norm(a - b))
+        return d
     if metric == ANGULAR_MOD_2PI:
-        d = np.mod(a - b + np.pi, 2.0 * np.pi) - np.pi
-        return float(np.linalg.norm(d))
+        return np.mod(d + np.pi, 2.0 * np.pi) - np.pi
     raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
 
 
@@ -239,8 +265,11 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
     label = labels[0] if labels else ""
     ordered = sorted(points, key=lambda sp: (sp.energy, tuple(sp.point)))
     reps = []
+    kept = np.empty((len(ordered), len(ordered[0].point) if ordered else 0))
     for sp in ordered:
-        if not any(point_distance(sp.point, r.point, metric) < tol for r in reps):
+        d = _wrap(sp.point - kept[:len(reps)], metric)
+        if not np.any(np.linalg.norm(d, axis=1) < tol):
+            kept[len(reps)] = sp.point
             reps.append(sp)
     return SolutionSet(instance_label=label, tolerance=float(tol), metric=metric, points=reps)
 

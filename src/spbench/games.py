@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import RootSystem
 
 
 class NashGame:
@@ -149,7 +149,7 @@ def is_equilibrium(game, probs, pis, tol=1e-9):
     return flag, report
 
 
-class NashInstance(ProblemInstance):
+class NashInstance(RootSystem):
     """Flat-vector view of a game's stationarity system.
 
     Variables: strategy blocks in player order followed by one payoff value
@@ -186,15 +186,6 @@ class NashInstance(ProblemInstance):
     def residual_jacobian(self, x):
         probs, pis = self.split(x)
         return nash_residual_jacobian(self.game, probs, pis)
-
-    def energy(self, x):
-        f = self.residual(x)
-        return float(f @ f)
-
-    def gradient(self, x):
-        f = self.residual(x)
-        jac = self.residual_jacobian(x)
-        return 2.0 * jac.T @ f
 
     def params(self):
         return {

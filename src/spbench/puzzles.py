@@ -19,10 +19,11 @@ that never consults either encoding.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, ProblemInstance
+from .core import EvaluationError, RootSystem
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
@@ -100,10 +101,7 @@ def _cluster_angles(angles, tol=ANGLE_TOL):
 
 def _find_rep(reps, angle, tol=ANGLE_TOL):
     a = wrap_angle(angle)
-    for r in reps:
-        if abs(_circ_diff(a, r)) <= tol:
-            return r
-    return None
+    return next((r for r in reps if abs(_circ_diff(a, r)) <= tol), None)
 
 
 class Puzzle:
@@ -127,19 +125,13 @@ class Puzzle:
         if not self.k_set:
             raise ValueError("frequency set must be non-empty")
 
-        all_edges = list(frame.edges)
-        for piece in pieces:
-            all_edges.extend(piece.edges)
+        all_edges = list(frame.edges) + [e for piece in pieces for e in piece.edges]
         self.colors = sorted({e.color for e in all_edges})
         self._reps = _cluster_angles([e.angle for e in all_edges])
 
-        counts = {}
-        for e in all_edges:
-            rep = _find_rep(self._reps, e.angle)
-            counts[(e.color, rep)] = counts.get((e.color, rep), 0) + 1
+        counts = Counter((e.color, _find_rep(self._reps, e.angle)) for e in all_edges)
         for (color, rep), cnt in sorted(counts.items()):
-            partner = _find_rep(self._reps, rep + math.pi)
-            partner_cnt = counts.get((color, partner), 0) if partner is not None else 0
+            partner_cnt = counts[(color, _find_rep(self._reps, rep + math.pi))]
             if cnt != partner_cnt:
                 raise ValueError(
                     f"unbalanced edge classes: ({color}, {rep:.6g}) has {cnt} edges "
@@ -158,6 +150,21 @@ class Puzzle:
         self.classes = classes
         self.label = label if label is not None else f"puzzle-{len(pieces)}p"
 
+        # edges in ``placed_edges`` order: the frame, then each piece in turn
+        self.edges = all_edges
+        self.owner = np.repeat(np.arange(-1, len(pieces)),
+                               [len(frame.edges)] + [len(p.edges) for p in pieces])
+        self.offsets = np.array([e.offset for e in all_edges])
+        # signed class membership, (classes x edges): each edge counts in the
+        # first class with a nonzero indicator
+        self.sign = np.zeros((len(classes), len(all_edges)))
+        for j, e in enumerate(all_edges):
+            for c, (color, rep) in enumerate(classes):
+                s = signed_indicator(e, color, rep)
+                if s != 0:
+                    self.sign[c, j] = s
+                    break
+
     def n_pieces(self):
         return len(self.pieces)
 
@@ -168,40 +175,22 @@ class Puzzle:
             raise ValueError(f"placement must have shape {want}, got {placement.shape}")
         return placement
 
+    def positions(self, placement):
+        """Absolute position of every edge, (edges x 2), in ``edges`` order.
+        The frame stays at translation zero."""
+        placement = self.check_placement(placement)
+        shifts = np.vstack([np.zeros((1, 2)), placement])
+        return self.offsets + shifts[self.owner + 1]
+
     def placed_edges(self, placement):
         """All edges at absolute positions: (piece_index, edge, position).
-        The frame has index -1 and translation zero."""
-        placement = self.check_placement(placement)
-        out = [(-1, e, e.offset.copy()) for e in self.frame.edges]
-        for idx, piece in enumerate(self.pieces):
-            for e in piece.edges:
-                out.append((idx, e, placement[idx] + e.offset))
-        return out
-
-    def class_terms(self, placement):
-        """Per class, the list of (piece_index, sign, absolute position) for
-        every edge with nonzero signed indicator."""
-        placed = self.placed_edges(placement)
-        terms = {key: [] for key in self.classes}
-        for idx, edge, pos in placed:
-            for color, rep in self.classes:
-                s = signed_indicator(edge, color, rep)
-                if s != 0:
-                    terms[(color, rep)].append((idx, s, pos))
-                    break
-        return terms
+        The frame has index -1."""
+        return list(zip(self.owner.tolist(), self.edges, self.positions(placement)))
 
 
 def linear_residual(puzzle, placement):
     """Signed position sums, two components per class."""
-    terms = puzzle.class_terms(placement)
-    out = np.zeros(2 * len(puzzle.classes))
-    for c, key in enumerate(puzzle.classes):
-        acc = np.zeros(2)
-        for _, s, pos in terms[key]:
-            acc += s * pos
-        out[2 * c:2 * c + 2] = acc
-    return out
+    return (puzzle.sign @ puzzle.positions(placement)).ravel()
 
 
 def exponential_residual(puzzle, placement, k_set=None):
@@ -210,22 +199,15 @@ def exponential_residual(puzzle, placement, k_set=None):
     Each class is rescaled by its largest exponent so the evaluation stays
     in range; rescaling never moves a zero away from zero.
     """
-    k_set = tuple(k_set) if k_set is not None else puzzle.k_set
-    terms = puzzle.class_terms(placement)
-    out = np.zeros(len(puzzle.classes) * len(k_set))
-    pos = 0
-    for key in puzzle.classes:
-        entries = terms[key]
-        for k in k_set:
-            kv = np.asarray(k, dtype=float)
-            exps = np.array([kv @ p for _, _, p in entries])
-            shift = float(np.max(exps)) if len(exps) else 0.0
-            val = sum(s * math.exp(e - shift) for (_, s, _), e in zip(entries, exps))
-            if not math.isfinite(val):
-                raise EvaluationError(f"exponential residual overflow in class {key}")
-            out[pos] = val
-            pos += 1
-    return out
+    freqs = np.array(k_set if k_set is not None else puzzle.k_set, dtype=float).reshape(-1, 2)
+    member = (puzzle.sign != 0)[:, :, None]
+    exps = np.where(member, (puzzle.positions(placement) @ freqs.T)[None], -np.inf)
+    shift = exps.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.einsum("ce,cek->ck", puzzle.sign, np.exp(exps - shift))
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("exponential residual overflow")
+    return out.ravel()
 
 
 def verify_geometric(puzzle, placement, tol=ANGLE_TOL):
@@ -312,7 +294,7 @@ def generate_grid_puzzle(columns, rows, n_colors, seed, frame_color="border"):
     return puzzle, np.asarray(solution, dtype=float)
 
 
-class PuzzleInstance(ProblemInstance):
+class PuzzleInstance(RootSystem):
     """Root system stacking the linear equations and the raw exponential
     equations (no per-class rescaling, so the map stays smooth for
     derivative checks; desk-scale puzzles keep the exponents small)."""
@@ -326,68 +308,37 @@ class PuzzleInstance(ProblemInstance):
         frame_pos = np.array([e.offset for e in puzzle.frame.edges])
         self._lo = frame_pos.min(axis=0)
         self._hi = frame_pos.max(axis=0)
+        self._freqs = np.array(puzzle.k_set, dtype=float)
+        # sign restricted to one piece's edges, ((classes x pieces) x edges)
+        owned = puzzle.owner[None, :] == np.arange(puzzle.n_pieces())[:, None]
+        self._piece_sign = (puzzle.sign[:, None, :] * owned[None]).reshape(-1, len(puzzle.edges))
+        per_piece = self._piece_sign.sum(axis=1).reshape(len(puzzle.classes), -1)
+        self._linear_jacobian = np.kron(per_piece, np.eye(2))
 
-    def _placement(self, x):
-        x = self.check_point(x)
-        return x.reshape(len(self.puzzle.pieces), 2)
+    def _exp_terms(self, x):
+        """exp(k . u), (edges x frequencies), and the edge positions u."""
+        pos = self.puzzle.positions(self.check_point(x).reshape(-1, 2))
+        with np.errstate(over="ignore"):
+            terms = np.exp(pos @ self._freqs.T)
+        if not np.all(np.isfinite(terms)):
+            raise EvaluationError("exponential term overflow")
+        return terms, pos
 
     def residual(self, x):
-        placement = self._placement(x)
-        lin = linear_residual(self.puzzle, placement)
-        terms = self.puzzle.class_terms(placement)
-        k_set = self.puzzle.k_set
-        expo = np.zeros(len(self.puzzle.classes) * len(k_set))
-        pos = 0
-        try:
-            for key in self.puzzle.classes:
-                entries = terms[key]
-                for k in k_set:
-                    kv = np.asarray(k, dtype=float)
-                    val = sum(s * math.exp(kv @ p) for _, s, p in entries)
-                    if not math.isfinite(val):
-                        raise EvaluationError(f"exponential term overflow in class {key}")
-                    expo[pos] = val
-                    pos += 1
-        except OverflowError as exc:
-            raise EvaluationError(f"exponential term overflow: {exc}") from exc
-        return np.concatenate([lin, expo])
+        terms, pos = self._exp_terms(x)
+        sign = self.puzzle.sign
+        with np.errstate(over="ignore"):
+            out = np.concatenate([(sign @ pos).ravel(), (sign @ terms).ravel()])
+        if not np.all(np.isfinite(out)):
+            raise EvaluationError("exponential sum overflow")
+        return out
 
     def residual_jacobian(self, x):
-        placement = self._placement(x)
-        terms = self.puzzle.class_terms(placement)
-        n_cls = len(self.puzzle.classes)
-        k_set = self.puzzle.k_set
-        rows = 2 * n_cls + n_cls * len(k_set)
-        jac = np.zeros((rows, self.n))
-        for c, key in enumerate(self.puzzle.classes):
-            for idx, s, _ in terms[key]:
-                if idx >= 0:
-                    jac[2 * c, 2 * idx] += s
-                    jac[2 * c + 1, 2 * idx + 1] += s
-        row = 2 * n_cls
-        try:
-            for key in self.puzzle.classes:
-                entries = terms[key]
-                for k in k_set:
-                    kv = np.asarray(k, dtype=float)
-                    for idx, s, p in entries:
-                        if idx < 0:
-                            continue
-                        w = s * math.exp(kv @ p)
-                        jac[row, 2 * idx:2 * idx + 2] += w * kv
-                    row += 1
-        except OverflowError as exc:
-            raise EvaluationError(f"exponential term overflow: {exc}") from exc
-        return jac
-
-    def energy(self, x):
-        f = self.residual(x)
-        return float(f @ f)
-
-    def gradient(self, x):
-        f = self.residual(x)
-        jac = self.residual_jacobian(x)
-        return 2.0 * jac.T @ f
+        terms, _ = self._exp_terms(x)
+        # d/du_i sum_e s_e exp(k . u_e) = k * (sum over piece i's edges)
+        per_piece = (self._piece_sign @ terms).reshape(len(self.puzzle.classes), -1, len(self._freqs))
+        expo = per_piece.transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
+        return np.vstack([self._linear_jacobian, expo.reshape(-1, self.n)])
 
     def params(self):
         def edge_dict(e):

@@ -293,40 +293,38 @@ def gradsq_solve(instance, start, cfg=None):
 def homotopy_track(instance, start, cfg=None):
     """Newton homotopy from ``start``: follow the zero set of
     f(x) - (1 - t) f(x0) from t=0 to t=1 with Euler prediction and a few
-    Newton corrections per step."""
+    Newton corrections per step.  The trace holds the start and every
+    accepted step."""
     cfg = _resolved(cfg, "homotopy")
     sched = cfg.homotopy
-    x0 = instance.check_point(np.array(start, dtype=float))
+    x = instance.check_point(np.array(start, dtype=float))
+    trace = [] if cfg.record_trace else None
     try:
-        f0, norm0 = _residual_norm(instance, x0)
+        f0, norm = _residual_norm(instance, x)
     except EvaluationError:
-        return SolveOutcome(Status.EVAL_ERROR, x0, float("inf"), 0)
-    if norm0 <= cfg.accept_tol:
-        return SolveOutcome(Status.CONVERGED, x0, norm0, 0)
-    x = x0.copy()
-    t = 0.0
-    dt = sched.dt_initial
-    steps = 0
+        return SolveOutcome(Status.EVAL_ERROR, x, float("inf"), 0, trace)
+    t, dt, steps = 0.0, sched.dt_initial, 0
+    if trace is not None:
+        trace.append((steps, x.copy(), norm))
+    if norm <= cfg.accept_tol:
+        return SolveOutcome(Status.CONVERGED, x, norm, steps, trace)
     while t < 1.0:
         if steps >= cfg.max_iters:
-            _, norm = _residual_norm(instance, x)
-            return SolveOutcome(Status.MAX_ITERS, x, norm, steps)
+            return SolveOutcome(Status.MAX_ITERS, x, norm, steps, trace)
         try:
             jac = instance.residual_jacobian(x)
         except EvaluationError:
-            _, norm = _residual_norm(instance, x)
-            return SolveOutcome(Status.EVAL_ERROR, x, norm, steps)
+            return SolveOutcome(Status.EVAL_ERROR, x, norm, steps, trace)
         velocity = _linear_step(jac, -f0, cfg.cond_limit)
         if velocity is None:
-            _, norm = _residual_norm(instance, x)
-            return SolveOutcome(Status.SINGULAR_STEP, x, norm, steps)
+            return SolveOutcome(Status.SINGULAR_STEP, x, norm, steps, trace)
         dt_eff = min(dt, 1.0 - t)
         t_new = t + dt_eff
         cur = x + dt_eff * velocity
         used = None
         for k in range(sched.corrector_iters + 1):
             try:
-                f, _ = _residual_norm(instance, cur)
+                f, cur_norm = _residual_norm(instance, cur)
             except EvaluationError:
                 break
             h = f - (1.0 - t_new) * f0
@@ -346,18 +344,16 @@ def homotopy_track(instance, start, cfg=None):
         if used is None:
             dt *= 0.5
             if dt < sched.dt_min:
-                _, norm = _residual_norm(instance, x)
-                return SolveOutcome(Status.DIVERGED, x, norm, steps)
+                return SolveOutcome(Status.DIVERGED, x, norm, steps, trace)
             continue
-        x = cur
-        t = t_new
+        x, norm, t = cur, cur_norm, t_new
         steps += 1
+        if trace is not None:
+            trace.append((steps, x.copy(), norm))
         if used <= sched.easy_iters:
             dt = min(dt * sched.grow, sched.dt_max)
-    f, norm = _residual_norm(instance, x)
-    if norm <= cfg.accept_tol:
-        return SolveOutcome(Status.CONVERGED, x, norm, steps)
-    return SolveOutcome(Status.DIVERGED, x, norm, steps)
+    status = Status.CONVERGED if norm <= cfg.accept_tol else Status.DIVERGED
+    return SolveOutcome(status, x, norm, steps, trace)
 
 
 _METHODS = {

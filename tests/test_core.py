@@ -178,6 +178,15 @@ def test_dedup_merges_within_tolerance():
     assert out.points[1].energy == 5.0
 
 
+def test_dedup_compares_only_with_kept_representatives():
+    # the middle point is within tol of the first and is dropped; the third
+    # is within tol of the dropped one only, so it opens its own cluster
+    tol = 1e-6
+    pts = [_sp("x", [c * tol, 0.0], 1.0) for c in (0.0, 0.7, 1.4)]
+    out = dedup(pts, tol=tol)
+    assert [sp.point[0] for sp in out.points] == [0.0, 1.4 * tol]
+
+
 def test_dedup_is_order_independent():
     rng = np.random.default_rng(5)
     base = [_sp("x", rng.uniform(-3, 3, 2), float(i)) for i in range(12)]

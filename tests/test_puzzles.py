@@ -150,6 +150,37 @@ def test_instance_overflow_raises():
         inst.residual(x)
 
 
+def test_instance_jacobian_overflow_raises():
+    puz, _ = generate_grid_puzzle(2, 1, 1, seed=0)
+    inst = PuzzleInstance(puz)
+    x = np.full(inst.n, 600.0)
+    with pytest.raises(EvaluationError):
+        inst.residual_jacobian(x)
+
+
+def test_instance_exponential_block_is_unshifted_exponential_residual():
+    # both encodings read one class membership: the instance's raw sums are
+    # the rescaled sums of exponential_residual times exp(class shift), and
+    # its linear block is the per-class signed position sum
+    puz, _ = generate_grid_puzzle(2, 2, 3, seed=5)
+    inst = PuzzleInstance(puz)
+    x = inst.sample_start(np.random.default_rng(4))
+    placement = x.reshape(-1, 2)
+    n_cls = len(puz.classes)
+    res = inst.residual(x)
+    lin = res[:2 * n_cls].reshape(n_cls, 2)
+    raw = res[2 * n_cls:].reshape(n_cls, -1)
+    scaled = exponential_residual(puz, placement).reshape(n_cls, -1)
+    freqs = np.array(puz.k_set, dtype=float)
+    placed = puz.placed_edges(placement)
+    for c, (color, rep) in enumerate(puz.classes):
+        signs = np.array([signed_indicator(e, color, rep) for _, e, _ in placed])
+        members = np.array([pos for _, _, pos in placed])[signs != 0]
+        assert np.allclose(lin[c], signs[signs != 0] @ members, rtol=0, atol=1e-12)
+        shift = np.exp(np.max(members @ freqs.T, axis=0))
+        assert np.all(np.abs(raw[c] - scaled[c] * shift) <= 1e-12 * len(members) * shift)
+
+
 def test_exp_coordinates():
     p = np.array([[0.0, 1.0]])
     assert np.allclose(exp_coordinates(p), [[1.0, math.e]])

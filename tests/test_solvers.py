@@ -150,6 +150,21 @@ def test_newton_trace_recording():
     assert out2.trace is None
 
 
+def test_homotopy_trace_recording():
+    inst = Cubic()
+    start = np.array([1.4, 1.4])
+    cfg = SolverConfig(method="homotopy", record_trace=True)
+    out = homotopy_track(inst, start, cfg)
+    assert out.status is Status.CONVERGED
+    assert [t[0] for t in out.trace] == list(range(out.iterations + 1))
+    assert np.array_equal(out.trace[0][1], start)
+    assert np.array_equal(out.trace[-1][1], out.point)
+    assert out.trace[-1][2] == out.residual_norm
+    for _, x, norm in out.trace:
+        assert norm == pytest.approx(np.linalg.norm(inst.residual(x)), rel=1e-12, abs=1e-15)
+    assert homotopy_track(inst, start).trace is None
+
+
 def test_newton_respects_cond_limit():
     inst = Phi4Lattice(2)
     cfg = SolverConfig(method="newton", cond_limit=1.0 + 1e-9)
