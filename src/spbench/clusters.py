@@ -5,8 +5,10 @@ Rigid-body freedom is removed by construction rather than by constraints.
 Sphere charges use spherical angles with the first charge pinned to the north
 pole and the second to the zero-azimuth meridian.  Free clusters pin the
 first atom to the origin, the second to the x-axis, and the third to the
-xy-plane.  Gradients are analytic; Hessians fall back to the shared central
-difference of the gradient.
+xy-plane.  Gradients and Hessians are analytic: both are built in Cartesian
+coordinates from the pair potential's first and second derivatives and then
+carried through the embedding, which for free clusters is a selection of
+coordinates and for sphere charges the polar chart.
 """
 
 from __future__ import annotations
@@ -21,15 +23,57 @@ _COINCIDENCE_TOL = 1e-12
 
 
 def _pair_distances(pos, pairs, label=None):
-    """Separation vectors, the distance matrix and the lengths of the pairs
-    ``pairs`` (upper-triangle indices).  With a label, coincident particles
-    raise EvaluationError."""
+    """Separation vectors, the distance matrix with a unit diagonal, and the
+    lengths of the pairs ``pairs`` (upper-triangle indices).  With a label,
+    coincident particles raise EvaluationError."""
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     lengths = dist[pairs]
     if label is not None and np.any(lengths < _COINCIDENCE_TOL):
         raise EvaluationError(f"{label}: coincident particles (pair distance < {_COINCIDENCE_TOL})")
+    np.fill_diagonal(dist, 1.0)
     return diff, dist, lengths
+
+
+def _cartesian_gradient(diff, dist, dvdr):
+    """Cartesian gradient (N, 3) of a sum of pair potentials v(r_ij), and the
+    matrix of v'(r_ij) / r_ij with a zero diagonal."""
+    radial = dvdr(dist) / dist
+    np.fill_diagonal(radial, 0.0)
+    return (radial[:, :, None] * diff).sum(axis=1), radial
+
+
+def _cartesian_hessian(diff, dist, radial, d2vdr2):
+    """Cartesian Hessian (N, 3, N, 3) of a sum of pair potentials v(r_ij),
+    given the matrix of v'(r_ij) / r_ij from ``_cartesian_gradient``.
+
+    The block of pair i != j is -(v'' u u^T + (v'/r)(I - u u^T)), u the unit
+    separation vector; each diagonal block is minus the sum of the other
+    blocks of its row.
+    """
+    # v'' u u^T + (v'/r)(I - u u^T) = ((v'' - v'/r) / r^2) d d^T + (v'/r) I
+    along = (d2vdr2(dist) - radial) / (dist * dist)
+    np.fill_diagonal(along, 0.0)
+    hess = -np.einsum("ij,ijc,ijd->icjd", along, diff, diff)
+    hess -= radial[:, None, :, None] * np.eye(3)[None, :, None, :]
+    own = np.arange(len(dist))
+    hess[own, :, own, :] = -hess.sum(axis=2)
+    return hess
+
+
+def _block_diagonal(blocks):
+    """The (N a, N b) matrix with the (N, a, b) ``blocks`` on its diagonal."""
+    count, rows, cols = blocks.shape
+    out = np.zeros((count, rows, count, cols))
+    own = np.arange(count)
+    out[own, :, own, :] = blocks
+    return out.reshape(count * rows, count * cols)
+
+
+def _checked_hessian(h, label):
+    if not np.all(np.isfinite(h)):
+        raise EvaluationError(f"{label}: non-finite Hessian entries")
+    return h
 
 
 class ThomsonSphere(ProblemInstance):
@@ -49,41 +93,68 @@ class ThomsonSphere(ProblemInstance):
         super().__init__(2 * charges - 3, label if label is not None else f"thomson-{charges}")
         self.charges = charges
         self._pairs = np.triu_indices(charges, k=1)
+        # the variables within (theta_1, phi_1, ..., theta_N, phi_N): all
+        # but the pinned theta_1, phi_1 and phi_2
+        self._free = np.r_[2, 4:2 * charges]
+        self._free_block = np.ix_(self._free, self._free)
+
+    @staticmethod
+    def _pair_dvdr(r):
+        return -1.0 / r**2
+
+    @staticmethod
+    def _pair_d2vdr2(r):
+        return 2.0 / r**3
+
+    def _chart(self, p):
+        """Sin and cos of every charge's polar and azimuthal angle, each of
+        shape (N,), and the positions (N, 3)."""
+        p = self.check_point(p)
+        angles = np.zeros(2 * self.charges)
+        angles[self._free] = p
+        sin, cos = np.sin(angles), np.cos(angles)
+        st, sp, ct, cp = sin[0::2], sin[1::2], cos[0::2], cos[1::2]
+        return (st, ct, sp, cp), np.stack((st * cp, st * sp, ct), axis=1)
+
+    @staticmethod
+    def _in_plane(cart, cp, sp):
+        """Components of each charge's Cartesian gradient along
+        (cos phi, sin phi, 0) and along (-sin phi, cos phi, 0)."""
+        x, y = cart[:, 0], cart[:, 1]
+        return x * cp + y * sp, y * cp - x * sp
 
     def positions(self, p):
-        p = self.check_point(p)
-        pos = np.empty((self.charges, 3))
-        pos[0] = (0.0, 0.0, 1.0)
-        pos[1] = (math.sin(p[0]), 0.0, math.cos(p[0]))
-        for i in range(2, self.charges):
-            th = p[1 + 2 * (i - 2)]
-            ph = p[2 + 2 * (i - 2)]
-            pos[i] = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
-        return pos
+        return self._chart(p)[1]
 
     def energy(self, p):
         _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
-        return float(np.sum(1.0 / lengths))
+        # fsum rounds once, so copies of one configuration under rotation
+        # and permutation do not differ by the rounding of the summation
+        return math.fsum(1.0 / lengths)
 
     def gradient(self, p):
-        p = self.check_point(p)
-        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
-        # d(1/r)/dx_i summed over partners j
-        np.fill_diagonal(dist, 1.0)
-        w = 1.0 / dist**3
-        np.fill_diagonal(w, 0.0)
-        cart = -(w[:, :, None] * diff).sum(axis=1)
-        g = np.empty(self.n)
-        th = p[0]
-        g[0] = cart[1] @ np.array([math.cos(th), 0.0, -math.sin(th)])
-        for i in range(2, self.charges):
-            th = p[1 + 2 * (i - 2)]
-            ph = p[2 + 2 * (i - 2)]
-            dth = np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), -math.sin(th)])
-            dph = np.array([-math.sin(th) * math.sin(ph), math.sin(th) * math.cos(ph), 0.0])
-            g[1 + 2 * (i - 2)] = cart[i] @ dth
-            g[2 + 2 * (i - 2)] = cart[i] @ dph
-        return g
+        (st, ct, sp, cp), pos = self._chart(p)
+        diff, dist, _ = _pair_distances(pos, self._pairs, self.label)
+        cart, _ = _cartesian_gradient(diff, dist, self._pair_dvdr)
+        along, across = self._in_plane(cart, cp, sp)
+        return np.stack((ct * along - st * cart[:, 2], st * across), axis=1).ravel()[self._free]
+
+    def hessian(self, p):
+        """J^T K J + sum_i g_i . d^2 pos_i, with K and g the Cartesian Hessian
+        and gradient and J the Jacobian of the chart."""
+        (st, ct, sp, cp), pos = self._chart(p)
+        diff, dist, _ = _pair_distances(pos, self._pairs, self.label)
+        cart, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
+        kart = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2)
+        d_theta = np.stack((ct * cp, ct * sp, -st), axis=1)
+        d_phi = np.stack((-st * sp, st * cp, np.zeros_like(st)), axis=1)
+        jac = _block_diagonal(np.stack((d_theta, d_phi), axis=2))
+        # g_i . d^2 pos_i / d(theta, phi)^2, where d^2 pos / d theta^2 = -pos
+        along, across = self._in_plane(cart, cp, sp)
+        curv = np.stack((-np.sum(cart * pos, axis=1), ct * across, ct * across, -st * along), axis=1)
+        size = 3 * self.charges
+        h = jac.T @ kart.reshape(size, size) @ jac + _block_diagonal(curv.reshape(-1, 2, 2))
+        return _checked_hessian(h[self._free_block], self.label)
 
     def params(self):
         return {"charges": self.charges}
@@ -109,6 +180,7 @@ class _PairPotentialCluster(ProblemInstance):
     Free coordinates: x of atom 2; x, y of atom 3; full triples afterwards.
     That removes six rigid-body freedoms for N >= 3 (n = 3N - 6) and five for
     the diatomic (n = 1, the signed separation along the x-axis).
+    Subclasses supply the pair potential v(r) and its first two derivatives.
     """
 
     def __init__(self, atoms, label):
@@ -119,17 +191,16 @@ class _PairPotentialCluster(ProblemInstance):
         super().__init__(n, label)
         self.atoms = atoms
         self._pairs = np.triu_indices(atoms, k=1)
+        # the free coordinates within the flattened (N, 3) positions; the
+        # embedding is linear, so the chain rule is a selection by this index
+        self._free = np.r_[3] if atoms == 2 else np.r_[3, 6, 7, 9:3 * atoms]
+        self._free_block = np.ix_(self._free, self._free)
 
     def positions(self, p):
         p = self.check_point(p)
-        pos = np.zeros((self.atoms, 3))
-        pos[1, 0] = p[0]
-        if self.atoms >= 3:
-            pos[2, 0] = p[1]
-            pos[2, 1] = p[2]
-        for i in range(3, self.atoms):
-            pos[i] = p[3 + 3 * (i - 3): 6 + 3 * (i - 3)]
-        return pos
+        pos = np.zeros(3 * self.atoms)
+        pos[self._free] = p
+        return pos.reshape(self.atoms, 3)
 
     def _pair_energy(self, r):
         raise NotImplementedError
@@ -137,23 +208,23 @@ class _PairPotentialCluster(ProblemInstance):
     def _pair_dvdr(self, r):
         raise NotImplementedError
 
+    def _pair_d2vdr2(self, r):
+        raise NotImplementedError
+
     def energy(self, p):
         _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
-        return float(np.sum(self._pair_energy(lengths)))
+        return math.fsum(self._pair_energy(lengths))  # as ThomsonSphere.energy
 
     def gradient(self, p):
         diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
-        np.fill_diagonal(dist, 1.0)
-        w = self._pair_dvdr(dist) / dist
-        np.fill_diagonal(w, 0.0)
-        cart = (w[:, :, None] * diff).sum(axis=1)
-        # the embedding is linear, so the chain rule is a plain selection
-        g = [cart[1, 0]]
-        if self.atoms >= 3:
-            g += [cart[2, 0], cart[2, 1]]
-        for i in range(3, self.atoms):
-            g += list(cart[i])
-        return np.asarray(g)
+        return _cartesian_gradient(diff, dist, self._pair_dvdr)[0].ravel()[self._free]
+
+    def hessian(self, p):
+        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
+        _, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
+        h = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2)
+        h = h.reshape(3 * self.atoms, 3 * self.atoms)[self._free_block]
+        return _checked_hessian(h, self.label)
 
     def sample_start(self, rng, min_separation=0.5, max_tries=10000):
         half_width = 2.0 if self.atoms <= 4 else 1.2 * self.atoms ** (1.0 / 3.0) + 1.0
@@ -189,6 +260,10 @@ class LennardJonesCluster(_PairPotentialCluster):
         s6 = (self.sigma / r) ** 6
         return 4.0 * self.epsilon * (-12.0 * s6 * s6 + 6.0 * s6) / r
 
+    def _pair_d2vdr2(self, r):
+        s6 = (self.sigma / r) ** 6
+        return 4.0 * self.epsilon * (156.0 * s6 * s6 - 42.0 * s6) / (r * r)
+
     def pair_minimum(self):
         """Separation and depth of the two-body well: (2^(1/6) sigma, -eps)."""
         return (2.0 ** (1.0 / 6.0) * self.sigma, -self.epsilon)
@@ -221,6 +296,10 @@ class MorseCluster(_PairPotentialCluster):
     def _pair_dvdr(self, r):
         u = np.exp(self.rho * (1.0 - r / self.r_e))
         return -2.0 * self.epsilon * self.rho / self.r_e * u * (u - 1.0)
+
+    def _pair_d2vdr2(self, r):
+        u = np.exp(self.rho * (1.0 - r / self.r_e))
+        return 2.0 * self.epsilon * (self.rho / self.r_e) ** 2 * u * (2.0 * u - 1.0)
 
     def pair_minimum(self):
         """Separation and depth of the two-body well: (r_e, -eps)."""

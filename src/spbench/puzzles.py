@@ -121,7 +121,9 @@ class Puzzle:
             raise ValueError("need at least one movable piece")
         self.frame = frame
         self.pieces = pieces
-        self.k_set = tuple((int(kx), int(ky)) for kx, ky in (k_set or DEFAULT_K_SET))
+        if k_set is None:
+            k_set = DEFAULT_K_SET
+        self.k_set = tuple((int(kx), int(ky)) for kx, ky in k_set)
         if not self.k_set:
             raise ValueError("frequency set must be non-empty")
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spbench.core import EvaluationError, classify, fd_gradient
+from spbench.core import ClassifyConfig, EvaluationError, classify, fd_gradient, fd_hessian
 from spbench.clusters import (
     LennardJonesCluster,
     MorseCluster,
@@ -50,8 +50,62 @@ def test_thomson_gradient_matches_fd():
 
 def test_thomson_coincident_charges_raise():
     inst = ThomsonSphere(2)
-    with pytest.raises(EvaluationError):
-        inst.energy(np.array([0.0]))  # both charges at the north pole
+    x = np.array([0.0])  # both charges at the north pole
+    for evaluate in (inst.energy, inst.gradient, inst.hessian, inst.residual_jacobian):
+        with pytest.raises(EvaluationError):
+            evaluate(x)
+
+
+def _assert_hessian_matches_fd(inst, x):
+    h = inst.hessian(x)
+    assert h.shape == (inst.n, inst.n)
+    scale = 1.0 + np.abs(h).max()
+    assert np.abs(h - h.T).max() <= 1e-14 * scale
+    assert np.abs(h - fd_hessian(inst, x)).max() <= 1e-7 * scale
+    g = inst.gradient(x)
+    assert np.abs(g - fd_gradient(inst, x)).max() <= 1e-7 * (1.0 + np.abs(g).max())
+
+
+def test_thomson_hessian_matches_fd():
+    rng = np.random.default_rng(5)
+    for charges in (2, 3, 4, 5, 6):
+        inst = ThomsonSphere(charges)
+        for _ in range(5):
+            _assert_hessian_matches_fd(inst, inst.sample_start(rng))
+        # the last charge at, and a hair from, the south pole, where the
+        # chart's azimuthal direction degenerates
+        for theta in (np.pi, np.pi - 1e-5):
+            x = inst.sample_start(rng)
+            x[-1 if charges == 2 else -2] = theta
+            _assert_hessian_matches_fd(inst, x)
+
+
+def test_cluster_hessians_match_fd():
+    rng = np.random.default_rng(6)
+    for atoms in (2, 3, 4, 7):
+        for inst in (LennardJonesCluster(atoms), MorseCluster(atoms, rho=6.0),
+                     LennardJonesCluster(atoms, epsilon=2.5, sigma=0.8),
+                     MorseCluster(atoms, rho=4.0, epsilon=1.5, r_e=1.2)):
+            for _ in range(4):
+                _assert_hessian_matches_fd(inst, inst.sample_start(rng))
+
+
+def test_thomson_optima_classify_alike_in_both_hessian_modes():
+    half, third = np.pi / 2, 2 * np.pi / 3
+    optima = {
+        # triangular bipyramid: three charges on the equator, one at the south pole
+        5: (np.array([half, half, third, half, -third, np.pi, 0.0]), 6.474691495),
+        # octahedron: four charges on the equator, one at the south pole
+        6: (np.array([half, half, half, half, np.pi, half, -half, np.pi, 0.0]), 9.985281374),
+    }
+    for charges, (x, energy) in optima.items():
+        inst = ThomsonSphere(charges)
+        assert inst.energy(x) == pytest.approx(energy, abs=1e-8)
+        assert np.linalg.norm(inst.gradient(x)) < 1e-12
+        analytic = classify(inst, x)
+        fd = classify(inst, x, ClassifyConfig(hessian_mode="finite-difference"))
+        assert analytic.index == fd.index == 0
+        assert analytic.zero_eigs == fd.zero_eigs
 
 
 def test_thomson_sample_start_separation():
@@ -140,10 +194,16 @@ def test_cluster_gradients_match_fd():
 def test_cluster_coincident_atoms_raise():
     inst = LennardJonesCluster(3)
     x = np.array([0.0, 0.3, 0.4])  # first and second atom both at the origin
-    with pytest.raises(EvaluationError):
-        inst.energy(x)
-    with pytest.raises(EvaluationError):
-        inst.gradient(x)
+    for evaluate in (inst.energy, inst.gradient, inst.hessian, inst.residual_jacobian):
+        with pytest.raises(EvaluationError):
+            evaluate(x)
+
+
+def test_cluster_non_finite_hessian_raises():
+    # (sigma / r)^12 overflows at every pair distance
+    inst = LennardJonesCluster(3, sigma=1e30)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite"):
+        inst.hessian(np.array([1.1, 0.5, 0.9]))
 
 
 def test_lj_trimer_equilateral_is_stationary():

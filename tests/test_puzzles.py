@@ -52,6 +52,14 @@ def test_unbalanced_puzzle_rejected():
         Puzzle(frame, [lonely])
 
 
+def test_empty_k_set_rejected():
+    frame = Piece([Edge((0, 0), "a", 0.0)])
+    piece = Piece([Edge((0, 0), "a", math.pi)])
+    assert len(Puzzle(frame, [piece]).k_set) == len(DEFAULT_K_SET)
+    with pytest.raises(ValueError, match="non-empty"):
+        Puzzle(frame, [piece], k_set=[])
+
+
 def test_generate_grid_puzzle_balanced_and_solvable():
     for seed in range(5):
         puz, sol = generate_grid_puzzle(2, 2, 3, seed=seed)

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from spbench.clusters import ThomsonSphere
-from spbench.core import EvaluationError, ProblemInstance
+from spbench.clusters import LennardJonesCluster, ThomsonSphere
+from spbench.core import EvaluationError, ProblemInstance, classify
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.solvers import (
     SolverConfig,
@@ -194,6 +194,18 @@ def test_newton_thomson_octahedron_with_charge_near_pole():
     out = newton_solve(inst, x)
     assert out.status is Status.CONVERGED
     assert abs(inst.energy(out.point) - 9.985281374) <= 1e-8
+
+
+def test_newton_lj_trimer_reaches_equilateral_minimum():
+    inst = LennardJonesCluster(3)
+    r = 2 ** (1 / 6)
+    x = np.array([r, r / 2, r * np.sqrt(3) / 2]) + np.array([0.05, -0.04, 0.03])
+    out = newton_solve(inst, x)
+    assert out.status is Status.CONVERGED
+    sp = classify(inst, out.point)
+    assert abs(sp.energy + 3.0) <= 1e-10
+    assert sp.index == 0
+    assert sp.zero_eigs == 0
 
 
 def test_newton_rectangular_system():
