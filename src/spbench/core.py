@@ -7,6 +7,10 @@ to solve is its gradient.  Root-finding families (game and puzzle systems)
 subclass RootSystem: they expose the polynomial system as ``residual`` and
 report the squared residual norm as their ``energy`` so that descent methods
 and classification have a scalar landscape to work with.
+
+Every shipped family has a closed-form ``hessian``.  ``fd_hessian`` serves
+``ClassifyConfig(hessian_mode="finite-difference")`` and the ProblemInstance
+default for families that bring no Hessian of their own.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ class ProblemInstance:
 
     Subclasses set ``family`` and implement ``energy``, ``gradient``,
     ``params`` and ``sample_start``.  ``hessian`` defaults to a central
-    finite difference of the analytic gradient; families with a cheap closed
-    form override it.  ``residual``/``residual_jacobian`` default to the
-    gradient/Hessian pair and are overridden by the root-system families.
+    finite difference of the analytic gradient; every shipped family
+    overrides it with a closed form.  ``residual``/``residual_jacobian``
+    default to the gradient/Hessian pair and are overridden by the
+    root-system families.
     """
 
     family = "abstract"
@@ -79,14 +84,21 @@ class ProblemInstance:
 class RootSystem(ProblemInstance):
     """A system f(x) = 0 seen through the landscape W = |f|^2.
 
-    Subclasses implement ``residual`` and ``residual_jacobian``; the energy
-    is f . f and the gradient 2 J^T f.
+    Subclasses implement ``residual``, ``residual_jacobian`` and
+    ``residual_curvature``; the energy is f . f, the gradient 2 J^T f and
+    the Hessian 2 (J^T J + sum_k f_k grad^2 f_k), exact with no finite
+    difference.
     """
 
     def residual(self, p):
         raise NotImplementedError
 
     def residual_jacobian(self, p):
+        raise NotImplementedError
+
+    def residual_curvature(self, p, w):
+        """sum_k w_k grad^2 f_k(p), the residual's second derivatives
+        weighted by ``w`` (one weight per residual component)."""
         raise NotImplementedError
 
     def energy(self, p):
@@ -96,6 +108,15 @@ class RootSystem(ProblemInstance):
     def gradient(self, p):
         f = self.residual(p)
         return 2.0 * self.residual_jacobian(p).T @ f
+
+    def hessian(self, p):
+        f = self.residual(p)
+        jac = self.residual_jacobian(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 2.0 * (jac.T @ jac + self.residual_curvature(p, f))
+        if not np.all(np.isfinite(h)):
+            raise EvaluationError(f"{self.label}: non-finite Hessian")
+        return h
 
 
 def fd_gradient(instance, p, step=1e-5):

@@ -57,30 +57,26 @@ class NashGame:
     def expected_payoff(self, probs, player):
         """Payoff of ``player`` when everyone plays their mixed strategy."""
         probs = self.check_profile(probs)
-        t = self.payoffs[player]
-        for axis in reversed(range(self.players)):
-            t = np.tensordot(t, probs[axis], axes=([axis], [0]))
-        return float(t)
+        return float(self._contract(self.payoffs[player], probs, ()))
 
     def pure_response_payoffs(self, probs, player):
         """Vector over ``player``'s pure strategies, each against the
         opponents' mixture."""
         probs = self.check_profile(probs)
-        t = self.payoffs[player]
+        return np.asarray(self._contract(self.payoffs[player], probs, (player,)), dtype=float)
+
+    def _contract(self, t, vectors, keep):
+        """Tensor ``t`` contracted on every axis not in ``keep`` with that
+        axis's entry of ``vectors``; the kept axes stay in ascending order."""
         for axis in reversed(range(self.players)):
-            if axis == player:
-                continue
-            t = np.tensordot(t, probs[axis], axes=([axis], [0]))
-        return np.asarray(t, dtype=float)
+            if axis not in keep:
+                t = np.tensordot(t, vectors[axis], axes=([axis], [0]))
+        return t
 
     def _pair_contraction(self, probs, i, m):
         """Matrix (d_i, d_m): player i's payoff tensor contracted with every
         strategy vector except those of players i and m."""
-        t = self.payoffs[i]
-        for axis in reversed(range(self.players)):
-            if axis in (i, m):
-                continue
-            t = np.tensordot(t, probs[axis], axes=([axis], [0]))
+        t = self._contract(self.payoffs[i], probs, (i, m))
         return t if i < m else t.T
 
 
@@ -123,6 +119,38 @@ def nash_residual_jacobian(game, probs, pis):
     for i in range(game.players):
         jac[row + i, offsets[i]:offsets[i] + dims[i]] = 1.0
     return jac
+
+
+def nash_residual_curvature(game, probs, weights):
+    """sum_k w_k grad^2 f_k over the rows of ``nash_residual``, one weight
+    per row, in the variable order of ``nash_residual_jacobian``.
+
+    Row (i, k) is p_ik (pi_i - R_ik) with R_ik multilinear in the other
+    players' strategies, so its second derivatives are 1 against pi_i, -P_im
+    against player m != i and -p_ik d^2 R_ik against two other players.
+    Diagonal strategy blocks, the pi block and the simplex rows are zero.
+    """
+    probs = game.check_profile(probs)
+    offsets = np.concatenate(([0], np.cumsum(game.shape)))
+    strat = int(offsets[-1])
+    w = [np.asarray(weights[offsets[i]:offsets[i + 1]], dtype=float)
+         for i in range(game.players)]
+    q = [w[i] * probs[i] for i in range(game.players)]
+    curv = np.zeros((strat + game.players, strat + game.players))
+    for i in range(game.players):
+        bi = slice(offsets[i], offsets[i + 1])
+        curv[bi, strat + i] = curv[strat + i, bi] = w[i]
+        for m in range(i + 1, game.players):
+            bm = slice(offsets[m], offsets[m + 1])
+            block = -(w[i][:, None] * game._pair_contraction(probs, i, m)
+                      + (w[m][:, None] * game._pair_contraction(probs, m, i)).T)
+            for other in range(game.players):
+                if other not in (i, m):
+                    vectors = probs[:other] + [q[other]] + probs[other + 1:]
+                    block -= game._contract(game.payoffs[other], vectors, (i, m))
+            curv[bi, bm] = block
+            curv[bm, bi] = block.T
+    return curv
 
 
 def is_equilibrium(game, probs, pis, tol=1e-9):
@@ -186,6 +214,10 @@ class NashInstance(RootSystem):
     def residual_jacobian(self, x):
         probs, pis = self.split(x)
         return nash_residual_jacobian(self.game, probs, pis)
+
+    def residual_curvature(self, x, w):
+        probs, _ = self.split(x)
+        return nash_residual_curvature(self.game, probs, w)
 
     def params(self):
         return {

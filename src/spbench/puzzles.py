@@ -316,6 +316,8 @@ class PuzzleInstance(RootSystem):
         self._piece_sign = (puzzle.sign[:, None, :] * owned[None]).reshape(-1, len(puzzle.edges))
         per_piece = self._piece_sign.sum(axis=1).reshape(len(puzzle.classes), -1)
         self._linear_jacobian = np.kron(per_piece, np.eye(2))
+        # k k^T of every frequency, flattened to (frequencies x 4)
+        self._freq_outer = (self._freqs[:, :, None] * self._freqs[:, None, :]).reshape(-1, 4)
 
     def _exp_terms(self, x):
         """exp(k . u), (edges x frequencies), and the edge positions u."""
@@ -335,12 +337,28 @@ class PuzzleInstance(RootSystem):
             raise EvaluationError("exponential sum overflow")
         return out
 
-    def residual_jacobian(self, x):
+    def _per_piece(self, x):
+        """sum_e s_ce exp(k . u_e) over each piece's edges, (classes x
+        pieces x frequencies)."""
         terms, _ = self._exp_terms(x)
+        return (self._piece_sign @ terms).reshape(len(self.puzzle.classes), -1, len(self._freqs))
+
+    def residual_jacobian(self, x):
         # d/du_i sum_e s_e exp(k . u_e) = k * (sum over piece i's edges)
-        per_piece = (self._piece_sign @ terms).reshape(len(self.puzzle.classes), -1, len(self._freqs))
-        expo = per_piece.transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
+        expo = self._per_piece(x).transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
         return np.vstack([self._linear_jacobian, expo.reshape(-1, self.n)])
+
+    def residual_curvature(self, x, w):
+        # the linear rows are flat; exponential row (c, k) adds k k^T times
+        # piece i's share of its sum to piece i's 2 x 2 diagonal block
+        per_piece = self._per_piece(x)
+        classes, pieces, _ = per_piece.shape
+        weight = np.asarray(w, dtype=float)[2 * classes:].reshape(classes, -1)
+        blocks = np.einsum("ck,cik->ik", weight, per_piece) @ self._freq_outer
+        curv = np.zeros((self.n, self.n))
+        diag = np.arange(pieces)
+        curv.reshape(pieces, 2, pieces, 2)[diag, :, diag, :] = blocks.reshape(pieces, 2, 2)
+        return curv
 
     def params(self):
         def edge_dict(e):

@@ -383,14 +383,15 @@ class MultistartResult:
 
 def worker_count():
     """Thread count for multistart: the SPBENCH_THREADS variable if set,
-    else up to 8 depending on the machine."""
+    else 1.  Each start's numpy calls are too small to run outside the
+    interpreter lock, so more threads only add hand-offs."""
     env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        value = int(env)
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-        return value
-    return min(8, os.cpu_count() or 1)
+    if env is None:
+        return 1
+    value = int(env)
+    if value < 1:
+        raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
+    return value
 
 
 def draw_starts(instance, cfg):

@@ -159,3 +159,13 @@ def test_residual_shape_checks():
         nash_residual(g, [np.array([0.5, 0.5]), np.array([1.0])], np.zeros(2))
     with pytest.raises(ValueError):
         nash_residual(g, [np.array([0.5, 0.5])] * 2, np.zeros(3))
+
+
+def test_hessian_finite_at_sample_starts():
+    rng = np.random.default_rng(8)
+    for shape in ((2, 2), (3, 3, 3), (2, 3, 2, 2)):
+        inst = NashInstance(NashGame([rng.uniform(-1.0, 1.0, shape) for _ in shape]))
+        for _ in range(10):
+            h = inst.hessian(inst.sample_start(rng))
+            assert h.shape == (inst.n, inst.n)
+            assert np.all(np.isfinite(h))

@@ -1,0 +1,88 @@
+"""Closed-form Hessians of all seven families against finite differences,
+and classification under both Hessian modes at the root systems' roots."""
+
+import numpy as np
+import pytest
+
+import spbench as sb
+from spbench import core
+from spbench.core import ClassifyConfig, RootSystem, classify, fd_hessian
+
+
+def _acceptance_3_instances():
+    # the instances of acceptance criterion 3, then a 3- and a 4-player game
+    rng0 = np.random.default_rng(2024)
+    pay_a = rng0.uniform(-1.0, 1.0, (2, 3))
+    pay_b = rng0.uniform(-1.0, 1.0, (2, 3))
+    puz, _ = sb.generate_grid_puzzle(2, 2, 3, seed=5)
+    rng1 = np.random.default_rng(2025)
+    return [
+        sb.Phi4Lattice(3, J=0.5),
+        sb.XYLattice(2, 3, disorder="uniform-signed", seed=3),
+        sb.ThomsonSphere(5),
+        sb.LennardJonesCluster(4),
+        sb.MorseCluster(4, rho=6.0),
+        sb.NashInstance(sb.NashGame([pay_a, pay_b])),
+        sb.PuzzleInstance(puz),
+        sb.NashInstance(sb.NashGame([rng1.uniform(-1.0, 1.0, (3, 3, 3)) for _ in range(3)])),
+        sb.NashInstance(sb.NashGame([rng1.uniform(-1.0, 1.0, (2, 3, 2, 2)) for _ in range(4)])),
+    ]
+
+
+def test_hessians_match_fd_for_every_family():
+    instances = _acceptance_3_instances()
+    assert len({inst.family for inst in instances}) == 7
+    for k, inst in enumerate(instances):
+        for i in range(20):
+            x = inst.sample_start(np.random.default_rng((4100, k, i)))
+            h = inst.hessian(x)
+            assert h.shape == (inst.n, inst.n)
+            scale = 1.0 + np.abs(h).max()
+            assert np.abs(h - h.T).max() <= 1e-14 * scale, inst.label
+            fd = fd_hessian(inst, x)
+            assert np.abs(h - fd).max() <= 1e-7 * scale, inst.label
+            if isinstance(inst, RootSystem):
+                # far from a root the curvature term carries real weight
+                f = inst.residual(x)
+                assert np.linalg.norm(f) > 1e-2
+                jac = inst.residual_jacobian(x)
+                assert np.abs(2.0 * jac.T @ jac - fd).max() > 1e-3 * scale, inst.label
+
+
+def test_no_family_hessian_reaches_fd_hessian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fd_hessian called")
+
+    instances = _acceptance_3_instances()
+    monkeypatch.setattr(core, "fd_hessian", refuse)
+    for k, inst in enumerate(instances):
+        x = inst.sample_start(np.random.default_rng((4200, k)))
+        classify(inst, x)
+    # the patch is live: the forced finite-difference mode reaches it
+    with pytest.raises(AssertionError):
+        classify(instances[5], instances[5].sample_start(np.random.default_rng(1)),
+                 ClassifyConfig(hessian_mode="finite-difference"))
+
+
+def _assert_modes_agree(inst, x):
+    analytic = classify(inst, x)
+    fd = classify(inst, x, ClassifyConfig(hessian_mode="finite-difference"))
+    assert (analytic.index, analytic.zero_eigs) == (fd.index, fd.zero_eigs), inst.label
+
+
+def test_classify_modes_agree_at_root_system_roots():
+    # the first 10 games of acceptance criterion 8, with its campaigns
+    rng = np.random.default_rng(31415)
+    roots = 0
+    for gi in range(10):
+        pay_a = rng.uniform(-1.0, 1.0, (2, 2))
+        pay_b = rng.uniform(-1.0, 1.0, (2, 2))
+        inst = sb.NashInstance(sb.NashGame([pay_a, pay_b]))
+        res = sb.multistart(inst, sb.SolverConfig(method="newton", starts=20, seed=1000 + gi))
+        for sp in res.solutions.points:
+            _assert_modes_agree(inst, sp.point)
+            roots += 1
+    assert roots >= 10
+    puz, solution = sb.generate_grid_puzzle(2, 2, 3, seed=8)
+    inst = sb.PuzzleInstance(puz)
+    _assert_modes_agree(inst, solution.ravel())

@@ -205,3 +205,11 @@ def test_placement_shape_checked():
     puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
     with pytest.raises(ValueError):
         linear_residual(puz, sol[:1])
+
+
+def test_instance_hessian_overflow_raises():
+    puz, _ = generate_grid_puzzle(2, 1, 1, seed=0)
+    inst = PuzzleInstance(puz)
+    x = np.full(inst.n, 600.0)
+    with pytest.raises(EvaluationError):
+        inst.hessian(x)
