@@ -39,7 +39,9 @@ class ProblemInstance:
     finite difference of the analytic gradient; every shipped family
     overrides it with a closed form.  ``residual``/``residual_jacobian``
     default to the gradient/Hessian pair and are overridden by the
-    root-system families.
+    root-system families.  The solvers evaluate whole stacks of points
+    through ``residual_batch``/``residual_jacobian_batch``, which loop over
+    rows unless a family brings a vectorized kernel.
     """
 
     family = "abstract"
@@ -57,6 +59,15 @@ class ProblemInstance:
             )
         return p
 
+    def check_points(self, X):
+        """``check_point`` for an (m, n) stack of points, one per row."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(
+                f"{self.label}: points have shape {X.shape}, expected (m, {self.n})"
+            )
+        return X
+
     def energy(self, p):
         raise NotImplementedError
 
@@ -72,6 +83,17 @@ class ProblemInstance:
     def residual_jacobian(self, p):
         return self.hessian(p)
 
+    def residual_batch(self, X):
+        """Residuals at the rows of the (m, n) array ``X``, stacked, and a
+        boolean mask of the rows whose evaluation raised EvaluationError
+        (their values are nan).  The default evaluates row by row."""
+        return _row_loop(self.residual, self.check_points(X), (1,))
+
+    def residual_jacobian_batch(self, X):
+        """Residual Jacobians at the rows of ``X``, stacked, and the mask of
+        rows whose evaluation raised EvaluationError, as ``residual_batch``."""
+        return _row_loop(self.residual_jacobian, self.check_points(X), (1, self.n))
+
     def params(self):
         """Serializable dict of the defining parameters."""
         raise NotImplementedError
@@ -79,6 +101,27 @@ class ProblemInstance:
     def sample_start(self, rng):
         """Draw one solver start from the family's default region."""
         raise NotImplementedError
+
+
+def _row_loop(fn, X, fallback):
+    """``fn`` at each row of ``X``, stacked, with the mask of rows where it
+    raised EvaluationError; those rows are nan.  When no row could be
+    evaluated the value shape is unknown, and each row is a nan block of
+    shape ``fallback``, whose size-1 axes broadcast against the real shape."""
+    values = []
+    failed = np.zeros(len(X), dtype=bool)
+    for i, x in enumerate(X):
+        try:
+            values.append(np.asarray(fn(x), dtype=float))
+        except EvaluationError:
+            values.append(None)
+            failed[i] = True
+    shape = next((v.shape for v in values if v is not None), fallback)
+    out = np.full((len(X),) + shape, np.nan)
+    for i, v in enumerate(values):
+        if v is not None:
+            out[i] = v
+    return out, failed
 
 
 class RootSystem(ProblemInstance):

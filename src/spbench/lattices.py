@@ -61,7 +61,10 @@ class Phi4Lattice(ProblemInstance):
         self.mu2 = float(mu2)
         self.J = float(J)
         self.neighbors = self._neighbor_table(N)
-        self._site_ids = np.repeat(np.arange(self.n), 4)
+        # the springs' part of the Hessian, the same at every point
+        self._coupling = np.zeros((self.n, self.n))
+        np.add.at(self._coupling, (np.repeat(np.arange(self.n), 4), self.neighbors.ravel()),
+                  -self.J)
 
     @staticmethod
     def _neighbor_table(N):
@@ -79,17 +82,23 @@ class Phi4Lattice(ProblemInstance):
         return float(onsite + spring)
 
     def gradient(self, p):
-        x = self.check_point(p)
-        nb_sum = x[self.neighbors].sum(axis=1)
-        return self.lam / 6.0 * x**3 + (4.0 * self.J - self.mu2) * x - self.J * nb_sum
+        return self.residual_batch(self.check_point(p)[None])[0][0]
 
     def hessian(self, p):
-        x = self.check_point(p)
-        h = np.zeros((self.n, self.n))
-        diag = 0.5 * self.lam * x**2 + (4.0 * self.J - self.mu2)
-        h[np.arange(self.n), np.arange(self.n)] = diag
-        np.add.at(h, (self._site_ids, self.neighbors.ravel()), -self.J)
-        return h
+        return self.residual_jacobian_batch(self.check_point(p)[None])[0][0]
+
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        nb_sum = X[:, self.neighbors].sum(axis=2)
+        g = self.lam / 6.0 * X**3 + (4.0 * self.J - self.mu2) * X - self.J * nb_sum
+        return g, np.zeros(len(X), dtype=bool)
+
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        h = np.repeat(self._coupling[None], len(X), axis=0)
+        diag = np.arange(self.n)
+        h[:, diag, diag] += 0.5 * self.lam * X**2 + (4.0 * self.J - self.mu2)
+        return h, np.zeros(len(X), dtype=bool)
 
     def site_roots(self):
         """Roots of the decoupled single-site equation: 0 and +-sqrt(6 mu2/lam)."""
@@ -275,23 +284,42 @@ class XYLattice(ProblemInstance):
         return float(np.sum(1.0 - self._j_eff * np.cos(delta)))
 
     def gradient(self, p):
-        theta = self.full_angles(p)
-        delta = theta[self.edge_a] - theta[self.edge_b]
-        s = self._j_eff * np.sin(delta)
-        g = (np.bincount(self.edge_a, weights=s, minlength=self.sites)
-             - np.bincount(self.edge_b, weights=s, minlength=self.sites))
-        return g[1:] if self.gauge_fixed else g
+        return self.residual_batch(self.check_point(p)[None])[0][0]
 
     def hessian(self, p):
-        theta = self.full_angles(p)
-        delta = theta[self.edge_a] - theta[self.edge_b]
-        c = self._j_eff * np.cos(delta)
-        flat = np.bincount(self._hess_idx, weights=np.concatenate((c, c, -c, -c)),
-                           minlength=self.sites * self.sites)
-        h = flat.reshape(self.sites, self.sites)
+        return self.residual_jacobian_batch(self.check_point(p)[None])[0][0]
+
+    def _edge_deltas(self, X):
+        """Angle differences across every edge, one row per point of X."""
+        X = self.check_points(X)
         if self.gauge_fixed:
-            return h[1:, 1:]
-        return h
+            theta = np.zeros((len(X), self.sites))
+            theta[:, 1:] = X
+        else:
+            theta = X
+        return theta[:, self.edge_a] - theta[:, self.edge_b]
+
+    # Both kernels scatter every row's edge terms into bins of their own by
+    # offsetting the row's indices, so each bin sums the same terms in the
+    # same order as for a single point.
+
+    def residual_batch(self, X):
+        s = self._j_eff * np.sin(self._edge_deltas(X))
+        m, size = len(s), self.sites
+        rows = size * np.arange(m)[:, None]
+        g = (np.bincount((self.edge_a + rows).ravel(), weights=s.ravel(), minlength=m * size)
+             - np.bincount((self.edge_b + rows).ravel(), weights=s.ravel(), minlength=m * size))
+        g = g.reshape(m, size)
+        return (g[:, 1:] if self.gauge_fixed else g), np.zeros(m, dtype=bool)
+
+    def residual_jacobian_batch(self, X):
+        c = self._j_eff * np.cos(self._edge_deltas(X))
+        m, size = len(c), self.sites * self.sites
+        idx = self._hess_idx + size * np.arange(m)[:, None]
+        weights = np.concatenate((c, c, -c, -c), axis=1)
+        h = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m * size)
+        h = h.reshape(m, self.sites, self.sites)
+        return (h[:, 1:, 1:] if self.gauge_fixed else h), np.zeros(m, dtype=bool)
 
     @property
     def n_edges(self):

@@ -16,7 +16,8 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import SolutionSet, stationary_point_from_dict, stationary_point_to_dict
+from .core import (EvaluationError, SolutionSet, stationary_point_from_dict,
+                   stationary_point_to_dict)
 from .solvers import CampaignStats, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -278,7 +279,11 @@ def check_result(instance, loaded):
         if abs(norm - sp.residual_norm) > tol * 10.0 + 1e-15:
             issues.append(f"point {i}: stored residual norm {sp.residual_norm:.3e} "
                           f"disagrees with recomputed {norm:.3e}")
-        fresh = classify(instance, sp.point)
+        try:
+            fresh = classify(instance, sp.point)
+        except EvaluationError as exc:
+            issues.append(f"point {i}: classification failed: {exc}")
+            continue
         if fresh.index != sp.index:
             issues.append(f"point {i}: stored index {sp.index} but recomputed "
                           f"{fresh.index}")

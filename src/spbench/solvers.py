@@ -18,19 +18,24 @@ Three methods share one outcome type:
   at t=1 with an Euler predictor and a short Newton corrector, under an
   adaptive step length.
 
-``multistart`` fans any of them over seeded starts, classifies the converged
+Each method is written once, over an (m, n) stack of starts: it advances the
+starts still live together, through the families' ``residual_batch`` and
+``residual_jacobian_batch``, while every start keeps its own status, iteration
+count, step length and trace.  A row's arithmetic never depends on the other
+rows, so a start ends exactly where it would alone; the per-start functions
+are the batch of one.
+
+``multistart`` runs any of them over seeded starts, classifies the converged
 points and deduplicates them.  Start vectors depend only on (seed, start_id),
-so campaigns are reproducible at any thread count.
+so campaigns are reproducible at any batch size.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +44,7 @@ from .core import (EvaluationError, Provenance, SolutionSet, classify, dedup)
 
 THREADS_ENV = "SPBENCH_THREADS"
 
-# Forcing term of the least-norm step that ``_linear_step`` takes when a square
+# Forcing term of the least-norm step that ``_linear_steps`` takes when a square
 # system fails the condition guard: the step is taken only if its linear
 # residual |J delta - rhs| / |rhs| stays at or below this value (Dembo,
 # Eisenstat & Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 1982).
@@ -104,6 +109,10 @@ class SolverConfig:
         if self.method not in _DEFAULT_MAX_ITERS:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
+        if self.starts < 0:
+            raise ValueError(f"starts must be >= 0, got {self.starts}")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
 
 @dataclass
@@ -125,16 +134,79 @@ def _resolved(cfg, method):
     return cfg
 
 
-def _residual_norm(instance, x):
-    f = np.asarray(instance.residual(x), dtype=float)
-    norm = math.sqrt(f @ f)  # nan/inf entries surface here
-    if not math.isfinite(norm):
-        raise EvaluationError("non-finite residual")
-    return f, norm
+def _dots(a, b):
+    """Row-wise dot products a[i] @ b[i].  Stacked matmul rounds each row
+    exactly as the 1-d product does, which a sum over axis 1 would not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _linear_step(jac, rhs, cond_limit):
-    """Solve jac @ delta = rhs with a conditioning guard.
+def _residuals(instance, X):
+    """Residuals at the rows of X, their norms, and the mask of rows whose
+    evaluation raised or whose norm is not finite (norm inf)."""
+    f, failed = instance.residual_batch(X)
+    f = np.asarray(f, dtype=float)
+    norm = np.sqrt(_dots(f, f))
+    failed = failed | ~np.isfinite(norm)
+    norm[failed] = np.inf
+    return f, norm, failed
+
+
+class _Live:
+    """One entry per live start in each array attribute, kept aligned: ``idx``
+    is the start's row in the batch, ``norm`` its residual norm, and solvers
+    add what else they carry per start."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def __len__(self):
+        return len(self.idx)
+
+    def keep(self, mask):
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
+
+
+class _Batch:
+    """The starts of one batched solve: their current points ``x`` and each
+    start's outcome and trace."""
+
+    def __init__(self, instance, starts, cfg):
+        self.x = instance.check_points(starts).copy()
+        self.outcomes = [None] * len(self.x)
+        self.traces = [[] for _ in self.x] if cfg.record_trace else None
+
+    def live(self, norm, **arrays):
+        return _Live(idx=np.arange(len(self.x)), norm=norm, **arrays)
+
+    def record(self, live, steps, mask=None):
+        """Append (step, point, norm) to the traces of the live starts, or
+        of those selected by ``mask``."""
+        if self.traces is None:
+            return
+        steps = np.broadcast_to(steps, live.idx.shape)
+        for i in np.flatnonzero(mask) if mask is not None else range(len(live)):
+            r = live.idx[i]
+            self.traces[r].append((int(steps[i]), self.x[r].copy(), float(live.norm[i])))
+
+    def end(self, live, mask, status, steps):
+        """End the live starts selected by ``mask`` with ``status`` after
+        ``steps`` iterations, and drop them from ``live``."""
+        if not mask.any():
+            return
+        steps = np.broadcast_to(steps, live.idx.shape)
+        for i in np.flatnonzero(mask):
+            r = live.idx[i]
+            trace = self.traces[r] if self.traces is not None else None
+            self.outcomes[r] = SolveOutcome(status, self.x[r].copy(), float(live.norm[i]),
+                                            int(steps[i]), trace)
+        live.keep(~mask)
+
+
+def _linear_steps(jac, rhs, cond_limit):
+    """Solve jac[i] @ delta[i] = rhs[i] for a stack of systems, with a
+    conditioning guard; returns the steps and a mask of the rows that have
+    one.
 
     Square systems within ``cond_limit`` are solved exactly.  A square system
     that fails the guard is split by one SVD: singular values below
@@ -142,80 +214,107 @@ def _linear_step(jac, rhs, cond_limit):
     directions is returned when the share of ``rhs`` in the dropped
     directions, which is the step's linear residual |jac @ delta - rhs| /
     |rhs|, is at most ``LEAST_NORM_FORCING``.  Otherwise, and for systems that
-    are not finite, it returns None.  Rectangular systems go through least
-    squares and return None unless they have full column rank within the
-    limit."""
+    are not finite, the row has no step.  Rectangular systems go through least
+    squares and have no step unless they have full column rank within the
+    limit.  Each row's arithmetic is that of a lone system."""
     jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 2:
-        raise ValueError(f"jacobian must be 2-d, got {jac.ndim}-d")
-    if not np.all(np.isfinite(jac)):
-        return None
-    m, n = jac.shape
-    if m == n:
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 0.0 or sv[0] / sv[-1] > cond_limit:
-            return _least_norm_step(jac, rhs, cond_limit)
-        try:
-            return np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError:
-            return None
-    delta, _, rank, sv = np.linalg.lstsq(jac, rhs, rcond=None)
-    if rank < n or sv[-1] <= 0.0 or sv[0] / sv[-1] > cond_limit:
-        return None
-    return delta
+    if jac.ndim != 3:
+        raise ValueError(f"jacobians must be a 3-d stack, got {jac.ndim}-d")
+    m, k, n = jac.shape
+    delta = np.zeros((m, n))
+    ok = np.zeros(m, dtype=bool)
+    rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
+    if k != n:
+        for i in rows:
+            step, _, rank, sv = np.linalg.lstsq(jac[i], rhs[i], rcond=None)
+            if not (rank < n or sv[-1] <= 0.0 or sv[0] / sv[-1] > cond_limit):
+                delta[i], ok[i] = step, True
+        return delta, ok
+    if not rows.size:
+        return delta, ok
+    sv = np.linalg.svd(jac[rows], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ill = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > cond_limit)
+    good = rows[~ill]
+    try:
+        delta[good] = np.linalg.solve(jac[good], rhs[good][:, :, None])[:, :, 0]
+        ok[good] = True
+    except np.linalg.LinAlgError:
+        # one matrix that passed the guard is still exactly singular to LU,
+        # which fails the whole stack: solve the rows one by one
+        for i in good:
+            try:
+                delta[i], ok[i] = np.linalg.solve(jac[i], rhs[i]), True
+            except np.linalg.LinAlgError:
+                pass
+    bad = rows[ill]
+    if bad.size:
+        for i, u, s, vt in zip(bad, *np.linalg.svd(jac[bad])):
+            keep = (s > 0.0) & (s >= s[0] / cond_limit)
+            proj = u.T @ rhs[i]
+            if not np.linalg.norm(proj[~keep]) > LEAST_NORM_FORCING * np.linalg.norm(rhs[i]):
+                delta[i], ok[i] = vt[keep].T @ (proj[keep] / s[keep]), True
+    return delta, ok
 
 
-def _least_norm_step(jac, rhs, cond_limit):
-    """The least-norm step of ``_linear_step`` for an ill-conditioned square
-    system, or None when the dropped directions carry too much of rhs."""
-    u, sv, vt = np.linalg.svd(jac)
-    keep = (sv > 0.0) & (sv >= sv[0] / cond_limit)
-    proj = u.T @ rhs
-    lost = proj[~keep]
-    if np.linalg.norm(lost) > LEAST_NORM_FORCING * np.linalg.norm(rhs):
-        return None
-    return vt[keep].T @ (proj[keep] / sv[keep])
+def _linear_step(jac, rhs, cond_limit):
+    """``_linear_steps`` for one system: the step, or None."""
+    delta, ok = _linear_steps(np.asarray(jac, dtype=float)[None], np.asarray(rhs)[None],
+                              cond_limit)
+    return delta[0] if ok[0] else None
+
+
+def _solve_one(batch, instance, start, cfg, method):
+    """A per-start call: the batch of one."""
+    start = instance.check_point(np.array(start, dtype=float))
+    return batch(instance, start[None], _resolved(cfg, method))[0]
 
 
 def newton_solve(instance, start, cfg=None):
     """Damped Newton iteration on the residual from one start point."""
-    cfg = _resolved(cfg, "newton")
-    x = instance.check_point(np.array(start, dtype=float))
-    trace = [] if cfg.record_trace else None
+    return _solve_one(_newton_batch, instance, start, cfg, "newton")
+
+
+def _newton_batch(instance, starts, cfg):
+    b = _Batch(instance, starts, cfg)
+    f, norm, failed = _residuals(instance, b.x)
+    live = b.live(norm, f=f)
+    b.end(live, failed, Status.EVAL_ERROR, 0)
+    damping = cfg.damping
     for it in range(cfg.max_iters + 1):
-        try:
-            f, norm = _residual_norm(instance, x)
-        except EvaluationError:
-            return SolveOutcome(Status.EVAL_ERROR, x, float("inf"), it, trace)
-        if trace is not None:
-            trace.append((it, x.copy(), norm))
-        if norm <= cfg.accept_tol:
-            return SolveOutcome(Status.CONVERGED, x, norm, it, trace)
+        b.record(live, it)
+        b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
         if it == cfg.max_iters:
-            return SolveOutcome(Status.MAX_ITERS, x, norm, it, trace)
-        try:
-            jac = instance.residual_jacobian(x)
-        except EvaluationError:
-            return SolveOutcome(Status.EVAL_ERROR, x, norm, it, trace)
-        delta = _linear_step(jac, -f, cfg.cond_limit)
-        if delta is None:
-            return SolveOutcome(Status.SINGULAR_STEP, x, norm, it, trace)
-        step = cfg.damping.initial
-        moved = False
-        while step >= cfg.damping.min_step:
-            cand = x + step * delta
-            try:
-                _, cand_norm = _residual_norm(instance, cand)
-            except EvaluationError:
-                cand_norm = float("inf")
-            if cand_norm <= (1.0 - cfg.damping.decrease * step) * norm:
-                x = cand
-                moved = True
-                break
-            step *= cfg.damping.backtrack
-        if not moved:
-            return SolveOutcome(Status.DIVERGED, x, norm, it, trace)
-    raise AssertionError("unreachable")
+            b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
+        if not len(live):
+            break
+        live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
+        b.end(live, failed, Status.EVAL_ERROR, it)
+        live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit)
+        b.end(live, ~ok, Status.SINGULAR_STEP, it)
+        # every row backtracks through the same steps, so one step at a time
+        # serves all rows still searching
+        moved = np.zeros(len(live), dtype=bool)
+        step = damping.initial
+        while step >= damping.min_step and not moved.all():
+            rows = np.flatnonzero(~moved)
+            cand = b.x[live.idx[rows]] + step * live.delta[rows]
+            f, norm, _ = _residuals(instance, cand)
+            ok = norm <= (1.0 - damping.decrease * step) * live.norm[rows]
+            if ok.any():
+                took = rows[ok]
+                b.x[live.idx[took]] = cand[ok]
+                live.f[took], live.norm[took] = f[ok], norm[ok]
+                moved[took] = True
+            step *= damping.backtrack
+        b.end(live, ~moved, Status.DIVERGED, it)
+    return b.outcomes
+
+
+# Rungs of the backtracking ladder that gradsq evaluates in one batched call
+# once a row's first step has failed.  About two thirds of gradsq steps take
+# the first rung (disordered XY, d=2, L=3), so that one is tried alone.
+LADDER_RUNGS = 8
 
 
 def gradsq_solve(instance, start, cfg=None):
@@ -228,66 +327,93 @@ def gradsq_solve(instance, start, cfg=None):
     Jacobian degenerates at the spurious point.  Step lengths start from a
     secant estimate so narrow valleys do not stall the iteration.
     """
-    cfg = _resolved(cfg, "gradsq")
-    x = instance.check_point(np.array(start, dtype=float))
-    trace = [] if cfg.record_trace else None
-    prev_x = None
-    prev_g = None
+    return _solve_one(_gradsq_batch, instance, start, cfg, "gradsq")
+
+
+def _gradsq_batch(instance, starts, cfg):
+    b = _Batch(instance, starts, cfg)
+    f, norm, failed = _residuals(instance, b.x)
+    live = b.live(norm, f=f)
+    b.end(live, failed, Status.EVAL_ERROR, 0)
+    tol = cfg.accept_tol
     for it in range(cfg.max_iters + 1):
-        try:
-            f, norm = _residual_norm(instance, x)
-        except EvaluationError:
-            return SolveOutcome(Status.EVAL_ERROR, x, float("inf"), it, trace)
-        w_val = norm * norm
-        if trace is not None:
-            trace.append((it, x.copy(), norm))
-        if norm <= cfg.accept_tol:
-            return SolveOutcome(Status.CONVERGED, x, norm, it, trace)
-        try:
-            jac = np.asarray(instance.residual_jacobian(x), dtype=float)
-        except EvaluationError:
-            return SolveOutcome(Status.EVAL_ERROR, x, norm, it, trace)
-        grad = 2.0 * jac.T @ f
-        gnorm = math.sqrt(grad @ grad)
-        jnorm = math.sqrt(float(np.sum(jac * jac)))
-        small_grad = (gnorm <= cfg.gradsq_abs_gtol
-                      or gnorm <= cfg.gradsq_rel_gtol * 2.0 * jnorm * norm)
-        if small_grad and norm > 100.0 * cfg.accept_tol:
-            return SolveOutcome(Status.SPURIOUS_MINIMUM, x, norm, it, trace)
+        b.record(live, it)
+        b.end(live, live.norm <= tol, Status.CONVERGED, it)
+        live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
+        b.end(live, failed, Status.EVAL_ERROR, it)
+        if not len(live):
+            break
+        live.grad = ((2.0 * live.jac.transpose(0, 2, 1)) @ live.f[:, :, None])[:, :, 0]
+        live.gnorm = np.sqrt(_dots(live.grad, live.grad))
+        live.jnorm = np.sqrt(np.sum(live.jac * live.jac, axis=(1, 2)))
+        small_grad = ((live.gnorm <= cfg.gradsq_abs_gtol)
+                      | (live.gnorm <= cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
+        b.end(live, small_grad & (live.norm > 100.0 * tol), Status.SPURIOUS_MINIMUM, it)
         if it == cfg.max_iters:
-            return SolveOutcome(Status.MAX_ITERS, x, norm, it, trace)
-        if prev_g is not None:
-            ds = x - prev_x
-            dy = grad - prev_g
-            curv = float(ds @ dy)
-            step = float(ds @ ds) / curv if curv > 0.0 else 1.0 / max(1.0, gnorm)
-        else:
-            step = 1.0 / max(1.0, gnorm)
-        step = min(max(step, 1e-12), 1e6)
-        moved = False
-        while step >= cfg.damping.min_step:
-            cand = x - step * grad
-            try:
-                _, cand_norm = _residual_norm(instance, cand)
-                cand_w = cand_norm * cand_norm
-            except EvaluationError:
-                cand_w = float("inf")
-            if cand_w <= w_val - cfg.damping.decrease * step * gnorm * gnorm:
-                prev_x, prev_g = x, grad
-                x = cand
-                moved = True
-                break
-            step *= cfg.damping.backtrack
-        if not moved:
-            # the line search died at floating-point resolution: decide
-            # between a spurious minimum and plain divergence with relaxed
-            # thresholds, since W can no longer be decreased at all
-            floor_grad = (gnorm <= 1e4 * cfg.gradsq_abs_gtol
-                          or gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * jnorm * norm)
-            if floor_grad and norm > 100.0 * cfg.accept_tol:
-                return SolveOutcome(Status.SPURIOUS_MINIMUM, x, norm, it, trace)
-            return SolveOutcome(Status.DIVERGED, x, norm, it, trace)
-    raise AssertionError("unreachable")
+            b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
+        # the scalar rules max(1, g), max(s, 1e-12) and min(s, 1e6), nan included
+        step = 1.0 / np.where(live.gnorm > 1.0, live.gnorm, 1.0)
+        if it > 0:  # every live row moved at every earlier iteration
+            ds = b.x[live.idx] - live.prev_x
+            curv = _dots(ds, live.grad - live.prev_g)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(curv > 0.0, _dots(ds, ds) / curv, step)
+        step = np.where(1e-12 > step, 1e-12, step)
+        step = np.where(1e6 < step, 1e6, step)
+        live.prev_x = b.x[live.idx]
+        live.moved = _gradsq_search(instance, b, live, step, cfg.damping)
+        stuck = ~live.moved
+        # the line search died at floating-point resolution: decide between
+        # a spurious minimum and plain divergence with relaxed thresholds,
+        # since W can no longer be decreased at all
+        floor_grad = ((live.gnorm <= 1e4 * cfg.gradsq_abs_gtol)
+                      | (live.gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
+        b.end(live, stuck & floor_grad & (live.norm > 100.0 * tol), Status.SPURIOUS_MINIMUM, it)
+        b.end(live, ~live.moved, Status.DIVERGED, it)
+        live.prev_g = live.grad
+    return b.outcomes
+
+
+def _gradsq_search(instance, b, live, step, damping):
+    """Backtrack from ``step`` along -grad for every live row; move the rows
+    that find a decrease of W and return which did.
+
+    A row's rungs are step, step * backtrack, ... built by repeated
+    multiplication, and it takes its first acceptable rung, so each row picks
+    the step that a one-at-a-time search picks.  The first round tries one
+    rung per row, later rounds ``LADDER_RUNGS`` in one call."""
+    moved = np.zeros(len(live), dtype=bool)
+    searching = step >= damping.min_step
+    w = live.norm * live.norm
+    rungs = 1
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        ladder = np.empty((len(rows), rungs))
+        ladder[:, 0] = step[rows]
+        for k in range(1, rungs):
+            ladder[:, k] = ladder[:, k - 1] * damping.backtrack
+        valid = np.logical_and.accumulate(ladder >= damping.min_step, axis=1)
+        at, rung = np.nonzero(valid)
+        r = rows[at]
+        cand = b.x[live.idx[r]] - ladder[at, rung][:, None] * live.grad[r]
+        f, norm, _ = _residuals(instance, cand)
+        accept = np.zeros(valid.shape, dtype=bool)
+        accept[at, rung] = (norm * norm
+                            <= w[r] - damping.decrease * ladder[at, rung]
+                            * live.gnorm[r] * live.gnorm[r])
+        hit = accept.any(axis=1)
+        if hit.any():
+            pick = np.full(valid.shape, -1)
+            pick[at, rung] = np.arange(len(at))
+            pick = pick[hit, accept[hit].argmax(axis=1)]
+            took = rows[hit]
+            b.x[live.idx[took]] = cand[pick]
+            live.f[took], live.norm[took] = f[pick], norm[pick]
+            moved[took] = True
+        searching[rows] = ~hit & valid[:, -1]
+        step[rows] = ladder[:, -1] * damping.backtrack
+        rungs = LADDER_RUNGS
+    return moved
 
 
 def homotopy_track(instance, start, cfg=None):
@@ -295,71 +421,86 @@ def homotopy_track(instance, start, cfg=None):
     f(x) - (1 - t) f(x0) from t=0 to t=1 with Euler prediction and a few
     Newton corrections per step.  The trace holds the start and every
     accepted step."""
-    cfg = _resolved(cfg, "homotopy")
+    return _solve_one(_homotopy_batch, instance, start, cfg, "homotopy")
+
+
+def _homotopy_batch(instance, starts, cfg):
     sched = cfg.homotopy
-    x = instance.check_point(np.array(start, dtype=float))
-    trace = [] if cfg.record_trace else None
-    try:
-        f0, norm = _residual_norm(instance, x)
-    except EvaluationError:
-        return SolveOutcome(Status.EVAL_ERROR, x, float("inf"), 0, trace)
-    t, dt, steps = 0.0, sched.dt_initial, 0
-    if trace is not None:
-        trace.append((steps, x.copy(), norm))
-    if norm <= cfg.accept_tol:
-        return SolveOutcome(Status.CONVERGED, x, norm, steps, trace)
-    while t < 1.0:
-        if steps >= cfg.max_iters:
-            return SolveOutcome(Status.MAX_ITERS, x, norm, steps, trace)
-        try:
-            jac = instance.residual_jacobian(x)
-        except EvaluationError:
-            return SolveOutcome(Status.EVAL_ERROR, x, norm, steps, trace)
-        velocity = _linear_step(jac, -f0, cfg.cond_limit)
-        if velocity is None:
-            return SolveOutcome(Status.SINGULAR_STEP, x, norm, steps, trace)
-        dt_eff = min(dt, 1.0 - t)
-        t_new = t + dt_eff
-        cur = x + dt_eff * velocity
-        used = None
-        for k in range(sched.corrector_iters + 1):
-            try:
-                f, cur_norm = _residual_norm(instance, cur)
-            except EvaluationError:
-                break
-            h = f - (1.0 - t_new) * f0
-            if float(np.linalg.norm(h)) <= cfg.accept_tol:
-                used = k
-                break
-            if k == sched.corrector_iters:
-                break
-            try:
-                jac_c = instance.residual_jacobian(cur)
-            except EvaluationError:
-                break
-            dc = _linear_step(jac_c, -h, cfg.cond_limit)
-            if dc is None:
-                break
-            cur = cur + dc
-        if used is None:
-            dt *= 0.5
-            if dt < sched.dt_min:
-                return SolveOutcome(Status.DIVERGED, x, norm, steps, trace)
-            continue
-        x, norm, t = cur, cur_norm, t_new
-        steps += 1
-        if trace is not None:
-            trace.append((steps, x.copy(), norm))
-        if used <= sched.easy_iters:
-            dt = min(dt * sched.grow, sched.dt_max)
-    status = Status.CONVERGED if norm <= cfg.accept_tol else Status.DIVERGED
-    return SolveOutcome(status, x, norm, steps, trace)
+    tol = cfg.accept_tol
+    b = _Batch(instance, starts, cfg)
+    m = len(b.x)
+    f0, norm, failed = _residuals(instance, b.x)
+    # the velocity at x solves J(x) v = -f0 and stays valid until x moves
+    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, sched.dt_initial),
+                  steps=np.zeros(m, dtype=int), velocity=np.zeros_like(b.x),
+                  fresh=np.zeros(m, dtype=bool))
+    b.end(live, failed, Status.EVAL_ERROR, 0)
+    b.record(live, 0)
+    b.end(live, live.norm <= tol, Status.CONVERGED, 0)
+    while len(live):
+        b.end(live, live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
+        need = np.flatnonzero(~live.fresh)
+        if need.size:
+            jac, failed = instance.residual_jacobian_batch(b.x[live.idx[need]])
+            velocity, ok = _linear_steps(jac, -live.f0[need], cfg.cond_limit)
+            live.velocity[need], live.fresh[need] = velocity, True
+            error = np.zeros(len(live), dtype=bool)
+            error[need[failed]] = True
+            singular = np.zeros(len(live), dtype=bool)
+            singular[need[~ok]] = True
+            b.end(live, error, Status.EVAL_ERROR, live.steps)
+            b.end(live, singular[~error], Status.SINGULAR_STEP, live.steps)
+        dt_eff = np.where(1.0 - live.t < live.dt, 1.0 - live.t, live.dt)
+        live.t_new = live.t + dt_eff
+        live.cur = b.x[live.idx] + dt_eff[:, None] * live.velocity
+        live.used, live.cur_norm = _correct(instance, live, cfg)
+        failed = live.used < 0
+        live.dt[failed] *= 0.5
+        b.end(live, failed & (live.dt < sched.dt_min), Status.DIVERGED, live.steps)
+        took = live.used >= 0
+        b.x[live.idx[took]] = live.cur[took]
+        live.norm[took], live.t[took] = live.cur_norm[took], live.t_new[took]
+        live.steps[took] += 1
+        live.fresh[took] = False
+        b.record(live, live.steps, took)
+        grown = live.dt * sched.grow
+        easy = took & (live.used <= sched.easy_iters)
+        live.dt[easy] = np.where(sched.dt_max < grown, sched.dt_max, grown)[easy]
+        done = live.t >= 1.0
+        b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
+        b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)
+    return b.outcomes
+
+
+def _correct(instance, live, cfg):
+    """Newton corrector on f(x) - (1 - t_new) f0 from the predicted points
+    ``live.cur``, updated in place.  Returns per row the iteration at which
+    it met the tolerance (-1 if it failed) and the residual norm there."""
+    used = np.full(len(live), -1)
+    cur_norm = np.zeros(len(live))
+    active = np.arange(len(live))
+    for k in range(cfg.homotopy.corrector_iters + 1):
+        f, norm, failed = _residuals(instance, live.cur[active])
+        h = f - (1.0 - live.t_new[active])[:, None] * live.f0[active]
+        met = ~failed & (np.sqrt(_dots(h, h)) <= cfg.accept_tol)
+        used[active[met]] = k
+        cur_norm[active[met]] = norm[met]
+        go_on = ~failed & ~met
+        active, h = active[go_on], h[go_on]
+        if k == cfg.homotopy.corrector_iters or not active.size:
+            break
+        jac, failed = instance.residual_jacobian_batch(live.cur[active])
+        dc, ok = _linear_steps(jac, -h, cfg.cond_limit)
+        ok &= ~failed
+        active = active[ok]
+        live.cur[active] = live.cur[active] + dc[ok]
+    return used, cur_norm
 
 
 _METHODS = {
-    "newton": newton_solve,
-    "gradsq": gradsq_solve,
-    "homotopy": homotopy_track,
+    "newton": _newton_batch,
+    "gradsq": _gradsq_batch,
+    "homotopy": _homotopy_batch,
 }
 
 
@@ -382,9 +523,11 @@ class MultistartResult:
 
 
 def worker_count():
-    """Thread count for multistart: the SPBENCH_THREADS variable if set,
-    else 1.  Each start's numpy calls are too small to run outside the
-    interpreter lock, so more threads only add hand-offs."""
+    """How many batches multistart splits its starts into: the
+    SPBENCH_THREADS variable if set, else 1.  The batches run one after
+    another on the calling thread, and a campaign's results do not depend on
+    their number; fewer, larger batches spend less interpreter time per
+    start."""
     env = os.environ.get(THREADS_ENV)
     if env is None:
         return 1
@@ -427,12 +570,10 @@ def multistart(instance, cfg=None, starts=None):
         starts = [instance.check_point(np.asarray(s, dtype=float)) for s in starts]
 
     began = time.perf_counter()
-    workers = worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: solver(instance, s, cfg), starts))
-    else:
-        outcomes = [solver(instance, s, cfg) for s in starts]
+    stack = np.array(starts, dtype=float) if starts else np.empty((0, instance.n))
+    outcomes = []
+    for chunk in np.array_split(stack, max(1, min(worker_count(), len(stack)))):
+        outcomes += solver(instance, chunk, cfg)
     wall = time.perf_counter() - began
 
     found = []

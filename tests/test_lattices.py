@@ -219,3 +219,70 @@ def test_xy_sample_start_range():
     for _ in range(20):
         s = inst.sample_start(rng)
         assert np.all(s > -np.pi) and np.all(s <= np.pi)
+
+
+def _xy_reference(inst, p):
+    """Single-point XY gradient and Hessian, each bin summed by its own
+    bincount over the edge list: the arithmetic the batch kernels keep."""
+    theta = inst.full_angles(p)
+    delta = theta[inst.edge_a] - theta[inst.edge_b]
+    s = inst._j_eff * np.sin(delta)
+    g = (np.bincount(inst.edge_a, weights=s, minlength=inst.sites)
+         - np.bincount(inst.edge_b, weights=s, minlength=inst.sites))
+    c = inst._j_eff * np.cos(delta)
+    a, b, m = inst.edge_a, inst.edge_b, inst.sites
+    flat = np.bincount(np.concatenate((a * m + a, b * m + b, a * m + b, b * m + a)),
+                       weights=np.concatenate((c, c, -c, -c)), minlength=m * m)
+    h = flat.reshape(m, m)
+    if inst.gauge_fixed:
+        return g[1:], h[1:, 1:]
+    return g, h
+
+
+@pytest.mark.parametrize("d,L", [(1, 4), (1, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("bc,gauge", [(PERIODIC, True), (PERIODIC, False),
+                                      (ANTI_PERIODIC, False)])
+def test_xy_batch_kernels_match_single_points(d, L, bc, gauge):
+    inst = XYLattice(d, L, bc=bc, disorder="uniform-signed", seed=3, gauge_fixed=gauge)
+    X = np.random.default_rng(d * 10 + L).uniform(-4.0, 4.0, (9, inst.n))
+    g, g_failed = inst.residual_batch(X)
+    h, h_failed = inst.residual_jacobian_batch(X)
+    assert not g_failed.any() and not h_failed.any()
+    for i, x in enumerate(X):
+        g_ref, h_ref = _xy_reference(inst, x)
+        assert np.array_equal(g[i], g_ref)
+        assert np.array_equal(h[i], h_ref)
+        assert np.array_equal(inst.gradient(x), g_ref)
+        assert np.array_equal(inst.hessian(x), h_ref)
+
+
+def _phi4_reference(inst, p):
+    """Single-point phi4 gradient and Hessian, the springs added one
+    neighbor slot at a time."""
+    x = np.asarray(p, dtype=float)
+    nb_sum = x[inst.neighbors].sum(axis=1)
+    g = inst.lam / 6.0 * x**3 + (4.0 * inst.J - inst.mu2) * x - inst.J * nb_sum
+    h = np.zeros((inst.n, inst.n))
+    h[np.arange(inst.n), np.arange(inst.n)] = 0.5 * inst.lam * x**2 + (4.0 * inst.J - inst.mu2)
+    np.add.at(h, (np.repeat(np.arange(inst.n), 4), inst.neighbors.ravel()), -inst.J)
+    return g, h
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_phi4_batch_kernels_match_single_points(N):
+    inst = Phi4Lattice(N, J=0.37)
+    X = np.random.default_rng(N).uniform(-6.0, 6.0, (9, inst.n))
+    g, g_failed = inst.residual_batch(X)
+    h, h_failed = inst.residual_jacobian_batch(X)
+    assert not g_failed.any() and not h_failed.any()
+    for i, x in enumerate(X):
+        g_ref, h_ref = _phi4_reference(inst, x)
+        assert np.array_equal(g[i], g_ref)
+        assert np.array_equal(inst.gradient(x), g[i])
+        assert np.array_equal(inst.hessian(x), h[i])
+        if N == 1:
+            # all four slots are the site itself: the springs' -J terms are
+            # summed before they meet the on-site term, so only rounding moves
+            assert h[i] == pytest.approx(h_ref, rel=1e-15, abs=1e-13)
+        else:
+            assert np.array_equal(h[i], h_ref)

@@ -132,8 +132,42 @@ def test_check_result_catches_wrong_index(tmp_path):
     assert any("index" in s for s in issues)
 
 
+class BreakableHessian(Phi4Lattice):
+    """Phi4 whose Hessian turns nan once ``broken`` is set."""
+
+    broken = False
+
+    def hessian(self, p):
+        h = super().hessian(p)
+        return np.full_like(h, np.nan) if self.broken else h
+
+
+def test_check_result_reports_classify_failure(tmp_path):
+    inst = BreakableHessian(2)
+    cfg = SolverConfig(method="newton", seed=0)
+    res = multistart(inst, cfg, starts=inst.grid_starts()[:3])
+    path = tmp_path / "res.json"
+    serialize.save_result(res, cfg, path)
+    inst.broken = True
+    issues = serialize.check_result(inst, serialize.load_result(path))
+    assert len(issues) == len(res.solutions)
+    assert all("classification failed" in s and "non-finite" in s for s in issues)
+
+
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_cli_verify_exits_3_when_classify_fails(tmp_path, capsys, monkeypatch):
+    inst = tmp_path / "phi4.json"
+    resf = tmp_path / "r.json"
+    assert run_cli("generate", "phi4", "--N", "2", "-o", str(inst)) == 0
+    assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
+    capsys.readouterr()
+    monkeypatch.setattr(Phi4Lattice, "hessian",
+                        lambda self, p: np.full((self.n, self.n), np.nan))
+    assert run_cli("verify", str(inst), str(resf)) == 3
+    assert "classification failed" in capsys.readouterr().err
 
 
 def test_cli_generate_solve_report_verify(tmp_path, capsys):

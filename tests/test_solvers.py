@@ -5,11 +5,15 @@ import pytest
 
 from spbench.clusters import LennardJonesCluster, ThomsonSphere
 from spbench.core import EvaluationError, ProblemInstance, classify
+from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
+from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
+from spbench.serialize import save_result
 from spbench.solvers import (
     SolverConfig,
     Status,
     _linear_step,
+    _linear_steps,
     gradsq_solve,
     homotopy_track,
     multistart,
@@ -281,6 +285,13 @@ def test_homotopy_singular_start():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="bfgs")
+    with pytest.raises(ValueError, match="starts"):
+        SolverConfig(starts=-5)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=-1)
+    out = newton_solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
+    assert out.status is Status.MAX_ITERS
+    assert out.iterations == 0
 
 
 def test_multistart_phi4_grid_recovers_all_roots():
@@ -382,3 +393,105 @@ def test_status_wire_values():
     assert Status.MAX_ITERS.value == "max-iters"
     assert Status.EVAL_ERROR.value == "eval-error"
     assert Status.DIVERGED.value == "diverged"
+
+
+def _random_nash():
+    rng = np.random.default_rng(5)
+    return NashInstance(NashGame([rng.uniform(-1, 1, (2, 2, 2)) for _ in range(3)]))
+
+
+CHUNKED_CAMPAIGNS = {
+    "ring-newton": (lambda: XYLattice(1, 4), dict(method="newton")),
+    "ring-homotopy": (lambda: XYLattice(1, 4), dict(method="homotopy")),
+    "ring-gradsq": (lambda: XYLattice(1, 4), dict(method="gradsq", max_iters=300)),
+    "disordered-newton": (lambda: XYLattice(2, 3, disorder="uniform-signed", seed=1),
+                          dict(method="newton")),
+    "disordered-homotopy": (lambda: XYLattice(2, 3, disorder="uniform-signed", seed=1),
+                            dict(method="homotopy")),
+    "disordered-gradsq": (lambda: XYLattice(2, 3, disorder="uniform-signed", seed=1),
+                          dict(method="gradsq", max_iters=300)),
+    "phi4-newton": (lambda: Phi4Lattice(3, J=0.3), dict(method="newton")),
+    "thomson-newton": (lambda: ThomsonSphere(4), dict(method="newton")),
+    "nash-newton": (_random_nash, dict(method="newton")),
+    "puzzle-newton": (lambda: PuzzleInstance(generate_grid_puzzle(2, 1, 2, seed=3)[0]),
+                      dict(method="newton")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_CAMPAIGNS))
+def test_multistart_chunk_invariance(name, tmp_path, monkeypatch):
+    # one batch, uneven batches, and batches of one start give the same bytes
+    make, kwargs = CHUNKED_CAMPAIGNS[name]
+    inst = make()
+    starts = 14
+    cfg = SolverConfig(starts=starts, seed=11, **kwargs)
+    files, outcomes = [], []
+    for chunks in (1, 7, starts):
+        monkeypatch.setenv("SPBENCH_THREADS", str(chunks))
+        res = multistart(inst, cfg)
+        path = tmp_path / f"{name}-{chunks}.json"
+        save_result(res, cfg, path)
+        files.append(path.read_bytes())
+        outcomes.append([(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
+                         for o in res.outcomes])
+    assert files[0] == files[1] == files[2]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+@pytest.mark.parametrize("method", ["newton", "gradsq", "homotopy"])
+def test_multistart_without_starts(method):
+    inst = XYLattice(1, 4)
+    for res in (multistart(inst, SolverConfig(method=method, starts=0)),
+                multistart(inst, SolverConfig(method=method, starts=5), starts=[])):
+        assert res.stats.starts == 0
+        assert res.outcomes == []
+        assert res.starts == []
+        assert len(res.solutions) == 0
+
+
+@pytest.mark.parametrize("method", ["newton", "homotopy"])
+def test_eval_error_ends_only_its_start(method):
+    # charge 2 on the north pole coincides with charge 1; the default row
+    # loop must end that start alone
+    inst = ThomsonSphere(4)
+    rng = np.random.default_rng(2)
+    starts = [inst.sample_start(rng) for _ in range(4)]
+    starts[1] = starts[1].copy()
+    starts[1][0] = 0.0
+    res = multistart(inst, SolverConfig(method=method), starts=starts)
+    assert res.outcomes[1].status is Status.EVAL_ERROR
+    assert res.outcomes[1].iterations == 0
+    for i in (0, 2, 3):
+        assert res.outcomes[i].status is Status.CONVERGED
+        alone = newton_solve if method == "newton" else homotopy_track
+        assert np.array_equal(res.outcomes[i].point, alone(inst, starts[i]).point)
+
+
+class NanJacobian(Cubic):
+    """The Cubic residual with a Jacobian that is nan but does not raise."""
+
+    def hessian(self, p):
+        return np.full((self.n, self.n), np.nan)
+
+
+@pytest.mark.parametrize("method", ["newton", "homotopy"])
+def test_non_finite_jacobian_is_singular_step(method):
+    # the first start is a root and needs no Jacobian
+    res = multistart(NanJacobian(), SolverConfig(method=method),
+                     starts=[np.array([1.0, -1.0]), np.array([1.5, 0.5])])
+    assert [o.status for o in res.outcomes] == [Status.CONVERGED, Status.SINGULAR_STEP]
+    alone = newton_solve if method == "newton" else homotopy_track
+    assert alone(NanJacobian(), np.array([1.5, 0.5])).status is Status.SINGULAR_STEP
+
+
+def test_linear_step_stack_mixes_branches():
+    # well conditioned, least-norm, refused, and not finite, in one stack
+    jac = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
+                    np.full((2, 2), np.nan)])
+    rhs = np.array([[2.0, 4.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    delta, ok = _linear_steps(jac, rhs, 1e12)
+    assert ok.tolist() == [True, True, False, False]
+    assert np.array_equal(delta[:2], [[1.0, 1.0], [1.0, 0.0]])
+    for j, r, d, good in zip(jac, rhs, delta, ok):
+        alone = _linear_step(j, r, 1e12)
+        assert (alone is None) if not good else np.array_equal(alone, d)
