@@ -14,12 +14,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import serialize
-from .clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from .games import NashGame, NashInstance, matching_pennies, prisoners_dilemma
-from .lattices import Phi4Lattice, XYLattice, phi4_bezout
+from .lattices import XYLattice, phi4_bezout
 from .puzzles import PuzzleInstance, generate_grid_puzzle
 from .solvers import SolverConfig, multistart
 
@@ -90,7 +87,8 @@ def _build_parser():
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--rho", type=float, required=True, help="well stiffness")
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--re", type=float, default=1.0, help="equilibrium pair distance")
+    p.add_argument("--re", dest="r_e", type=float, default=1.0,
+                   help="equilibrium pair distance")
 
     p = fam.add_parser("nash", help="mixed-equilibrium system")
     src = p.add_mutually_exclusive_group(required=True)
@@ -131,10 +129,7 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    if args.family == "phi4":
-        inst = Phi4Lattice(N=args.N, lam=args.lam, mu2=args.mu2, J=args.J,
-                           label=args.label)
-    elif args.family == "xy":
+    if args.family == "xy":
         disorder = _parse_disorder(args.disorder)
         stochastic = not (isinstance(disorder, tuple) and disorder[0] == "constant")
         if stochastic and args.seed is None:
@@ -143,14 +138,6 @@ def _cmd_generate(args):
                          seed=0 if args.seed is None else args.seed,
                          gauge_fixed=False if args.no_gauge_fix else None,
                          label=args.label)
-    elif args.family == "thomson":
-        inst = ThomsonSphere(charges=args.charges, label=args.label)
-    elif args.family == "lj":
-        inst = LennardJonesCluster(atoms=args.atoms, epsilon=args.epsilon,
-                                   sigma=args.sigma, label=args.label)
-    elif args.family == "morse":
-        inst = MorseCluster(atoms=args.atoms, rho=args.rho, epsilon=args.epsilon,
-                            r_e=args.re, label=args.label)
     elif args.family == "nash":
         if args.preset == "matching-pennies":
             game = matching_pennies()
@@ -159,7 +146,7 @@ def _cmd_generate(args):
         else:
             with open(args.game) as fh:
                 spec = json.load(fh)
-            game = NashGame([np.asarray(t, dtype=float) for t in spec["payoffs"]])
+            game = NashGame(spec["payoffs"])
         inst = NashInstance(game, label=args.label)
     elif args.family == "puzzle":
         try:
@@ -169,7 +156,8 @@ def _cmd_generate(args):
         puzzle, _ = generate_grid_puzzle(cols, rows, args.colors, args.seed)
         inst = PuzzleInstance(puzzle, label=args.label)
     else:
-        raise CliError(f"unknown family {args.family!r}")
+        # phi4, thomson, lj and morse: every option is a constructor parameter
+        inst = serialize.FAMILIES[args.family].from_params(vars(args), args.label)
 
     serialize.save_instance(inst, args.out)
     print(f"family={inst.family} label={inst.label} n={inst.n}")

@@ -16,6 +16,7 @@ default for families that bring no Hessian of their own.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +98,14 @@ class ProblemInstance:
     def params(self):
         """Serializable dict of the defining parameters."""
         raise NotImplementedError
+
+    @classmethod
+    def from_params(cls, params, label=None):
+        """The instance that a ``params()`` dict describes.  The default
+        passes every constructor parameter but ``label`` by name, and each
+        one must be present; other keys are ignored."""
+        names = [name for name in inspect.signature(cls).parameters if name != "label"]
+        return cls(**{name: params[name] for name in names}, label=label)
 
     def sample_start(self, rng):
         """Draw one solver start from the family's default region."""

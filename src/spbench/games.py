@@ -219,6 +219,16 @@ class NashInstance(RootSystem):
         probs, _ = self.split(x)
         return nash_residual_curvature(self.game, probs, w)
 
+    @classmethod
+    def from_params(cls, params, label=None):
+        game = NashGame(params["payoffs"])
+        counts = [int(c) for c in params["strategy_counts"]]
+        if list(game.shape) != counts:
+            raise ValueError(f"strategy_counts {counts} do not match payoff shape {game.shape}")
+        if game.players != int(params["players"]):
+            raise ValueError("player count does not match the payoff tensors")
+        return cls(game, label=label)
+
     def params(self):
         return {
             "players": self.game.players,

@@ -360,6 +360,16 @@ class PuzzleInstance(RootSystem):
         curv.reshape(pieces, 2, pieces, 2)[diag, :, diag, :] = blocks.reshape(pieces, 2, 2)
         return curv
 
+    @classmethod
+    def from_params(cls, params, label=None):
+        def piece(d):
+            return Piece([Edge(e["b"], e["c"], e["theta"]) for e in d["edges"]])
+
+        k_set = [tuple(k) for k in params["k_set"]] if "k_set" in params else None
+        puzzle = Puzzle(piece(params["frame"]), [piece(p) for p in params["pieces"]],
+                        k_set=k_set, label=label)
+        return cls(puzzle, label=label)
+
     def params(self):
         def edge_dict(e):
             return {"b": [float(e.offset[0]), float(e.offset[1])],

@@ -106,75 +106,20 @@ def instance_to_dict(instance):
     }
 
 
-def _build_phi4(params, label):
-    return lattices.Phi4Lattice(N=int(params["N"]), lam=params["lam"],
-                                mu2=params["mu2"], J=params["J"], label=label)
-
-
-def _build_xy(params, label):
-    return lattices.XYLattice(d=int(params["d"]), L=int(params["L"]),
-                              bc=params["bc"], disorder=params["disorder"],
-                              seed=int(params["seed"]),
-                              gauge_fixed=bool(params["gauge_fixed"]),
-                              couplings=params["couplings"], label=label)
-
-
-def _build_thomson(params, label):
-    return clusters.ThomsonSphere(charges=int(params["charges"]), label=label)
-
-
-def _build_lj(params, label):
-    return clusters.LennardJonesCluster(atoms=int(params["atoms"]),
-                                        epsilon=params["epsilon"],
-                                        sigma=params["sigma"], label=label)
-
-
-def _build_morse(params, label):
-    return clusters.MorseCluster(atoms=int(params["atoms"]), rho=params["rho"],
-                                 epsilon=params["epsilon"], r_e=params["r_e"],
-                                 label=label)
-
-
-def _build_nash(params, label):
-    game = games.NashGame([np.asarray(t, dtype=float) for t in params["payoffs"]])
-    counts = [int(c) for c in params["strategy_counts"]]
-    if list(game.shape) != counts:
-        raise ValueError(f"strategy_counts {counts} do not match payoff shape {game.shape}")
-    if game.players != int(params["players"]):
-        raise ValueError("player count does not match the payoff tensors")
-    return games.NashInstance(game, label=label)
-
-
-def _build_puzzle(params, label):
-    def piece(d):
-        return puzzles.Piece([puzzles.Edge(e["b"], e["c"], e["theta"])
-                              for e in d["edges"]])
-
-    k_set = [tuple(k) for k in params["k_set"]] if "k_set" in params else None
-    puzzle = puzzles.Puzzle(piece(params["frame"]),
-                            [piece(p) for p in params["pieces"]],
-                            k_set=k_set, label=label)
-    return puzzles.PuzzleInstance(puzzle, label=label)
-
-
-_BUILDERS = {
-    "phi4": _build_phi4,
-    "xy": _build_xy,
-    "thomson": _build_thomson,
-    "lj": _build_lj,
-    "morse": _build_morse,
-    "nash": _build_nash,
-    "puzzle": _build_puzzle,
-}
+# every family that instance files can hold, by its ``family`` name
+FAMILIES = {cls.family: cls for cls in (
+    lattices.Phi4Lattice, lattices.XYLattice, clusters.ThomsonSphere,
+    clusters.LennardJonesCluster, clusters.MorseCluster, games.NashInstance,
+    puzzles.PuzzleInstance)}
 
 
 def instance_from_dict(d):
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     family = d.get("family")
-    if family not in _BUILDERS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return _BUILDERS[family](d["params"], d.get("label"))
+    return FAMILIES[family].from_params(d["params"], d.get("label"))
 
 
 def save_instance(instance, path):

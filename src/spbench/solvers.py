@@ -3,12 +3,15 @@
 Three methods share one outcome type:
 
 * ``newton_solve``: damped Newton on the residual, with a backtracking line
-  search on the residual norm and a condition-number guard on each linear
-  solve.  A square system that fails the guard gets the least-norm step on
-  its well-conditioned singular directions, provided the right-hand side
-  barely reaches the dropped ones (an inexact-Newton step, see
-  ``LEAST_NORM_FORCING``); otherwise the start ends ``singular-step``.
-  Quadratic near regular roots, and the workhorse everywhere.
+  search on the residual norm.  Each linear step comes from one thin SVD of
+  the Jacobian, which also gives the condition-number guard: the step lives
+  on the singular directions within ``cond_limit`` of the largest.  A square
+  system that drops some of them still gets the least-norm step, provided
+  the right-hand side barely reaches the dropped ones (an inexact-Newton
+  step, see ``LEAST_NORM_FORCING``); a rectangular one must keep them all,
+  and gets the least-squares step.  Otherwise the start ends
+  ``singular-step``.  Quadratic near regular roots, and the workhorse
+  everywhere.
 * ``gradsq_solve``: descent on the scalar landscape W = |f|^2 along its exact
   gradient 2 J^T f, with a backtracking line search.  It cannot jump over
   barriers, which is the point: it gets stuck in minima of W that are not
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -44,14 +48,16 @@ from .core import (EvaluationError, Provenance, SolutionSet, classify, dedup)
 
 THREADS_ENV = "SPBENCH_THREADS"
 
-# Forcing term of the least-norm step that ``_linear_steps`` takes when a square
-# system fails the condition guard: the step is taken only if its linear
-# residual |J delta - rhs| / |rhs| stays at or below this value (Dembo,
-# Eisenstat & Steihaug, "Inexact Newton methods", SIAM J. Numer. Anal. 1982).
-# Coordinate singularities such as a Thomson charge at the pole (theta = pi)
-# make the Jacobian numerically rank-deficient while the residual's share in
-# the lost direction shrinks with the distance to the pole, so the step is
-# still sound there.
+# Forcing term of the least-norm step that ``_linear_steps`` takes when the thin
+# SVD of a square system has singular values below the condition guard: the
+# step on the kept directions is taken only if its linear residual
+# |J delta - rhs| / |rhs|, which is the share of rhs in the dropped
+# directions, stays at or below this value (Dembo, Eisenstat & Steihaug,
+# "Inexact Newton methods", SIAM J. Numer. Anal. 1982).  Coordinate
+# singularities such as a Thomson charge at the pole (theta = pi) make the
+# Jacobian numerically rank-deficient while the residual's share in the lost
+# direction shrinks with the distance to the pole, so the step is still sound
+# there.
 LEAST_NORM_FORCING = 1e-4
 
 
@@ -113,6 +119,12 @@ class SolverConfig:
             raise ValueError(f"starts must be >= 0, got {self.starts}")
         if self.max_iters is not None and self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        for name in ("accept_tol", "dedup_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not self.cond_limit >= 1.0:
+            raise ValueError(f"cond_limit must be >= 1, got {self.cond_limit}")
 
 
 @dataclass
@@ -204,19 +216,19 @@ class _Batch:
 
 
 def _linear_steps(jac, rhs, cond_limit):
-    """Solve jac[i] @ delta[i] = rhs[i] for a stack of systems, with a
-    conditioning guard; returns the steps and a mask of the rows that have
-    one.
+    """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems with one
+    stacked thin SVD; returns the steps and a mask of the rows that have one.
 
-    Square systems within ``cond_limit`` are solved exactly.  A square system
-    that fails the guard is split by one SVD: singular values below
-    sv[0] / cond_limit are dropped, and the least-norm step on the kept
-    directions is returned when the share of ``rhs`` in the dropped
-    directions, which is the step's linear residual |jac @ delta - rhs| /
-    |rhs|, is at most ``LEAST_NORM_FORCING``.  Otherwise, and for systems that
-    are not finite, the row has no step.  Rectangular systems go through least
-    squares and have no step unless they have full column rank within the
-    limit.  Each row's arithmetic is that of a lone system."""
+    The SVD J = U diag(s) V^T gives both the conditioning guard and the step:
+    singular values with s > 0 and s >= s[0] / cond_limit are kept, and the
+    step is V diag(1 / s) U^T rhs on the kept directions.  A row whose
+    singular values are all kept has a step; for k > n it is the
+    least-squares one.  A square row that drops some has the least-norm step
+    when the share of ``rhs`` in the dropped directions, which is the step's
+    linear residual |jac @ delta - rhs| / |rhs|, is at most
+    ``LEAST_NORM_FORCING``.  Other rows have no step: underdetermined (k < n)
+    and rank-deficient rectangular systems, and systems that are not finite.
+    Each row's arithmetic is that of a lone system."""
     jac = np.asarray(jac, dtype=float)
     if jac.ndim != 3:
         raise ValueError(f"jacobians must be a 3-d stack, got {jac.ndim}-d")
@@ -224,36 +236,18 @@ def _linear_steps(jac, rhs, cond_limit):
     delta = np.zeros((m, n))
     ok = np.zeros(m, dtype=bool)
     rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
-    if k != n:
-        for i in rows:
-            step, _, rank, sv = np.linalg.lstsq(jac[i], rhs[i], rcond=None)
-            if not (rank < n or sv[-1] <= 0.0 or sv[0] / sv[-1] > cond_limit):
-                delta[i], ok[i] = step, True
-        return delta, ok
-    if not rows.size:
-        return delta, ok
-    sv = np.linalg.svd(jac[rows], compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ill = (sv[:, -1] <= 0.0) | (sv[:, 0] / sv[:, -1] > cond_limit)
-    good = rows[~ill]
-    try:
-        delta[good] = np.linalg.solve(jac[good], rhs[good][:, :, None])[:, :, 0]
-        ok[good] = True
-    except np.linalg.LinAlgError:
-        # one matrix that passed the guard is still exactly singular to LU,
-        # which fails the whole stack: solve the rows one by one
-        for i in good:
-            try:
-                delta[i], ok[i] = np.linalg.solve(jac[i], rhs[i]), True
-            except np.linalg.LinAlgError:
-                pass
-    bad = rows[ill]
-    if bad.size:
-        for i, u, s, vt in zip(bad, *np.linalg.svd(jac[bad])):
-            keep = (s > 0.0) & (s >= s[0] / cond_limit)
-            proj = u.T @ rhs[i]
-            if not np.linalg.norm(proj[~keep]) > LEAST_NORM_FORCING * np.linalg.norm(rhs[i]):
-                delta[i], ok[i] = vt[keep].T @ (proj[keep] / s[keep]), True
+    b = rhs[rows]
+    u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
+    keep = (s > 0.0) & (s >= s[:, :1] / cond_limit)
+    proj = (b[:, None, :] @ u)[:, 0, :]
+    if k == n:
+        dropped = np.where(keep, 0.0, proj)
+        has = ~(np.sqrt(_dots(dropped, dropped)) > LEAST_NORM_FORCING * np.sqrt(_dots(b, b)))
+    else:
+        has = keep.all(axis=1) & (k > n)
+    coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
+    delta[rows[has]] = (coef[has][:, None, :] @ vt[has])[:, 0, :]
+    ok[rows[has]] = True
     return delta, ok
 
 

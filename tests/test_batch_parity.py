@@ -29,24 +29,25 @@ def _norm(instance, x):
 
 
 def _step(jac, rhs, cond_limit):
+    """One system's step from its thin SVD J = U diag(s) V^T: V diag(1/s) U^T
+    rhs on the singular values s > 0 within ``cond_limit`` of the largest.
+    A rectangular system must keep them all; a square one may drop some when
+    the share of rhs in the dropped directions is at most the forcing term."""
     jac = np.asarray(jac, dtype=float)
     if not np.all(np.isfinite(jac)):
         return None
     m, n = jac.shape
-    if m != n:
-        delta, _, rank, sv = np.linalg.lstsq(jac, rhs, rcond=None)
-        if rank < n or sv[-1] <= 0.0 or sv[0] / sv[-1] > cond_limit:
-            return None
-        return delta
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_limit:
-        return np.linalg.solve(jac, rhs)
-    u, sv, vt = np.linalg.svd(jac)
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
     keep = (sv > 0.0) & (sv >= sv[0] / cond_limit)
-    proj = u.T @ rhs
-    if np.linalg.norm(proj[~keep]) > LEAST_NORM_FORCING * np.linalg.norm(rhs):
+    proj = rhs @ u
+    if m != n:
+        if m < n or not keep.all():
+            return None
+    elif math.sqrt(proj[~keep] @ proj[~keep]) > LEAST_NORM_FORCING * math.sqrt(rhs @ rhs):
         return None
-    return vt[keep].T @ (proj[keep] / sv[keep])
+    coef = np.zeros(len(sv))
+    coef[keep] = proj[keep] / sv[keep]
+    return coef @ vt
 
 
 def _newton(instance, x, cfg):

@@ -85,6 +85,32 @@ def test_instance_file_schema_checks(tmp_path):
                                 "label": "x", "params": {}}))
     with pytest.raises(ValueError):
         serialize.load_instance(path)
+    # every constructor parameter must be in the file
+    d = serialize.instance_to_dict(Phi4Lattice(2))
+    del d["params"]["lam"]
+    path.write_text(json.dumps(d))
+    with pytest.raises(KeyError):
+        serialize.load_instance(path)
+    # a game's counts and players must match its payoff tensors
+    for key, value, match in (("strategy_counts", [2, 3], "strategy_counts"),
+                              ("players", 3, "player count")):
+        d = serialize.instance_to_dict(NashInstance(matching_pennies()))
+        d["params"][key] = value
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=match):
+            serialize.load_instance(path)
+
+
+def test_result_file_config_is_validated(tmp_path):
+    inst = Phi4Lattice(1)
+    cfg = SolverConfig(method="newton", seed=0)
+    path = tmp_path / "res.json"
+    serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
+    raw = json.loads(path.read_text())
+    raw["config"]["dedup_tol"] = -1.0
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="dedup_tol"):
+        serialize.load_result(path)
 
 
 def test_result_file_round_trip(tmp_path):
@@ -240,6 +266,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"),
                    "--starts", "5") == 1
     capsys.readouterr()
+    # 1: a bad tolerance is refused before any start runs
+    assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"),
+                   "--starts", "5", "--seed", "0", "--tol", "-1") == 1
+    assert "starts=" not in capsys.readouterr().out
+    assert not (tmp_path / "r.json").exists()
     # 2: campaign with zero converged starts
     noroot = tmp_path / "n.json"
     game = {"players": 2, "strategy_counts": [2, 2],

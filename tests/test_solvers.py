@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -289,6 +290,14 @@ def test_config_validation():
         SolverConfig(starts=-5)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=-1)
+    for name in ("accept_tol", "dedup_tol"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    for bad in (0.5, -1.0, math.nan):
+        with pytest.raises(ValueError, match="cond_limit"):
+            SolverConfig(cond_limit=bad)
+    SolverConfig(accept_tol=0.0, dedup_tol=0.0, cond_limit=1.0)
     out = newton_solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
     assert out.status is Status.MAX_ITERS
     assert out.iterations == 0
@@ -485,13 +494,42 @@ def test_non_finite_jacobian_is_singular_step(method):
 
 
 def test_linear_step_stack_mixes_branches():
-    # well conditioned, least-norm, refused, and not finite, in one stack
-    jac = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
-                    np.full((2, 2), np.nan)])
-    rhs = np.array([[2.0, 4.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    # square: well conditioned, least-norm, refused, and not finite; tall:
+    # full column rank (least squares), rank-deficient, and not finite; wide
+    # (underdetermined): never a step.  Each row as it would be alone.
+    square = np.array([np.diag([2.0, 4.0]), np.diag([1.0, 0.0]), np.diag([1.0, 0.0]),
+                       np.full((2, 2), np.nan)])
+    square_rhs = np.array([[2.0, 4.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tall = np.array([[[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
+                     [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                     np.full((3, 2), np.nan)])
+    tall_rhs = np.array([[1.0, 2.0, 5.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    wide = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+    for jac, rhs, expect in ((square, square_rhs, [True, True, False, False]),
+                             (tall, tall_rhs, [True, False, False]),
+                             (wide, np.array([[1.0, 1.0]]), [False])):
+        delta, ok = _linear_steps(jac, rhs, 1e12)
+        assert ok.tolist() == expect
+        for j, r, d, good in zip(jac, rhs, delta, ok):
+            alone = _linear_step(j, r, 1e12)
+            assert (alone is None) if not good else np.array_equal(alone, d)
+        if jac is square:
+            assert np.array_equal(delta[:2], [[1.0, 1.0], [1.0, 0.0]])
+        if jac is tall:
+            assert np.allclose(delta[0], [1.0, 1.0], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k,n", [(3, 3), (8, 8), (15, 15), (20, 8), (156, 8)])
+def test_linear_steps_agree_with_numpy(k, n):
+    # well-conditioned square systems against solve, full-rank tall ones
+    # against least squares
+    rng = np.random.default_rng(k * 1000 + n)
+    jac = rng.standard_normal((12, k, n))
+    if k == n:
+        jac += 2.0 * np.sqrt(n) * np.eye(n)
+    rhs = rng.standard_normal((12, k))
     delta, ok = _linear_steps(jac, rhs, 1e12)
-    assert ok.tolist() == [True, True, False, False]
-    assert np.array_equal(delta[:2], [[1.0, 1.0], [1.0, 0.0]])
-    for j, r, d, good in zip(jac, rhs, delta, ok):
-        alone = _linear_step(j, r, 1e12)
-        assert (alone is None) if not good else np.array_equal(alone, d)
+    assert ok.all()
+    for j, r, d in zip(jac, rhs, delta):
+        ref = np.linalg.solve(j, r) if k == n else np.linalg.lstsq(j, r, rcond=None)[0]
+        assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
