@@ -37,7 +37,6 @@ from .games import (
     is_equilibrium,
     matching_pennies,
     nash_residual,
-    nash_residual_curvature,
     nash_residual_jacobian,
     prisoners_dilemma,
 )

@@ -6,7 +6,8 @@ lattice and cluster models) expose the objective as ``energy`` and the system
 to solve is its gradient.  Root-finding families (game and puzzle systems)
 subclass RootSystem: they expose the polynomial system as ``residual`` and
 report the squared residual norm as their ``energy`` so that descent methods
-and classification have a scalar landscape to work with.
+and classification have a scalar landscape to work with.  Its Hessian comes
+from one hook, ``jacobian_and_curvature``, which evaluates the system once.
 
 Every shipped family has a closed-form ``hessian``.  ``fd_hessian`` serves
 ``ClassifyConfig(hessian_mode="finite-difference")`` and the ProblemInstance
@@ -137,9 +138,9 @@ class RootSystem(ProblemInstance):
     """A system f(x) = 0 seen through the landscape W = |f|^2.
 
     Subclasses implement ``residual``, ``residual_jacobian`` and
-    ``residual_curvature``; the energy is f . f, the gradient 2 J^T f and
+    ``jacobian_and_curvature``; the energy is f . f, the gradient 2 J^T f and
     the Hessian 2 (J^T J + sum_k f_k grad^2 f_k), exact with no finite
-    difference.
+    difference and from one evaluation of the system.
     """
 
     def residual(self, p):
@@ -148,9 +149,10 @@ class RootSystem(ProblemInstance):
     def residual_jacobian(self, p):
         raise NotImplementedError
 
-    def residual_curvature(self, p, w):
-        """sum_k w_k grad^2 f_k(p), the residual's second derivatives
-        weighted by ``w`` (one weight per residual component)."""
+    def jacobian_and_curvature(self, p):
+        """The Jacobian J(p), equal to ``residual_jacobian(p)``, and
+        sum_k f_k(p) grad^2 f_k(p), the residual's second derivatives
+        weighted by its own components, from one evaluation."""
         raise NotImplementedError
 
     def energy(self, p):
@@ -158,14 +160,12 @@ class RootSystem(ProblemInstance):
         return float(f @ f)
 
     def gradient(self, p):
-        f = self.residual(p)
-        return 2.0 * self.residual_jacobian(p).T @ f
+        return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
 
     def hessian(self, p):
-        f = self.residual(p)
-        jac = self.residual_jacobian(p)
+        jac, curv = self.jacobian_and_curvature(p)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = 2.0 * (jac.T @ jac + self.residual_curvature(p, f))
+            h = 2.0 * (jac.T @ jac + curv)
         if not np.all(np.isfinite(h)):
             raise EvaluationError(f"{self.label}: non-finite Hessian")
         return h
@@ -173,34 +173,41 @@ class RootSystem(ProblemInstance):
 
 def fd_gradient(instance, p, step=1e-5):
     """Central-difference gradient of ``instance.energy`` at ``p``."""
-    p = instance.check_point(p)
-    g = np.empty(instance.n)
-    for i in range(instance.n):
-        e = np.zeros(instance.n)
-        e[i] = step
-        hi = instance.energy(p + e)
-        lo = instance.energy(p - e)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise EvaluationError(
-                f"{instance.label}: non-finite energy in difference stencil at index {i}"
-            )
-        g[i] = (hi - lo) / (2.0 * step)
-    return g
+    return _central_differences(instance, instance.energy, p, step, "gradient")
 
 
 def fd_hessian(instance, p, step=1e-5):
     """Central-difference Jacobian of the analytic gradient at ``p``."""
+    return _central_differences(instance, instance.gradient, p, step, "Hessian")
+
+
+def _central_differences(instance, fn, p, step, what):
+    """(fn(p + step e_i) - fn(p - step e_i)) / (2 step) for each unit vector
+    e_i, stacked on the last axis; EvaluationError unless all are finite."""
     p = instance.check_point(p)
-    h = np.empty((instance.n, instance.n))
-    for i in range(instance.n):
-        e = np.zeros(instance.n)
-        e[i] = step
-        hi = np.asarray(instance.gradient(p + e), dtype=float)
-        lo = np.asarray(instance.gradient(p - e), dtype=float)
-        h[:, i] = (hi - lo) / (2.0 * step)
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"{instance.label}: non-finite finite-difference Hessian")
-    return h
+    columns = [(np.asarray(fn(p + e), dtype=float) - np.asarray(fn(p - e), dtype=float))
+               / (2.0 * step) for e in np.eye(instance.n) * step]
+    out = np.stack(columns, axis=-1)
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"{instance.label}: non-finite finite-difference {what}")
+    return out
+
+
+_RULES = {
+    "finite": math.isfinite,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
+    "in (0, 1)": lambda v: 0.0 < v < 1.0,
+    ">= 1": lambda v: v >= 1.0,
+}
+
+
+def _require(cfg, **rules):
+    """Raise ValueError unless every named field of ``cfg`` obeys its rule,
+    a key of ``_RULES``."""
+    for name, rule in rules.items():
+        if not _RULES[rule](getattr(cfg, name)):
+            raise ValueError(f"{name} must be {rule}, got {getattr(cfg, name)}")
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,7 @@ class ClassifyConfig:
     def __post_init__(self):
         if self.hessian_mode not in ("analytic", "finite-difference"):
             raise ValueError(f"unknown hessian_mode {self.hessian_mode!r}")
+        _require(self, zero_tol="finite and >= 0", fd_step="finite and > 0")
 
 
 @dataclass(frozen=True)

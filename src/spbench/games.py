@@ -6,6 +6,12 @@ followed by one simplex equation per player (probabilities summing to one).
 Every equilibrium solves the system, but the system also has roots that are
 not equilibria; ``is_equilibrium`` separates them by checking that no pure
 deviation pays more than pi_i and that no probability is negative.
+
+``NashInstance`` is the one implementation of the system.  It contracts the
+payoff tensors once per point, into the pair matrices from which the
+responses, the Jacobian and the curvature all follow.  The functions on a
+profile (``nash_residual``, ``nash_residual_jacobian``, ``is_equilibrium``)
+check it with ``NashGame.check_profile`` and call the instance.
 """
 
 from __future__ import annotations
@@ -73,84 +79,26 @@ class NashGame:
                 t = np.tensordot(t, vectors[axis], axes=([axis], [0]))
         return t
 
-    def _pair_contraction(self, probs, i, m):
-        """Matrix (d_i, d_m): player i's payoff tensor contracted with every
-        strategy vector except those of players i and m."""
-        t = self._contract(self.payoffs[i], probs, (i, m))
-        return t if i < m else t.T
+
+def _checked_point(game, probs, pis):
+    """The flat ``NashInstance`` point of a profile, once it has been checked."""
+    probs = game.check_profile(probs)
+    pis = np.asarray(pis, dtype=float)
+    if pis.shape != (game.players,):
+        raise ValueError(f"expected {game.players} payoff variables, got shape {pis.shape}")
+    return np.concatenate(probs + [pis])
 
 
 def nash_residual(game, probs, pis):
     """Stationarity residual: the product equations for every (player, pure
     strategy) pair in player order, then the simplex sums minus one."""
-    probs = game.check_profile(probs)
-    pis = np.asarray(pis, dtype=float)
-    if pis.shape != (game.players,):
-        raise ValueError(f"expected {game.players} payoff variables, got shape {pis.shape}")
-    parts = []
-    for i in range(game.players):
-        parts.append(probs[i] * (pis[i] - game.pure_response_payoffs(probs, i)))
-    parts.append(np.array([p.sum() - 1.0 for p in probs]))
-    return np.concatenate(parts)
+    return NashInstance(game).residual(_checked_point(game, probs, pis))
 
 
 def nash_residual_jacobian(game, probs, pis):
     """Analytic Jacobian of ``nash_residual`` in the flat variable order:
     strategy blocks player by player, then the payoff variables."""
-    probs = game.check_profile(probs)
-    pis = np.asarray(pis, dtype=float)
-    dims = list(game.shape)
-    total = sum(dims) + game.players
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    jac = np.zeros((total, total))
-    row = 0
-    for i in range(game.players):
-        di = dims[i]
-        block = slice(row, row + di)
-        resp = game.pure_response_payoffs(probs, i)
-        jac[block, offsets[i]:offsets[i] + di] = np.diag(pis[i] - resp)
-        for m in range(game.players):
-            if m == i:
-                continue
-            pair = game._pair_contraction(probs, i, m)
-            jac[block, offsets[m]:offsets[m] + dims[m]] -= probs[i][:, None] * pair
-        jac[block, sum(dims) + i] = probs[i]
-        row += di
-    for i in range(game.players):
-        jac[row + i, offsets[i]:offsets[i] + dims[i]] = 1.0
-    return jac
-
-
-def nash_residual_curvature(game, probs, weights):
-    """sum_k w_k grad^2 f_k over the rows of ``nash_residual``, one weight
-    per row, in the variable order of ``nash_residual_jacobian``.
-
-    Row (i, k) is p_ik (pi_i - R_ik) with R_ik multilinear in the other
-    players' strategies, so its second derivatives are 1 against pi_i, -P_im
-    against player m != i and -p_ik d^2 R_ik against two other players.
-    Diagonal strategy blocks, the pi block and the simplex rows are zero.
-    """
-    probs = game.check_profile(probs)
-    offsets = np.concatenate(([0], np.cumsum(game.shape)))
-    strat = int(offsets[-1])
-    w = [np.asarray(weights[offsets[i]:offsets[i + 1]], dtype=float)
-         for i in range(game.players)]
-    q = [w[i] * probs[i] for i in range(game.players)]
-    curv = np.zeros((strat + game.players, strat + game.players))
-    for i in range(game.players):
-        bi = slice(offsets[i], offsets[i + 1])
-        curv[bi, strat + i] = curv[strat + i, bi] = w[i]
-        for m in range(i + 1, game.players):
-            bm = slice(offsets[m], offsets[m + 1])
-            block = -(w[i][:, None] * game._pair_contraction(probs, i, m)
-                      + (w[m][:, None] * game._pair_contraction(probs, m, i)).T)
-            for other in range(game.players):
-                if other not in (i, m):
-                    vectors = probs[:other] + [q[other]] + probs[other + 1:]
-                    block -= game._contract(game.payoffs[other], vectors, (i, m))
-            curv[bi, bm] = block
-            curv[bm, bi] = block.T
-    return curv
+    return NashInstance(game).residual_jacobian(_checked_point(game, probs, pis))
 
 
 def is_equilibrium(game, probs, pis, tol=1e-9):
@@ -161,14 +109,13 @@ def is_equilibrium(game, probs, pis, tol=1e-9):
     Returns (flag, report) where the report carries the extreme values that
     the decision was based on.
     """
-    probs = game.check_profile(probs)
-    res = nash_residual(game, probs, pis)
-    margins = [float(pis[i] - np.max(game.pure_response_payoffs(probs, i)))
-               for i in range(game.players)]
+    inst = NashInstance(game)
+    probs, pis, _, resp = inst._evaluate(_checked_point(game, probs, pis), every_pair=False)
+    res = inst._residual(probs, pis, resp)
     report = {
         "residual_inf": float(np.max(np.abs(res))),
         "min_probability": float(min(np.min(p) for p in probs)),
-        "min_payoff_margin": float(min(margins)),
+        "min_payoff_margin": float(min(pi - np.max(r) for pi, r in zip(pis, resp))),
     }
     flag = (report["residual_inf"] <= tol
             and report["min_probability"] >= -tol
@@ -183,6 +130,7 @@ class NashInstance(RootSystem):
     Variables: strategy blocks in player order followed by one payoff value
     per player.  The scalar landscape is the squared residual norm, so
     descent methods can run on it and classification sees roots as minima.
+    The only check is ``split``'s ``check_point``, which fixes every block.
     """
 
     family = "nash"
@@ -190,34 +138,87 @@ class NashInstance(RootSystem):
     def __init__(self, game, label=None):
         self.game = game
         self.dims = list(game.shape)
-        self.offsets = np.concatenate(([0], np.cumsum(self.dims)))
-        n = int(sum(self.dims) + game.players)
+        ends = np.cumsum(self.dims).tolist()
+        self._blocks = [slice(e - d, e) for d, e in zip(self.dims, ends)]
+        self._strat = ends[-1]
         if label is None:
             label = "nash-" + "x".join(str(d) for d in self.dims)
-        super().__init__(n, label)
+        super().__init__(self._strat + game.players, label)
 
     def split(self, x):
         x = self.check_point(x)
-        probs = [x[self.offsets[i]:self.offsets[i] + self.dims[i]]
-                 for i in range(self.game.players)]
-        pis = x[sum(self.dims):]
-        return probs, pis
+        return [x[b] for b in self._blocks], x[self._strat:]
 
     def pack(self, probs, pis):
         return np.concatenate([np.asarray(p, dtype=float) for p in probs]
                               + [np.asarray(pis, dtype=float)])
 
-    def residual(self, x):
+    def _evaluate(self, x, every_pair=True):
+        """The profile of ``x``, the pair matrices pairs[i][m] (d_i x d_m:
+        player i's payoff tensor contracted with every strategy vector but
+        those of players i and m) and the responses resp[i] = pairs[i][m] @
+        p_m, m the first player other than i.  Without ``every_pair`` only the
+        pairs that the responses need are built."""
         probs, pis = self.split(x)
-        return nash_residual(self.game, probs, pis)
+        players = self.game.players
+        first = [1 if i == 0 else 0 for i in range(players)]
+        pairs = [[None] * players for _ in range(players)]
+        for i in range(players):
+            for m in range(players) if every_pair else (first[i],):
+                if m != i:
+                    t = self.game._contract(self.game.payoffs[i], probs, (i, m))
+                    pairs[i][m] = t if i < m else t.T
+        resp = [pairs[i][m] @ probs[m] for i, m in enumerate(first)]
+        return probs, pis, pairs, resp
+
+    def _residual(self, probs, pis, resp):
+        return np.concatenate([p * (pi - r) for p, pi, r in zip(probs, pis, resp)]
+                              + [np.array([p.sum() - 1.0 for p in probs])])
+
+    def _jacobian(self, probs, pis, pairs, resp):
+        jac = np.zeros((self.n, self.n))
+        for i, bi in enumerate(self._blocks):
+            jac[bi, bi] = np.diag(pis[i] - resp[i])
+            for m, bm in enumerate(self._blocks):
+                if m != i:
+                    jac[bi, bm] -= probs[i][:, None] * pairs[i][m]
+            jac[bi, self._strat + i] = probs[i]
+            jac[self._strat + i, bi] = 1.0
+        return jac
+
+    def _curvature(self, probs, pairs, weights):
+        """sum_k w_k grad^2 f_k over the residual rows.  Row (i, k) is
+        p_ik (pi_i - R_ik), R_ik multilinear in the others' strategies: its
+        second derivatives are 1 against pi_i, -P_im against player m != i,
+        -p_ik d^2 R_ik against two other players and zero elsewhere."""
+        w = [weights[b] for b in self._blocks]
+        q = [wi * p for wi, p in zip(w, probs)]
+        players = self.game.players
+        curv = np.zeros((self.n, self.n))
+        for i, bi in enumerate(self._blocks):
+            curv[bi, self._strat + i] = curv[self._strat + i, bi] = w[i]
+            for m in range(i + 1, players):
+                bm = self._blocks[m]
+                block = -(w[i][:, None] * pairs[i][m] + (w[m][:, None] * pairs[m][i]).T)
+                for other in range(players):
+                    if other not in (i, m):
+                        vectors = probs[:other] + [q[other]] + probs[other + 1:]
+                        block -= self.game._contract(self.game.payoffs[other], vectors, (i, m))
+                curv[bi, bm] = block
+                curv[bm, bi] = block.T
+        return curv
+
+    def residual(self, x):
+        probs, pis, _, resp = self._evaluate(x, every_pair=False)
+        return self._residual(probs, pis, resp)
 
     def residual_jacobian(self, x):
-        probs, pis = self.split(x)
-        return nash_residual_jacobian(self.game, probs, pis)
+        return self._jacobian(*self._evaluate(x))
 
-    def residual_curvature(self, x, w):
-        probs, _ = self.split(x)
-        return nash_residual_curvature(self.game, probs, w)
+    def jacobian_and_curvature(self, x):
+        probs, pis, pairs, resp = self._evaluate(x)
+        f = self._residual(probs, pis, resp)
+        return self._jacobian(probs, pis, pairs, resp), self._curvature(probs, pairs, f)
 
     @classmethod
     def from_params(cls, params, label=None):

@@ -13,7 +13,8 @@ opposite way.  Two algebraic encodings turn assembly into root finding:
 The linear system is only necessary.  The exponential system separates
 translated fakes that the linear one accepts, because exp(k . u) responds
 multiplicatively to shifts.  ``verify_geometric`` is the ground-truth check
-that never consults either encoding.
+that never consults either encoding.  ``PuzzleInstance`` stacks both and
+computes the exponentials once per residual, Jacobian or Hessian.
 """
 
 from __future__ import annotations
@@ -328,8 +329,7 @@ class PuzzleInstance(RootSystem):
             raise EvaluationError("exponential term overflow")
         return terms, pos
 
-    def residual(self, x):
-        terms, pos = self._exp_terms(x)
+    def _residual(self, terms, pos):
         sign = self.puzzle.sign
         with np.errstate(over="ignore"):
             out = np.concatenate([(sign @ pos).ravel(), (sign @ terms).ravel()])
@@ -337,28 +337,32 @@ class PuzzleInstance(RootSystem):
             raise EvaluationError("exponential sum overflow")
         return out
 
-    def _per_piece(self, x):
-        """sum_e s_ce exp(k . u_e) over each piece's edges, (classes x
-        pieces x frequencies)."""
-        terms, _ = self._exp_terms(x)
+    def _per_piece(self, terms):
+        """sum_e s_ce exp(k . u_e) over each piece's edges, (classes, pieces, frequencies)."""
         return (self._piece_sign @ terms).reshape(len(self.puzzle.classes), -1, len(self._freqs))
 
-    def residual_jacobian(self, x):
+    def _jacobian(self, per_piece):
         # d/du_i sum_e s_e exp(k . u_e) = k * (sum over piece i's edges)
-        expo = self._per_piece(x).transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
+        expo = per_piece.transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
         return np.vstack([self._linear_jacobian, expo.reshape(-1, self.n)])
 
-    def residual_curvature(self, x, w):
-        # the linear rows are flat; exponential row (c, k) adds k k^T times
-        # piece i's share of its sum to piece i's 2 x 2 diagonal block
-        per_piece = self._per_piece(x)
+    def residual(self, x):
+        return self._residual(*self._exp_terms(x))
+
+    def residual_jacobian(self, x):
+        return self._jacobian(self._per_piece(self._exp_terms(x)[0]))
+
+    def jacobian_and_curvature(self, x):
+        # the linear rows are flat; exponential row (c, k) adds f_ck k k^T
+        # times piece i's share of its sum to piece i's 2 x 2 diagonal block
+        terms, pos = self._exp_terms(x)
+        per_piece = self._per_piece(terms)
         classes, pieces, _ = per_piece.shape
-        weight = np.asarray(w, dtype=float)[2 * classes:].reshape(classes, -1)
+        weight = self._residual(terms, pos)[2 * classes:].reshape(classes, -1)
         blocks = np.einsum("ck,cik->ik", weight, per_piece) @ self._freq_outer
-        curv = np.zeros((self.n, self.n))
-        diag = np.arange(pieces)
-        curv.reshape(pieces, 2, pieces, 2)[diag, :, diag, :] = blocks.reshape(pieces, 2, 2)
-        return curv
+        curv = np.zeros((pieces, 2, pieces, 2))
+        curv[np.arange(pieces), :, np.arange(pieces), :] = blocks.reshape(pieces, 2, 2)
+        return self._jacobian(per_piece), curv.reshape(self.n, self.n)
 
     @classmethod
     def from_params(cls, params, label=None):

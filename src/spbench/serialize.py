@@ -2,8 +2,8 @@
 
 Both file kinds are JSON with sorted keys and floats printed to 17
 significant digits, so saving, loading and saving again reproduces the bytes
-exactly, and two runs of the same seeded campaign produce identical files at
-any thread count.  Writes go through a temporary file and an atomic rename.
+exactly, and a seeded campaign writes the same file whatever batch count
+``SPBENCH_THREADS`` sets.  Writes go through a temporary file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import clusters, games, lattices, puzzles
 from .core import (EvaluationError, SolutionSet, stationary_point_from_dict,
                    stationary_point_to_dict)
-from .solvers import CampaignStats, SolverConfig
+from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
 
 SCHEMA_VERSION = 1
 
@@ -36,10 +36,6 @@ def _emit(obj, out, indent):
     pad = "  " * indent
     if obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
@@ -139,7 +135,6 @@ def config_to_dict(cfg):
 
 
 def config_from_dict(d):
-    from .solvers import Damping, HomotopySchedule
     d = dict(d)
     d["damping"] = Damping(**d.get("damping", {}))
     d["homotopy"] = HomotopySchedule(**d.get("homotopy", {}))
@@ -184,14 +179,8 @@ def load_result(path):
         points=[stationary_point_from_dict(label, p) for p in sol_d["points"]],
     )
     stats_d = d.get("campaign_stats", {})
-    stats = CampaignStats(
-        starts=int(stats_d.get("starts", 0)),
-        converged=int(stats_d.get("converged", 0)),
-        diverged=int(stats_d.get("diverged", 0)),
-        spurious=int(stats_d.get("spurious", 0)),
-        eval_errors=int(stats_d.get("eval_errors", 0)),
-        wall_time=0.0,
-    )
+    stats = CampaignStats(**{name: int(stats_d.get(name, 0)) for name in
+                             ("starts", "converged", "diverged", "spurious", "eval_errors")})
     return {
         "instance_label": d["instance_label"],
         "config": config_from_dict(d["config"]),
@@ -229,15 +218,10 @@ def check_result(instance, loaded):
         except EvaluationError as exc:
             issues.append(f"point {i}: classification failed: {exc}")
             continue
-        if fresh.index != sp.index:
-            issues.append(f"point {i}: stored index {sp.index} but recomputed "
-                          f"{fresh.index}")
-        if fresh.singular != sp.singular:
-            issues.append(f"point {i}: stored singular={sp.singular} but "
-                          f"recomputed {fresh.singular}")
-        if fresh.zero_eigs != sp.zero_eigs:
-            issues.append(f"point {i}: stored zero_eigs={sp.zero_eigs} but "
-                          f"recomputed {fresh.zero_eigs}")
+        for name in ("index", "singular", "zero_eigs"):
+            stored, recomputed = getattr(sp, name), getattr(fresh, name)
+            if stored != recomputed:
+                issues.append(f"point {i}: stored {name}={stored} but recomputed {recomputed}")
         scale = 1.0 + abs(fresh.energy)
         if abs(fresh.energy - sp.energy) > 1e-9 * scale:
             issues.append(f"point {i}: stored energy {sp.energy!r} but "

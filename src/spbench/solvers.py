@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EvaluationError, Provenance, SolutionSet, classify, dedup)
+from .core import (EvaluationError, Provenance, SolutionSet, _require, classify, dedup)
 
 THREADS_ENV = "SPBENCH_THREADS"
 
@@ -79,6 +78,11 @@ class Damping:
     min_step: float = 1e-12
     decrease: float = 1e-4
 
+    def __post_init__(self):
+        # a backtrack factor of 1 or more never takes the step below min_step
+        _require(self, initial="finite and > 0", backtrack="in (0, 1)",
+                 min_step="finite and > 0", decrease="finite")
+
 
 @dataclass(frozen=True)
 class HomotopySchedule:
@@ -90,6 +94,11 @@ class HomotopySchedule:
     grow: float = 1.5
     corrector_iters: int = 5
     easy_iters: int = 2
+
+    def __post_init__(self):
+        _require(self, dt_initial="finite and > 0", dt_min="finite and > 0",
+                 dt_max="finite and > 0", grow="finite",
+                 corrector_iters="finite and >= 0", easy_iters="finite and >= 0")
 
 
 _DEFAULT_MAX_ITERS = {"newton": 100, "gradsq": 5000, "homotopy": 2000}
@@ -115,16 +124,10 @@ class SolverConfig:
         if self.method not in _DEFAULT_MAX_ITERS:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
-        if self.starts < 0:
-            raise ValueError(f"starts must be >= 0, got {self.starts}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        for name in ("accept_tol", "dedup_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not self.cond_limit >= 1.0:
-            raise ValueError(f"cond_limit must be >= 1, got {self.cond_limit}")
+        _require(self, starts="finite and >= 0", accept_tol="finite and >= 0",
+                 dedup_tol="finite and >= 0", cond_limit=">= 1")
+        if self.max_iters is not None:
+            _require(self, max_iters="finite and >= 0")
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from spbench.core import (
     stationary_point_from_dict,
     stationary_point_to_dict,
 )
+from spbench.lattices import Phi4Lattice
 
 
 class Quadratic(ProblemInstance):
@@ -97,6 +100,21 @@ def test_classify_finite_difference_mode_matches_analytic():
 def test_classify_config_validates_mode():
     with pytest.raises(ValueError):
         ClassifyConfig(hessian_mode="symbolic")
+    # these values would misclassify the index-2 point (r, 0, 0, -r) of the
+    # decoupled 2 x 2 phi4 lattice instead of failing
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="zero_tol"):
+            ClassifyConfig(zero_tol=bad)
+    for bad in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fd_step"):
+            ClassifyConfig(fd_step=bad)
+    inst = Phi4Lattice(2, J=0.0)
+    r = inst.site_roots()[1]
+    p = np.array([r, 0.0, 0.0, -r])
+    for cfg in (ClassifyConfig(zero_tol=0.0),
+                ClassifyConfig(hessian_mode="finite-difference", fd_step=1e-4)):
+        sp = classify(inst, p, cfg=cfg)
+        assert (sp.index, sp.zero_eigs) == (2, 0)
 
 
 def test_classify_records_provenance():

@@ -11,6 +11,7 @@ from spbench.games import (
     nash_residual_jacobian,
     prisoners_dilemma,
 )
+from spbench.solvers import SolverConfig, multistart
 
 
 def test_game_validation():
@@ -169,3 +170,26 @@ def test_hessian_finite_at_sample_starts():
             h = inst.hessian(inst.sample_start(rng))
             assert h.shape == (inst.n, inst.n)
             assert np.all(np.isfinite(h))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 3), (2, 3, 2, 2)])
+def test_instance_never_rechecks_the_profile(shape, monkeypatch):
+    # NashInstance validates once, in split; check_profile serves only the
+    # public (probs, pis) functions
+    rng = np.random.default_rng(8)
+    inst = NashInstance(NashGame([rng.uniform(-1.0, 1.0, shape) for _ in shape]))
+
+    def refuse(self, probs):
+        raise AssertionError("check_profile reached")
+
+    monkeypatch.setattr(NashGame, "check_profile", refuse)
+    for i in range(5):
+        x = inst.sample_start(np.random.default_rng((4400, i)))
+        inst.residual(x)
+        inst.residual_jacobian(x)
+        inst.hessian(x)
+    result = multistart(inst, SolverConfig(method="newton", starts=5, seed=3))
+    assert result.stats.converged == 5  # every start was classified
+    # the patch is live: the public functions reach it
+    with pytest.raises(AssertionError):
+        nash_residual(inst.game, *inst.split(x))

@@ -49,6 +49,19 @@ def test_hessians_match_fd_for_every_family():
                 assert np.abs(2.0 * jac.T @ jac - fd).max() > 1e-3 * scale, inst.label
 
 
+def test_jacobian_and_curvature_returns_the_residual_jacobian():
+    rng = np.random.default_rng(8)
+    puz, _ = sb.generate_grid_puzzle(2, 2, 3, seed=8)
+    instances = [sb.NashInstance(sb.NashGame([rng.uniform(-1.0, 1.0, shape) for _ in shape]))
+                 for shape in ((2, 2), (3, 3, 3), (2, 3, 2, 2))] + [sb.PuzzleInstance(puz)]
+    for k, inst in enumerate(instances):
+        for i in range(10):
+            x = inst.sample_start(np.random.default_rng((4300, k, i)))
+            jac, curv = inst.jacobian_and_curvature(x)
+            assert jac.tobytes() == inst.residual_jacobian(x).tobytes(), inst.label
+            assert curv.shape == (inst.n, inst.n)
+
+
 def test_no_family_hessian_reaches_fd_hessian(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("fd_hessian called")

@@ -113,6 +113,20 @@ def test_result_file_config_is_validated(tmp_path):
         serialize.load_result(path)
 
 
+def test_result_file_damping_and_schedule_are_validated(tmp_path):
+    inst = Phi4Lattice(1)
+    cfg = SolverConfig(method="newton", seed=0)
+    path = tmp_path / "res.json"
+    serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
+    for part, name, bad in (("damping", "backtrack", 1.0), ("homotopy", "dt_min", 0.0)):
+        raw = json.loads(path.read_text())
+        raw["config"][part][name] = bad
+        bad_path = tmp_path / f"bad-{name}.json"
+        bad_path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=name):
+            serialize.load_result(bad_path)
+
+
 def test_result_file_round_trip(tmp_path):
     inst = Phi4Lattice(2)
     cfg = SolverConfig(method="newton", seed=0)

@@ -11,6 +11,8 @@ from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
 from spbench.serialize import save_result
 from spbench.solvers import (
+    Damping,
+    HomotopySchedule,
     SolverConfig,
     Status,
     _linear_step,
@@ -301,6 +303,32 @@ def test_config_validation():
     out = newton_solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
     assert out.status is Status.MAX_ITERS
     assert out.iterations == 0
+
+
+def test_damping_and_schedule_validation():
+    # checked at construction: a backtrack factor of 1 would keep the line
+    # search from ever dropping below min_step, so no campaign may run with it
+    for bad in (1.0, 1.5, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="backtrack"):
+            Damping(backtrack=bad)
+    for name in ("initial", "min_step"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                Damping(**{name: bad})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="decrease"):
+            Damping(decrease=bad)
+    for name in ("dt_initial", "dt_min", "dt_max"):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                HomotopySchedule(**{name: bad})
+    with pytest.raises(ValueError, match="grow"):
+        HomotopySchedule(grow=math.nan)
+    for name in ("corrector_iters", "easy_iters"):
+        with pytest.raises(ValueError, match=name):
+            HomotopySchedule(**{name: -1})
+    Damping(backtrack=0.99, min_step=1e-300)
+    HomotopySchedule(corrector_iters=0, easy_iters=0)
 
 
 def test_multistart_phi4_grid_recovers_all_roots():
