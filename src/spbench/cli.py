@@ -16,7 +16,7 @@ import sys
 
 from . import serialize
 from .games import NashGame, NashInstance, matching_pennies, prisoners_dilemma
-from .lattices import XYLattice, phi4_bezout
+from .lattices import phi4_bezout
 from .puzzles import PuzzleInstance, generate_grid_puzzle
 from .solvers import SolverConfig, multistart
 
@@ -30,24 +30,6 @@ class _Parser(argparse.ArgumentParser):
     # for empty solves; route usage errors to exit 1 instead
     def error(self, message):
         raise CliError(message)
-
-
-def _parse_disorder(spec):
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "constant":
-        value = float(parts[1]) if len(parts) > 1 else 1.0
-        return ("constant", value)
-    if kind == "uniform-signed":
-        if len(parts) > 1:
-            raise CliError("uniform-signed takes no parameters")
-        return "uniform-signed"
-    if kind == "uniform":
-        if len(parts) != 3:
-            raise CliError("uniform disorder needs low and high: uniform:LOW:HIGH")
-        return ("uniform", float(parts[1]), float(parts[2]))
-    raise CliError(f"unknown disorder {spec!r}; use constant[:VALUE], "
-                   f"uniform-signed or uniform:LOW:HIGH")
 
 
 def _build_parser():
@@ -129,16 +111,7 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    if args.family == "xy":
-        disorder = _parse_disorder(args.disorder)
-        stochastic = not (isinstance(disorder, tuple) and disorder[0] == "constant")
-        if stochastic and args.seed is None:
-            raise CliError("random disorder needs an explicit --seed")
-        inst = XYLattice(d=args.d, L=args.L, bc=args.bc, disorder=disorder,
-                         seed=0 if args.seed is None else args.seed,
-                         gauge_fixed=False if args.no_gauge_fix else None,
-                         label=args.label)
-    elif args.family == "nash":
+    if args.family == "nash":
         if args.preset == "matching-pennies":
             game = matching_pennies()
         elif args.preset == "prisoners-dilemma":
@@ -156,8 +129,14 @@ def _cmd_generate(args):
         puzzle, _ = generate_grid_puzzle(cols, rows, args.colors, args.seed)
         inst = PuzzleInstance(puzzle, label=args.label)
     else:
-        # phi4, thomson, lj and morse: every option is a constructor parameter
-        inst = serialize.FAMILIES[args.family].from_params(vars(args), args.label)
+        params = vars(args)
+        if args.family == "xy":
+            # the options that are not constructor parameters
+            params = dict(params, seed=args.seed or 0, couplings=None,
+                          gauge_fixed=False if args.no_gauge_fix else None)
+        inst = serialize.FAMILIES[args.family].from_params(params, args.label)
+        if args.family == "xy" and inst.disorder["kind"] != "constant" and args.seed is None:
+            raise CliError("random disorder needs an explicit --seed")
 
     serialize.save_instance(inst, args.out)
     print(f"family={inst.family} label={inst.label} n={inst.n}")

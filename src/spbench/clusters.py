@@ -17,35 +17,38 @@ import math
 
 import numpy as np
 
-from .core import EvaluationError, ProblemInstance
+from .core import EvaluationError, ProblemInstance, _block_diagonal, _masked
 
 _COINCIDENCE_TOL = 1e-12
 
 
-def _pair_distances(pos, pairs, label=None):
-    """Separation vectors, the distance matrix with a unit diagonal, and the
-    lengths of the pairs ``pairs`` (upper-triangle indices).  With a label,
-    coincident particles raise EvaluationError."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    lengths = dist[pairs]
-    if label is not None and np.any(lengths < _COINCIDENCE_TOL):
-        raise EvaluationError(f"{label}: coincident particles (pair distance < {_COINCIDENCE_TOL})")
-    np.fill_diagonal(dist, 1.0)
-    return diff, dist, lengths
+def _pair_distances(pos, pairs):
+    """For an (m, N, 3) stack of positions: the separation vectors, the
+    distance matrices with a unit diagonal, the lengths of the pairs
+    ``pairs`` (upper-triangle indices) and the mask of rows with coincident
+    particles, whose distances are all 1 so that they stay finite."""
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=3))
+    lengths = dist[:, pairs[0], pairs[1]]
+    failed = np.any(lengths < _COINCIDENCE_TOL, axis=1)
+    own = np.arange(pos.shape[1])
+    dist[:, own, own] = 1.0
+    dist[failed] = 1.0
+    return diff, dist, lengths, failed
 
 
 def _cartesian_gradient(diff, dist, dvdr):
-    """Cartesian gradient (N, 3) of a sum of pair potentials v(r_ij), and the
-    matrix of v'(r_ij) / r_ij with a zero diagonal."""
+    """Cartesian gradients (m, N, 3) of a sum of pair potentials v(r_ij), and
+    the matrices of v'(r_ij) / r_ij with a zero diagonal."""
     radial = dvdr(dist) / dist
-    np.fill_diagonal(radial, 0.0)
-    return (radial[:, :, None] * diff).sum(axis=1), radial
+    own = np.arange(dist.shape[1])
+    radial[:, own, own] = 0.0
+    return (radial[..., None] * diff).sum(axis=2), radial
 
 
 def _cartesian_hessian(diff, dist, radial, d2vdr2):
-    """Cartesian Hessian (N, 3, N, 3) of a sum of pair potentials v(r_ij),
-    given the matrix of v'(r_ij) / r_ij from ``_cartesian_gradient``.
+    """Cartesian Hessians (m, 3N, 3N) of a sum of pair potentials v(r_ij),
+    given the matrices of v'(r_ij) / r_ij from ``_cartesian_gradient``.
 
     The block of pair i != j is -(v'' u u^T + (v'/r)(I - u u^T)), u the unit
     separation vector; each diagonal block is minus the sum of the other
@@ -53,30 +56,74 @@ def _cartesian_hessian(diff, dist, radial, d2vdr2):
     """
     # v'' u u^T + (v'/r)(I - u u^T) = ((v'' - v'/r) / r^2) d d^T + (v'/r) I
     along = (d2vdr2(dist) - radial) / (dist * dist)
-    np.fill_diagonal(along, 0.0)
-    hess = -np.einsum("ij,ijc,ijd->icjd", along, diff, diff)
-    hess -= radial[:, None, :, None] * np.eye(3)[None, :, None, :]
-    own = np.arange(len(dist))
-    hess[own, :, own, :] = -hess.sum(axis=2)
-    return hess
-
-
-def _block_diagonal(blocks):
-    """The (N a, N b) matrix with the (N, a, b) ``blocks`` on its diagonal."""
-    count, rows, cols = blocks.shape
-    out = np.zeros((count, rows, count, cols))
+    m, count = dist.shape[:2]
     own = np.arange(count)
-    out[own, :, own, :] = blocks
-    return out.reshape(count * rows, count * cols)
+    along[:, own, own] = 0.0
+    hess = -np.einsum("mij,mijc,mijd->micjd", along, diff, diff)
+    hess -= radial[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
+    hess[:, own, :, own, :] = -hess.sum(axis=3).swapaxes(0, 1)
+    return hess.reshape(m, 3 * count, 3 * count)
 
 
-def _checked_hessian(h, label):
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"{label}: non-finite Hessian entries")
-    return h
+class _Cluster(ProblemInstance):
+    """The kernels shared by the particle families.  Subclasses supply the
+    pair potential v(r) with its first two derivatives, ``_draw(rng)`` and
+    ``_chart(X)``, which returns what the chain rule needs and the positions
+    (m, N, 3) of every row.  The chain rule selects the ``_free`` Cartesian
+    coordinates unless ``_pull_gradient`` and ``_pull_hessian`` say more."""
+
+    _failure = (f"coincident particles (pair distance < {_COINCIDENCE_TOL}) "
+                f"or a non-finite value")
+
+    def positions(self, p):
+        return self._chart(self.check_point(p)[None])[1][0]
+
+    def energy(self, p):
+        _, _, lengths, failed = _pair_distances(self.positions(p)[None], self._pairs)
+        if failed[0]:
+            raise EvaluationError(f"{self.label}: {self._failure}")
+        # fsum rounds once, so copies of one configuration under rotation
+        # and permutation do not differ by the rounding of the summation
+        return math.fsum(self._pair_energy(lengths[0]))
+
+    def _cartesian(self, X, hessian):
+        """The chart and the positions of every row of ``X``, the Cartesian
+        gradients, the Cartesian Hessians if ``hessian``, and the mask of
+        rows with coincident particles."""
+        chart, pos = self._chart(self.check_points(X))
+        diff, dist, _, failed = _pair_distances(pos, self._pairs)
+        cart, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
+        kart = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2) if hessian else None
+        return chart, pos, cart, kart, failed
+
+    def _pull_gradient(self, chart, cart):
+        return cart
+
+    def _pull_hessian(self, chart, pos, cart, kart):
+        return kart
+
+    def residual_batch(self, X):
+        chart, _, cart, _, failed = self._cartesian(X, hessian=False)
+        g = self._pull_gradient(chart, cart)
+        return _masked(g.reshape(len(g), -1)[:, self._free], failed)
+
+    def residual_jacobian_batch(self, X):
+        *parts, failed = self._cartesian(X, hessian=True)
+        h = self._pull_hessian(*parts)[:, self._free[:, None], self._free]
+        return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
+
+    def sample_start(self, rng, min_separation=0.5, max_tries=10000):
+        """A start from ``_draw``, rejection-sampled so that every pair of
+        particles starts at least ``min_separation`` apart."""
+        for _ in range(max_tries):
+            p = self._draw(rng)
+            if np.min(_pair_distances(self.positions(p)[None], self._pairs)[2]) >= min_separation:
+                return p
+        raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
+                           f"found in {max_tries} tries")
 
 
-class ThomsonSphere(ProblemInstance):
+class ThomsonSphere(_Cluster):
     """Coulomb energy sum(1/r_ij) of N unit charges confined to the unit sphere.
 
     Charge 1 sits at (0, 0, 1).  Charge 2 has one polar angle (azimuth fixed
@@ -96,7 +143,10 @@ class ThomsonSphere(ProblemInstance):
         # the variables within (theta_1, phi_1, ..., theta_N, phi_N): all
         # but the pinned theta_1, phi_1 and phi_2
         self._free = np.r_[2, 4:2 * charges]
-        self._free_block = np.ix_(self._free, self._free)
+
+    @staticmethod
+    def _pair_energy(r):
+        return 1.0 / r
 
     @staticmethod
     def _pair_dvdr(r):
@@ -106,81 +156,60 @@ class ThomsonSphere(ProblemInstance):
     def _pair_d2vdr2(r):
         return 2.0 / r**3
 
-    def _chart(self, p):
+    def _chart(self, X):
         """Sin and cos of every charge's polar and azimuthal angle, each of
-        shape (N,), and the positions (N, 3)."""
-        p = self.check_point(p)
-        angles = np.zeros(2 * self.charges)
-        angles[self._free] = p
+        shape (m, N), and the positions (m, N, 3)."""
+        angles = np.zeros((len(X), 2 * self.charges))
+        angles[:, self._free] = X
         sin, cos = np.sin(angles), np.cos(angles)
-        st, sp, ct, cp = sin[0::2], sin[1::2], cos[0::2], cos[1::2]
-        return (st, ct, sp, cp), np.stack((st * cp, st * sp, ct), axis=1)
+        st, sp, ct, cp = sin[:, 0::2], sin[:, 1::2], cos[:, 0::2], cos[:, 1::2]
+        return (st, ct, sp, cp), np.stack((st * cp, st * sp, ct), axis=2)
 
     @staticmethod
     def _in_plane(cart, cp, sp):
         """Components of each charge's Cartesian gradient along
         (cos phi, sin phi, 0) and along (-sin phi, cos phi, 0)."""
-        x, y = cart[:, 0], cart[:, 1]
+        x, y = cart[..., 0], cart[..., 1]
         return x * cp + y * sp, y * cp - x * sp
 
-    def positions(self, p):
-        return self._chart(p)[1]
-
-    def energy(self, p):
-        _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
-        # fsum rounds once, so copies of one configuration under rotation
-        # and permutation do not differ by the rounding of the summation
-        return math.fsum(1.0 / lengths)
-
-    def gradient(self, p):
-        (st, ct, sp, cp), pos = self._chart(p)
-        diff, dist, _ = _pair_distances(pos, self._pairs, self.label)
-        cart, _ = _cartesian_gradient(diff, dist, self._pair_dvdr)
+    def _pull_gradient(self, chart, cart):
+        st, ct, sp, cp = chart
         along, across = self._in_plane(cart, cp, sp)
-        return np.stack((ct * along - st * cart[:, 2], st * across), axis=1).ravel()[self._free]
+        return np.stack((ct * along - st * cart[..., 2], st * across), axis=2)
 
-    def hessian(self, p):
+    def _pull_hessian(self, chart, pos, cart, kart):
         """J^T K J + sum_i g_i . d^2 pos_i, with K and g the Cartesian Hessian
         and gradient and J the Jacobian of the chart."""
-        (st, ct, sp, cp), pos = self._chart(p)
-        diff, dist, _ = _pair_distances(pos, self._pairs, self.label)
-        cart, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
-        kart = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2)
-        d_theta = np.stack((ct * cp, ct * sp, -st), axis=1)
-        d_phi = np.stack((-st * sp, st * cp, np.zeros_like(st)), axis=1)
-        jac = _block_diagonal(np.stack((d_theta, d_phi), axis=2))
+        st, ct, sp, cp = chart
+        d_theta = np.stack((ct * cp, ct * sp, -st), axis=2)
+        d_phi = np.stack((-st * sp, st * cp, np.zeros_like(st)), axis=2)
+        jac = _block_diagonal(np.stack((d_theta, d_phi), axis=3))
         # g_i . d^2 pos_i / d(theta, phi)^2, where d^2 pos / d theta^2 = -pos
         along, across = self._in_plane(cart, cp, sp)
-        curv = np.stack((-np.sum(cart * pos, axis=1), ct * across, ct * across, -st * along), axis=1)
-        size = 3 * self.charges
-        h = jac.T @ kart.reshape(size, size) @ jac + _block_diagonal(curv.reshape(-1, 2, 2))
-        return _checked_hessian(h[self._free_block], self.label)
+        curv = np.stack((-np.sum(cart * pos, axis=2), ct * across, ct * across, -st * along),
+                        axis=2)
+        return (jac.transpose(0, 2, 1) @ kart @ jac
+                + _block_diagonal(curv.reshape(len(curv), -1, 2, 2)))
 
     def params(self):
         return {"charges": self.charges}
 
-    def sample_start(self, rng, min_separation=0.5, max_tries=10000):
-        """Polar angles away from the poles, rejection-sampled so that every
-        pair of charges starts at least ``min_separation`` apart."""
-        for _ in range(max_tries):
-            p = np.empty(self.n)
-            p[0] = rng.uniform(0.1, math.pi - 0.1)
-            for i in range(2, self.charges):
-                p[1 + 2 * (i - 2)] = rng.uniform(0.1, math.pi - 0.1)
-                p[2 + 2 * (i - 2)] = np.pi - rng.uniform(0.0, 2.0 * np.pi)
-            if np.min(_pair_distances(self.positions(p), self._pairs)[2]) >= min_separation:
-                return p
-        raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
-                           f"found in {max_tries} tries")
+    def _draw(self, rng):
+        """Polar angles away from the poles."""
+        p = np.empty(self.n)
+        p[0] = rng.uniform(0.1, math.pi - 0.1)
+        for i in range(2, self.charges):
+            p[1 + 2 * (i - 2)] = rng.uniform(0.1, math.pi - 0.1)
+            p[2 + 2 * (i - 2)] = np.pi - rng.uniform(0.0, 2.0 * np.pi)
+        return p
 
 
-class _PairPotentialCluster(ProblemInstance):
-    """Shared embedding and chain rule for free clusters of N >= 2 atoms.
+class _PairPotentialCluster(_Cluster):
+    """Shared embedding for free clusters of N >= 2 atoms.
 
     Free coordinates: x of atom 2; x, y of atom 3; full triples afterwards.
     That removes six rigid-body freedoms for N >= 3 (n = 3N - 6) and five for
     the diatomic (n = 1, the signed separation along the x-axis).
-    Subclasses supply the pair potential v(r) and its first two derivatives.
     """
 
     def __init__(self, atoms, label):
@@ -194,46 +223,15 @@ class _PairPotentialCluster(ProblemInstance):
         # the free coordinates within the flattened (N, 3) positions; the
         # embedding is linear, so the chain rule is a selection by this index
         self._free = np.r_[3] if atoms == 2 else np.r_[3, 6, 7, 9:3 * atoms]
-        self._free_block = np.ix_(self._free, self._free)
 
-    def positions(self, p):
-        p = self.check_point(p)
-        pos = np.zeros(3 * self.atoms)
-        pos[self._free] = p
-        return pos.reshape(self.atoms, 3)
+    def _chart(self, X):
+        pos = np.zeros((len(X), 3 * self.atoms))
+        pos[:, self._free] = X
+        return None, pos.reshape(len(X), self.atoms, 3)
 
-    def _pair_energy(self, r):
-        raise NotImplementedError
-
-    def _pair_dvdr(self, r):
-        raise NotImplementedError
-
-    def _pair_d2vdr2(self, r):
-        raise NotImplementedError
-
-    def energy(self, p):
-        _, _, lengths = _pair_distances(self.positions(p), self._pairs, self.label)
-        return math.fsum(self._pair_energy(lengths))  # as ThomsonSphere.energy
-
-    def gradient(self, p):
-        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
-        return _cartesian_gradient(diff, dist, self._pair_dvdr)[0].ravel()[self._free]
-
-    def hessian(self, p):
-        diff, dist, _ = _pair_distances(self.positions(p), self._pairs, self.label)
-        _, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
-        h = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2)
-        h = h.reshape(3 * self.atoms, 3 * self.atoms)[self._free_block]
-        return _checked_hessian(h, self.label)
-
-    def sample_start(self, rng, min_separation=0.5, max_tries=10000):
+    def _draw(self, rng):
         half_width = 2.0 if self.atoms <= 4 else 1.2 * self.atoms ** (1.0 / 3.0) + 1.0
-        for _ in range(max_tries):
-            p = rng.uniform(-half_width, half_width, self.n)
-            if np.min(_pair_distances(self.positions(p), self._pairs)[2]) >= min_separation:
-                return p
-        raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
-                           f"found in {max_tries} tries")
+        return rng.uniform(-half_width, half_width, self.n)
 
 
 class LennardJonesCluster(_PairPotentialCluster):

@@ -1,17 +1,15 @@
 """Shared vocabulary for the benchmark: problem instances, stationary-point
 classification, finite-difference checks, and duplicate removal.
 
-Every problem family subclasses ProblemInstance.  Gradient families (the
-lattice and cluster models) expose the objective as ``energy`` and the system
-to solve is its gradient.  Root-finding families (game and puzzle systems)
-subclass RootSystem: they expose the polynomial system as ``residual`` and
-report the squared residual norm as their ``energy`` so that descent methods
-and classification have a scalar landscape to work with.  Its Hessian comes
-from one hook, ``jacobian_and_curvature``, which evaluates the system once.
-
-Every shipped family has a closed-form ``hessian``.  ``fd_hessian`` serves
-``ClassifyConfig(hessian_mode="finite-difference")`` and the ProblemInstance
-default for families that bring no Hessian of their own.
+Every problem family subclasses ProblemInstance and writes its residual and
+its Jacobian once, as kernels over an (m, n) stack of points; every other
+evaluation but ``energy`` derives from them, per point as the batch of one.
+Gradient families (the lattice and cluster models) expose the objective as
+``energy`` and the system to solve is its gradient.  Root-finding families
+(game and puzzle systems) subclass RootSystem: the residual is their
+polynomial system, and its squared norm is their ``energy`` so that descent
+methods and classification have a scalar landscape to work with.
+``fd_hessian`` serves ``ClassifyConfig(hessian_mode="finite-difference")``.
 """
 
 from __future__ import annotations
@@ -36,18 +34,18 @@ class EvaluationError(RuntimeError):
 class ProblemInstance:
     """Base class for a concrete problem with a fixed parameter set.
 
-    Subclasses set ``family`` and implement ``energy``, ``gradient``,
-    ``params`` and ``sample_start``.  ``hessian`` defaults to a central
-    finite difference of the analytic gradient; every shipped family
-    overrides it with a closed form.  ``residual``/``residual_jacobian``
-    default to the gradient/Hessian pair and are overridden by the
-    root-system families.  The solvers evaluate whole stacks of points
-    through ``residual_batch``/``residual_jacobian_batch``, which loop over
-    rows unless a family brings a vectorized kernel.
+    Subclasses set ``family`` and implement the kernels ``residual_batch``
+    and ``residual_jacobian_batch``, ``energy`` (per point, so that a family
+    may sum it exactly), ``params`` and ``sample_start``.  The per-point
+    ``residual`` and ``residual_jacobian`` are the batch of one and raise
+    EvaluationError where the kernel masks the row; for the gradient families
+    they are also the ``gradient`` and the ``hessian``.
     """
 
     family = "abstract"
     dedup_metric = EUCLIDEAN
+    # what makes a kernel mask a row, for the per-point error messages
+    _failure = "evaluation failed"
 
     def __init__(self, n, label):
         self.n = int(n)
@@ -70,31 +68,39 @@ class ProblemInstance:
             )
         return X
 
+    def residual_batch(self, X):
+        """Residuals at the rows of the (m, n) array ``X``, stacked, and a
+        boolean mask of the rows that could not be evaluated.  A row's
+        values do not depend on the other rows."""
+        raise NotImplementedError
+
+    def residual_jacobian_batch(self, X):
+        """Residual Jacobians at the rows of ``X``, stacked, and the mask of
+        rows that could not be evaluated, as ``residual_batch``."""
+        raise NotImplementedError
+
+    def _at_point(self, kernel, p):
+        """The values of ``kernel`` at the single point ``p``, the batch of
+        one; EvaluationError if the kernel masks it."""
+        *values, failed = kernel(self.check_point(p)[None])
+        if failed[0]:
+            raise EvaluationError(f"{self.label}: {self._failure}")
+        return values[0][0] if len(values) == 1 else tuple(v[0] for v in values)
+
+    def residual(self, p):
+        return self._at_point(self.residual_batch, p)
+
+    def residual_jacobian(self, p):
+        return self._at_point(self.residual_jacobian_batch, p)
+
     def energy(self, p):
         raise NotImplementedError
 
     def gradient(self, p):
-        raise NotImplementedError
+        return self.residual(p)
 
     def hessian(self, p):
-        return fd_hessian(self, p)
-
-    def residual(self, p):
-        return self.gradient(p)
-
-    def residual_jacobian(self, p):
-        return self.hessian(p)
-
-    def residual_batch(self, X):
-        """Residuals at the rows of the (m, n) array ``X``, stacked, and a
-        boolean mask of the rows whose evaluation raised EvaluationError
-        (their values are nan).  The default evaluates row by row."""
-        return _row_loop(self.residual, self.check_points(X), (1,))
-
-    def residual_jacobian_batch(self, X):
-        """Residual Jacobians at the rows of ``X``, stacked, and the mask of
-        rows whose evaluation raised EvaluationError, as ``residual_batch``."""
-        return _row_loop(self.residual_jacobian, self.check_points(X), (1, self.n))
+        return self.residual_jacobian(p)
 
     def params(self):
         """Serializable dict of the defining parameters."""
@@ -113,47 +119,23 @@ class ProblemInstance:
         raise NotImplementedError
 
 
-def _row_loop(fn, X, fallback):
-    """``fn`` at each row of ``X``, stacked, with the mask of rows where it
-    raised EvaluationError; those rows are nan.  When no row could be
-    evaluated the value shape is unknown, and each row is a nan block of
-    shape ``fallback``, whose size-1 axes broadcast against the real shape."""
-    values = []
-    failed = np.zeros(len(X), dtype=bool)
-    for i, x in enumerate(X):
-        try:
-            values.append(np.asarray(fn(x), dtype=float))
-        except EvaluationError:
-            values.append(None)
-            failed[i] = True
-    shape = next((v.shape for v in values if v is not None), fallback)
-    out = np.full((len(X),) + shape, np.nan)
-    for i, v in enumerate(values):
-        if v is not None:
-            out[i] = v
-    return out, failed
-
-
 class RootSystem(ProblemInstance):
     """A system f(x) = 0 seen through the landscape W = |f|^2.
 
-    Subclasses implement ``residual``, ``residual_jacobian`` and
-    ``jacobian_and_curvature``; the energy is f . f, the gradient 2 J^T f and
-    the Hessian 2 (J^T J + sum_k f_k grad^2 f_k), exact with no finite
-    difference and from one evaluation of the system.
+    Subclasses also implement ``_jacobian_and_curvature_batch``.  The energy
+    is f . f, the gradient 2 J^T f and the Hessian 2 (J^T J + sum_k f_k
+    grad^2 f_k), exact and from one evaluation of the system.
     """
 
-    def residual(self, p):
-        raise NotImplementedError
-
-    def residual_jacobian(self, p):
+    def _jacobian_and_curvature_batch(self, X):
+        """Per row of ``X``: the Jacobian, as ``residual_jacobian_batch``
+        gives it, and sum_k f_k grad^2 f_k, the residual's second
+        derivatives weighted by its own components; then the failed rows."""
         raise NotImplementedError
 
     def jacobian_and_curvature(self, p):
-        """The Jacobian J(p), equal to ``residual_jacobian(p)``, and
-        sum_k f_k(p) grad^2 f_k(p), the residual's second derivatives
-        weighted by its own components, from one evaluation."""
-        raise NotImplementedError
+        """The Jacobian J(p) and sum_k f_k(p) grad^2 f_k(p)."""
+        return self._at_point(self._jacobian_and_curvature_batch, p)
 
     def energy(self, p):
         f = self.residual(p)
@@ -169,6 +151,25 @@ class RootSystem(ProblemInstance):
         if not np.all(np.isfinite(h)):
             raise EvaluationError(f"{self.label}: non-finite Hessian")
         return h
+
+
+def _masked(values, failed):
+    """A kernel's return: ``values`` in C order, since the solvers' row-wise
+    products round differently on strided rows than on a lone point, with
+    the rows of ``failed`` set to nan; and ``failed``."""
+    values = np.ascontiguousarray(values)
+    values[failed] = np.nan
+    return values, failed
+
+
+def _block_diagonal(blocks):
+    """The (m, N a, N b) stack of matrices with the (m, N, a, b) ``blocks``
+    on their diagonals."""
+    m, count, rows, cols = blocks.shape
+    out = np.zeros((m, count, rows, count, cols))
+    own = np.arange(count)
+    out[:, own, :, own, :] = blocks.swapaxes(0, 1)
+    return out.reshape(m, count * rows, count * cols)
 
 
 def fd_gradient(instance, p, step=1e-5):
@@ -199,15 +200,24 @@ _RULES = {
     "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
     "in (0, 1)": lambda v: 0.0 < v < 1.0,
     ">= 1": lambda v: v >= 1.0,
+    "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
+                                     and not isinstance(v, bool) and v >= 0),
+    "None or finite (lo, hi) with lo < hi":
+        lambda v: v is None or (len(v) == 2 and -math.inf < v[0] < v[1] < math.inf),
 }
 
 
 def _require(cfg, **rules):
     """Raise ValueError unless every named field of ``cfg`` obeys its rule,
-    a key of ``_RULES``."""
+    a key of ``_RULES``; a value of the wrong type fails it."""
     for name, rule in rules.items():
-        if not _RULES[rule](getattr(cfg, name)):
-            raise ValueError(f"{name} must be {rule}, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        try:
+            ok = _RULES[rule](value)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -296,10 +306,12 @@ def classify(instance, p, cfg=None, provenance=None):
     index = int(np.sum(eigs < -tol))
     zero_eigs = int(np.sum(np.abs(eigs) <= tol))
     res = np.asarray(instance.residual(p), dtype=float)
+    # a root system's energy is f . f, so its residual serves for both
+    energy = float(res @ res) if isinstance(instance, RootSystem) else float(instance.energy(p))
     return StationaryPoint(
         instance_label=instance.label,
         point=np.array(p, dtype=float),
-        energy=float(instance.energy(p)),
+        energy=energy,
         residual_norm=float(np.linalg.norm(res)),
         index=index,
         zero_eigs=zero_eigs,

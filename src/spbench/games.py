@@ -8,8 +8,8 @@ not equilibria; ``is_equilibrium`` separates them by checking that no pure
 deviation pays more than pi_i and that no probability is negative.
 
 ``NashInstance`` is the one implementation of the system.  It contracts the
-payoff tensors once per point, into the pair matrices from which the
-responses, the Jacobian and the curvature all follow.  The functions on a
+payoff tensors once per stack of points, into the pair matrices from which
+the responses, the Jacobian and the curvature all follow.  The functions on a
 profile (``nash_residual``, ``nash_residual_jacobian``, ``is_equilibrium``)
 check it with ``NashGame.check_profile`` and call the instance.
 """
@@ -63,20 +63,26 @@ class NashGame:
     def expected_payoff(self, probs, player):
         """Payoff of ``player`` when everyone plays their mixed strategy."""
         probs = self.check_profile(probs)
-        return float(self._contract(self.payoffs[player], probs, ()))
+        return float(self._contract(self.payoffs[player], [p[None] for p in probs], ())[0])
 
     def pure_response_payoffs(self, probs, player):
         """Vector over ``player``'s pure strategies, each against the
         opponents' mixture."""
         probs = self.check_profile(probs)
-        return np.asarray(self._contract(self.payoffs[player], probs, (player,)), dtype=float)
+        return self._contract(self.payoffs[player], [p[None] for p in probs], (player,))[0]
 
     def _contract(self, t, vectors, keep):
         """Tensor ``t`` contracted on every axis not in ``keep`` with that
-        axis's entry of ``vectors``; the kept axes stay in ascending order."""
+        axis's vector, per row of the (m, d_axis) stacks ``vectors``, by one
+        stacked matrix-vector product per axis.  The result has a row axis
+        (of length 1 if nothing is contracted), then the kept axes in order."""
+        t = t[None]
         for axis in reversed(range(self.players)):
             if axis not in keep:
-                t = np.tensordot(t, vectors[axis], axes=([axis], [0]))
+                t = np.moveaxis(t, axis + 1, -1)
+                shape = t.shape[:-1]
+                t = t.reshape(shape[0], -1, t.shape[-1]) @ vectors[axis][:, :, None]
+                t = t.reshape((len(vectors[axis]),) + shape[1:])
         return t
 
 
@@ -110,12 +116,12 @@ def is_equilibrium(game, probs, pis, tol=1e-9):
     the decision was based on.
     """
     inst = NashInstance(game)
-    probs, pis, _, resp = inst._evaluate(_checked_point(game, probs, pis), every_pair=False)
+    probs, pis, _, resp = inst._evaluate(_checked_point(game, probs, pis)[None], every_pair=False)
     res = inst._residual(probs, pis, resp)
     report = {
         "residual_inf": float(np.max(np.abs(res))),
         "min_probability": float(min(np.min(p) for p in probs)),
-        "min_payoff_margin": float(min(pi - np.max(r) for pi, r in zip(pis, resp))),
+        "min_payoff_margin": float(min(pi - np.max(r) for pi, r in zip(pis[0], resp))),
     }
     flag = (report["residual_inf"] <= tol
             and report["min_probability"] >= -tol
@@ -130,7 +136,7 @@ class NashInstance(RootSystem):
     Variables: strategy blocks in player order followed by one payoff value
     per player.  The scalar landscape is the squared residual norm, so
     descent methods can run on it and classification sees roots as minima.
-    The only check is ``split``'s ``check_point``, which fixes every block.
+    The only check is ``check_points``, which fixes every block.
     """
 
     family = "nash"
@@ -153,13 +159,16 @@ class NashInstance(RootSystem):
         return np.concatenate([np.asarray(p, dtype=float) for p in probs]
                               + [np.asarray(pis, dtype=float)])
 
-    def _evaluate(self, x, every_pair=True):
-        """The profile of ``x``, the pair matrices pairs[i][m] (d_i x d_m:
-        player i's payoff tensor contracted with every strategy vector but
+    def _evaluate(self, X, every_pair=True):
+        """Per row of the stack ``X``: the strategies probs[i] (m x d_i), the
+        payoff variables (m x players), the pair matrices pairs[i][m] (d_i x
+        d_m: player i's payoff tensor contracted with every strategy but
         those of players i and m) and the responses resp[i] = pairs[i][m] @
-        p_m, m the first player other than i.  Without ``every_pair`` only the
-        pairs that the responses need are built."""
-        probs, pis = self.split(x)
+        p_m, m the first player other than i.  Without ``every_pair`` only
+        the pairs that the responses need are built."""
+        X = self.check_points(X)
+        probs = [X[:, b] for b in self._blocks]
+        pis = X[:, self._strat:]
         players = self.game.players
         first = [1 if i == 0 else 0 for i in range(players)]
         pairs = [[None] * players for _ in range(players)]
@@ -167,58 +176,62 @@ class NashInstance(RootSystem):
             for m in range(players) if every_pair else (first[i],):
                 if m != i:
                     t = self.game._contract(self.game.payoffs[i], probs, (i, m))
-                    pairs[i][m] = t if i < m else t.T
-        resp = [pairs[i][m] @ probs[m] for i, m in enumerate(first)]
+                    pairs[i][m] = t if i < m else t.swapaxes(1, 2)
+        resp = [(pairs[i][m] @ probs[m][:, :, None])[:, :, 0] for i, m in enumerate(first)]
         return probs, pis, pairs, resp
 
     def _residual(self, probs, pis, resp):
-        return np.concatenate([p * (pi - r) for p, pi, r in zip(probs, pis, resp)]
-                              + [np.array([p.sum() - 1.0 for p in probs])])
+        return np.concatenate([p * (pi[:, None] - r) for p, pi, r in zip(probs, pis.T, resp)]
+                              + [np.stack([p.sum(axis=1) - 1.0 for p in probs], axis=1)], axis=1)
 
     def _jacobian(self, probs, pis, pairs, resp):
-        jac = np.zeros((self.n, self.n))
+        jac = np.zeros((len(pis), self.n, self.n))
         for i, bi in enumerate(self._blocks):
-            jac[bi, bi] = np.diag(pis[i] - resp[i])
+            own = np.arange(bi.start, bi.stop)
+            jac[:, own, own] = pis[:, i, None] - resp[i]
             for m, bm in enumerate(self._blocks):
                 if m != i:
-                    jac[bi, bm] -= probs[i][:, None] * pairs[i][m]
-            jac[bi, self._strat + i] = probs[i]
-            jac[self._strat + i, bi] = 1.0
+                    jac[:, bi, bm] -= probs[i][:, :, None] * pairs[i][m]
+            jac[:, bi, self._strat + i] = probs[i]
+            jac[:, self._strat + i, bi] = 1.0
         return jac
 
     def _curvature(self, probs, pairs, weights):
-        """sum_k w_k grad^2 f_k over the residual rows.  Row (i, k) is
-        p_ik (pi_i - R_ik), R_ik multilinear in the others' strategies: its
-        second derivatives are 1 against pi_i, -P_im against player m != i,
-        -p_ik d^2 R_ik against two other players and zero elsewhere."""
-        w = [weights[b] for b in self._blocks]
+        """sum_k w_k grad^2 f_k over the residual rows, per row of the
+        weights.  Row (i, k) is p_ik (pi_i - R_ik), R_ik multilinear in the
+        others' strategies: its second derivatives are 1 against pi_i, -P_im
+        against player m != i, -p_ik d^2 R_ik against two other players and
+        zero elsewhere."""
+        w = [weights[:, b] for b in self._blocks]
         q = [wi * p for wi, p in zip(w, probs)]
         players = self.game.players
-        curv = np.zeros((self.n, self.n))
+        curv = np.zeros((len(weights), self.n, self.n))
         for i, bi in enumerate(self._blocks):
-            curv[bi, self._strat + i] = curv[self._strat + i, bi] = w[i]
+            curv[:, bi, self._strat + i] = curv[:, self._strat + i, bi] = w[i]
             for m in range(i + 1, players):
                 bm = self._blocks[m]
-                block = -(w[i][:, None] * pairs[i][m] + (w[m][:, None] * pairs[m][i]).T)
+                block = -(w[i][:, :, None] * pairs[i][m]
+                          + (w[m][:, :, None] * pairs[m][i]).swapaxes(1, 2))
                 for other in range(players):
                     if other not in (i, m):
                         vectors = probs[:other] + [q[other]] + probs[other + 1:]
                         block -= self.game._contract(self.game.payoffs[other], vectors, (i, m))
-                curv[bi, bm] = block
-                curv[bm, bi] = block.T
+                curv[:, bi, bm] = block
+                curv[:, bm, bi] = block.swapaxes(1, 2)
         return curv
 
-    def residual(self, x):
-        probs, pis, _, resp = self._evaluate(x, every_pair=False)
-        return self._residual(probs, pis, resp)
+    def residual_batch(self, X):
+        probs, pis, _, resp = self._evaluate(X, every_pair=False)
+        return self._residual(probs, pis, resp), np.zeros(len(pis), dtype=bool)
 
-    def residual_jacobian(self, x):
-        return self._jacobian(*self._evaluate(x))
+    def residual_jacobian_batch(self, X):
+        probs, pis, pairs, resp = self._evaluate(X)
+        return self._jacobian(probs, pis, pairs, resp), np.zeros(len(pis), dtype=bool)
 
-    def jacobian_and_curvature(self, x):
-        probs, pis, pairs, resp = self._evaluate(x)
-        f = self._residual(probs, pis, resp)
-        return self._jacobian(probs, pis, pairs, resp), self._curvature(probs, pairs, f)
+    def _jacobian_and_curvature_batch(self, X):
+        probs, pis, pairs, resp = self._evaluate(X)
+        curv = self._curvature(probs, pairs, self._residual(probs, pis, resp))
+        return self._jacobian(probs, pis, pairs, resp), curv, np.zeros(len(pis), dtype=bool)
 
     @classmethod
     def from_params(cls, params, label=None):

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     ANGULAR_MOD_2PI,
-    EvaluationError,
     ProblemInstance,
     Provenance,
     classify,
@@ -80,12 +79,6 @@ class Phi4Lattice(ProblemInstance):
         onsite = np.sum(self.lam / 24.0 * x**4 - 0.5 * self.mu2 * x**2)
         spring = 0.25 * self.J * np.sum((x[:, None] - x[self.neighbors]) ** 2)
         return float(onsite + spring)
-
-    def gradient(self, p):
-        return self.residual_batch(self.check_point(p)[None])[0][0]
-
-    def hessian(self, p):
-        return self.residual_jacobian_batch(self.check_point(p)[None])[0][0]
 
     def residual_batch(self, X):
         X = self.check_points(X)
@@ -150,36 +143,34 @@ def phi4_enumerate_decoupled(instance, cap=3**9):
     return dedup(points, tol=1e-6, metric=instance.dedup_metric)
 
 
-_DISORDER_KINDS = ("constant", "uniform-signed", "uniform")
+# each disorder kind and the names of its numbers
+_DISORDER_KINDS = {"constant": ("value",), "uniform-signed": (), "uniform": ("low", "high")}
 
 
 def _normalize_disorder(disorder):
+    """The coupling disorder as a dict {"kind": ..., and its numbers}.
+    Accepts that dict, a tuple (kind, *numbers), or the string grammar of
+    the command line: ``constant[:VALUE]``, ``uniform-signed`` or
+    ``uniform:LOW:HIGH``.  A constant's value defaults to 1."""
+    if isinstance(disorder, str):
+        disorder = disorder.split(":")
     if isinstance(disorder, dict):
-        d = dict(disorder)
-    elif isinstance(disorder, (tuple, list)):
-        kind = disorder[0]
-        if kind == "constant":
-            d = {"kind": "constant", "value": float(disorder[1])}
-        elif kind == "uniform-signed":
-            d = {"kind": "uniform-signed"}
-        elif kind == "uniform":
-            d = {"kind": "uniform", "low": float(disorder[1]), "high": float(disorder[2])}
-        else:
-            raise ValueError(f"unknown disorder kind {kind!r}")
-    elif isinstance(disorder, str):
-        d = {"kind": disorder}
+        kind = disorder.get("kind")
+        numbers = [disorder[k] for k in _DISORDER_KINDS.get(kind, ()) if k in disorder]
+    elif isinstance(disorder, (tuple, list)) and disorder:
+        kind, *numbers = disorder
     else:
         raise ValueError(f"cannot interpret disorder spec {disorder!r}")
-    kind = d.get("kind")
     if kind not in _DISORDER_KINDS:
-        raise ValueError(f"unknown disorder kind {kind!r}, expected one of {_DISORDER_KINDS}")
-    if kind == "constant":
-        d = {"kind": "constant", "value": float(d.get("value", 1.0))}
-    elif kind == "uniform":
-        d = {"kind": "uniform", "low": float(d["low"]), "high": float(d["high"])}
-    else:
-        d = {"kind": "uniform-signed"}
-    return d
+        raise ValueError(f"unknown disorder kind {kind!r}, expected one of "
+                         f"constant[:VALUE], uniform-signed or uniform:LOW:HIGH")
+    names = _DISORDER_KINDS[kind]
+    if kind == "constant" and not numbers:
+        numbers = [1.0]
+    if len(numbers) != len(names):
+        raise ValueError(f"{kind} disorder takes {' and '.join(names) or 'no numbers'}, "
+                         f"got {numbers}")
+    return {"kind": kind, **{name: float(v) for name, v in zip(names, numbers)}}
 
 
 def _disorder_tag(d):
@@ -282,12 +273,6 @@ class XYLattice(ProblemInstance):
         theta = self.full_angles(p)
         delta = theta[self.edge_a] - theta[self.edge_b]
         return float(np.sum(1.0 - self._j_eff * np.cos(delta)))
-
-    def gradient(self, p):
-        return self.residual_batch(self.check_point(p)[None])[0][0]
-
-    def hessian(self, p):
-        return self.residual_jacobian_batch(self.check_point(p)[None])[0][0]
 
     def _edge_deltas(self, X):
         """Angle differences across every edge, one row per point of X."""

@@ -14,7 +14,7 @@ The linear system is only necessary.  The exponential system separates
 translated fakes that the linear one accepts, because exp(k . u) responds
 multiplicatively to shifts.  ``verify_geometric`` is the ground-truth check
 that never consults either encoding.  ``PuzzleInstance`` stacks both and
-computes the exponentials once per residual, Jacobian or Hessian.
+computes the exponentials once per stack of points.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, RootSystem
+from .core import EvaluationError, RootSystem, _block_diagonal, _masked
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
@@ -303,6 +303,7 @@ class PuzzleInstance(RootSystem):
     derivative checks; desk-scale puzzles keep the exponents small)."""
 
     family = "puzzle"
+    _failure = "exponential overflow"
     _START_PAD = 1.0
 
     def __init__(self, puzzle, label=None):
@@ -320,49 +321,59 @@ class PuzzleInstance(RootSystem):
         # k k^T of every frequency, flattened to (frequencies x 4)
         self._freq_outer = (self._freqs[:, :, None] * self._freqs[:, None, :]).reshape(-1, 4)
 
-    def _exp_terms(self, x):
-        """exp(k . u), (edges x frequencies), and the edge positions u."""
-        pos = self.puzzle.positions(self.check_point(x).reshape(-1, 2))
+    def _exp_terms(self, X):
+        """Per row of the stack ``X``: exp(k . u), (edges x frequencies), the
+        edge positions u, and the mask of rows where an exponential
+        overflows, whose terms are zero so that their sums stay finite."""
+        X = self.check_points(X)
+        shifts = np.concatenate([np.zeros((len(X), 1, 2)), X.reshape(len(X), -1, 2)], axis=1)
+        pos = self.puzzle.offsets + shifts[:, self.puzzle.owner + 1]
         with np.errstate(over="ignore"):
             terms = np.exp(pos @ self._freqs.T)
-        if not np.all(np.isfinite(terms)):
-            raise EvaluationError("exponential term overflow")
-        return terms, pos
+        overflow = ~np.isfinite(terms).all(axis=(1, 2))
+        terms[overflow] = 0.0
+        return terms, pos, overflow
 
     def _residual(self, terms, pos):
+        """The stacked residuals, and the mask of rows whose sums overflow."""
         sign = self.puzzle.sign
         with np.errstate(over="ignore"):
-            out = np.concatenate([(sign @ pos).ravel(), (sign @ terms).ravel()])
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError("exponential sum overflow")
-        return out
+            out = np.concatenate([(sign @ pos).reshape(len(pos), -1),
+                                  (sign @ terms).reshape(len(pos), -1)], axis=1)
+        return out, ~np.isfinite(out).all(axis=1)
 
     def _per_piece(self, terms):
-        """sum_e s_ce exp(k . u_e) over each piece's edges, (classes, pieces, frequencies)."""
-        return (self._piece_sign @ terms).reshape(len(self.puzzle.classes), -1, len(self._freqs))
+        """sum_e s_ce exp(k . u_e) over each piece's edges, (m, classes,
+        pieces, frequencies)."""
+        return (self._piece_sign @ terms).reshape(len(terms), len(self.puzzle.classes), -1,
+                                                  len(self._freqs))
 
     def _jacobian(self, per_piece):
         # d/du_i sum_e s_e exp(k . u_e) = k * (sum over piece i's edges)
-        expo = per_piece.transpose(0, 2, 1)[..., None] * self._freqs[:, None, :]
-        return np.vstack([self._linear_jacobian, expo.reshape(-1, self.n)])
+        expo = per_piece.transpose(0, 1, 3, 2)[..., None] * self._freqs[:, None, :]
+        linear = np.broadcast_to(self._linear_jacobian, (len(expo),) + self._linear_jacobian.shape)
+        return np.concatenate([linear, expo.reshape(len(expo), -1, self.n)], axis=1)
 
-    def residual(self, x):
-        return self._residual(*self._exp_terms(x))
+    def residual_batch(self, X):
+        terms, pos, overflow = self._exp_terms(X)
+        out, failed = self._residual(terms, pos)
+        return _masked(out, overflow | failed)
 
-    def residual_jacobian(self, x):
-        return self._jacobian(self._per_piece(self._exp_terms(x)[0]))
+    def residual_jacobian_batch(self, X):
+        terms, _, overflow = self._exp_terms(X)
+        return _masked(self._jacobian(self._per_piece(terms)), overflow)
 
-    def jacobian_and_curvature(self, x):
+    def _jacobian_and_curvature_batch(self, X):
         # the linear rows are flat; exponential row (c, k) adds f_ck k k^T
         # times piece i's share of its sum to piece i's 2 x 2 diagonal block
-        terms, pos = self._exp_terms(x)
+        terms, pos, overflow = self._exp_terms(X)
+        f, failed = self._residual(terms, pos)
         per_piece = self._per_piece(terms)
-        classes, pieces, _ = per_piece.shape
-        weight = self._residual(terms, pos)[2 * classes:].reshape(classes, -1)
-        blocks = np.einsum("ck,cik->ik", weight, per_piece) @ self._freq_outer
-        curv = np.zeros((pieces, 2, pieces, 2))
-        curv[np.arange(pieces), :, np.arange(pieces), :] = blocks.reshape(pieces, 2, 2)
-        return self._jacobian(per_piece), curv.reshape(self.n, self.n)
+        m, classes, pieces, _ = per_piece.shape
+        weight = f[:, 2 * classes:].reshape(m, classes, -1)
+        blocks = np.einsum("mck,mcik->mik", weight, per_piece) @ self._freq_outer
+        curv = _block_diagonal(blocks.reshape(m, pieces, 2, 2))
+        return self._jacobian(per_piece), curv, overflow | failed
 
     @classmethod
     def from_params(cls, params, label=None):

@@ -22,11 +22,11 @@ Three methods share one outcome type:
   adaptive step length.
 
 Each method is written once, over an (m, n) stack of starts: it advances the
-starts still live together, through the families' ``residual_batch`` and
-``residual_jacobian_batch``, while every start keeps its own status, iteration
-count, step length and trace.  A row's arithmetic never depends on the other
-rows, so a start ends exactly where it would alone; the per-start functions
-are the batch of one.
+starts still live together, one call of a family's stacked kernel
+(``residual_batch``, ``residual_jacobian_batch``) per step, while every start
+keeps its own status, iteration count, step length and trace.  A row's
+arithmetic never depends on the other rows, so a start ends exactly where it
+would alone; the per-start functions are the batch of one.
 
 ``multistart`` runs any of them over seeded starts, classifies the converged
 points and deduplicates them.  Start vectors depend only on (seed, start_id),
@@ -98,7 +98,7 @@ class HomotopySchedule:
     def __post_init__(self):
         _require(self, dt_initial="finite and > 0", dt_min="finite and > 0",
                  dt_max="finite and > 0", grow="finite",
-                 corrector_iters="finite and >= 0", easy_iters="finite and >= 0")
+                 corrector_iters="a non-negative int", easy_iters="a non-negative int")
 
 
 _DEFAULT_MAX_ITERS = {"newton": 100, "gradsq": 5000, "homotopy": 2000}
@@ -124,10 +124,11 @@ class SolverConfig:
         if self.method not in _DEFAULT_MAX_ITERS:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
-        _require(self, starts="finite and >= 0", accept_tol="finite and >= 0",
-                 dedup_tol="finite and >= 0", cond_limit=">= 1")
+        _require(self, starts="a non-negative int", seed="a non-negative int",
+                 accept_tol="finite and >= 0", dedup_tol="finite and >= 0", cond_limit=">= 1",
+                 start_box="None or finite (lo, hi) with lo < hi")
         if self.max_iters is not None:
-            _require(self, max_iters="finite and >= 0")
+            _require(self, max_iters="a non-negative int")
 
 
 @dataclass

@@ -35,13 +35,13 @@ class Quadratic(ProblemInstance):
         p = self.check_point(p)
         return float(0.5 * p @ self.A @ p)
 
-    def gradient(self, p):
-        p = self.check_point(p)
-        return self.A @ p
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        return (self.A @ X[:, :, None])[:, :, 0], np.zeros(len(X), dtype=bool)
 
-    def hessian(self, p):
-        self.check_point(p)
-        return self.A.copy()
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        return np.repeat(self.A[None], len(X), axis=0), np.zeros(len(X), dtype=bool)
 
 
 def test_check_point_rejects_wrong_shape():

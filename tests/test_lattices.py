@@ -203,6 +203,25 @@ def test_xy_disorder_seeded_and_reproducible():
     assert np.all(u.couplings >= 0.25) and np.all(u.couplings <= 0.75)
 
 
+def test_xy_disorder_grammar():
+    # the command line's strings, tuples and dicts name the same disorder
+    for spec, expect in (("constant", {"kind": "constant", "value": 1.0}),
+                         ("constant:2.5", {"kind": "constant", "value": 2.5}),
+                         (("constant", 2.5), {"kind": "constant", "value": 2.5}),
+                         ("uniform-signed", {"kind": "uniform-signed"}),
+                         ("uniform:0.25:0.75", {"kind": "uniform", "low": 0.25, "high": 0.75}),
+                         ({"kind": "uniform", "low": 0.25, "high": 0.75},
+                          {"kind": "uniform", "low": 0.25, "high": 0.75})):
+        assert XYLattice(2, 3, disorder=spec, seed=5).disorder == expect
+    assert np.array_equal(XYLattice(2, 3, disorder="uniform:0.25:0.75", seed=5).couplings,
+                          XYLattice(2, 3, disorder=("uniform", 0.25, 0.75), seed=5).couplings)
+    for bad in ("uniform", {"kind": "uniform"}, {"kind": "uniform", "low": 0.0}, "uniform:1",
+                "uniform-signed:3", "constant:abc", "constant:1:2", "foo", {"value": 1.0}, (),
+                3.0):
+        with pytest.raises(ValueError):
+            XYLattice(1, 4, disorder=bad)
+
+
 def test_xy_explicit_couplings_round_trip():
     base = XYLattice(2, 3, disorder="uniform-signed", seed=1)
     clone = XYLattice(2, 3, disorder="uniform-signed", seed=1,

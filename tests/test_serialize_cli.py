@@ -91,6 +91,12 @@ def test_instance_file_schema_checks(tmp_path):
     path.write_text(json.dumps(d))
     with pytest.raises(KeyError):
         serialize.load_instance(path)
+    # an incomplete disorder is a ValueError
+    d = serialize.instance_to_dict(XYLattice(2, 3, disorder="uniform-signed", seed=1))
+    d["params"]["disorder"] = {"kind": "uniform"}
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="low and high"):
+        serialize.load_instance(path)
     # a game's counts and players must match its payoff tensors
     for key, value, match in (("strategy_counts", [2, 3], "strategy_counts"),
                               ("players", 3, "player count")):
@@ -118,9 +124,12 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path):
     cfg = SolverConfig(method="newton", seed=0)
     path = tmp_path / "res.json"
     serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
-    for part, name, bad in (("damping", "backtrack", 1.0), ("homotopy", "dt_min", 0.0)):
+    for part, name, bad in (("damping", "backtrack", 1.0), ("homotopy", "dt_min", 0.0),
+                            ("homotopy", "corrector_iters", 1.5), (None, "starts", 2.5),
+                            (None, "max_iters", 2.5), (None, "seed", -1),
+                            (None, "start_box", [2.0, -2.0]), (None, "start_box", [1.0])):
         raw = json.loads(path.read_text())
-        raw["config"][part][name] = bad
+        (raw["config"][part] if part else raw["config"])[name] = bad
         bad_path = tmp_path / f"bad-{name}.json"
         bad_path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=name):

@@ -25,6 +25,10 @@ from spbench.solvers import (
 )
 
 
+def _none_failed(X):
+    return np.zeros(len(X), dtype=bool)
+
+
 class Cubic(ProblemInstance):
     """V(x) = sum(x^4/4 - x^2/2): roots of the gradient at 0 and +-1."""
 
@@ -37,13 +41,16 @@ class Cubic(ProblemInstance):
         p = self.check_point(p)
         return float(np.sum(p**4 / 4 - p**2 / 2))
 
-    def gradient(self, p):
-        p = self.check_point(p)
-        return p**3 - p
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        return X**3 - X, _none_failed(X)
 
-    def hessian(self, p):
-        p = self.check_point(p)
-        return np.diag(3 * p**2 - 1)
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        jac = np.zeros((len(X), self.n, self.n))
+        own = np.arange(self.n)
+        jac[:, own, own] = 3 * X**2 - 1
+        return jac, _none_failed(X)
 
     def sample_start(self, rng):
         return rng.uniform(-2, 2, self.n)
@@ -57,13 +64,13 @@ class NoRoot(ProblemInstance):
     def __init__(self):
         super().__init__(1, "no-root")
 
-    def residual(self, p):
-        p = self.check_point(p)
-        return np.array([p[0] ** 2 + 1.0])
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        return X**2 + 1.0, _none_failed(X)
 
-    def residual_jacobian(self, p):
-        p = self.check_point(p)
-        return np.array([[2.0 * p[0]]])
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        return (2.0 * X)[:, :, None], _none_failed(X)
 
     def energy(self, p):
         f = self.residual(p)
@@ -87,17 +94,13 @@ class Hole(ProblemInstance):
             raise EvaluationError("inside the hole")
         return float((p[0] ** 2 - 1) ** 2)
 
-    def gradient(self, p):
-        p = self.check_point(p)
-        if abs(p[0]) < 0.5:
-            raise EvaluationError("inside the hole")
-        return np.array([4 * p[0] * (p[0] ** 2 - 1)])
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        return 4 * X * (X**2 - 1), np.abs(X[:, 0]) < 0.5
 
-    def hessian(self, p):
-        p = self.check_point(p)
-        if abs(p[0]) < 0.5:
-            raise EvaluationError("inside the hole")
-        return np.array([[12 * p[0] ** 2 - 4]])
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        return (12 * X**2 - 4)[:, :, None], np.abs(X[:, 0]) < 0.5
 
 
 def test_newton_converges_quadratically_to_nearby_root():
@@ -292,6 +295,15 @@ def test_config_validation():
         SolverConfig(starts=-5)
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=-1)
+    for name in ("starts", "max_iters", "seed"):
+        for bad in (2.5, -1, True, "3"):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: bad})
+    for bad in ((2.0, -2.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0,), 3.0,
+                ("a", "b")):
+        with pytest.raises(ValueError, match="start_box"):
+            SolverConfig(start_box=bad)
+    SolverConfig(starts=0, max_iters=0, seed=np.int64(3), start_box=(-1.0, 2))
     for name in ("accept_tol", "dedup_tol"):
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
@@ -325,8 +337,9 @@ def test_damping_and_schedule_validation():
     with pytest.raises(ValueError, match="grow"):
         HomotopySchedule(grow=math.nan)
     for name in ("corrector_iters", "easy_iters"):
-        with pytest.raises(ValueError, match=name):
-            HomotopySchedule(**{name: -1})
+        for bad in (-1, 1.5, False):
+            with pytest.raises(ValueError, match=name):
+                HomotopySchedule(**{name: bad})
     Damping(backtrack=0.99, min_step=1e-300)
     HomotopySchedule(corrector_iters=0, easy_iters=0)
 
@@ -505,10 +518,11 @@ def test_eval_error_ends_only_its_start(method):
 
 
 class NanJacobian(Cubic):
-    """The Cubic residual with a Jacobian that is nan but does not raise."""
+    """The Cubic residual with a Jacobian that is nan but not masked."""
 
-    def hessian(self, p):
-        return np.full((self.n, self.n), np.nan)
+    def residual_jacobian_batch(self, X):
+        X = self.check_points(X)
+        return np.full((len(X), self.n, self.n), np.nan), _none_failed(X)
 
 
 @pytest.mark.parametrize("method", ["newton", "homotopy"])
