@@ -105,7 +105,7 @@ class _Cluster(ProblemInstance):
     def residual_batch(self, X):
         chart, _, cart, _, failed = self._cartesian(X, hessian=False)
         g = self._pull_gradient(chart, cart)
-        return _masked(g.reshape(len(g), -1)[:, self._free], failed)
+        return _masked(g.reshape(len(g), math.prod(g.shape[1:]))[:, self._free], failed)
 
     def residual_jacobian_batch(self, X):
         *parts, failed = self._cartesian(X, hessian=True)
@@ -189,7 +189,7 @@ class ThomsonSphere(_Cluster):
         curv = np.stack((-np.sum(cart * pos, axis=2), ct * across, ct * across, -st * along),
                         axis=2)
         return (jac.transpose(0, 2, 1) @ kart @ jac
-                + _block_diagonal(curv.reshape(len(curv), -1, 2, 2)))
+                + _block_diagonal(curv.reshape(len(curv), self.charges, 2, 2)))
 
     def params(self):
         return {"charges": self.charges}

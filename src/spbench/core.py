@@ -71,7 +71,8 @@ class ProblemInstance:
     def residual_batch(self, X):
         """Residuals at the rows of the (m, n) array ``X``, stacked, and a
         boolean mask of the rows that could not be evaluated.  A row's
-        values do not depend on the other rows."""
+        values do not depend on the other rows, and a stack of no rows
+        gives values and a mask of no rows."""
         raise NotImplementedError
 
     def residual_jacobian_batch(self, X):
@@ -101,6 +102,10 @@ class ProblemInstance:
 
     def hessian(self, p):
         return self.residual_jacobian(p)
+
+    def _energy_of_residual(self, res):
+        """The energy from the residual ``res``, or None if it is no function of it."""
+        return None
 
     def params(self):
         """Serializable dict of the defining parameters."""
@@ -138,8 +143,10 @@ class RootSystem(ProblemInstance):
         return self._at_point(self._jacobian_and_curvature_batch, p)
 
     def energy(self, p):
-        f = self.residual(p)
-        return float(f @ f)
+        return self._energy_of_residual(self.residual(p))
+
+    def _energy_of_residual(self, res):
+        return float(res @ res)
 
     def gradient(self, p):
         return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
@@ -306,8 +313,9 @@ def classify(instance, p, cfg=None, provenance=None):
     index = int(np.sum(eigs < -tol))
     zero_eigs = int(np.sum(np.abs(eigs) <= tol))
     res = np.asarray(instance.residual(p), dtype=float)
-    # a root system's energy is f . f, so its residual serves for both
-    energy = float(res @ res) if isinstance(instance, RootSystem) else float(instance.energy(p))
+    energy = instance._energy_of_residual(res)
+    if energy is None:
+        energy = float(instance.energy(p))
     return StationaryPoint(
         instance_label=instance.label,
         point=np.array(p, dtype=float),

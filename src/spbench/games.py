@@ -16,6 +16,8 @@ check it with ``NashGame.check_profile`` and call the instance.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import RootSystem
@@ -81,7 +83,8 @@ class NashGame:
             if axis not in keep:
                 t = np.moveaxis(t, axis + 1, -1)
                 shape = t.shape[:-1]
-                t = t.reshape(shape[0], -1, t.shape[-1]) @ vectors[axis][:, :, None]
+                t = t.reshape(shape[0], math.prod(shape[1:]), t.shape[-1])
+                t = t @ vectors[axis][:, :, None]
                 t = t.reshape((len(vectors[axis]),) + shape[1:])
         return t
 

@@ -171,19 +171,18 @@ class Puzzle:
     def n_pieces(self):
         return len(self.pieces)
 
-    def check_placement(self, placement):
+    def positions(self, placement):
+        """Absolute position of every edge, (edges x 2), in ``edges`` order,
+        for a placement (pieces x 2) or, with its leading axis, an (m,
+        pieces, 2) stack of them.  The frame stays at translation zero."""
         placement = np.asarray(placement, dtype=float)
         want = (len(self.pieces), 2)
-        if placement.shape != want:
-            raise ValueError(f"placement must have shape {want}, got {placement.shape}")
-        return placement
-
-    def positions(self, placement):
-        """Absolute position of every edge, (edges x 2), in ``edges`` order.
-        The frame stays at translation zero."""
-        placement = self.check_placement(placement)
-        shifts = np.vstack([np.zeros((1, 2)), placement])
-        return self.offsets + shifts[self.owner + 1]
+        if placement.shape[-2:] != want or placement.ndim > 3:
+            raise ValueError(f"placement must have shape {want} or (m, *{want}), "
+                             f"got {placement.shape}")
+        frame = np.zeros(placement.shape[:-2] + (1, 2))
+        shifts = np.concatenate([frame, placement], axis=-2)
+        return self.offsets + shifts[..., self.owner + 1, :]
 
     def placed_edges(self, placement):
         """All edges at absolute positions: (piece_index, edge, position).
@@ -217,28 +216,17 @@ def verify_geometric(puzzle, placement, tol=ANGLE_TOL):
     """Ground truth: every edge must coincide with exactly one partner edge
     of equal color and opposite direction, within tol in position."""
     placed = puzzle.placed_edges(placement)
-    n = len(placed)
-    if n % 2 != 0:
-        return False
     partners = []
-    for i in range(n):
-        _, ei, pi = placed[i]
-        cand = []
-        for j in range(n):
-            if j == i:
-                continue
-            _, ej, pj = placed[j]
-            if ej.color != ei.color:
-                continue
-            if abs(_circ_diff(ej.angle, ei.angle + math.pi)) > tol:
-                continue
-            if np.max(np.abs(pj - pi)) > tol:
-                continue
-            cand.append(j)
+    for i, (_, ei, pi) in enumerate(placed):
+        cand = [j for j, (_, ej, pj) in enumerate(placed)
+                if j != i and ej.color == ei.color
+                and abs(_circ_diff(ej.angle, ei.angle + math.pi)) <= tol
+                and np.max(np.abs(pj - pi)) <= tol]
         if len(cand) != 1:
             return False
         partners.append(cand[0])
-    return all(partners[partners[i]] == i for i in range(n))
+    # mutual partners pair the edges off, so their number is even
+    return all(partners[j] == i for i, j in enumerate(partners))
 
 
 def exp_coordinates(placement):
@@ -326,8 +314,7 @@ class PuzzleInstance(RootSystem):
         edge positions u, and the mask of rows where an exponential
         overflows, whose terms are zero so that their sums stay finite."""
         X = self.check_points(X)
-        shifts = np.concatenate([np.zeros((len(X), 1, 2)), X.reshape(len(X), -1, 2)], axis=1)
-        pos = self.puzzle.offsets + shifts[:, self.puzzle.owner + 1]
+        pos = self.puzzle.positions(X.reshape(len(X), self.n // 2, 2))
         with np.errstate(over="ignore"):
             terms = np.exp(pos @ self._freqs.T)
         overflow = ~np.isfinite(terms).all(axis=(1, 2))
@@ -336,23 +323,25 @@ class PuzzleInstance(RootSystem):
 
     def _residual(self, terms, pos):
         """The stacked residuals, and the mask of rows whose sums overflow."""
-        sign = self.puzzle.sign
+        sign, m = self.puzzle.sign, len(pos)
         with np.errstate(over="ignore"):
-            out = np.concatenate([(sign @ pos).reshape(len(pos), -1),
-                                  (sign @ terms).reshape(len(pos), -1)], axis=1)
+            out = np.concatenate([(sign @ pos).reshape(m, 2 * len(sign)),
+                                  (sign @ terms).reshape(m, len(sign) * len(self._freqs))],
+                                 axis=1)
         return out, ~np.isfinite(out).all(axis=1)
 
     def _per_piece(self, terms):
         """sum_e s_ce exp(k . u_e) over each piece's edges, (m, classes,
         pieces, frequencies)."""
-        return (self._piece_sign @ terms).reshape(len(terms), len(self.puzzle.classes), -1,
-                                                  len(self._freqs))
+        return (self._piece_sign @ terms).reshape(len(terms), len(self.puzzle.classes),
+                                                  self.n // 2, len(self._freqs))
 
     def _jacobian(self, per_piece):
         # d/du_i sum_e s_e exp(k . u_e) = k * (sum over piece i's edges)
         expo = per_piece.transpose(0, 1, 3, 2)[..., None] * self._freqs[:, None, :]
         linear = np.broadcast_to(self._linear_jacobian, (len(expo),) + self._linear_jacobian.shape)
-        return np.concatenate([linear, expo.reshape(len(expo), -1, self.n)], axis=1)
+        rows = expo.shape[1] * expo.shape[2]
+        return np.concatenate([linear, expo.reshape(len(expo), rows, self.n)], axis=1)
 
     def residual_batch(self, X):
         terms, pos, overflow = self._exp_terms(X)
@@ -370,7 +359,7 @@ class PuzzleInstance(RootSystem):
         f, failed = self._residual(terms, pos)
         per_piece = self._per_piece(terms)
         m, classes, pieces, _ = per_piece.shape
-        weight = f[:, 2 * classes:].reshape(m, classes, -1)
+        weight = f[:, 2 * classes:].reshape(m, classes, len(self._freqs))
         blocks = np.einsum("mck,mcik->mik", weight, per_piece) @ self._freq_outer
         curv = _block_diagonal(blocks.reshape(m, pieces, 2, 2))
         return self._jacobian(per_piece), curv, overflow | failed

@@ -202,22 +202,17 @@ def check_result(instance, loaded):
     tol = loaded["config"].accept_tol
     for i, sp in enumerate(loaded["solutions"].points):
         try:
-            f = np.asarray(instance.residual(sp.point), dtype=float)
-        except Exception as exc:
-            issues.append(f"point {i}: residual evaluation failed: {exc}")
+            fresh = classify(instance, sp.point)
+        except (EvaluationError, ValueError) as exc:
+            issues.append(f"point {i}: classification failed: {exc}")
             continue
-        norm = float(np.linalg.norm(f))
+        norm = fresh.residual_norm
         if norm > tol:
             issues.append(f"point {i}: residual norm {norm:.3e} exceeds "
                           f"tolerance {tol:.3e}")
         if abs(norm - sp.residual_norm) > tol * 10.0 + 1e-15:
             issues.append(f"point {i}: stored residual norm {sp.residual_norm:.3e} "
                           f"disagrees with recomputed {norm:.3e}")
-        try:
-            fresh = classify(instance, sp.point)
-        except EvaluationError as exc:
-            issues.append(f"point {i}: classification failed: {exc}")
-            continue
         for name in ("index", "singular", "zero_eigs"):
             stored, recomputed = getattr(sp, name), getattr(fresh, name)
             if stored != recomputed:

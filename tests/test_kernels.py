@@ -3,7 +3,8 @@
 Every per-point method is the batch of one, so each row of a stacked call
 must equal the per-point call bitwise whatever else shares the stack, and a
 row that cannot be evaluated is masked alone while the per-point call
-raises.
+raises.  Every family's kernels also take a stack of no rows, which the
+solvers pass once every start has stopped.
 """
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from spbench.core import EvaluationError, RootSystem, classify
 from spbench.games import NashGame, NashInstance
+from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
+from spbench.solvers import Damping, SolverConfig, Status, multistart
 
 
 def _nash(shape):
@@ -50,6 +53,13 @@ def test_stack_rows_equal_per_point_calls(name):
                 assert values.flags.c_contiguous
                 for i, row in enumerate(values):
                     assert _same(row, expected[lo + i]), (kernel, size, lo + i)
+        # the solvers hand a kernel an empty stack once every row has stopped
+        values, failed = getattr(inst, kernel)(X[:0])
+        assert values.shape == (0,) + expected[0].shape and failed.shape == (0,)
+    if isinstance(inst, RootSystem):
+        jac, curv, failed = inst._jacobian_and_curvature_batch(X[:0])
+        assert jac.shape == (0,) + per_point["residual_jacobian_batch"][0].shape
+        assert curv.shape == (0, inst.n, inst.n) and failed.shape == (0,)
 
 
 def _coincident(inst):
@@ -102,3 +112,29 @@ def test_classify_evaluates_a_root_system_twice(name):
     sp = classify(inst, x)
     assert sorted(calls) == ["_jacobian_and_curvature_batch", "residual_batch"]
     assert _same(sp.energy, energy) and _same(sp.residual_norm, norm)
+
+
+@pytest.mark.parametrize("make", [lambda: XYLattice(2, 3, disorder="uniform-signed", seed=1),
+                                  lambda: Phi4Lattice(3, J=0.5)], ids=["xy", "phi4"])
+def test_lattice_kernels_take_an_empty_stack(make):
+    inst = make()
+    for kernel in (inst.residual_batch, inst.residual_jacobian_batch):
+        values, failed = kernel(np.empty((0, inst.n)))
+        assert len(values) == 0 and failed.shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["thomson-4", "nash-2x3x2x2", "puzzle"])
+def test_gradsq_campaign_ends_on_an_empty_stack(name):
+    # from Newton's roots every row converges at iteration 0, and with a
+    # min_step above every rung every row stops in its first line search;
+    # either way gradsq's next round evaluates an empty stack
+    inst = FAMILIES[name]()
+    found = multistart(inst, SolverConfig(starts=8, seed=1)).solutions.points
+    roots = [sp.point for sp in found]
+    assert roots
+    res = multistart(inst, SolverConfig(method="gradsq"), starts=roots)
+    assert [(out.status, out.iterations) for out in res.outcomes] == \
+        [(Status.CONVERGED, 0)] * len(roots)
+    stuck = SolverConfig(method="gradsq", starts=4, seed=1, damping=Damping(min_step=0.9))
+    res = multistart(inst, stuck)
+    assert [(out.status, out.iterations) for out in res.outcomes] == [(Status.DIVERGED, 0)] * 4

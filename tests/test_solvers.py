@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spbench.clusters import LennardJonesCluster, ThomsonSphere
-from spbench.core import EvaluationError, ProblemInstance, classify
+from spbench.core import EvaluationError, ProblemInstance, RootSystem, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -56,7 +56,7 @@ class Cubic(ProblemInstance):
         return rng.uniform(-2, 2, self.n)
 
 
-class NoRoot(ProblemInstance):
+class NoRoot(RootSystem):
     """f(x) = x^2 + 1 never vanishes; W has a spurious minimum at 0."""
 
     family = "synthetic"
@@ -72,12 +72,10 @@ class NoRoot(ProblemInstance):
         X = self.check_points(X)
         return (2.0 * X)[:, :, None], _none_failed(X)
 
-    def energy(self, p):
-        f = self.residual(p)
-        return float(f @ f)
-
-    def gradient(self, p):
-        return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
+    def _jacobian_and_curvature_batch(self, X):
+        # f'' = 2, so f f'' = 2 (x^2 + 1)
+        jac, failed = self.residual_jacobian_batch(X)
+        return jac, (2.0 * (X**2 + 1.0))[:, :, None], failed
 
 
 class Hole(ProblemInstance):
