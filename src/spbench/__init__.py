@@ -12,6 +12,7 @@ from .core import (
     SolutionSet,
     StationaryPoint,
     classify,
+    classify_batch,
     dedup,
     fd_gradient,
     fd_hessian,

@@ -39,7 +39,7 @@ class ProblemInstance:
     may sum it exactly), ``params`` and ``sample_start``.  The per-point
     ``residual`` and ``residual_jacobian`` are the batch of one and raise
     EvaluationError where the kernel masks the row; for the gradient families
-    they are also the ``gradient`` and the ``hessian``.
+    they are also the ``gradient`` and, as ``hessian_batch``, the ``hessian``.
     """
 
     family = "abstract"
@@ -100,8 +100,12 @@ class ProblemInstance:
     def gradient(self, p):
         return self.residual(p)
 
+    def hessian_batch(self, X):
+        """Energy Hessians at the rows of ``X`` and the failed rows, as ``residual_batch``."""
+        return self.residual_jacobian_batch(X)
+
     def hessian(self, p):
-        return self.residual_jacobian(p)
+        return self._at_point(self.hessian_batch, p)
 
     def _energy_of_residual(self, res):
         """The energy from the residual ``res``, or None if it is no function of it."""
@@ -129,7 +133,7 @@ class RootSystem(ProblemInstance):
 
     Subclasses also implement ``_jacobian_and_curvature_batch``.  The energy
     is f . f, the gradient 2 J^T f and the Hessian 2 (J^T J + sum_k f_k
-    grad^2 f_k), exact and from one evaluation of the system.
+    grad^2 f_k), exact, from one evaluation and masked where not finite.
     """
 
     def _jacobian_and_curvature_batch(self, X):
@@ -137,10 +141,6 @@ class RootSystem(ProblemInstance):
         gives it, and sum_k f_k grad^2 f_k, the residual's second
         derivatives weighted by its own components; then the failed rows."""
         raise NotImplementedError
-
-    def jacobian_and_curvature(self, p):
-        """The Jacobian J(p) and sum_k f_k(p) grad^2 f_k(p)."""
-        return self._at_point(self._jacobian_and_curvature_batch, p)
 
     def energy(self, p):
         return self._energy_of_residual(self.residual(p))
@@ -151,13 +151,11 @@ class RootSystem(ProblemInstance):
     def gradient(self, p):
         return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
 
-    def hessian(self, p):
-        jac, curv = self.jacobian_and_curvature(p)
+    def hessian_batch(self, X):
+        jac, curv, failed = self._jacobian_and_curvature_batch(X)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = 2.0 * (jac.T @ jac + curv)
-        if not np.all(np.isfinite(h)):
-            raise EvaluationError(f"{self.label}: non-finite Hessian")
-        return h
+            h = 2.0 * (jac.swapaxes(1, 2) @ jac + curv)
+        return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
 
 
 def _masked(values, failed):
@@ -287,45 +285,69 @@ class SolutionSet:
         return dict(sorted(hist.items()))
 
 
-def classify(instance, p, cfg=None, provenance=None):
-    """Classify ``p`` as a stationary point of ``instance``.
+def _dots(a, b):
+    """Row-wise dot products a[i] @ b[i].  Stacked matmul rounds each row
+    exactly as the 1-d product does, which a sum over axis 1 would not."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    The Hessian is symmetrized as (H + H^T)/2 before the eigendecomposition,
-    the index is the count of eigenvalues below -tol, and the point is marked
-    singular when any eigenvalue magnitude falls within tol of zero, where
+
+def classify_batch(instance, P, cfg=None, provenances=None):
+    """Classify each row of the (m, n) stack ``P`` as a stationary point of
+    ``instance``, each as it would be alone: a StationaryPoint, or the
+    EvaluationError that stopped the row.  Each Hessian is symmetrized as
+    (H + H^T)/2; the index counts its eigenvalues below -tol, and the point is
+    singular when any eigenvalue lies within tol of zero, where
     tol = zero_tol * (1 + max |eigenvalue|).
     """
     cfg = cfg if cfg is not None else ClassifyConfig()
-    p = instance.check_point(p)
+    P = instance.check_points(P)
+    m, n = P.shape
+    errors = [None] * m
     if cfg.hessian_mode == "finite-difference":
-        h = fd_hessian(instance, p, cfg.fd_step)
+        H, failed = np.full((m, n, n), np.nan), np.zeros(m, dtype=bool)
+        for i, p in enumerate(P):
+            try:
+                H[i] = fd_hessian(instance, p, cfg.fd_step)
+            except EvaluationError as exc:
+                errors[i] = exc
     else:
-        h = np.asarray(instance.hessian(p), dtype=float)
-    if h.shape != (instance.n, instance.n):
-        raise ValueError(
-            f"{instance.label}: Hessian has shape {h.shape}, expected square of size {instance.n}"
-        )
-    if not np.all(np.isfinite(h)):
-        raise EvaluationError(f"{instance.label}: non-finite Hessian entries at classify point")
-    sym = 0.5 * (h + h.T)
-    eigs = np.linalg.eigvalsh(sym)
-    tol = cfg.zero_tol * (1.0 + float(np.max(np.abs(eigs))))
-    index = int(np.sum(eigs < -tol))
-    zero_eigs = int(np.sum(np.abs(eigs) <= tol))
-    res = np.asarray(instance.residual(p), dtype=float)
-    energy = instance._energy_of_residual(res)
-    if energy is None:
-        energy = float(instance.energy(p))
-    return StationaryPoint(
-        instance_label=instance.label,
-        point=np.array(p, dtype=float),
-        energy=energy,
-        residual_norm=float(np.linalg.norm(res)),
-        index=index,
-        zero_eigs=zero_eigs,
-        singular=zero_eigs > 0,
-        provenance=provenance if provenance is not None else Provenance(),
-    )
+        H, failed = instance.hessian_batch(P)
+        H = np.asarray(H, dtype=float)
+        if H.shape != (m, n, n):
+            raise ValueError(f"{instance.label}: Hessians have shape {H.shape}, "
+                             f"expected {(m, n, n)}")
+    res, res_failed = instance.residual_batch(P)
+    res = np.asarray(res, dtype=float)
+    bad = ~np.isfinite(H).all(axis=(1, 2))
+    for i in np.flatnonzero(failed | bad | res_failed):
+        why = "non-finite Hessian entries at classify point" if bad[i] and not failed[i] else None
+        errors[i] = errors[i] or EvaluationError(f"{instance.label}: {why or instance._failure}")
+    eigs = np.linalg.eigvalsh(np.where(bad[:, None, None], 0.0, 0.5 * (H + H.swapaxes(1, 2))))
+    tol = cfg.zero_tol * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
+    index, zero_eigs = (eigs < -tol).sum(axis=1), (np.abs(eigs) <= tol).sum(axis=1)
+    norms = np.sqrt(_dots(res, res))
+    out = []
+    for i, p in enumerate(P):
+        if not errors[i]:
+            energy = instance._energy_of_residual(res[i])
+            try:
+                energy = float(instance.energy(p)) if energy is None else energy
+            except EvaluationError as exc:
+                errors[i] = exc
+        out.append(errors[i] or StationaryPoint(
+            instance.label, p.copy(), energy=energy, residual_norm=float(norms[i]),
+            index=int(index[i]), zero_eigs=int(zero_eigs[i]), singular=bool(zero_eigs[i] > 0),
+            provenance=provenances[i] if provenances is not None else Provenance()))
+    return out
+
+
+def classify(instance, p, cfg=None, provenance=None):
+    """``classify_batch`` on the single point ``p``; raises its EvaluationError."""
+    (sp,) = classify_batch(instance, instance.check_point(p)[None], cfg,
+                           [provenance or Provenance()])
+    if isinstance(sp, EvaluationError):
+        raise sp
+    return sp
 
 
 def point_distance(a, b, metric=EUCLIDEAN):

@@ -150,6 +150,7 @@ class NashInstance(RootSystem):
         ends = np.cumsum(self.dims).tolist()
         self._blocks = [slice(e - d, e) for d, e in zip(self.dims, ends)]
         self._strat = ends[-1]
+        self._payoff_bounds = [(float(np.min(t)), float(np.max(t))) for t in game.payoffs]
         if label is None:
             label = "nash-" + "x".join(str(d) for d in self.dims)
         super().__init__(self._strat + game.players, label)
@@ -255,8 +256,7 @@ class NashInstance(RootSystem):
 
     def sample_start(self, rng):
         parts = [rng.dirichlet(np.ones(d)) for d in self.dims]
-        pis = np.array([rng.uniform(float(np.min(t)), float(np.max(t)))
-                        for t in self.game.payoffs])
+        pis = np.array([rng.uniform(lo, hi) for lo, hi in self._payoff_bounds])
         return self.pack(parts, pis)
 
 

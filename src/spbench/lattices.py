@@ -19,7 +19,7 @@ from .core import (
     ANGULAR_MOD_2PI,
     ProblemInstance,
     Provenance,
-    classify,
+    classify_batch,
     dedup,
 )
 
@@ -134,12 +134,9 @@ def phi4_enumerate_decoupled(instance, cap=3**9):
     total = 3**instance.n
     if total > cap:
         raise ValueError(f"enumeration of {total} points exceeds cap {cap}")
-    roots = instance.site_roots()
+    combos = np.array(list(itertools.product(instance.site_roots(), repeat=instance.n)))
     prov = Provenance(solver="enumeration", seed=0, start_id=0)
-    points = [
-        classify(instance, np.array(combo, dtype=float), provenance=prov)
-        for combo in itertools.product(roots, repeat=instance.n)
-    ]
+    points = classify_batch(instance, combos, provenances=[prov] * len(combos))
     return dedup(points, tol=1e-6, metric=instance.dedup_metric)
 
 

@@ -10,21 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import (EvaluationError, SolutionSet, stationary_point_from_dict,
-                   stationary_point_to_dict)
+from .core import SolutionSet, classify_batch, stationary_point_from_dict, stationary_point_to_dict
 from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
 
 SCHEMA_VERSION = 1
 
 
 def _fmt_float(v):
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite float {v!r}")
     s = format(float(v), ".17g")
     if "." not in s and "e" not in s and "n" not in s:
@@ -61,6 +61,10 @@ def _emit(obj, out, indent):
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        if all(isinstance(v, float) for v in seq):
+            sep = ",\n" + pad + "  "
+            out.append("[" + sep[1:] + sep.join(map(_fmt_float, seq)) + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):
@@ -193,18 +197,25 @@ def check_result(instance, loaded):
     """Recompute residual norms and classifications for a loaded result.
     Returns a list of mismatch descriptions; empty means the file checks out.
     """
-    from .core import classify
-
     issues = []
     if loaded["instance_label"] != instance.label:
         issues.append(f"instance label {loaded['instance_label']!r} does not match "
                       f"{instance.label!r}")
     tol = loaded["config"].accept_tol
-    for i, sp in enumerate(loaded["solutions"].points):
+    points = loaded["solutions"].points
+    classified = {}
+    for i, sp in enumerate(points):
         try:
-            fresh = classify(instance, sp.point)
-        except (EvaluationError, ValueError) as exc:
-            issues.append(f"point {i}: classification failed: {exc}")
+            instance.check_point(sp.point)
+        except ValueError as exc:
+            classified[i] = exc
+    fits = [i for i in range(len(points)) if i not in classified]
+    stack = np.array([points[i].point for i in fits]).reshape(len(fits), instance.n)
+    classified.update(zip(fits, classify_batch(instance, stack)))
+    for i, sp in enumerate(points):
+        fresh = classified[i]
+        if isinstance(fresh, Exception):
+            issues.append(f"point {i}: classification failed: {fresh}")
             continue
         norm = fresh.residual_norm
         if norm > tol:

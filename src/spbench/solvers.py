@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (EvaluationError, Provenance, SolutionSet, _require, classify, dedup)
+# classify stays importable from here, where bench/tracing.py wraps it
+from .core import (Provenance, SolutionSet, StationaryPoint, _dots, _require, classify,
+                   classify_batch, dedup)
 
 THREADS_ENV = "SPBENCH_THREADS"
 
@@ -148,12 +150,6 @@ def _resolved(cfg, method):
     if cfg.max_iters is None:
         cfg = dataclasses.replace(cfg, max_iters=_DEFAULT_MAX_ITERS[method])
     return cfg
-
-
-def _dots(a, b):
-    """Row-wise dot products a[i] @ b[i].  Stacked matmul rounds each row
-    exactly as the 1-d product does, which a sum over axis 1 would not."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _residuals(instance, X):
@@ -574,25 +570,17 @@ def multistart(instance, cfg=None, starts=None):
         outcomes += solver(instance, chunk, cfg)
     wall = time.perf_counter() - began
 
-    found = []
-    converged = diverged = spurious = eval_errors = 0
-    for i, out in enumerate(outcomes):
-        if out.status is Status.CONVERGED:
-            prov = Provenance(solver=cfg.method, seed=cfg.seed, start_id=i)
-            try:
-                found.append(classify(instance, out.point, provenance=prov))
-                converged += 1
-            except EvaluationError:
-                eval_errors += 1
-        elif out.status is Status.SPURIOUS_MINIMUM:
-            spurious += 1
-        elif out.status is Status.EVAL_ERROR:
-            eval_errors += 1
-        else:
-            diverged += 1
+    ends = [i for i, out in enumerate(outcomes) if out.status is Status.CONVERGED]
+    points = np.array([outcomes[i].point for i in ends]).reshape(len(ends), instance.n)
+    provenances = [Provenance(solver=cfg.method, seed=cfg.seed, start_id=i) for i in ends]
+    found = [sp for sp in classify_batch(instance, points, provenances=provenances)
+             if isinstance(sp, StationaryPoint)]
+    spurious = sum(out.status is Status.SPURIOUS_MINIMUM for out in outcomes)
+    failed = sum(out.status is Status.EVAL_ERROR for out in outcomes)
     solutions = dedup(found, tol=cfg.dedup_tol, metric=instance.dedup_metric)
-    stats = CampaignStats(starts=len(starts), converged=converged,
-                          diverged=diverged, spurious=spurious,
-                          eval_errors=eval_errors, wall_time=wall)
+    stats = CampaignStats(starts=len(starts), converged=len(found),
+                          diverged=len(outcomes) - len(ends) - spurious - failed,
+                          spurious=spurious, eval_errors=failed + len(ends) - len(found),
+                          wall_time=wall)
     return MultistartResult(solutions=solutions, stats=stats,
                             outcomes=outcomes, starts=starts)

@@ -57,9 +57,10 @@ def test_jacobian_and_curvature_returns_the_residual_jacobian():
     for k, inst in enumerate(instances):
         for i in range(10):
             x = inst.sample_start(np.random.default_rng((4300, k, i)))
-            jac, curv = inst.jacobian_and_curvature(x)
-            assert jac.tobytes() == inst.residual_jacobian(x).tobytes(), inst.label
-            assert curv.shape == (inst.n, inst.n)
+            jac, curv, failed = inst._jacobian_and_curvature_batch(x[None])
+            assert not failed[0]
+            assert jac[0].tobytes() == inst.residual_jacobian(x).tobytes(), inst.label
+            assert curv.shape == (1, inst.n, inst.n)
 
 
 def test_no_family_hessian_reaches_fd_hessian(monkeypatch):

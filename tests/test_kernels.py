@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
-from spbench.core import EvaluationError, RootSystem, classify
+from spbench import serialize
+from spbench.core import (ClassifyConfig, EvaluationError, Provenance, RootSystem,
+                          StationaryPoint, classify, classify_batch)
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
 from spbench.solvers import Damping, SolverConfig, Status, multistart
+from test_hessians import _acceptance_3_instances
 
 
 def _nash(shape):
@@ -138,3 +141,78 @@ def test_gradsq_campaign_ends_on_an_empty_stack(name):
     stuck = SolverConfig(method="gradsq", starts=4, seed=1, damping=Damping(min_step=0.9))
     res = multistart(inst, stuck)
     assert [(out.status, out.iterations) for out in res.outcomes] == [(Status.DIVERGED, 0)] * 4
+
+
+def _same_point(a, b):
+    return (_same(a.point, b.point) and _same(a.energy, b.energy)
+            and _same(a.residual_norm, b.residual_norm)
+            and (a.index, a.zero_eigs, a.singular, a.provenance)
+            == (b.index, b.zero_eigs, b.singular, b.provenance))
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+def test_classify_batch_rows_equal_per_point_classify(mode):
+    cfg = ClassifyConfig(hessian_mode=mode)
+    for k, inst in enumerate(_acceptance_3_instances()):
+        rng = np.random.default_rng((4400, k))
+        P = np.array([inst.sample_start(rng) for _ in range(5)])
+        provs = [Provenance(solver="newton", seed=k, start_id=i) for i in range(len(P))]
+        rows = classify_batch(inst, P, cfg, provs)
+        assert len(rows) == len(P)
+        for i, row in enumerate(rows):
+            assert isinstance(row, StationaryPoint), (inst.label, row)
+            assert _same_point(row, classify(inst, P[i], cfg, provs[i])), (inst.label, i)
+        assert classify_batch(inst, P[:0], cfg) == []
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
+def test_classify_batch_fails_a_masked_row_alone(mode):
+    cfg = ClassifyConfig(hessian_mode=mode)
+    inst = LennardJonesCluster(4)
+    rng = np.random.default_rng(6)
+    P = np.array([inst.sample_start(rng) for _ in range(4)])
+    P[1] = 0.0  # every atom on one spot
+    with np.errstate(all="ignore"):
+        rows = classify_batch(inst, P, cfg)
+        with pytest.raises(EvaluationError) as raised:
+            classify(inst, P[1], cfg)
+    assert isinstance(rows[1], EvaluationError)
+    assert str(rows[1]) == str(raised.value)
+    for i in (0, 2, 3):
+        assert _same_point(rows[i], classify(inst, P[i], cfg))
+
+
+class CountingPhi4(Phi4Lattice):
+    """Phi4 that logs every kernel call by name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def residual_batch(self, X):
+        self.calls.append("residual_batch")
+        return super().residual_batch(X)
+
+    def residual_jacobian_batch(self, X):
+        self.calls.append("residual_jacobian_batch")
+        return super().residual_jacobian_batch(X)
+
+    def hessian_batch(self, X):
+        self.calls.append("hessian_batch")
+        return super().hessian_batch(X)
+
+
+def test_a_campaign_classifies_and_verifies_in_one_stack(tmp_path):
+    inst = CountingPhi4(2)
+    cfg = SolverConfig(method="newton", seed=0)
+    res = multistart(inst, cfg, starts=inst.grid_starts())
+    assert len(res.solutions) == 81
+    # the solver never asks for a Hessian, so the classification starts at
+    # the first one; a gradient family's Hessian is its residual Jacobian
+    one_stack = ["hessian_batch", "residual_jacobian_batch", "residual_batch"]
+    assert inst.calls[inst.calls.index("hessian_batch"):] == one_stack
+    path = tmp_path / "res.json"
+    serialize.save_result(res, cfg, path)
+    inst.calls.clear()
+    assert serialize.check_result(inst, serialize.load_result(path)) == []
+    assert inst.calls == one_stack

@@ -186,9 +186,9 @@ class BreakableHessian(Phi4Lattice):
 
     broken = False
 
-    def hessian(self, p):
-        h = super().hessian(p)
-        return np.full_like(h, np.nan) if self.broken else h
+    def hessian_batch(self, X):
+        h, failed = super().hessian_batch(X)
+        return (np.full_like(h, np.nan) if self.broken else h), failed
 
 
 def test_check_result_reports_classify_failure(tmp_path):
@@ -203,6 +203,24 @@ def test_check_result_reports_classify_failure(tmp_path):
     assert all("classification failed" in s and "non-finite" in s for s in issues)
 
 
+def test_check_result_reports_a_wrong_length_point_and_checks_the_rest(tmp_path):
+    inst = Phi4Lattice(2)
+    cfg = SolverConfig(method="newton", seed=0)
+    res = multistart(inst, cfg, starts=inst.grid_starts()[:9])
+    path = tmp_path / "res.json"
+    serialize.save_result(res, cfg, path)
+    raw = json.loads(path.read_text())
+    points = raw["solutions"]["points"]
+    assert len(points) >= 4
+    points[1]["coords"].append(0.0)
+    points[3]["index"] += 1
+    path.write_text(json.dumps(raw))
+    issues = serialize.check_result(inst, serialize.load_result(path))
+    assert len(issues) == 2
+    assert issues[0].startswith("point 1: classification failed") and "shape" in issues[0]
+    assert issues[1].startswith("point 3: stored index=")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -213,8 +231,9 @@ def test_cli_verify_exits_3_when_classify_fails(tmp_path, capsys, monkeypatch):
     assert run_cli("generate", "phi4", "--N", "2", "-o", str(inst)) == 0
     assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
     capsys.readouterr()
-    monkeypatch.setattr(Phi4Lattice, "hessian",
-                        lambda self, p: np.full((self.n, self.n), np.nan))
+    monkeypatch.setattr(Phi4Lattice, "hessian_batch",
+                        lambda self, X: (np.full((len(X), self.n, self.n), np.nan),
+                                         np.zeros(len(X), dtype=bool)))
     assert run_cli("verify", str(inst), str(resf)) == 3
     assert "classification failed" in capsys.readouterr().err
 
