@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import serialize
-from .games import NashGame, NashInstance, matching_pennies, prisoners_dilemma
+from .games import NashInstance, matching_pennies, prisoners_dilemma
 from .lattices import phi4_bezout
 from .puzzles import PuzzleInstance, generate_grid_puzzle
 from .solvers import SolverConfig, multistart
@@ -112,15 +112,12 @@ def _build_parser():
 
 def _cmd_generate(args):
     if args.family == "nash":
-        if args.preset == "matching-pennies":
-            game = matching_pennies()
-        elif args.preset == "prisoners-dilemma":
-            game = prisoners_dilemma()
-        else:
+        if args.game is not None:
             with open(args.game) as fh:
-                spec = json.load(fh)
-            game = NashGame(spec["payoffs"])
-        inst = NashInstance(game, label=args.label)
+                inst = NashInstance.from_params(json.load(fh), args.label)
+        else:
+            game = matching_pennies() if args.preset == "matching-pennies" else prisoners_dilemma()
+            inst = NashInstance(game, label=args.label)
     elif args.family == "puzzle":
         try:
             cols, rows = (int(v) for v in args.grid.lower().split("x"))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import EvaluationError, ProblemInstance, _block_diagonal, _masked
+from .core import ProblemInstance, _block_diagonal, _masked
 
 _COINCIDENCE_TOL = 1e-12
 
@@ -78,13 +78,14 @@ class _Cluster(ProblemInstance):
     def positions(self, p):
         return self._chart(self.check_point(p)[None])[1][0]
 
-    def energy(self, p):
-        _, _, lengths, failed = _pair_distances(self.positions(p)[None], self._pairs)
-        if failed[0]:
-            raise EvaluationError(f"{self.label}: {self._failure}")
-        # fsum rounds once, so copies of one configuration under rotation
-        # and permutation do not differ by the rounding of the summation
-        return math.fsum(self._pair_energy(lengths[0]))
+    def energy_batch(self, X):
+        _, pos = self._chart(self.check_points(X))
+        _, dist, _, failed = _pair_distances(pos, self._pairs)
+        # the masked distances keep coincident rows finite; fsum rounds
+        # once, so copies of one configuration under rotation and
+        # permutation do not differ by the rounding of the summation
+        terms = self._pair_energy(dist[:, self._pairs[0], self._pairs[1]])
+        return _masked(np.array([math.fsum(row) for row in terms.tolist()]), failed)
 
     def _cartesian(self, X, hessian):
         """The chart and the positions of every row of ``X``, the Cartesian

@@ -1,14 +1,14 @@
 """Shared vocabulary for the benchmark: problem instances, stationary-point
 classification, finite-difference checks, and duplicate removal.
 
-Every problem family subclasses ProblemInstance and writes its residual and
-its Jacobian once, as kernels over an (m, n) stack of points; every other
-evaluation but ``energy`` derives from them, per point as the batch of one.
-Gradient families (the lattice and cluster models) expose the objective as
-``energy`` and the system to solve is its gradient.  Root-finding families
-(game and puzzle systems) subclass RootSystem: the residual is their
-polynomial system, and its squared norm is their ``energy`` so that descent
-methods and classification have a scalar landscape to work with.
+Every problem family subclasses ProblemInstance and writes its energy, its
+residual and its Jacobian once, as kernels over an (m, n) stack of points;
+every per-point evaluation is their batch of one.  Gradient families (the
+lattice and cluster models) expose the objective as ``energy`` and the
+system to solve is its gradient.  Root-finding families (game and puzzle
+systems) subclass RootSystem: the residual is their polynomial system, and
+its squared norm is their ``energy`` so that descent methods and
+classification have a scalar landscape to work with.
 ``fd_hessian`` serves ``ClassifyConfig(hessian_mode="finite-difference")``.
 """
 
@@ -34,12 +34,13 @@ class EvaluationError(RuntimeError):
 class ProblemInstance:
     """Base class for a concrete problem with a fixed parameter set.
 
-    Subclasses set ``family`` and implement the kernels ``residual_batch``
-    and ``residual_jacobian_batch``, ``energy`` (per point, so that a family
-    may sum it exactly), ``params`` and ``sample_start``.  The per-point
-    ``residual`` and ``residual_jacobian`` are the batch of one and raise
-    EvaluationError where the kernel masks the row; for the gradient families
-    they are also the ``gradient`` and, as ``hessian_batch``, the ``hessian``.
+    Subclasses set ``family`` and implement the kernels ``energy_batch``,
+    ``residual_batch`` and ``residual_jacobian_batch``, ``params`` and
+    ``sample_start``.  The per-point ``energy``, ``residual`` and
+    ``residual_jacobian`` are the batch of one and raise EvaluationError
+    where the kernel masks the row; for the gradient families the residual
+    is also the ``gradient`` and, as ``hessian_batch``, its Jacobian the
+    ``hessian``.
     """
 
     family = "abstract"
@@ -68,6 +69,10 @@ class ProblemInstance:
             )
         return X
 
+    def energy_batch(self, X):
+        """Energies at the rows of ``X`` and the failed rows, as ``residual_batch``."""
+        raise NotImplementedError
+
     def residual_batch(self, X):
         """Residuals at the rows of the (m, n) array ``X``, stacked, and a
         boolean mask of the rows that could not be evaluated.  A row's
@@ -95,7 +100,7 @@ class ProblemInstance:
         return self._at_point(self.residual_jacobian_batch, p)
 
     def energy(self, p):
-        raise NotImplementedError
+        return float(self._at_point(self.energy_batch, p))
 
     def gradient(self, p):
         return self.residual(p)
@@ -107,9 +112,10 @@ class ProblemInstance:
     def hessian(self, p):
         return self._at_point(self.hessian_batch, p)
 
-    def _energy_of_residual(self, res):
-        """The energy from the residual ``res``, or None if it is no function of it."""
-        return None
+    def _energies(self, X, res, failed):
+        """``energy_batch(X)``, given the residuals ``res`` and their failed
+        rows ``failed`` at the rows of ``X``, which a family may reuse."""
+        return self.energy_batch(X)
 
     def params(self):
         """Serializable dict of the defining parameters."""
@@ -142,11 +148,11 @@ class RootSystem(ProblemInstance):
         derivatives weighted by its own components; then the failed rows."""
         raise NotImplementedError
 
-    def energy(self, p):
-        return self._energy_of_residual(self.residual(p))
+    def energy_batch(self, X):
+        return self._energies(X, *self.residual_batch(X))
 
-    def _energy_of_residual(self, res):
-        return float(res @ res)
+    def _energies(self, X, res, failed):
+        return _dots(res, res), failed
 
     def gradient(self, p):
         return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
@@ -318,27 +324,20 @@ def classify_batch(instance, P, cfg=None, provenances=None):
                              f"expected {(m, n, n)}")
     res, res_failed = instance.residual_batch(P)
     res = np.asarray(res, dtype=float)
+    energies, energy_failed = instance._energies(P, res, res_failed)
     bad = ~np.isfinite(H).all(axis=(1, 2))
-    for i in np.flatnonzero(failed | bad | res_failed):
+    for i in np.flatnonzero(failed | bad | res_failed | energy_failed):
         why = "non-finite Hessian entries at classify point" if bad[i] and not failed[i] else None
         errors[i] = errors[i] or EvaluationError(f"{instance.label}: {why or instance._failure}")
     eigs = np.linalg.eigvalsh(np.where(bad[:, None, None], 0.0, 0.5 * (H + H.swapaxes(1, 2))))
     tol = cfg.zero_tol * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
     index, zero_eigs = (eigs < -tol).sum(axis=1), (np.abs(eigs) <= tol).sum(axis=1)
     norms = np.sqrt(_dots(res, res))
-    out = []
-    for i, p in enumerate(P):
-        if not errors[i]:
-            energy = instance._energy_of_residual(res[i])
-            try:
-                energy = float(instance.energy(p)) if energy is None else energy
-            except EvaluationError as exc:
-                errors[i] = exc
-        out.append(errors[i] or StationaryPoint(
-            instance.label, p.copy(), energy=energy, residual_norm=float(norms[i]),
-            index=int(index[i]), zero_eigs=int(zero_eigs[i]), singular=bool(zero_eigs[i] > 0),
-            provenance=provenances[i] if provenances is not None else Provenance()))
-    return out
+    return [errors[i] or StationaryPoint(
+        instance.label, p.copy(), energy=float(energies[i]), residual_norm=float(norms[i]),
+        index=int(index[i]), zero_eigs=int(zero_eigs[i]), singular=bool(zero_eigs[i] > 0),
+        provenance=provenances[i] if provenances is not None else Provenance())
+        for i, p in enumerate(P)]
 
 
 def classify(instance, p, cfg=None, provenance=None):

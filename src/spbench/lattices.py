@@ -74,11 +74,12 @@ class Phi4Lattice(ProblemInstance):
         right = np.roll(idx, -1, axis=1)
         return np.stack([up.ravel(), down.ravel(), left.ravel(), right.ravel()], axis=1)
 
-    def energy(self, p):
-        x = self.check_point(p)
-        onsite = np.sum(self.lam / 24.0 * x**4 - 0.5 * self.mu2 * x**2)
-        spring = 0.25 * self.J * np.sum((x[:, None] - x[self.neighbors]) ** 2)
-        return float(onsite + spring)
+    def energy_batch(self, X):
+        X = self.check_points(X)
+        onsite = np.sum(self.lam / 24.0 * X**4 - 0.5 * self.mu2 * X**2, axis=1)
+        springs = (X[:, :, None] - X[:, self.neighbors]) ** 2
+        spring = 0.25 * self.J * np.sum(springs.reshape(len(X), 4 * self.n), axis=1)
+        return onsite + spring, np.zeros(len(X), dtype=bool)
 
     def residual_batch(self, X):
         X = self.check_points(X)
@@ -257,29 +258,29 @@ class XYLattice(ProblemInstance):
             return rng.integers(0, 2, n_edges) * 2.0 - 1.0
         return rng.uniform(d["low"], d["high"], n_edges)
 
-    def full_angles(self, p):
-        p = self.check_point(p)
-        if self.gauge_fixed:
-            theta = np.empty(self.sites)
-            theta[0] = 0.0
-            theta[1:] = p
-            return theta
-        return p
+    def _full_angles_batch(self, X):
+        """Every site's angle, one row per point of X: site 0 pinned to zero
+        when the gauge is fixed."""
+        X = self.check_points(X)
+        if not self.gauge_fixed:
+            return X
+        theta = np.zeros((len(X), self.sites))
+        theta[:, 1:] = X
+        return theta
 
-    def energy(self, p):
-        theta = self.full_angles(p)
-        delta = theta[self.edge_a] - theta[self.edge_b]
-        return float(np.sum(1.0 - self._j_eff * np.cos(delta)))
+    def full_angles(self, p):
+        return self._full_angles_batch(self.check_point(p)[None])[0]
 
     def _edge_deltas(self, X):
         """Angle differences across every edge, one row per point of X."""
-        X = self.check_points(X)
-        if self.gauge_fixed:
-            theta = np.zeros((len(X), self.sites))
-            theta[:, 1:] = X
-        else:
-            theta = X
+        theta = self._full_angles_batch(X)
         return theta[:, self.edge_a] - theta[:, self.edge_b]
+
+    def energy_batch(self, X):
+        # the edge differences come back strided, and a sum along a strided
+        # row rounds differently from the sum over a lone point's edges
+        c = self._j_eff * np.cos(np.ascontiguousarray(self._edge_deltas(X)))
+        return np.sum(1.0 - c, axis=1), np.zeros(len(c), dtype=bool)
 
     # Both kernels scatter every row's edge terms into bins of their own by
     # offsetting the row's indices, so each bin sums the same terms in the

@@ -31,9 +31,9 @@ class Quadratic(ProblemInstance):
         self.A = np.diag(np.asarray(diag, dtype=float))
         super().__init__(len(diag), "quad-" + "/".join(str(v) for v in diag))
 
-    def energy(self, p):
-        p = self.check_point(p)
-        return float(0.5 * p @ self.A @ p)
+    def energy_batch(self, X):
+        X = self.check_points(X)
+        return 0.5 * (X[:, None, :] @ self.A @ X[:, :, None])[:, 0, 0], np.zeros(len(X), dtype=bool)
 
     def residual_batch(self, X):
         X = self.check_points(X)

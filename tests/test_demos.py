@@ -1,6 +1,8 @@
-"""The root-system demos run to the end against the library's current API.
+"""The demos run to the end against the library's current API.
 
-The cluster and XY demos are left out: they take several seconds each.
+The XY demo is left out: run as a script it takes about 2.6 s, against
+0.4 s for the φ⁴ census and 1.3 s for the cluster demo (2-core host,
+Python 3.11, numpy 2.4).
 """
 
 import runpy
@@ -16,5 +18,14 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
     ("nash_roots.py", "matching pennies ->"),
 ])
 def test_root_system_demo_runs(name, expected, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("phi4_census.py", "enumerated stationary points: 81"),
+    ("cluster_minima.py", "N=4  best energy 3.6742346142  (closed form 3.6742346142)"),
+])
+def test_census_and_cluster_demo_runs(name, expected, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expected in capsys.readouterr().out

@@ -1,11 +1,15 @@
 """The stacked kernels of the cluster and root-system families.
 
 Every per-point method is the batch of one, so each row of a stacked call
-must equal the per-point call bitwise whatever else shares the stack, and a
-row that cannot be evaluated is masked alone while the per-point call
-raises.  Every family's kernels also take a stack of no rows, which the
-solvers pass once every start has stopped.
+must equal the per-point call bitwise whatever else shares the stack.  Since
+``energy`` is the batch of one too, an energy row is held instead to
+``_reference_energy``, per-point arithmetic of its own.  A row that cannot
+be evaluated is masked alone while the per-point call raises.  Every
+family's kernels also take a stack of no rows, which the solvers pass once
+every start has stopped.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -41,12 +45,25 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _reference_energy(inst, x):
+    """A point's energy by per-point arithmetic: f . f of the residual as a
+    1-d product for a root system; for a cluster the fsum of the pair terms
+    at distances taken pair by pair."""
+    if isinstance(inst, RootSystem):
+        f = inst.residual(x)
+        return float(f @ f)
+    pos = inst.positions(x)
+    i, j = inst._pairs
+    return math.fsum(inst._pair_energy(np.sqrt(((pos[i] - pos[j]) ** 2).sum(axis=1))))
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_stack_rows_equal_per_point_calls(name):
     inst = FAMILIES[name]()
     rng = np.random.default_rng(3)
     X = np.array([inst.sample_start(rng) for _ in range(23)])
-    per_point = {"residual_batch": [inst.residual(x) for x in X],
+    per_point = {"energy_batch": [_reference_energy(inst, x) for x in X],
+                 "residual_batch": [inst.residual(x) for x in X],
                  "residual_jacobian_batch": [inst.residual_jacobian(x) for x in X]}
     for kernel, expected in per_point.items():
         for size in (1, 7, len(X)):
@@ -58,7 +75,7 @@ def test_stack_rows_equal_per_point_calls(name):
                     assert _same(row, expected[lo + i]), (kernel, size, lo + i)
         # the solvers hand a kernel an empty stack once every row has stopped
         values, failed = getattr(inst, kernel)(X[:0])
-        assert values.shape == (0,) + expected[0].shape and failed.shape == (0,)
+        assert values.shape == (0,) + np.shape(expected[0]) and failed.shape == (0,)
     if isinstance(inst, RootSystem):
         jac, curv, failed = inst._jacobian_and_curvature_batch(X[:0])
         assert jac.shape == (0,) + per_point["residual_jacobian_batch"][0].shape
@@ -87,7 +104,8 @@ def test_a_failing_row_is_masked_alone(name):
     rng = np.random.default_rng(4)
     X = np.array([inst.sample_start(rng) for _ in range(6)])
     X[2] = bad_point(inst)
-    for kernel, per_point in (("residual_batch", inst.residual),
+    for kernel, per_point in (("energy_batch", inst.energy),
+                              ("residual_batch", inst.residual),
                               ("residual_jacobian_batch", inst.residual_jacobian)):
         with np.errstate(all="ignore"):
             values, failed = getattr(inst, kernel)(X)
@@ -95,8 +113,12 @@ def test_a_failing_row_is_masked_alone(name):
         assert np.isnan(values[2]).all()
         for i in (0, 1, 3, 4, 5):
             assert _same(values[i], per_point(X[i]))
-        with np.errstate(all="ignore"), pytest.raises(EvaluationError):
+        with np.errstate(all="ignore"), pytest.raises(EvaluationError) as raised:
             per_point(X[2])
+        assert str(raised.value) == f"{inst.label}: {inst._failure}"
+    if not isinstance(inst, RootSystem):
+        # a coincident row's pair terms are never taken at zero distance
+        inst.energy_batch(X)
 
 
 @pytest.mark.parametrize("name", ["nash-2x2", "nash-3x3x3", "nash-2x3x2x2", "puzzle"])
@@ -201,6 +223,10 @@ class CountingPhi4(Phi4Lattice):
         self.calls.append("hessian_batch")
         return super().hessian_batch(X)
 
+    def energy_batch(self, X):
+        self.calls.append("energy_batch")
+        return super().energy_batch(X)
+
 
 def test_a_campaign_classifies_and_verifies_in_one_stack(tmp_path):
     inst = CountingPhi4(2)
@@ -209,7 +235,7 @@ def test_a_campaign_classifies_and_verifies_in_one_stack(tmp_path):
     assert len(res.solutions) == 81
     # the solver never asks for a Hessian, so the classification starts at
     # the first one; a gradient family's Hessian is its residual Jacobian
-    one_stack = ["hessian_batch", "residual_jacobian_batch", "residual_batch"]
+    one_stack = ["hessian_batch", "residual_jacobian_batch", "residual_batch", "energy_batch"]
     assert inst.calls[inst.calls.index("hessian_batch"):] == one_stack
     path = tmp_path / "res.json"
     serialize.save_result(res, cfg, path)

@@ -241,10 +241,12 @@ def test_xy_sample_start_range():
 
 
 def _xy_reference(inst, p):
-    """Single-point XY gradient and Hessian, each bin summed by its own
-    bincount over the edge list: the arithmetic the batch kernels keep."""
-    theta = inst.full_angles(p)
+    """Single-point XY energy, gradient and Hessian: the energy summed over
+    the edges of one point, each gradient and Hessian bin summed by its own
+    bincount over the edge list; the arithmetic the batch kernels keep."""
+    theta = np.concatenate(([0.0], p)) if inst.gauge_fixed else np.asarray(p, dtype=float)
     delta = theta[inst.edge_a] - theta[inst.edge_b]
+    energy = float(np.sum(1.0 - inst._j_eff * np.cos(delta)))
     s = inst._j_eff * np.sin(delta)
     g = (np.bincount(inst.edge_a, weights=s, minlength=inst.sites)
          - np.bincount(inst.edge_b, weights=s, minlength=inst.sites))
@@ -254,8 +256,8 @@ def _xy_reference(inst, p):
                        weights=np.concatenate((c, c, -c, -c)), minlength=m * m)
     h = flat.reshape(m, m)
     if inst.gauge_fixed:
-        return g[1:], h[1:, 1:]
-    return g, h
+        return theta, energy, g[1:], h[1:, 1:]
+    return theta, energy, g, h
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (1, 2), (2, 3), (3, 2)])
@@ -264,11 +266,15 @@ def _xy_reference(inst, p):
 def test_xy_batch_kernels_match_single_points(d, L, bc, gauge):
     inst = XYLattice(d, L, bc=bc, disorder="uniform-signed", seed=3, gauge_fixed=gauge)
     X = np.random.default_rng(d * 10 + L).uniform(-4.0, 4.0, (9, inst.n))
+    e, e_failed = inst.energy_batch(X)
     g, g_failed = inst.residual_batch(X)
     h, h_failed = inst.residual_jacobian_batch(X)
-    assert not g_failed.any() and not h_failed.any()
+    assert not e_failed.any() and not g_failed.any() and not h_failed.any()
     for i, x in enumerate(X):
-        g_ref, h_ref = _xy_reference(inst, x)
+        theta_ref, e_ref, g_ref, h_ref = _xy_reference(inst, x)
+        assert np.array_equal(inst.full_angles(x), theta_ref)
+        assert e[i].tobytes() == np.float64(e_ref).tobytes(), i
+        assert inst.energy(x) == e_ref
         assert np.array_equal(g[i], g_ref)
         assert np.array_equal(h[i], h_ref)
         assert np.array_equal(inst.gradient(x), g_ref)
@@ -276,26 +282,32 @@ def test_xy_batch_kernels_match_single_points(d, L, bc, gauge):
 
 
 def _phi4_reference(inst, p):
-    """Single-point phi4 gradient and Hessian, the springs added one
-    neighbor slot at a time."""
+    """Single-point phi4 energy, gradient and Hessian: the energy's on-site
+    terms and springs each summed over the point, the Hessian's springs
+    added one neighbor slot at a time."""
     x = np.asarray(p, dtype=float)
+    onsite = np.sum(inst.lam / 24.0 * x**4 - 0.5 * inst.mu2 * x**2)
+    energy = float(onsite + 0.25 * inst.J * np.sum((x[:, None] - x[inst.neighbors]) ** 2))
     nb_sum = x[inst.neighbors].sum(axis=1)
     g = inst.lam / 6.0 * x**3 + (4.0 * inst.J - inst.mu2) * x - inst.J * nb_sum
     h = np.zeros((inst.n, inst.n))
     h[np.arange(inst.n), np.arange(inst.n)] = 0.5 * inst.lam * x**2 + (4.0 * inst.J - inst.mu2)
     np.add.at(h, (np.repeat(np.arange(inst.n), 4), inst.neighbors.ravel()), -inst.J)
-    return g, h
+    return energy, g, h
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_phi4_batch_kernels_match_single_points(N):
     inst = Phi4Lattice(N, J=0.37)
     X = np.random.default_rng(N).uniform(-6.0, 6.0, (9, inst.n))
+    e, e_failed = inst.energy_batch(X)
     g, g_failed = inst.residual_batch(X)
     h, h_failed = inst.residual_jacobian_batch(X)
-    assert not g_failed.any() and not h_failed.any()
+    assert not e_failed.any() and not g_failed.any() and not h_failed.any()
     for i, x in enumerate(X):
-        g_ref, h_ref = _phi4_reference(inst, x)
+        e_ref, g_ref, h_ref = _phi4_reference(inst, x)
+        assert e[i].tobytes() == np.float64(e_ref).tobytes(), i
+        assert inst.energy(x) == e_ref
         assert np.array_equal(g[i], g_ref)
         assert np.array_equal(inst.gradient(x), g[i])
         assert np.array_equal(inst.hessian(x), h[i])

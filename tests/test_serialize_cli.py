@@ -296,6 +296,22 @@ def test_cli_nash_game_file(tmp_path, capsys):
     assert inst.n == 6
 
 
+def test_cli_nash_game_file_must_match_its_payoffs(tmp_path, capsys):
+    # players and strategy_counts are checked against the payoff tensors,
+    # as they are when an instance file is loaded
+    payoffs = [[[3, 0], [5, 1]], [[3, 5], [0, 1]]]
+    for spec in ({"players": 3, "strategy_counts": [5, 7], "payoffs": payoffs},
+                 {"players": 2, "strategy_counts": [2, 3], "payoffs": payoffs},
+                 {"players": 3, "strategy_counts": [2, 2], "payoffs": payoffs},
+                 {"payoffs": payoffs}):
+        gf = tmp_path / "game.json"
+        gf.write_text(json.dumps(spec))
+        out = tmp_path / "inst.json"
+        assert run_cli("generate", "nash", "--game", str(gf), "-o", str(out)) == 1, spec
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 1: usage errors
     assert run_cli("generate", "phi4", "--N", "2") == 1

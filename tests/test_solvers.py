@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spbench.clusters import LennardJonesCluster, ThomsonSphere
-from spbench.core import EvaluationError, ProblemInstance, RootSystem, classify
+from spbench.core import ProblemInstance, RootSystem, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -37,9 +37,9 @@ class Cubic(ProblemInstance):
     def __init__(self, n=2):
         super().__init__(n, f"cubic-{n}")
 
-    def energy(self, p):
-        p = self.check_point(p)
-        return float(np.sum(p**4 / 4 - p**2 / 2))
+    def energy_batch(self, X):
+        X = self.check_points(X)
+        return np.sum(X**4 / 4 - X**2 / 2, axis=1), _none_failed(X)
 
     def residual_batch(self, X):
         X = self.check_points(X)
@@ -86,11 +86,9 @@ class Hole(ProblemInstance):
     def __init__(self):
         super().__init__(1, "hole")
 
-    def energy(self, p):
-        p = self.check_point(p)
-        if abs(p[0]) < 0.5:
-            raise EvaluationError("inside the hole")
-        return float((p[0] ** 2 - 1) ** 2)
+    def energy_batch(self, X):
+        X = self.check_points(X)
+        return (X[:, 0] ** 2 - 1) ** 2, np.abs(X[:, 0]) < 0.5
 
     def residual_batch(self, X):
         X = self.check_points(X)
