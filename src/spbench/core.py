@@ -1,5 +1,5 @@
 """Shared vocabulary for the benchmark: problem instances, stationary-point
-classification, finite-difference checks, and duplicate removal.
+classification, finite-difference checks, and windowed duplicate removal.
 
 Every problem family subclasses ProblemInstance and writes its energy, its
 residual and its Jacobian once, as kernels over an (m, n) stack of points;
@@ -14,9 +14,9 @@ classification have a scalar landscape to work with.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,11 +373,14 @@ def _wrap(d, metric):
 def dedup(points, tol=1e-6, metric=EUCLIDEAN):
     """Collapse near-duplicate stationary points into a SolutionSet.
 
-    Points are first sorted canonically (ascending energy, then lexicographic
-    coordinates), then clustered greedily: a point joins the first existing
-    representative closer than ``tol``, otherwise it opens a new cluster.
-    The canonical sort makes the result independent of input order, and
-    running dedup on its own output returns it unchanged.
+    Points are sorted canonically (ascending energy, then lexicographic
+    coordinates) and kept greedily: a point is kept unless an earlier kept
+    representative lies closer than ``tol``, so the result does not depend on
+    input order and dedup of its own output returns it unchanged.  Only the
+    representatives whose 1-d key lies within 2 tol plus a rounding slack of
+    the point's are measured: the projection on a fixed unit vector u, as
+    |u.d| <= |d|, or for the angular metric the first angle mod 2 pi, also
+    listed a turn either side.
     """
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
@@ -385,42 +388,36 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
     if len(labels) > 1:
         raise ValueError(f"dedup saw mixed instance labels: {labels}")
     label = labels[0] if labels else ""
-    ordered = sorted(points, key=lambda sp: (sp.energy, tuple(sp.point)))
-    reps = []
-    kept = np.empty((len(ordered), len(ordered[0].point) if ordered else 0))
-    for sp in ordered:
-        d = _wrap(sp.point - kept[:len(reps)], metric)
-        if not np.any(np.linalg.norm(d, axis=1) < tol):
-            kept[len(reps)] = sp.point
+    lengths = sorted({len(sp.point) for sp in points})
+    if len(lengths) > 1:
+        raise ValueError(f"dedup saw points of lengths {lengths} for {label!r}")
+    ordered = sorted(points, key=lambda sp: (sp.energy, tuple(np.asarray(sp.point).tolist())))
+    n = lengths[0] if lengths else 0
+    X = np.array([sp.point for sp in ordered], dtype=float).reshape(len(ordered), n)
+    u = np.sqrt(np.arange(2.0, n + 2.0))  # unequal weights: permuted points get distinct keys
+    first = X[:, 0] if n else np.zeros(len(X))
+    keys = X @ (u / np.linalg.norm(u)) if metric == EUCLIDEAN else np.mod(first, 2 * np.pi)
+    pad = 2.0 * tol + 1e-9 * (1.0 + np.abs(X).sum(axis=1).max(initial=0.0))
+    if not np.isfinite(pad):  # non-finite points or tol: every representative is a candidate
+        keys, pad = np.zeros(len(X)), math.inf
+    turns = (0.0,) if metric == EUCLIDEAN else (-2 * np.pi, 0.0, 2 * np.pi)
+    window, rows_of, reps = [], [], []  # the representatives' keys, sorted, and rows of X
+    for i, (sp, key) in enumerate(zip(ordered, keys.tolist())):
+        rows = rows_of[bisect_left(window, key - pad):bisect_right(window, key + pad)]
+        if not (rows and np.any(np.linalg.norm(_wrap(sp.point - X[rows], metric), axis=1) < tol)):
             reps.append(sp)
+            for turn in turns:
+                at = bisect_right(window, key + turn)
+                window.insert(at, key + turn)
+                rows_of.insert(at, i)
     return SolutionSet(instance_label=label, tolerance=float(tol), metric=metric, points=reps)
-
-
-def stationary_point_to_dict(sp):
-    return {
-        "coords": [float(v) for v in sp.point],
-        "energy": float(sp.energy),
-        "residual_norm": float(sp.residual_norm),
-        "index": int(sp.index),
-        "zero_eigs": int(sp.zero_eigs),
-        "singular": bool(sp.singular),
-        "provenance": dataclasses.asdict(sp.provenance),
-    }
 
 
 def stationary_point_from_dict(label, d):
     prov = d.get("provenance", {})
     return StationaryPoint(
-        instance_label=label,
-        point=np.asarray(d["coords"], dtype=float),
-        energy=float(d["energy"]),
-        residual_norm=float(d["residual_norm"]),
-        index=int(d["index"]),
-        zero_eigs=int(d["zero_eigs"]),
-        singular=bool(d["singular"]),
-        provenance=Provenance(
-            solver=str(prov.get("solver", "direct")),
-            seed=int(prov.get("seed", 0)),
-            start_id=int(prov.get("start_id", 0)),
-        ),
-    )
+        label, np.asarray(d["coords"], dtype=float), energy=float(d["energy"]),
+        residual_norm=float(d["residual_norm"]), index=int(d["index"]),
+        zero_eigs=int(d["zero_eigs"]), singular=bool(d["singular"]),
+        provenance=Provenance(solver=str(prov.get("solver", "direct")),
+                              seed=int(prov.get("seed", 0)), start_id=int(prov.get("start_id", 0))))

@@ -3,7 +3,10 @@
 Both file kinds are JSON with sorted keys and floats printed to 17
 significant digits, so saving, loading and saving again reproduces the bytes
 exactly, and a seeded campaign writes the same file whatever batch count
-``SPBENCH_THREADS`` sets.  Writes go through a temporary file and an atomic rename.
+``SPBENCH_THREADS`` sets.  ``_emit`` lays out any value; each stationary point
+of a result file, most of its bytes, comes from the one template ``_POINT`` in
+the same layout.  Writes go through a temporary file, given the mode a plain
+``open`` would give, and an atomic rename.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import SolutionSet, classify_batch, stationary_point_from_dict, stationary_point_to_dict
+from .core import SolutionSet, classify_batch, stationary_point_from_dict
 from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -32,6 +35,35 @@ def _fmt_float(v):
     return s
 
 
+class _Json(str):
+    """Text already laid out as JSON at its place in a file, which ``_emit`` copies."""
+
+
+# a stationary point's record as ``_emit`` lays it out in a result file's "points"
+_POINT = """{
+        "coords": %s,
+        "energy": %s,
+        "index": %d,
+        "provenance": {
+          "seed": %d,
+          "solver": %s,
+          "start_id": %d
+        },
+        "residual_norm": %s,
+        "singular": %s,
+        "zero_eigs": %d
+      }"""
+
+
+def _point_record(sp):
+    coords = ",\n          ".join(map(_fmt_float, np.asarray(sp.point, dtype=float).tolist()))
+    prov = sp.provenance
+    return _Json(_POINT % (
+        "[\n          " + coords + "\n        ]" if coords else "[]", _fmt_float(sp.energy),
+        sp.index, prov.seed, json.dumps(prov.solver), prov.start_id,
+        _fmt_float(sp.residual_norm), "true" if sp.singular else "false", sp.zero_eigs))
+
+
 def _emit(obj, out, indent):
     pad = "  " * indent
     if obj is None:
@@ -42,12 +74,13 @@ def _emit(obj, out, indent):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
+    elif isinstance(obj, _Json):
+        out.append(obj)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)) and len(obj) == 0:
+        out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
         out.append("{\n")
         keys = sorted(obj)
         for i, k in enumerate(keys):
@@ -59,13 +92,6 @@ def _emit(obj, out, indent):
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        if all(isinstance(v, float) for v in seq):
-            sep = ",\n" + pad + "  "
-            out.append("[" + sep[1:] + sep.join(map(_fmt_float, seq)) + "\n" + pad + "]")
-            return
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(pad + "  ")
@@ -90,6 +116,9 @@ def write_atomic(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp made it 0600; give it a plain open's mode
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -131,13 +160,6 @@ def load_instance(path):
         return instance_from_dict(json.load(fh))
 
 
-def config_to_dict(cfg):
-    d = dataclasses.asdict(cfg)
-    if d["start_box"] is not None:
-        d["start_box"] = list(d["start_box"])
-    return d
-
-
 def config_from_dict(d):
     d = dict(d)
     d["damping"] = Damping(**d.get("damping", {}))
@@ -147,26 +169,22 @@ def config_from_dict(d):
     return SolverConfig(**d)
 
 
-def result_to_dict(result, cfg):
+def save_result(result, cfg, path):
     sol = result.solutions
     stats = dataclasses.asdict(result.stats)
     stats["wall_time"] = None  # timing is run-dependent; keep files comparable
-    return {
+    write_atomic(path, dumps({
         "schema_version": SCHEMA_VERSION,
         "instance_label": sol.instance_label,
-        "config": config_to_dict(cfg),
+        "config": dataclasses.asdict(cfg),  # _emit writes the start_box tuple as a list
         "campaign_stats": stats,
         "solutions": {
             "instance_label": sol.instance_label,
             "tolerance": sol.tolerance,
             "metric": sol.metric,
-            "points": [stationary_point_to_dict(sp) for sp in sol.points],
+            "points": [_point_record(sp) for sp in sol.points],
         },
-    }
-
-
-def save_result(result, cfg, path):
-    write_atomic(path, dumps(result_to_dict(result, cfg)))
+    }))
 
 
 def load_result(path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from spbench.core import (
     fd_hessian,
     point_distance,
     stationary_point_from_dict,
-    stationary_point_to_dict,
 )
 from spbench.lattices import Phi4Lattice
+from spbench.serialize import _point_record
 
 
 class Quadratic(ProblemInstance):
@@ -230,6 +231,63 @@ def test_dedup_rejects_mixed_instances():
         dedup([_sp("a", [0.0], 0.0), _sp("b", [0.0], 0.0)])
 
 
+def test_dedup_rejects_points_of_different_lengths():
+    with pytest.raises(ValueError, match=r"lengths \[2, 3\] for 'x'"):
+        dedup([_sp("x", [0.0, 0.0], 0.0), _sp("x", [0.0, 0.0, 0.0], 1.0)])
+
+
+def _dedup_reference(points, tol, metric):
+    """The quadratic greedy scan: each point, in canonical order, against
+    every representative kept so far."""
+    ordered = sorted(points, key=lambda sp: (sp.energy, tuple(sp.point)))
+    reps = []
+    kept = np.empty((len(ordered), len(ordered[0].point) if ordered else 0))
+    for sp in ordered:
+        d = sp.point - kept[:len(reps)]
+        if metric == ANGULAR_MOD_2PI:
+            d = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+        if not np.any(np.linalg.norm(d, axis=1) < tol):
+            kept[len(reps)] = sp.point
+            reps.append(sp)
+    return reps
+
+
+def _near_duplicates(rng, n, tol, metric, count=60):
+    """Points in clusters a few tol wide: exact copies, neighbours at
+    tol (1 +- 1e-15) along random directions, and, for the angular metric,
+    clusters that straddle +-pi and whole-turn images."""
+    centres = rng.uniform(-3.0, 3.0, (count // 6, n))
+    if metric == ANGULAR_MOD_2PI:
+        centres[::2, 0] = np.pi * rng.choice([-1.0, 1.0], len(centres[::2]))
+    pts = []
+    for c in centres:
+        pts.append(c)
+        pts.append(c.copy())
+        for scale in (1.0 - 1e-15, 1.0, 1.0 + 1e-15):
+            v = rng.standard_normal(n)
+            pts.append(c + tol * scale * v / np.linalg.norm(v))
+        pts.append(c + rng.uniform(-2.0, 2.0, n) * tol)
+    if metric == ANGULAR_MOD_2PI:
+        pts += [p + 2.0 * np.pi * rng.integers(-2, 3, n) for p in pts[::5]]
+    levels = rng.uniform(-1.0, 1.0, 3)
+    return [_sp("x", p, float(rng.choice(levels))) for p in pts]
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, ANGULAR_MOD_2PI])
+@pytest.mark.parametrize("seed", range(6))
+def test_dedup_keeps_what_the_quadratic_scan_keeps(metric, seed):
+    rng = np.random.default_rng(seed)
+    n = (1, 2, 3, 9, 17, 40)[seed]
+    cases = [_near_duplicates(rng, n, tol, metric) for tol in (1e-6, 0.05, 0.7)]
+    cases += [[], [_sp("x", rng.uniform(-3, 3, n), 0.0)]]
+    cases.append([_sp("x", np.full(n, 0.5), 1.0) for _ in range(50)])
+    for tol in (1e-6, 0.05, 0.7, 0.0):
+        for pts in cases:
+            pts = [pts[i] for i in rng.permutation(len(pts))]
+            kept = dedup(pts, tol=tol, metric=metric).points
+            assert [id(sp) for sp in kept] == [id(sp) for sp in _dedup_reference(pts, tol, metric)]
+
+
 def test_dedup_angular_metric_joins_wrapped_points():
     pts = [
         _sp("x", [0.0], 0.0),
@@ -247,8 +305,7 @@ def test_index_histogram():
 
 def test_stationary_point_dict_round_trip():
     sp = _sp("lbl", [0.25, -1.5], -3.25, index=2)
-    d = stationary_point_to_dict(sp)
-    back = stationary_point_from_dict("lbl", d)
+    back = stationary_point_from_dict("lbl", json.loads(_point_record(sp)))
     assert np.array_equal(back.point, sp.point)
     assert back.energy == sp.energy
     assert back.index == sp.index

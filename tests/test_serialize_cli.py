@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
 import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ import pytest
 from spbench import serialize
 from spbench.cli import main
 from spbench.clusters import MorseCluster, ThomsonSphere
-from spbench.games import NashInstance, matching_pennies
+from spbench.core import Provenance, SolutionSet, StationaryPoint
+from spbench.games import NashGame, NashInstance, matching_pennies
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
-from spbench.solvers import SolverConfig, multistart
+from spbench.solvers import CampaignStats, MultistartResult, SolverConfig, multistart
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_float_formatting_round_trips():
@@ -49,6 +55,104 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "world\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_write_atomic_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        serialize.write_atomic(tmp_path / "atomic.json", "x\n")
+        (tmp_path / "plain.json").write_text("x\n")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("atomic.json", "plain.json")]
+    assert modes == [0o666 & ~umask] * 2
+
+
+def _hand_made_result():
+    """A result whose values test the writer's corner cases: signed zeros,
+    the smallest subnormal, integral floats, 17-digit values, and a label
+    with a quote and a non-ASCII character."""
+    label = 'phi4 "census" façade'
+
+    def point(coords, energy, residual_norm, index, zero_eigs, solver, start_id):
+        return StationaryPoint(label, np.array(coords), energy, residual_norm, index, zero_eigs,
+                               zero_eigs > 0, Provenance(solver, 7, start_id))
+
+    points = [
+        point([0.0, -0.0, 5e-324], 1e16, 0.0, 0, 2, "newton", 0),
+        point([123.0, 0.1, 1 / 3], -0.0, 5e-324, 3, 0, "homotopy", 41),
+        point([-math.e, 6.02214076e23, -1e16], 123.0, 1.2345678901234567e-11, 1, 0, "gradsq", 999),
+    ]
+    stats = CampaignStats(starts=50, converged=3, diverged=40, spurious=5, eval_errors=2,
+                          wall_time=3.25)
+    cfg = SolverConfig(method="newton", accept_tol=1e-12, max_iters=None, starts=50, seed=7,
+                       start_box=(-2.5, 2.5))
+    return MultistartResult(SolutionSet(label, 1e-6, "euclidean", points), stats, [], []), cfg
+
+
+def test_result_file_of_hand_made_points_has_the_committed_bytes(tmp_path):
+    result, cfg = _hand_made_result()
+    serialize.save_result(result, cfg, tmp_path / "res.json")
+    assert (tmp_path / "res.json").read_bytes() == (DATA / "hand_made_result.json").read_bytes()
+
+
+def _generic_result_text(result, cfg):
+    """The result file as ``dumps`` writes a plain dict of it, value by value."""
+    sol = result.solutions
+    stats = dataclasses.asdict(result.stats)
+    stats["wall_time"] = None
+    config = dataclasses.asdict(cfg)
+    if config["start_box"] is not None:
+        config["start_box"] = list(config["start_box"])
+    points = [{
+        "coords": [float(v) for v in sp.point],
+        "energy": float(sp.energy),
+        "residual_norm": float(sp.residual_norm),
+        "index": int(sp.index),
+        "zero_eigs": int(sp.zero_eigs),
+        "singular": bool(sp.singular),
+        "provenance": dataclasses.asdict(sp.provenance),
+    } for sp in sol.points]
+    return serialize.dumps({
+        "schema_version": serialize.SCHEMA_VERSION,
+        "instance_label": sol.instance_label,
+        "config": config,
+        "campaign_stats": stats,
+        "solutions": {"instance_label": sol.instance_label, "tolerance": sol.tolerance,
+                      "metric": sol.metric, "points": points},
+    })
+
+
+def _hand_made_with_an_empty_point():
+    result, cfg = _hand_made_result()
+    empty = dataclasses.replace(result.solutions.points[0], point=np.empty(0))
+    result.solutions.points.append(empty)
+    return result, cfg
+
+
+@pytest.mark.parametrize("campaign", [
+    lambda: (Phi4Lattice(3, J=0.0), SolverConfig(starts=300, seed=0)),
+    lambda: (XYLattice(1, 4), SolverConfig(starts=200, seed=21, accept_tol=1e-13)),
+    lambda: (ThomsonSphere(5), SolverConfig(starts=30, seed=2)),
+    lambda: (NashInstance(NashGame([np.random.default_rng(3).uniform(-1, 1, (2, 2, 2))
+                                    for _ in range(3)])), SolverConfig(starts=40, seed=1)),
+    lambda: (Phi4Lattice(2), SolverConfig(starts=0, seed=0)),
+], ids=["phi4", "xy-ring", "thomson", "nash-3-player", "no-points"])
+def test_save_result_writes_what_dumps_writes_of_the_plain_dict(tmp_path, campaign):
+    instance, cfg = campaign()
+    result = multistart(instance, cfg)
+    assert len(result.solutions) > 0 or cfg.starts == 0
+    serialize.save_result(result, cfg, tmp_path / "res.json")
+    assert (tmp_path / "res.json").read_text() == _generic_result_text(result, cfg)
+
+
+@pytest.mark.parametrize("make", [_hand_made_result, _hand_made_with_an_empty_point])
+def test_save_result_of_hand_made_points_writes_what_dumps_writes(tmp_path, make):
+    result, cfg = make()
+    serialize.save_result(result, cfg, tmp_path / "res.json")
+    assert (tmp_path / "res.json").read_text() == _generic_result_text(result, cfg)
 
 
 @pytest.mark.parametrize("make", [
