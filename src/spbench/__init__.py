@@ -4,13 +4,13 @@ and campaign tooling to hunt their minima, saddles and singular points."""
 from .core import (
     ANGULAR_MOD_2PI,
     EUCLIDEAN,
-    ClassifyConfig,
     EvaluationError,
     ProblemInstance,
     Provenance,
     RootSystem,
     SolutionSet,
     StationaryPoint,
+    ZERO_TOL,
     classify,
     classify_batch,
     dedup,

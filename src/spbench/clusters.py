@@ -20,6 +20,9 @@ import numpy as np
 from .core import ProblemInstance, _block_diagonal, _masked
 
 _COINCIDENCE_TOL = 1e-12
+# sample_start draws until all pairs are this far apart, for at most this many draws
+_MIN_SEPARATION = 0.5
+_MAX_TRIES = 10000
 
 
 def _pair_distances(pos, pairs):
@@ -113,15 +116,15 @@ class _Cluster(ProblemInstance):
         h = self._pull_hessian(*parts)[:, self._free[:, None], self._free]
         return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
 
-    def sample_start(self, rng, min_separation=0.5, max_tries=10000):
+    def sample_start(self, rng):
         """A start from ``_draw``, rejection-sampled so that every pair of
-        particles starts at least ``min_separation`` apart."""
-        for _ in range(max_tries):
+        particles starts at least ``_MIN_SEPARATION`` apart."""
+        for _ in range(_MAX_TRIES):
             p = self._draw(rng)
-            if np.min(_pair_distances(self.positions(p)[None], self._pairs)[2]) >= min_separation:
+            if np.min(_pair_distances(self.positions(p)[None], self._pairs)[2]) >= _MIN_SEPARATION:
                 return p
-        raise RuntimeError(f"{self.label}: no start with pair separation >= {min_separation} "
-                           f"found in {max_tries} tries")
+        raise RuntimeError(f"{self.label}: no start with pair separation >= {_MIN_SEPARATION} "
+                           f"found in {_MAX_TRIES} tries")
 
 
 class ThomsonSphere(_Cluster):

@@ -9,7 +9,8 @@ system to solve is its gradient.  Root-finding families (game and puzzle
 systems) subclass RootSystem: the residual is their polynomial system, and
 its squared norm is their ``energy`` so that descent methods and
 classification have a scalar landscape to work with.
-``fd_hessian`` serves ``ClassifyConfig(hessian_mode="finite-difference")``.
+Classification reads each family's own ``hessian_batch``; ``fd_gradient``
+and ``fd_hessian`` are the central-difference references it is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ EUCLIDEAN = "euclidean"
 ANGULAR_MOD_2PI = "angular-mod-2pi"
 
 _METRICS = (EUCLIDEAN, ANGULAR_MOD_2PI)
+
+# an eigenvalue of a classified Hessian counts as zero when its magnitude is
+# at most ZERO_TOL * (1 + max |eigenvalue|)
+ZERO_TOL = 1e-6
 
 
 class EvaluationError(RuntimeError):
@@ -232,26 +237,6 @@ def _require(cfg, **rules):
 
 
 @dataclass(frozen=True)
-class ClassifyConfig:
-    """Settings for stationary-point classification.
-
-    ``zero_tol`` is a relative coefficient: an eigenvalue counts as zero when
-    its magnitude is at most ``zero_tol * (1 + max |eigenvalue|)``.
-    ``hessian_mode`` selects the instance's own Hessian ("analytic") or a
-    forced finite difference of the gradient ("finite-difference").
-    """
-
-    hessian_mode: str = "analytic"
-    fd_step: float = 1e-5
-    zero_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.hessian_mode not in ("analytic", "finite-difference"):
-            raise ValueError(f"unknown hessian_mode {self.hessian_mode!r}")
-        _require(self, zero_tol="finite and >= 0", fd_step="finite and > 0")
-
-
-@dataclass(frozen=True)
 class Provenance:
     solver: str = "direct"
     seed: int = 0
@@ -297,40 +282,31 @@ def _dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def classify_batch(instance, P, cfg=None, provenances=None):
+def classify_batch(instance, P, provenances=None):
     """Classify each row of the (m, n) stack ``P`` as a stationary point of
     ``instance``, each as it would be alone: a StationaryPoint, or the
     EvaluationError that stopped the row.  Each Hessian is symmetrized as
     (H + H^T)/2; the index counts its eigenvalues below -tol, and the point is
     singular when any eigenvalue lies within tol of zero, where
-    tol = zero_tol * (1 + max |eigenvalue|).
+    tol = ZERO_TOL * (1 + max |eigenvalue|).
     """
-    cfg = cfg if cfg is not None else ClassifyConfig()
     P = instance.check_points(P)
     m, n = P.shape
-    errors = [None] * m
-    if cfg.hessian_mode == "finite-difference":
-        H, failed = np.full((m, n, n), np.nan), np.zeros(m, dtype=bool)
-        for i, p in enumerate(P):
-            try:
-                H[i] = fd_hessian(instance, p, cfg.fd_step)
-            except EvaluationError as exc:
-                errors[i] = exc
-    else:
-        H, failed = instance.hessian_batch(P)
-        H = np.asarray(H, dtype=float)
-        if H.shape != (m, n, n):
-            raise ValueError(f"{instance.label}: Hessians have shape {H.shape}, "
-                             f"expected {(m, n, n)}")
+    H, failed = instance.hessian_batch(P)
+    H = np.asarray(H, dtype=float)
+    if H.shape != (m, n, n):
+        raise ValueError(f"{instance.label}: Hessians have shape {H.shape}, "
+                         f"expected {(m, n, n)}")
     res, res_failed = instance.residual_batch(P)
     res = np.asarray(res, dtype=float)
     energies, energy_failed = instance._energies(P, res, res_failed)
     bad = ~np.isfinite(H).all(axis=(1, 2))
+    errors = [None] * m
     for i in np.flatnonzero(failed | bad | res_failed | energy_failed):
         why = "non-finite Hessian entries at classify point" if bad[i] and not failed[i] else None
-        errors[i] = errors[i] or EvaluationError(f"{instance.label}: {why or instance._failure}")
+        errors[i] = EvaluationError(f"{instance.label}: {why or instance._failure}")
     eigs = np.linalg.eigvalsh(np.where(bad[:, None, None], 0.0, 0.5 * (H + H.swapaxes(1, 2))))
-    tol = cfg.zero_tol * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
+    tol = ZERO_TOL * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
     index, zero_eigs = (eigs < -tol).sum(axis=1), (np.abs(eigs) <= tol).sum(axis=1)
     norms = np.sqrt(_dots(res, res))
     return [errors[i] or StationaryPoint(
@@ -340,10 +316,9 @@ def classify_batch(instance, P, cfg=None, provenances=None):
         for i, p in enumerate(P)]
 
 
-def classify(instance, p, cfg=None, provenance=None):
+def classify(instance, p, provenance=None):
     """``classify_batch`` on the single point ``p``; raises its EvaluationError."""
-    (sp,) = classify_batch(instance, instance.check_point(p)[None], cfg,
-                           [provenance or Provenance()])
+    (sp,) = classify_batch(instance, instance.check_point(p)[None], [provenance or Provenance()])
     if isinstance(sp, EvaluationError):
         raise sp
     return sp
@@ -412,12 +387,3 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
                 rows_of.insert(at, i)
     return SolutionSet(instance_label=label, tolerance=float(tol), metric=metric, points=reps)
 
-
-def stationary_point_from_dict(label, d):
-    prov = d.get("provenance", {})
-    return StationaryPoint(
-        label, np.asarray(d["coords"], dtype=float), energy=float(d["energy"]),
-        residual_norm=float(d["residual_norm"]), index=int(d["index"]),
-        zero_eigs=int(d["zero_eigs"]), singular=bool(d["singular"]),
-        provenance=Provenance(solver=str(prov.get("solver", "direct")),
-                              seed=int(prov.get("seed", 0)), start_id=int(prov.get("start_id", 0))))

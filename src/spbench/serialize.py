@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import SolutionSet, classify_batch, stationary_point_from_dict
+from .core import Provenance, SolutionSet, StationaryPoint, classify_batch
 from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -62,6 +62,17 @@ def _point_record(sp):
         "[\n          " + coords + "\n        ]" if coords else "[]", _fmt_float(sp.energy),
         sp.index, prov.seed, json.dumps(prov.solver), prov.start_id,
         _fmt_float(sp.residual_norm), "true" if sp.singular else "false", sp.zero_eigs))
+
+
+def stationary_point_from_dict(label, d):
+    """The StationaryPoint of a loaded ``_POINT`` record."""
+    prov = d.get("provenance", {})
+    return StationaryPoint(
+        label, np.asarray(d["coords"], dtype=float), energy=float(d["energy"]),
+        residual_norm=float(d["residual_norm"]), index=int(d["index"]),
+        zero_eigs=int(d["zero_eigs"]), singular=bool(d["singular"]),
+        provenance=Provenance(solver=str(prov.get("solver", "direct")),
+                              seed=int(prov.get("seed", 0)), start_id=int(prov.get("start_id", 0))))
 
 
 def _emit(obj, out, indent):

@@ -2,10 +2,10 @@
 
 Three methods share one outcome type:
 
-* ``newton_solve``: damped Newton on the residual, with a backtracking line
-  search on the residual norm.  Each linear step comes from one thin SVD of
-  the Jacobian, which also gives the condition-number guard: the step lives
-  on the singular directions within ``cond_limit`` of the largest.  A square
+* ``newton_solve``: damped Newton on the residual, backtracking on the
+  residual norm.  Each linear step comes from one thin SVD of the Jacobian,
+  which also gives the condition-number guard: the step lives on the
+  singular directions within ``cond_limit`` of the largest.  A square
   system that drops some of them still gets the least-norm step, provided
   the right-hand side barely reaches the dropped ones (an inexact-Newton
   step, see ``LEAST_NORM_FORCING``); a rectangular one must keep them all,
@@ -13,7 +13,8 @@ Three methods share one outcome type:
   ``singular-step``.  Quadratic near regular roots, and the workhorse
   everywhere.
 * ``gradsq_solve``: descent on the scalar landscape W = |f|^2 along its exact
-  gradient 2 J^T f, with a backtracking line search.  It cannot jump over
+  gradient 2 J^T f, backtracking on W from a secant step through the one
+  line search it shares with Newton, ``_line_search``.  It cannot jump over
   barriers, which is the point: it gets stuck in minima of W that are not
   roots, and reports them as ``spurious-minimum`` instead of pretending.
 * ``homotopy_track``: Newton homotopy from the start point, deforming
@@ -251,11 +252,50 @@ def _linear_steps(jac, rhs, cond_limit):
     return delta, ok
 
 
-def _linear_step(jac, rhs, cond_limit):
-    """``_linear_steps`` for one system: the step, or None."""
-    delta, ok = _linear_steps(np.asarray(jac, dtype=float)[None], np.asarray(rhs)[None],
-                              cond_limit)
-    return delta[0] if ok[0] else None
+# Rungs that ``_line_search`` evaluates in one batched call once a row's first
+# rung has failed.  Most searches end on the first rung, so it is tried alone:
+# over the bench workloads at seed 0, Newton's share is 0.77 (clusters) to 0.99
+# (XY ring) and gradsq's 0.69 (disordered XY, d=2, L=3).
+LADDER_RUNGS = 8
+
+
+def _line_search(instance, b, live, direction, step, sufficient, damping):
+    """Backtrack along ``direction`` from each live row's first step
+    ``step`` (overwritten); move the rows that find an acceptable rung, where
+    ``sufficient(norm, steps, rows)`` holds for the candidates' residual
+    norms, and return which did.  A row's rungs are step, step * backtrack,
+    ... by repeated multiplication down to ``damping.min_step``, and it takes
+    the first acceptable one, as a one-at-a-time search would.  The first
+    round tries one rung per row, later rounds ``LADDER_RUNGS`` in one call."""
+    moved = np.zeros(len(live), dtype=bool)
+    searching = step >= damping.min_step
+    rungs = 1
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        ladder = np.empty((len(rows), rungs))
+        ladder[:, 0] = step[rows]
+        for k in range(1, rungs):
+            ladder[:, k] = ladder[:, k - 1] * damping.backtrack
+        valid = np.logical_and.accumulate(ladder >= damping.min_step, axis=1)
+        at, rung = np.nonzero(valid)
+        r = rows[at]
+        cand = b.x[live.idx[r]] + ladder[at, rung][:, None] * direction[r]
+        f, norm, _ = _residuals(instance, cand)
+        accept = np.zeros(valid.shape, dtype=bool)
+        accept[at, rung] = sufficient(norm, ladder[at, rung], r)
+        hit = accept.any(axis=1)
+        if hit.any():
+            pick = np.full(valid.shape, -1)
+            pick[at, rung] = np.arange(len(at))
+            pick = pick[hit, accept[hit].argmax(axis=1)]
+            took = rows[hit]
+            b.x[live.idx[took]] = cand[pick]
+            live.f[took], live.norm[took] = f[pick], norm[pick]
+            moved[took] = True
+        searching[rows] = ~hit & valid[:, -1]
+        step[rows] = ladder[:, -1] * damping.backtrack
+        rungs = LADDER_RUNGS
+    return moved
 
 
 def _solve_one(batch, instance, start, cfg, method):
@@ -274,7 +314,6 @@ def _newton_batch(instance, starts, cfg):
     f, norm, failed = _residuals(instance, b.x)
     live = b.live(norm, f=f)
     b.end(live, failed, Status.EVAL_ERROR, 0)
-    damping = cfg.damping
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
         b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
@@ -286,29 +325,12 @@ def _newton_batch(instance, starts, cfg):
         b.end(live, failed, Status.EVAL_ERROR, it)
         live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit)
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
-        # every row backtracks through the same steps, so one step at a time
-        # serves all rows still searching
-        moved = np.zeros(len(live), dtype=bool)
-        step = damping.initial
-        while step >= damping.min_step and not moved.all():
-            rows = np.flatnonzero(~moved)
-            cand = b.x[live.idx[rows]] + step * live.delta[rows]
-            f, norm, _ = _residuals(instance, cand)
-            ok = norm <= (1.0 - damping.decrease * step) * live.norm[rows]
-            if ok.any():
-                took = rows[ok]
-                b.x[live.idx[took]] = cand[ok]
-                live.f[took], live.norm[took] = f[ok], norm[ok]
-                moved[took] = True
-            step *= damping.backtrack
+        norm0, damping = live.norm.copy(), cfg.damping
+        moved = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
+                             lambda norm, s, r: norm <= (1.0 - damping.decrease * s) * norm0[r],
+                             damping)
         b.end(live, ~moved, Status.DIVERGED, it)
     return b.outcomes
-
-
-# Rungs of the backtracking ladder that gradsq evaluates in one batched call
-# once a row's first step has failed.  About two thirds of gradsq steps take
-# the first rung (disordered XY, d=2, L=3), so that one is tried alone.
-LADDER_RUNGS = 8
 
 
 def gradsq_solve(instance, start, cfg=None):
@@ -355,59 +377,21 @@ def _gradsq_batch(instance, starts, cfg):
         step = np.where(1e-12 > step, 1e-12, step)
         step = np.where(1e6 < step, 1e6, step)
         live.prev_x = b.x[live.idx]
-        live.moved = _gradsq_search(instance, b, live, step, cfg.damping)
-        stuck = ~live.moved
+        w, d = live.norm * live.norm, cfg.damping.decrease
+        live.moved = _line_search(
+            instance, b, live, -live.grad, step,
+            lambda norm, s, r: norm * norm <= w[r] - d * s * live.gnorm[r] * live.gnorm[r],
+            cfg.damping)
         # the line search died at floating-point resolution: decide between
         # a spurious minimum and plain divergence with relaxed thresholds,
         # since W can no longer be decreased at all
         floor_grad = ((live.gnorm <= 1e4 * cfg.gradsq_abs_gtol)
                       | (live.gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
-        b.end(live, stuck & floor_grad & (live.norm > 100.0 * tol), Status.SPURIOUS_MINIMUM, it)
+        b.end(live, ~live.moved & floor_grad & (live.norm > 100.0 * tol),
+              Status.SPURIOUS_MINIMUM, it)
         b.end(live, ~live.moved, Status.DIVERGED, it)
         live.prev_g = live.grad
     return b.outcomes
-
-
-def _gradsq_search(instance, b, live, step, damping):
-    """Backtrack from ``step`` along -grad for every live row; move the rows
-    that find a decrease of W and return which did.
-
-    A row's rungs are step, step * backtrack, ... built by repeated
-    multiplication, and it takes its first acceptable rung, so each row picks
-    the step that a one-at-a-time search picks.  The first round tries one
-    rung per row, later rounds ``LADDER_RUNGS`` in one call."""
-    moved = np.zeros(len(live), dtype=bool)
-    searching = step >= damping.min_step
-    w = live.norm * live.norm
-    rungs = 1
-    while searching.any():
-        rows = np.flatnonzero(searching)
-        ladder = np.empty((len(rows), rungs))
-        ladder[:, 0] = step[rows]
-        for k in range(1, rungs):
-            ladder[:, k] = ladder[:, k - 1] * damping.backtrack
-        valid = np.logical_and.accumulate(ladder >= damping.min_step, axis=1)
-        at, rung = np.nonzero(valid)
-        r = rows[at]
-        cand = b.x[live.idx[r]] - ladder[at, rung][:, None] * live.grad[r]
-        f, norm, _ = _residuals(instance, cand)
-        accept = np.zeros(valid.shape, dtype=bool)
-        accept[at, rung] = (norm * norm
-                            <= w[r] - damping.decrease * ladder[at, rung]
-                            * live.gnorm[r] * live.gnorm[r])
-        hit = accept.any(axis=1)
-        if hit.any():
-            pick = np.full(valid.shape, -1)
-            pick[at, rung] = np.arange(len(at))
-            pick = pick[hit, accept[hit].argmax(axis=1)]
-            took = rows[hit]
-            b.x[live.idx[took]] = cand[pick]
-            live.f[took], live.norm[took] = f[pick], norm[pick]
-            moved[took] = True
-        searching[rows] = ~hit & valid[:, -1]
-        step[rows] = ladder[:, -1] * damping.backtrack
-        rungs = LADDER_RUNGS
-    return moved
 
 
 def homotopy_track(instance, start, cfg=None):

@@ -12,12 +12,14 @@ import math
 import numpy as np
 import pytest
 
-from spbench.clusters import ThomsonSphere
+from spbench.clusters import LennardJonesCluster, ThomsonSphere
 from spbench.core import EvaluationError
+from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
 from spbench.solvers import (LEAST_NORM_FORCING, SolverConfig, Status, _resolved,
                              draw_starts, multistart)
+from test_solvers import Hole
 
 
 def _norm(instance, x):
@@ -181,6 +183,29 @@ def _homotopy(instance, x, cfg):
 
 REFERENCES = {"newton": _newton, "gradsq": _gradsq, "homotopy": _homotopy}
 
+
+class CountingHole(Hole):
+    """``Hole`` from starts in [0.5, 3], counting the rows it masks: a start
+    is never masked, so those are line-search rungs that land in the hole."""
+
+    def __init__(self):
+        super().__init__()
+        self.masked = 0
+
+    def residual_batch(self, X):
+        f, failed = super().residual_batch(X)
+        self.masked += int(failed.sum())
+        return f, failed
+
+    def sample_start(self, rng):
+        return rng.uniform(0.5, 3.0, 1)
+
+
+def _nash_3_players():
+    rng = np.random.default_rng(7)
+    return NashInstance(NashGame([rng.uniform(-1.0, 1.0, (2, 2, 2)) for _ in range(3)]))
+
+
 CASES = {
     "ring": (lambda: XYLattice(1, 4), ("newton", "gradsq", "homotopy")),
     "disordered": (lambda: XYLattice(2, 3, disorder="uniform-signed", seed=1),
@@ -188,15 +213,22 @@ CASES = {
     "phi4-coupled": (lambda: Phi4Lattice(3, J=0.3), ("newton", "gradsq", "homotopy")),
     "thomson": (lambda: ThomsonSphere(5), ("newton", "homotopy")),
     "puzzle": (lambda: PuzzleInstance(generate_grid_puzzle(2, 1, 2, seed=3)[0]), ("newton",)),
+    "lj-4": (lambda: LennardJonesCluster(4), ("newton",)),
+    "nash-3-players": (_nash_3_players, ("newton", "gradsq")),
+    "hole": (CountingHole, ("newton", "gradsq")),
 }
+
+
+def _config(method):
+    return _resolved(SolverConfig(method=method, starts=12, seed=3,
+                                  max_iters=300 if method == "gradsq" else None), method)
 
 
 @pytest.mark.parametrize("case,method", [(c, m) for c, (_, ms) in sorted(CASES.items())
                                          for m in ms])
 def test_batched_solver_matches_sequential_reference(case, method):
     inst = CASES[case][0]()
-    cfg = _resolved(SolverConfig(method=method, starts=12, seed=3,
-                                 max_iters=300 if method == "gradsq" else None), method)
+    cfg = _config(method)
     res = multistart(inst, cfg)
     for start, out in zip(draw_starts(inst, cfg), res.outcomes):
         status, point, norm, iterations = REFERENCES[method](inst, start, cfg)
@@ -204,3 +236,10 @@ def test_batched_solver_matches_sequential_reference(case, method):
         assert out.iterations == iterations
         assert np.array_equal(out.point, point)
         assert out.residual_norm == norm
+
+
+@pytest.mark.parametrize("method", CASES["hole"][1])
+def test_hole_case_reaches_masked_rungs(method):
+    inst = CountingHole()
+    multistart(inst, _config(method))
+    assert inst.masked > 0

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from spbench.core import ClassifyConfig, EvaluationError, classify, fd_gradient, fd_hessian
+from spbench.core import EvaluationError, classify, fd_gradient, fd_hessian
 from spbench.clusters import (
     LennardJonesCluster,
     MorseCluster,
     ThomsonSphere,
     pair_curvature,
 )
+from spbench import clusters
+from test_hessians import _fd_signature
 
 
 def test_thomson_variable_counts():
@@ -103,9 +105,8 @@ def test_thomson_optima_classify_alike_in_both_hessian_modes():
         assert inst.energy(x) == pytest.approx(energy, abs=1e-8)
         assert np.linalg.norm(inst.gradient(x)) < 1e-12
         analytic = classify(inst, x)
-        fd = classify(inst, x, ClassifyConfig(hessian_mode="finite-difference"))
-        assert analytic.index == fd.index == 0
-        assert analytic.zero_eigs == fd.zero_eigs
+        assert analytic.index == 0
+        assert (analytic.index, analytic.zero_eigs) == _fd_signature(inst, x)
 
 
 def test_thomson_sample_start_separation():
@@ -118,6 +119,14 @@ def test_thomson_sample_start_separation():
         iu = np.triu_indices(6, 1)
         assert d[iu].min() >= 0.5
         assert np.allclose(np.linalg.norm(pos, axis=1), 1.0)
+
+
+def test_cluster_sample_start_gives_up(monkeypatch):
+    monkeypatch.setattr(clusters, "_MIN_SEPARATION", 100.0)
+    monkeypatch.setattr(clusters, "_MAX_TRIES", 3)
+    with pytest.raises(RuntimeError, match=r"no start with pair separation >= 100.0 "
+                                           r"found in 3 tries"):
+        LennardJonesCluster(3).sample_start(np.random.default_rng(0))
 
 
 def test_cluster_variable_counts():

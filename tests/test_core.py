@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from spbench.core import (
     ANGULAR_MOD_2PI,
     EUCLIDEAN,
-    ClassifyConfig,
     EvaluationError,
     ProblemInstance,
     Provenance,
@@ -17,10 +15,9 @@ from spbench.core import (
     fd_gradient,
     fd_hessian,
     point_distance,
-    stationary_point_from_dict,
 )
-from spbench.lattices import Phi4Lattice
-from spbench.serialize import _point_record
+from spbench.serialize import _point_record, stationary_point_from_dict
+from test_hessians import _fd_signature
 
 
 class Quadratic(ProblemInstance):
@@ -82,40 +79,11 @@ def test_classify_zero_threshold_is_relative():
     assert not sp2.singular
 
 
-def test_classify_respects_zero_tol_override():
-    inst = Quadratic([1.0, 1e-4])
-    cfg = ClassifyConfig(zero_tol=1e-3)
-    sp = classify(inst, np.zeros(2), cfg=cfg)
-    assert sp.singular
-
-
 def test_classify_finite_difference_mode_matches_analytic():
     inst = Quadratic([2.0, -1.0, 0.5])
     p = np.array([0.3, -0.2, 1.1])
-    a = classify(inst, p)
-    f = classify(inst, p, cfg=ClassifyConfig(hessian_mode="finite-difference"))
-    assert a.index == f.index
-    assert a.singular == f.singular
-
-
-def test_classify_config_validates_mode():
-    with pytest.raises(ValueError):
-        ClassifyConfig(hessian_mode="symbolic")
-    # these values would misclassify the index-2 point (r, 0, 0, -r) of the
-    # decoupled 2 x 2 phi4 lattice instead of failing
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="zero_tol"):
-            ClassifyConfig(zero_tol=bad)
-    for bad in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ValueError, match="fd_step"):
-            ClassifyConfig(fd_step=bad)
-    inst = Phi4Lattice(2, J=0.0)
-    r = inst.site_roots()[1]
-    p = np.array([r, 0.0, 0.0, -r])
-    for cfg in (ClassifyConfig(zero_tol=0.0),
-                ClassifyConfig(hessian_mode="finite-difference", fd_step=1e-4)):
-        sp = classify(inst, p, cfg=cfg)
-        assert (sp.index, sp.zero_eigs) == (2, 0)
+    sp = classify(inst, p)
+    assert (sp.index, sp.zero_eigs) == _fd_signature(inst, p) == (1, 0)
 
 
 def test_classify_records_provenance():

@@ -16,13 +16,13 @@ import pytest
 
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from spbench import serialize
-from spbench.core import (ClassifyConfig, EvaluationError, Provenance, RootSystem,
+from spbench.core import (EvaluationError, Provenance, RootSystem,
                           StationaryPoint, classify, classify_batch)
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
 from spbench.solvers import Damping, SolverConfig, Status, multistart
-from test_hessians import _acceptance_3_instances
+from test_hessians import _acceptance_3_instances, _fd_signature
 
 
 def _nash(shape):
@@ -172,36 +172,38 @@ def _same_point(a, b):
             == (b.index, b.zero_eigs, b.singular, b.provenance))
 
 
-@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
-def test_classify_batch_rows_equal_per_point_classify(mode):
-    cfg = ClassifyConfig(hessian_mode=mode)
+# each row against the point classified alone, bitwise, or against the
+# signature of the point's finite-difference Hessian
+@pytest.mark.parametrize("reference", ["analytic", "finite-difference"])
+def test_classify_batch_rows_equal_per_point_classify(reference):
     for k, inst in enumerate(_acceptance_3_instances()):
         rng = np.random.default_rng((4400, k))
         P = np.array([inst.sample_start(rng) for _ in range(5)])
         provs = [Provenance(solver="newton", seed=k, start_id=i) for i in range(len(P))]
-        rows = classify_batch(inst, P, cfg, provs)
+        rows = classify_batch(inst, P, provs)
         assert len(rows) == len(P)
         for i, row in enumerate(rows):
             assert isinstance(row, StationaryPoint), (inst.label, row)
-            assert _same_point(row, classify(inst, P[i], cfg, provs[i])), (inst.label, i)
-        assert classify_batch(inst, P[:0], cfg) == []
+            if reference == "analytic":
+                assert _same_point(row, classify(inst, P[i], provs[i])), (inst.label, i)
+            else:
+                assert (row.index, row.zero_eigs) == _fd_signature(inst, P[i]), (inst.label, i)
+        assert classify_batch(inst, P[:0]) == []
 
 
-@pytest.mark.parametrize("mode", ["analytic", "finite-difference"])
-def test_classify_batch_fails_a_masked_row_alone(mode):
-    cfg = ClassifyConfig(hessian_mode=mode)
+def test_classify_batch_fails_a_masked_row_alone():
     inst = LennardJonesCluster(4)
     rng = np.random.default_rng(6)
     P = np.array([inst.sample_start(rng) for _ in range(4)])
     P[1] = 0.0  # every atom on one spot
     with np.errstate(all="ignore"):
-        rows = classify_batch(inst, P, cfg)
+        rows = classify_batch(inst, P)
         with pytest.raises(EvaluationError) as raised:
-            classify(inst, P[1], cfg)
+            classify(inst, P[1])
     assert isinstance(rows[1], EvaluationError)
     assert str(rows[1]) == str(raised.value)
     for i in (0, 2, 3):
-        assert _same_point(rows[i], classify(inst, P[i], cfg))
+        assert _same_point(rows[i], classify(inst, P[i]))
 
 
 class CountingPhi4(Phi4Lattice):

@@ -15,7 +15,6 @@ from spbench.solvers import (
     HomotopySchedule,
     SolverConfig,
     Status,
-    _linear_step,
     _linear_steps,
     gradsq_solve,
     homotopy_track,
@@ -181,12 +180,13 @@ def test_newton_respects_cond_limit():
 def test_linear_step_least_norm_when_rhs_in_range():
     # rank-deficient beyond any condition limit, but the right-hand side lies
     # in the range: the least-norm step solves the system
-    delta = _linear_step(np.diag([1.0, 0.0]), np.array([1.0, 0.0]), 1e12)
-    assert np.array_equal(delta, [1.0, 0.0])
+    delta, ok = _linear_steps(np.diag([1.0, 0.0])[None], np.array([[1.0, 0.0]]), 1e12)
+    assert ok[0]
+    assert np.array_equal(delta[0], [1.0, 0.0])
 
 
 def test_linear_step_refuses_rhs_in_null_directions():
-    assert _linear_step(np.diag([1.0, 0.0]), np.array([0.0, 1.0]), 1e12) is None
+    assert not _linear_steps(np.diag([1.0, 0.0])[None], np.array([[0.0, 1.0]]), 1e12)[1][0]
 
 
 def test_newton_thomson_octahedron_with_charge_near_pole():
@@ -549,8 +549,9 @@ def test_linear_step_stack_mixes_branches():
         delta, ok = _linear_steps(jac, rhs, 1e12)
         assert ok.tolist() == expect
         for j, r, d, good in zip(jac, rhs, delta, ok):
-            alone = _linear_step(j, r, 1e12)
-            assert (alone is None) if not good else np.array_equal(alone, d)
+            alone, has = _linear_steps(j[None], r[None], 1e12)
+            assert has[0] == good
+            assert not good or np.array_equal(alone[0], d)
         if jac is square:
             assert np.array_equal(delta[:2], [[1.0, 1.0], [1.0, 0.0]])
         if jac is tall:
