@@ -205,7 +205,7 @@ class _Batch:
     def end(self, live, mask, status, steps):
         """End the live starts selected by ``mask`` with ``status`` after
         ``steps`` iterations, and drop them from ``live``."""
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return
         steps = np.broadcast_to(steps, live.idx.shape)
         for i in np.flatnonzero(mask):
@@ -252,48 +252,49 @@ def _linear_steps(jac, rhs, cond_limit):
     return delta, ok
 
 
-# Rungs that ``_line_search`` evaluates in one batched call once a row's first
-# rung has failed.  Most searches end on the first rung, so it is tried alone:
-# over the bench workloads at seed 0, Newton's share is 0.77 (clusters) to 0.99
-# (XY ring) and gradsq's 0.69 (disordered XY, d=2, L=3).
+# Rungs that ``_line_search`` tries per row once its first rung has failed.
+# Most searches end on the first rung, so it is tried alone.  Its share over the
+# bench workloads at seed 0: Newton 0.77 (clusters) to 0.99 (XY ring); gradsq
+# on disordered XY (d=2, L=3) 0.69, with 0.28 on rungs 1-7 and 0.03 later.  A
+# whole-ladder first round was rejected: 0.69x the time of that 25-start
+# campaign but 1.39x at 500 starts, where 8x the rows swamp the kernel, and a
+# row backtracks after a backtrack (0.32) about as often as after none (0.31).
 LADDER_RUNGS = 8
 
 
 def _line_search(instance, b, live, direction, step, sufficient, damping):
-    """Backtrack along ``direction`` from each live row's first step
-    ``step`` (overwritten); move the rows that find an acceptable rung, where
-    ``sufficient(norm, steps, rows)`` holds for the candidates' residual
-    norms, and return which did.  A row's rungs are step, step * backtrack,
-    ... by repeated multiplication down to ``damping.min_step``, and it takes
-    the first acceptable one, as a one-at-a-time search would.  The first
-    round tries one rung per row, later rounds ``LADDER_RUNGS`` in one call."""
+    """Backtrack along ``direction`` from each live row's first step ``step``;
+    move the rows where ``sufficient(norm, steps, rows)`` holds for a rung's
+    residual norm, and return which did.  A row takes the first acceptable
+    rung of step, step * backtrack, ... down to ``damping.min_step``, as a
+    one-at-a-time search would.  Each round is one dense (rows, rungs) block
+    in one call: one rung per row, then ``LADDER_RUNGS``.  A block's rungs
+    below ``min_step`` are evaluated but never taken: the ladder only falls,
+    so a one-at-a-time search stops before them."""
     moved = np.zeros(len(live), dtype=bool)
-    searching = step >= damping.min_step
-    rungs = 1
-    while searching.any():
-        rows = np.flatnonzero(searching)
-        ladder = np.empty((len(rows), rungs))
-        ladder[:, 0] = step[rows]
-        for k in range(1, rungs):
-            ladder[:, k] = ladder[:, k - 1] * damping.backtrack
-        valid = np.logical_and.accumulate(ladder >= damping.min_step, axis=1)
-        at, rung = np.nonzero(valid)
-        r = rows[at]
-        cand = b.x[live.idx[r]] + ladder[at, rung][:, None] * direction[r]
+    go_on = step >= damping.min_step
+    rows, step = go_on.nonzero()[0], step[go_on]
+    n, rungs = direction.shape[1], 1
+    while rows.size:
+        m = len(rows)
+        ladder = np.full((m, rungs), damping.backtrack)
+        ladder[:, 0] = step
+        ladder = np.multiply.accumulate(ladder, axis=1)  # the bits of repeated *=
+        cand = (b.x[live.idx[rows]][:, None, :]
+                + ladder[:, :, None] * direction[rows][:, None, :]).reshape(m * rungs, n)
         f, norm, _ = _residuals(instance, cand)
-        accept = np.zeros(valid.shape, dtype=bool)
-        accept[at, rung] = sufficient(norm, ladder[at, rung], r)
+        accept = ((ladder >= damping.min_step)
+                  & sufficient(norm.reshape(m, rungs), ladder, rows[:, None]))
         hit = accept.any(axis=1)
-        if hit.any():
-            pick = np.full(valid.shape, -1)
-            pick[at, rung] = np.arange(len(at))
-            pick = pick[hit, accept[hit].argmax(axis=1)]
-            took = rows[hit]
+        took = rows[hit]
+        if took.size:
+            pick = hit.nonzero()[0] * rungs + accept[hit].argmax(axis=1)
             b.x[live.idx[took]] = cand[pick]
             live.f[took], live.norm[took] = f[pick], norm[pick]
             moved[took] = True
-        searching[rows] = ~hit & valid[:, -1]
-        step[rows] = ladder[:, -1] * damping.backtrack
+        step = ladder[:, -1] * damping.backtrack
+        go_on = ~hit & (step >= damping.min_step)
+        rows, step = rows[go_on], step[go_on]
         rungs = LADDER_RUNGS
     return moved
 
@@ -369,27 +370,26 @@ def _gradsq_batch(instance, starts, cfg):
             b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
         # the scalar rules max(1, g), max(s, 1e-12) and min(s, 1e6), nan included
         step = 1.0 / np.where(live.gnorm > 1.0, live.gnorm, 1.0)
+        x = b.x[live.idx]
         if it > 0:  # every live row moved at every earlier iteration
-            ds = b.x[live.idx] - live.prev_x
+            ds = x - live.prev_x
             curv = _dots(ds, live.grad - live.prev_g)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(curv > 0.0, _dots(ds, ds) / curv, step)
-        step = np.where(1e-12 > step, 1e-12, step)
-        step = np.where(1e6 < step, 1e6, step)
-        live.prev_x = b.x[live.idx]
+            np.divide(_dots(ds, ds), curv, out=step, where=curv > 0.0)
+        step = np.clip(step, 1e-12, 1e6)
+        live.prev_x = x
         w, d = live.norm * live.norm, cfg.damping.decrease
-        live.moved = _line_search(
+        moved = _line_search(
             instance, b, live, -live.grad, step,
             lambda norm, s, r: norm * norm <= w[r] - d * s * live.gnorm[r] * live.gnorm[r],
             cfg.damping)
-        # the line search died at floating-point resolution: decide between
-        # a spurious minimum and plain divergence with relaxed thresholds,
-        # since W can no longer be decreased at all
-        floor_grad = ((live.gnorm <= 1e4 * cfg.gradsq_abs_gtol)
-                      | (live.gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
-        b.end(live, ~live.moved & floor_grad & (live.norm > 100.0 * tol),
-              Status.SPURIOUS_MINIMUM, it)
-        b.end(live, ~live.moved, Status.DIVERGED, it)
+        if not moved.all():
+            # W can no longer fall at floating-point resolution: relaxed
+            # thresholds tell a spurious minimum from plain divergence
+            floor = ((live.gnorm <= 1e4 * cfg.gradsq_abs_gtol)
+                     | (live.gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
+            spurious = ~moved & floor & (live.norm > 100.0 * tol)
+            b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
+            b.end(live, ~moved[~spurious], Status.DIVERGED, it)
         live.prev_g = live.grad
     return b.outcomes
 
@@ -506,13 +506,13 @@ def worker_count():
     another on the calling thread, and a campaign's results do not depend on
     their number; fewer, larger batches spend less interpreter time per
     start."""
-    env = os.environ.get(THREADS_ENV)
-    if env is None:
-        return 1
-    value = int(env)
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {value}")
-    return value
+    env = os.environ.get(THREADS_ENV, "1")
+    try:
+        if int(env) >= 1:
+            return int(env)
+    except ValueError:
+        pass
+    raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
 
 
 def draw_starts(instance, cfg):

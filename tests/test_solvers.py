@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 from spbench.clusters import LennardJonesCluster, ThomsonSphere
-from spbench.core import ProblemInstance, RootSystem, classify
+from spbench.core import ProblemInstance, RootSystem, _dots, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
 from spbench.serialize import save_result
 from spbench.solvers import (
+    LADDER_RUNGS,
     Damping,
     HomotopySchedule,
     SolverConfig,
     Status,
+    _Batch,
+    _line_search,
     _linear_steps,
+    _residuals,
     gradsq_solve,
     homotopy_track,
     multistart,
@@ -424,12 +428,17 @@ def test_worker_count_env():
     os.environ["SPBENCH_THREADS"] = "3"
     try:
         assert worker_count() == 3
-        os.environ["SPBENCH_THREADS"] = "0"
-        with pytest.raises(ValueError):
-            worker_count()
     finally:
         del os.environ["SPBENCH_THREADS"]
     assert worker_count() >= 1
+
+
+@pytest.mark.parametrize("value", ["abc", "2.0", "", "0"])
+def test_worker_count_names_the_variable(value, monkeypatch):
+    monkeypatch.setenv("SPBENCH_THREADS", value)
+    with pytest.raises(ValueError) as err:
+        worker_count()
+    assert str(err.value) == f"SPBENCH_THREADS must be an integer >= 1, got {value!r}"
 
 
 def test_status_wire_values():
@@ -572,3 +581,93 @@ def test_linear_steps_agree_with_numpy(k, n):
     for j, r, d in zip(jac, rhs, delta):
         ref = np.linalg.solve(j, r) if k == n else np.linalg.lstsq(j, r, rcond=None)[0]
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class Shell(ProblemInstance):
+    """f(x) = x (|x|^2 - 1) in the plane, masked inside |x| < 0.5; counts its
+    calls and keeps every row it evaluates."""
+
+    family = "synthetic"
+
+    def __init__(self):
+        super().__init__(2, "shell")
+        self.calls, self.seen = 0, []
+
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        self.calls += 1
+        self.seen.extend(X.copy())
+        r2 = _dots(X, X)
+        return X * (r2 - 1.0)[:, None], r2 < 0.25
+
+
+def _search_alone(inst, x, direction, step, accepts, damping):
+    """One row's backtracking search, one rung per residual call: the rungs
+    it tried and, if one was accepted, its point, residual and norm."""
+    tried = []
+    while step >= damping.min_step:
+        tried.append(x + step * direction)
+        f, norm, _ = _residuals(inst, tried[-1][None])
+        if accepts(norm, np.array([step]))[0]:
+            return tried, (tried[-1], f[0], norm[0])
+        step *= damping.backtrack
+    return tried, None
+
+
+@pytest.mark.parametrize("damping", [Damping(min_step=0.01),
+                                     Damping(backtrack=0.99, min_step=0.01)],
+                         ids=["halving", "backtrack-0.99"])
+def test_line_search_matches_one_row_at_a_time(damping):
+    # each row backtracks along +-u from radius r0; a rung is acceptable when
+    # the norm falls enough and its step lies in [lo, hi]
+    u = np.array([0.6, 0.8])
+    rows = [  # (r0, sign of the direction, first step, lo, hi)
+        (2.0, -1.0, 1.0, 0.0, np.inf),  # above min_step, first rung taken
+        (2.0, -1.0, damping.min_step, 0.0, np.inf),  # equal to min_step
+        (2.0, -1.0, 0.5 * damping.min_step, 0.0, np.inf),  # below: no search
+        (2.0, -1.0, 1.0, 0.0, 2.0 * damping.min_step),  # taken near min_step
+        # acceptable only at the first rung below min_step
+        (2.0, -1.0, 1.0, 0.9 * damping.backtrack * damping.min_step,
+         np.nextafter(damping.min_step, 0.0)),
+        (1.6, -1.0, 1.3, 0.0, np.inf),  # the first rungs land in the mask
+        (2.0, 1.0, 1.0, 0.0, np.inf),  # uphill: no rung is acceptable
+        # uphill, and rung 8, the last of round 2, is the last one >= min_step
+        (2.0, 1.0, damping.min_step * damping.backtrack**-8.5, 0.0, np.inf),
+    ]
+    r0, sign, step, lo, hi = (np.array(col) for col in zip(*rows))
+    inst = Shell()
+    b = _Batch(inst, r0[:, None] * u, SolverConfig())
+    f, norm0, _ = _residuals(inst, b.x)
+    x0, direction = b.x.copy(), sign[:, None] * u
+    live = b.live(norm0.copy(), f=f.copy())
+
+    def sufficient(norm, s, r):
+        return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
+
+    inst.calls, inst.seen = 0, []
+    moved = _line_search(inst, b, live, direction, step.copy(), sufficient, damping)
+    calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
+
+    rounds, evaluated = [0], 0
+    for i in range(len(rows)):
+        tried, took = _search_alone(inst, x0[i], direction[i], step[i],
+                                    lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])),
+                                    damping)
+        assert moved[i] == (took is not None)
+        point, fi, ni = took or (x0[i], f[i], norm0[i])
+        assert np.array_equal(b.x[i], point)
+        assert np.array_equal(live.f[i], fi) and live.norm[i] == ni
+        assert seen.issuperset(p.tobytes() for p in tried)
+        if tried:  # rung 0 alone, then LADDER_RUNGS rungs a round
+            rounds.append(1 + math.ceil((len(tried) - 1) / LADDER_RUNGS))
+            evaluated += 1 + LADDER_RUNGS * (rounds[-1] - 1)
+    assert moved.tolist() == [True, True, False, True, False, True, False, False]
+    assert calls == max(rounds) and rows_in == evaluated
+    # the row acceptable only below min_step evaluated that rung in its block
+    s = step[4]
+    while s >= damping.min_step:
+        s *= damping.backtrack
+    assert (x0[4] + s * direction[4]).tobytes() in seen
+    # and the masked first rung was evaluated but no row moved into the mask
+    assert (x0[5] + step[5] * direction[5]).tobytes() in seen
+    assert _dots(b.x, b.x).min() >= 0.25
