@@ -117,12 +117,23 @@ class _Cluster(ProblemInstance):
         return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
 
     def sample_start(self, rng):
-        """A start from ``_draw``, rejection-sampled so that every pair of
-        particles starts at least ``_MIN_SEPARATION`` apart."""
+        return self.sample_start_batch([rng])[0]
+
+    def sample_start_batch(self, rngs):
+        """Starts from ``_draw``, rejection-sampled so that every pair of
+        particles starts at least ``_MIN_SEPARATION`` apart.  Each round
+        draws the next candidate of every start still pending and tests
+        them together, so each generator yields the candidates it would
+        alone."""
+        starts, pending = np.empty((len(rngs), self.n)), np.arange(len(rngs))
         for _ in range(_MAX_TRIES):
-            p = self._draw(rng)
-            if np.min(_pair_distances(self.positions(p)[None], self._pairs)[2]) >= _MIN_SEPARATION:
-                return p
+            X = np.array([self._draw(rngs[i]) for i in pending]).reshape(len(pending), self.n)
+            lengths = _pair_distances(self._chart(X)[1], self._pairs)[2]
+            ok = np.min(lengths, axis=1) >= _MIN_SEPARATION
+            starts[pending[ok]] = X[ok]
+            pending = pending[~ok]
+            if not len(pending):
+                return starts
         raise RuntimeError(f"{self.label}: no start with pair separation >= {_MIN_SEPARATION} "
                            f"found in {_MAX_TRIES} tries")
 
@@ -147,6 +158,12 @@ class ThomsonSphere(_Cluster):
         # the variables within (theta_1, phi_1, ..., theta_N, phi_N): all
         # but the pinned theta_1, phi_1 and phi_2
         self._free = np.r_[2, 4:2 * charges]
+        # _draw takes lo + span u, u uniform in [0, 1), over theta_2 and then
+        # theta and phi of each further charge: the bits of the scalar draws
+        # uniform(0.1, pi - 0.1) for theta and pi - uniform(0, 2 pi) for phi
+        theta = (math.pi - 0.1) - 0.1
+        self._draw_lo = np.array([0.1] + [0.1, math.pi] * (charges - 2))
+        self._draw_span = np.array([theta] + [theta, -2.0 * math.pi] * (charges - 2))
 
     @staticmethod
     def _pair_energy(r):
@@ -199,13 +216,10 @@ class ThomsonSphere(_Cluster):
         return {"charges": self.charges}
 
     def _draw(self, rng):
-        """Polar angles away from the poles."""
-        p = np.empty(self.n)
-        p[0] = rng.uniform(0.1, math.pi - 0.1)
-        for i in range(2, self.charges):
-            p[1 + 2 * (i - 2)] = rng.uniform(0.1, math.pi - 0.1)
-            p[2 + 2 * (i - 2)] = np.pi - rng.uniform(0.0, 2.0 * np.pi)
-        return p
+        """Polar angles away from the poles, azimuths pi - U[0, 2 pi).  This
+        is ``rng.uniform`` as numpy computes it, lo + (hi - lo) u, without
+        the checks that make array bounds cost more than the draw."""
+        return self._draw_lo + self._draw_span * rng.random(self.n)
 
 
 class _PairPotentialCluster(_Cluster):

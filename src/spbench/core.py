@@ -138,6 +138,11 @@ class ProblemInstance:
         """Draw one solver start from the family's default region."""
         raise NotImplementedError
 
+    def sample_start_batch(self, rngs):
+        """An (m, n) stack of starts, row i drawn by ``sample_start(rngs[i])``."""
+        return np.array([self.sample_start(rng) for rng in rngs], dtype=float).reshape(
+            len(rngs), self.n)
+
 
 class RootSystem(ProblemInstance):
     """A system f(x) = 0 seen through the landscape W = |f|^2.

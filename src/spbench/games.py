@@ -150,7 +150,9 @@ class NashInstance(RootSystem):
         ends = np.cumsum(self.dims).tolist()
         self._blocks = [slice(e - d, e) for d, e in zip(self.dims, ends)]
         self._strat = ends[-1]
-        self._payoff_bounds = [(float(np.min(t)), float(np.max(t))) for t in game.payoffs]
+        # sample_start draws each pi_i uniformly within player i's payoff range
+        lo, hi = np.array([(np.min(t), np.max(t)) for t in game.payoffs]).T
+        self._pi_lo, self._pi_span = lo, hi - lo
         if label is None:
             label = "nash-" + "x".join(str(d) for d in self.dims)
         super().__init__(self._strat + game.players, label)
@@ -256,8 +258,8 @@ class NashInstance(RootSystem):
 
     def sample_start(self, rng):
         parts = [rng.dirichlet(np.ones(d)) for d in self.dims]
-        pis = np.array([rng.uniform(lo, hi) for lo, hi in self._payoff_bounds])
-        return self.pack(parts, pis)
+        # rng.uniform(lo, hi) as numpy computes it; see ThomsonSphere._draw
+        return self.pack(parts, self._pi_lo + self._pi_span * rng.random(len(self._pi_lo)))
 
 
 def matching_pennies():

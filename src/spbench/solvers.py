@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
 from .core import (Provenance, SolutionSet, StationaryPoint, _dots, _require, classify,
@@ -515,19 +517,68 @@ def worker_count():
     raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
 
 
+@functools.cache
+def _hash_chain(init, mult, calls):
+    """The constants of ``calls`` successive SeedSequence hash calls, as a
+    read-only (calls + 1, 1) uint32 column: call k xors with entry k, then
+    multiplies by entry k + 1."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    chain = np.array(chain, dtype=np.uint32)[:, None]
+    chain.flags.writeable = False
+    return chain
+
+
+def _hashmix(v, chain):
+    """SeedSequence's hashmix of ``v`` under the successive calls of ``chain``."""
+    v = (v ^ chain[:-1]) * chain[1:]
+    return v ^ v >> 16
+
+
+def _seed_states(seed, count):
+    """``np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)`` for
+    every start id i < ``count``, as a (count, 4) array: numpy's SeedSequence
+    hash with a pool of 4 words, run once over uint32 arrays with a column
+    per start, whose arithmetic wraps as the hash's does."""
+    # the entropy is the little-endian 32-bit words of seed (0 is one word), then i
+    seed = int(seed)
+    words = max(1, (seed.bit_length() + 31) // 32)
+    rows = max(words + 1, 4)
+    entropy = np.zeros((rows, count), dtype=np.uint32)
+    entropy[:words] = [[seed >> 32 * k & 0xFFFFFFFF] for k in range(words)]
+    entropy[words] = np.arange(count)
+    chain = _hash_chain(0x43b0d7e5, 0x931e8875, 4 * rows)
+    pool, k = _hashmix(entropy[:4], chain[:5]), 4
+    # each pool word, then each entropy word past the pool, mixes into the other pool words
+    for src in range(rows):
+        dst = [d for d in range(4) if d != src]
+        v = _hashmix(pool[src] if src < 4 else entropy[src], chain[k:k + len(dst) + 1])
+        v = np.uint32(0xca01f9dd) * pool[dst] - np.uint32(0x4973f715) * v
+        pool[dst], k = v ^ v >> 16, k + len(dst)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_chain(0x8b51f9dd, 0x58f38ded, 8))
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose state is already generated."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def draw_starts(instance, cfg):
-    """The campaign's start points.  Each one comes from its own generator
-    seeded with (seed, start_id), so point i is the same no matter how many
-    starts run or in which order."""
-    starts = []
-    for i in range(cfg.starts):
-        rng = np.random.default_rng((cfg.seed, i))
-        if cfg.start_box is not None:
-            lo, hi = cfg.start_box
-            starts.append(rng.uniform(lo, hi, instance.n))
-        else:
-            starts.append(np.asarray(instance.sample_start(rng), dtype=float))
-    return starts
+    """The campaign's start points.  Start i comes from its own generator,
+    the one ``np.random.default_rng((seed, i))`` gives, so point i is the
+    same no matter how many starts run or in which order."""
+    rngs = [np.random.Generator(np.random.PCG64(_State(words)))
+            for words in _seed_states(cfg.seed, cfg.starts)]
+    if cfg.start_box is not None:
+        return [rng.uniform(*cfg.start_box, instance.n) for rng in rngs]
+    return list(instance.sample_start_batch(rngs))
 
 
 def multistart(instance, cfg=None, starts=None):

@@ -11,6 +11,7 @@ from spbench.clusters import (
     pair_curvature,
 )
 from spbench import clusters
+from spbench.solvers import SolverConfig, draw_starts
 from test_hessians import _fd_signature
 
 
@@ -124,9 +125,48 @@ def test_thomson_sample_start_separation():
 def test_cluster_sample_start_gives_up(monkeypatch):
     monkeypatch.setattr(clusters, "_MIN_SEPARATION", 100.0)
     monkeypatch.setattr(clusters, "_MAX_TRIES", 3)
-    with pytest.raises(RuntimeError, match=r"no start with pair separation >= 100.0 "
-                                           r"found in 3 tries"):
+    message = r"lj-3: no start with pair separation >= 100.0 found in 3 tries"
+    with pytest.raises(RuntimeError, match=message):
         LennardJonesCluster(3).sample_start(np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match=message):
+        draw_starts(LennardJonesCluster(3), SolverConfig(starts=4))
+
+
+def _reference_thomson_draw(inst, rng):
+    """Thomson's draw as one scalar uniform call per coordinate, in order."""
+    p = np.empty(inst.n)
+    p[0] = rng.uniform(0.1, math.pi - 0.1)
+    for i in range(2, inst.charges):
+        p[2 * i - 3] = rng.uniform(0.1, math.pi - 0.1)
+        p[2 * i - 2] = np.pi - rng.uniform(0.0, 2.0 * np.pi)
+    return p
+
+
+def _reference_start(inst, rng):
+    """Rejection sampling one candidate at a time on one generator."""
+    draw = _reference_thomson_draw if isinstance(inst, ThomsonSphere) else type(inst)._draw
+    for _ in range(clusters._MAX_TRIES):
+        p = draw(inst, rng)
+        pos = inst.positions(p)
+        lengths = clusters._pair_distances(pos[None], inst._pairs)[2]
+        if np.min(lengths) >= clusters._MIN_SEPARATION:
+            return p
+    raise AssertionError("no start")
+
+
+@pytest.mark.parametrize("inst", [ThomsonSphere(N) for N in range(2, 13)]
+                         + [LennardJonesCluster(a) for a in (2, 3, 7)]
+                         + [MorseCluster(a, rho=6.0) for a in (2, 5)], ids=lambda i: i.label)
+def test_stacked_sampler_matches_one_at_a_time(inst):
+    # each generator yields the candidates it yields alone, and no more
+    mine = [np.random.default_rng((21, i)) for i in range(25)]
+    alone = [np.random.default_rng((21, i)) for i in range(25)]
+    X = inst.sample_start_batch(mine)
+    assert X.shape == (25, inst.n)
+    for x, rng, ref in zip(X, mine, alone):
+        assert x.tobytes() == _reference_start(inst, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert inst.sample_start_batch([]).shape == (0, inst.n)
 
 
 def test_cluster_variable_counts():

@@ -152,6 +152,18 @@ def test_sample_start_is_feasible():
         assert np.all(pis >= -3.0) and np.all(pis <= 0.0)
 
 
+def test_sample_start_draws_as_scalar_calls():
+    # each player's dirichlet, then each pi_i as one scalar uniform call
+    rng = np.random.default_rng(4)
+    inst = NashInstance(NashGame([rng.uniform(-2.0, 3.0, (2, 3, 2)) for _ in range(3)]))
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(200):
+        parts = [b.dirichlet(np.ones(d)) for d in inst.dims]
+        pis = [b.uniform(np.min(t), np.max(t)) for t in inst.game.payoffs]
+        assert inst.sample_start(a).tobytes() == np.concatenate(parts + [pis]).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_residual_shape_checks():
     g = matching_pennies()
     with pytest.raises(ValueError):

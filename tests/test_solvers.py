@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from spbench.clusters import LennardJonesCluster, ThomsonSphere
+from spbench import serialize
+from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from spbench.core import ProblemInstance, RootSystem, _dots, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
@@ -20,6 +21,8 @@ from spbench.solvers import (
     _line_search,
     _linear_steps,
     _residuals,
+    _seed_states,
+    draw_starts,
     gradsq_solve,
     homotopy_track,
     multistart,
@@ -376,6 +379,48 @@ def test_multistart_seed_determinism():
     c = multistart(inst, SolverConfig(method="newton", starts=20, seed=43))
     assert any(not np.array_equal(x.point, y.point)
                for x, y in zip(a.outcomes, c.outcomes))
+
+
+# 4_295_000_000 is the bench's seed stride at run seed 42950
+SEEDS = [0, 7, 2**32 - 1, 2**32, 4_295_000_000, 2**64 + 3, np.int64(5)]
+
+
+def _every_family():
+    rng = np.random.default_rng(11)
+    return [Phi4Lattice(3, J=0.3), XYLattice(2, 3, disorder="uniform-signed", seed=1),
+            ThomsonSphere(6), LennardJonesCluster(5), MorseCluster(4, rho=6.0),
+            NashInstance(NashGame([rng.uniform(-1.0, 1.0, (2, 3, 2)) for _ in range(3)])),
+            PuzzleInstance(generate_grid_puzzle(2, 2, 3, seed=8)[0])]
+
+
+def test_start_draw_cases_cover_every_family():
+    assert {inst.family for inst in _every_family()} == set(serialize.FAMILIES)
+
+
+@pytest.mark.parametrize("box", [None, (-1.5, 2.0)])
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_draw_starts_matches_per_start_generators(seed, box):
+    # the reference: one default_rng((seed, i)) per start, drawn on its own
+    for inst in _every_family():
+        for starts in (0, 1, 37):
+            cfg = SolverConfig(starts=starts, seed=seed, start_box=box)
+            got = draw_starts(inst, cfg)
+            assert isinstance(got, list) and len(got) == starts
+            for i, x in enumerate(got):
+                rng = np.random.default_rng((seed, i))
+                want = rng.uniform(*box, inst.n) if box else inst.sample_start(rng)
+                assert x.dtype == float and x.tobytes() == np.asarray(want, float).tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS + [2**96 - 1, 2**96, 2**200 + 17], ids=repr)
+def test_seed_states_match_seed_sequence(seed):
+    # a numpy whose SeedSequence hashes otherwise fails here, not in the drift
+    for count in (0, 1, 37):
+        want = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+                for i in range(count)]
+        got = _seed_states(seed, count)
+        assert got.dtype == np.uint64 and got.shape == (count, 4)
+        assert got.tobytes() == np.array(want, dtype=np.uint64).reshape(count, 4).tobytes()
 
 
 def test_multistart_start_id_stability():

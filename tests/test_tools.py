@@ -1,0 +1,21 @@
+"""tools/drift.py writes the files that two checkouts compare byte for byte."""
+
+import runpy
+from pathlib import Path
+
+DRIFT = Path(__file__).resolve().parent.parent / "tools" / "drift.py"
+
+
+def test_drift_writes_each_result_file_and_a_line_per_start(tmp_path):
+    write_campaigns = runpy.run_path(str(DRIFT))["write_campaigns"]
+    for side in ("a", "b"):
+        write_campaigns(tmp_path / side, "phi4-census", 0)
+    a, b = tmp_path / "a" / "phi4-census-seed-0", tmp_path / "b" / "phi4-census-seed-0"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["phi4-N3-census.json", "phi4-N3-census.starts"]
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+    lines = (a / "phi4-N3-census.starts").read_text().splitlines()
+    assert len(lines) == 1000
+    status, iterations, point, norm = lines[0].split(" ")
+    assert status == "converged" and int(iterations) > 0
+    assert len(bytes.fromhex(point)) == 9 * 8 and float(norm) < 1e-10
