@@ -262,23 +262,84 @@ class StationaryPoint:
     provenance: Provenance = field(default_factory=Provenance)
 
 
-@dataclass
-class SolutionSet:
-    """Deduplicated stationary points of one instance, in canonical order."""
+class PointColumns:
+    """Stationary points of one instance as columns; row i of each is point
+    i.  ``coords`` is an (m, n) array, or a list of 1-d arrays when the
+    points' lengths differ.  The other columns follow in the order of
+    ``COLUMNS``, given as any sequences and kept as arrays of its dtypes;
+    ``solver``, ``seed`` and ``start_id`` are the provenance, as the Python
+    values."""
 
-    instance_label: str
-    tolerance: float
-    metric: str
-    points: list = field(default_factory=list)
+    COLUMNS = (("energy", float), ("residual_norm", float), ("index", int),
+               ("zero_eigs", int), ("singular", bool), ("solver", object),
+               ("seed", object), ("start_id", object))
+
+    def __init__(self, instance_label, coords, *columns):
+        self.instance_label, self.coords = instance_label, coords
+        if not (isinstance(coords, np.ndarray) and coords.ndim == 2):
+            lengths = {len(p) for p in coords}
+            if len(lengths) > 1:
+                self.coords = [np.asarray(p, dtype=float) for p in coords]
+            else:
+                self.coords = np.array(coords, dtype=float).reshape(len(coords), *lengths or [0])
+        for (name, dtype), column in zip(self.COLUMNS, columns, strict=True):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+
+    @classmethod
+    def of(cls, label, points):
+        """The columns of a list of StationaryPoints."""
+        rows = [(sp.point, sp.energy, sp.residual_norm, sp.index, sp.zero_eigs, sp.singular,
+                 sp.provenance.solver, sp.provenance.seed, sp.provenance.start_id)
+                for sp in points]
+        return cls(label, *(list(zip(*rows)) or [()] * 9))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.energy)
+
+    def lengths(self):
+        if isinstance(self.coords, np.ndarray):
+            return np.full(len(self), self.coords.shape[1])
+        return np.array([len(p) for p in self.coords], dtype=int)
+
+    def take(self, rows):
+        """The points at ``rows``, an integer array, in that order."""
+        coords = (self.coords[rows] if isinstance(self.coords, np.ndarray)
+                  else [self.coords[i] for i in rows.tolist()])
+        return PointColumns(self.instance_label, coords,
+                            *(getattr(self, name)[rows] for name, _ in self.COLUMNS))
+
+    def points(self):
+        """The per-point view: one StationaryPoint per row."""
+        provenances = map(Provenance, self.solver.tolist(), self.seed.tolist(),
+                          self.start_id.tolist())
+        return [StationaryPoint(self.instance_label, *row) for row in zip(
+            self.coords, self.energy.tolist(), self.residual_norm.tolist(), self.index.tolist(),
+            self.zero_eigs.tolist(), self.singular.tolist(), provenances)]
+
+
+class SolutionSet:
+    """Deduplicated stationary points of one instance, in canonical order, as
+    PointColumns ``columns``.  They may be given as a list of
+    StationaryPoints, which is then ``points``; otherwise ``points`` is built
+    on first use."""
+
+    def __init__(self, instance_label, tolerance, metric, points=()):
+        self.instance_label, self.tolerance, self.metric = instance_label, tolerance, metric
+        self._points = None if isinstance(points, PointColumns) else list(points)
+        self.columns = points if self._points is None else PointColumns.of(instance_label, points)
+
+    def __len__(self):
+        return len(self.columns)
+
+    @property
+    def points(self):
+        if self._points is None:
+            self._points = self.columns.points()
+        return self._points
 
     def index_histogram(self):
-        hist = {}
-        for sp in self.points:
-            hist[sp.index] = hist.get(sp.index, 0) + 1
-        return dict(sorted(hist.items()))
+        index, counts = np.unique(self.columns.index, return_counts=True)
+        return dict(zip(index.tolist(), counts.tolist()))
 
 
 def _dots(a, b):
@@ -287,12 +348,14 @@ def _dots(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def classify_batch(instance, P, provenances=None):
+def classify_batch(instance, P, solver="direct", seed=0, start_id=0):
     """Classify each row of the (m, n) stack ``P`` as a stationary point of
-    ``instance``, each as it would be alone: a StationaryPoint, or the
-    EvaluationError that stopped the row.  Each Hessian is symmetrized as
-    (H + H^T)/2; the index counts its eigenvalues below -tol, and the point is
-    singular when any eigenvalue lies within tol of zero, where
+    ``instance``, each as it would be alone.  Returns the PointColumns of the
+    rows that classify, in order, with provenance (solver, seed, start_id of
+    the row, a scalar or one per row), and the EvaluationError that stopped
+    each other row, by row.  Each Hessian is symmetrized as (H + H^T)/2; the
+    index counts its eigenvalues below -tol, and the point is singular when
+    any eigenvalue lies within tol of zero, where
     tol = ZERO_TOL * (1 + max |eigenvalue|).
     """
     P = instance.check_points(P)
@@ -306,27 +369,30 @@ def classify_batch(instance, P, provenances=None):
     res = np.asarray(res, dtype=float)
     energies, energy_failed = instance._energies(P, res, res_failed)
     bad = ~np.isfinite(H).all(axis=(1, 2))
-    errors = [None] * m
-    for i in np.flatnonzero(failed | bad | res_failed | energy_failed):
+    stopped = failed | bad | res_failed | energy_failed
+    errors = {}
+    for i in np.flatnonzero(stopped).tolist():
         why = "non-finite Hessian entries at classify point" if bad[i] and not failed[i] else None
         errors[i] = EvaluationError(f"{instance.label}: {why or instance._failure}")
     eigs = np.linalg.eigvalsh(np.where(bad[:, None, None], 0.0, 0.5 * (H + H.swapaxes(1, 2))))
     tol = ZERO_TOL * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
-    index, zero_eigs = (eigs < -tol).sum(axis=1), (np.abs(eigs) <= tol).sum(axis=1)
-    norms = np.sqrt(_dots(res, res))
-    return [errors[i] or StationaryPoint(
-        instance.label, p.copy(), energy=float(energies[i]), residual_norm=float(norms[i]),
-        index=int(index[i]), zero_eigs=int(zero_eigs[i]), singular=bool(zero_eigs[i] > 0),
-        provenance=provenances[i] if provenances is not None else Provenance())
-        for i, p in enumerate(P)]
+    zero_eigs = (np.abs(eigs) <= tol).sum(axis=1)
+    ok = np.flatnonzero(~stopped)
+    return PointColumns(instance.label, P[ok], np.asarray(energies, dtype=float)[ok],
+                        np.sqrt(_dots(res, res))[ok], (eigs < -tol).sum(axis=1)[ok],
+                        zero_eigs[ok], zero_eigs[ok] > 0, [solver] * len(ok), [seed] * len(ok),
+                        np.broadcast_to(start_id, (m,))[ok]), errors
 
 
 def classify(instance, p, provenance=None):
-    """``classify_batch`` on the single point ``p``; raises its EvaluationError."""
-    (sp,) = classify_batch(instance, instance.check_point(p)[None], [provenance or Provenance()])
-    if isinstance(sp, EvaluationError):
-        raise sp
-    return sp
+    """``classify_batch`` on the single point ``p``, as a StationaryPoint;
+    raises its EvaluationError."""
+    prov = provenance or Provenance()
+    found, errors = classify_batch(instance, instance.check_point(p)[None], prov.solver,
+                                   prov.seed, prov.start_id)
+    if errors:
+        raise errors[0]
+    return found.points()[0]
 
 
 def point_distance(a, b, metric=EUCLIDEAN):
@@ -351,7 +417,8 @@ def _wrap(d, metric):
 
 
 def dedup(points, tol=1e-6, metric=EUCLIDEAN):
-    """Collapse near-duplicate stationary points into a SolutionSet.
+    """Collapse near-duplicate stationary points, a list of StationaryPoints
+    or PointColumns, into a SolutionSet of the same form.
 
     Points are sorted canonically (ascending energy, then lexicographic
     coordinates) and kept greedily: a point is kept unless an earlier kept
@@ -364,31 +431,36 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
     """
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
-    labels = sorted({sp.instance_label for sp in points})
-    if len(labels) > 1:
-        raise ValueError(f"dedup saw mixed instance labels: {labels}")
-    label = labels[0] if labels else ""
-    lengths = sorted({len(sp.point) for sp in points})
-    if len(lengths) > 1:
-        raise ValueError(f"dedup saw points of lengths {lengths} for {label!r}")
-    ordered = sorted(points, key=lambda sp: (sp.energy, tuple(np.asarray(sp.point).tolist())))
-    n = lengths[0] if lengths else 0
-    X = np.array([sp.point for sp in ordered], dtype=float).reshape(len(ordered), n)
+    columns = points
+    if not isinstance(points, PointColumns):
+        labels = sorted({sp.instance_label for sp in points})
+        if len(labels) > 1:
+            raise ValueError(f"dedup saw mixed instance labels: {labels}")
+        columns = PointColumns.of(labels[0] if labels else "", points)
+    if isinstance(columns.coords, list):
+        raise ValueError(f"dedup saw points of lengths {sorted(set(columns.lengths().tolist()))} "
+                         f"for {columns.instance_label!r}")
+    # a stable sort on energy, then each coordinate in turn, as sorted() on tuples
+    order = np.lexsort([*columns.coords.T[::-1], columns.energy])
+    X = columns.coords[order]
+    m, n = X.shape
     u = np.sqrt(np.arange(2.0, n + 2.0))  # unequal weights: permuted points get distinct keys
-    first = X[:, 0] if n else np.zeros(len(X))
+    first = X[:, 0] if n else np.zeros(m)
     keys = X @ (u / np.linalg.norm(u)) if metric == EUCLIDEAN else np.mod(first, 2 * np.pi)
     pad = 2.0 * tol + 1e-9 * (1.0 + np.abs(X).sum(axis=1).max(initial=0.0))
     if not np.isfinite(pad):  # non-finite points or tol: every representative is a candidate
-        keys, pad = np.zeros(len(X)), math.inf
+        keys, pad = np.zeros(m), math.inf
     turns = (0.0,) if metric == EUCLIDEAN else (-2 * np.pi, 0.0, 2 * np.pi)
     window, rows_of, reps = [], [], []  # the representatives' keys, sorted, and rows of X
-    for i, (sp, key) in enumerate(zip(ordered, keys.tolist())):
+    for i, key in enumerate(keys.tolist()):
         rows = rows_of[bisect_left(window, key - pad):bisect_right(window, key + pad)]
-        if not (rows and np.any(np.linalg.norm(_wrap(sp.point - X[rows], metric), axis=1) < tol)):
-            reps.append(sp)
+        if not (rows and np.any(np.linalg.norm(_wrap(X[i] - X[rows], metric), axis=1) < tol)):
+            reps.append(i)
             for turn in turns:
                 at = bisect_right(window, key + turn)
                 window.insert(at, key + turn)
                 rows_of.insert(at, i)
-    return SolutionSet(instance_label=label, tolerance=float(tol), metric=metric, points=reps)
-
+    kept = order[reps]
+    return SolutionSet(columns.instance_label, float(tol), metric,
+                       columns.take(kept) if columns is points
+                       else [points[i] for i in kept.tolist()])

@@ -257,9 +257,19 @@ class NashInstance(RootSystem):
         }
 
     def sample_start(self, rng):
-        parts = [rng.dirichlet(np.ones(d)) for d in self.dims]
-        # rng.uniform(lo, hi) as numpy computes it; see ThomsonSphere._draw
-        return self.pack(parts, self._pi_lo + self._pi_span * rng.random(len(self._pi_lo)))
+        return self.sample_start_batch([rng])[0]
+
+    def sample_start_batch(self, rngs):
+        # each block is rng.dirichlet(np.ones(d)) as numpy draws it at alpha 1:
+        # exponentials times 1 / their left-to-right sum; then the pis as
+        # rng.uniform(lo, hi) computes them (see ThomsonSphere._draw)
+        out = np.empty((len(rngs), self.n))
+        for row, rng in zip(out, rngs):
+            for block, d in zip(self._blocks, self.dims):
+                e = rng.standard_exponential(d)
+                row[block] = e * (1.0 / np.add.accumulate(e)[-1])
+            row[self._strat:] = self._pi_lo + self._pi_span * rng.random(len(self._pi_lo))
+        return out
 
 
 def matching_pennies():

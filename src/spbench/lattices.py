@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     ANGULAR_MOD_2PI,
     ProblemInstance,
-    Provenance,
     classify_batch,
     dedup,
 )
@@ -136,8 +135,7 @@ def phi4_enumerate_decoupled(instance, cap=3**9):
     if total > cap:
         raise ValueError(f"enumeration of {total} points exceeds cap {cap}")
     combos = np.array(list(itertools.product(instance.site_roots(), repeat=instance.n)))
-    prov = Provenance(solver="enumeration", seed=0, start_id=0)
-    points = classify_batch(instance, combos, provenances=[prov] * len(combos))
+    points, _ = classify_batch(instance, combos, solver="enumeration")
     return dedup(points, tol=1e-6, metric=instance.dedup_metric)
 
 

@@ -3,15 +3,18 @@
 Both file kinds are JSON with sorted keys and floats printed to 17
 significant digits, so saving, loading and saving again reproduces the bytes
 exactly, and a seeded campaign writes the same file whatever batch count
-``SPBENCH_THREADS`` sets.  ``_emit`` lays out any value; each stationary point
-of a result file, most of its bytes, comes from the one template ``_POINT`` in
-the same layout.  Writes go through a temporary file, given the mode a plain
-``open`` would give, and an atomic rename.
+``SPBENCH_THREADS`` sets.  ``_emit`` lays out any value.  A result file's
+stationary points, most of its bytes, are written from their columns in the
+same layout: every float in one ``%`` pass, then every point from the
+template ``_POINT`` for its length in one more.  Writes go through a
+temporary file, given the mode a plain ``open`` would give, and an atomic
+rename.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -20,7 +23,7 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import Provenance, SolutionSet, StationaryPoint, classify_batch
+from .core import PointColumns, SolutionSet, classify_batch
 from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -33,6 +36,18 @@ def _fmt_float(v):
     if "." not in s and "e" not in s and "n" not in s:
         s += ".0"
     return s
+
+
+def _fmt_floats(values):
+    """``_fmt_float`` of every value of a float array, in one ``%`` pass: an
+    integral value below 1e17, which 17 digits print without a point or an
+    exponent, gets one decimal."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"cannot serialize non-finite float {values[bad][0].item()!r}")
+    spec = np.where((values == np.trunc(values)) & (np.abs(values) < 1e17), "%.1f", "%.17g")
+    return ("\n".join(spec.tolist()) % tuple(values.tolist())).split("\n") if values.size else []
 
 
 class _Json(str):
@@ -55,24 +70,43 @@ _POINT = """{
       }"""
 
 
-def _point_record(sp):
-    coords = ",\n          ".join(map(_fmt_float, np.asarray(sp.point, dtype=float).tolist()))
-    prov = sp.provenance
-    return _Json(_POINT % (
-        "[\n          " + coords + "\n        ]" if coords else "[]", _fmt_float(sp.energy),
-        sp.index, prov.seed, json.dumps(prov.solver), prov.start_id,
-        _fmt_float(sp.residual_norm), "true" if sp.singular else "false", sp.zero_eigs))
+@functools.cache
+def _point_template(n):
+    """``_POINT`` with a slot for each of ``n`` coordinates."""
+    coords = "[\n          " + ",\n          ".join(["%s"] * n) + "\n        ]" if n else "[]"
+    return _POINT.replace("%s", coords, 1)
 
 
-def stationary_point_from_dict(label, d):
-    """The StationaryPoint of a loaded ``_POINT`` record."""
-    prov = d.get("provenance", {})
-    return StationaryPoint(
-        label, np.asarray(d["coords"], dtype=float), energy=float(d["energy"]),
-        residual_norm=float(d["residual_norm"]), index=int(d["index"]),
-        zero_eigs=int(d["zero_eigs"]), singular=bool(d["singular"]),
-        provenance=Provenance(solver=str(prov.get("solver", "direct")),
-                              seed=int(prov.get("seed", 0)), start_id=int(prov.get("start_id", 0))))
+def _points_text(cols):
+    """The "points" list of a result file, from the PointColumns ``cols``."""
+    if not len(cols):
+        return _Json("[]")
+    lengths = cols.lengths()
+    coords = cols.coords
+    flat = coords.ravel() if isinstance(coords, np.ndarray) else np.concatenate(coords)
+    # each point's slots: its coordinates, then the eight of _POINT, from ``tail`` on
+    at = np.arange(flat.size) + 8 * np.repeat(np.arange(len(cols)), lengths)
+    tail = np.cumsum(lengths + 8) - 8
+    values = np.empty(flat.size + 8 * len(cols), dtype=object)
+    values[np.concatenate([at, tail, tail + 5])] = _fmt_floats(
+        np.concatenate([flat, cols.energy, cols.residual_norm]))
+    quoted = {name: json.dumps(name) for name in set(cols.solver.tolist())}
+    for k, col in ((1, cols.index), (2, cols.seed), (4, cols.start_id), (7, cols.zero_eigs),
+                   (3, [quoted[name] for name in cols.solver.tolist()]),
+                   (6, np.where(cols.singular, "true", "false"))):
+        values[tail + k] = col
+    text = ",\n      ".join(map(_point_template, lengths.tolist())) % tuple(values.tolist())
+    return _Json("[\n      " + text + "\n    ]")
+
+
+def _point_columns(label, records):
+    """The PointColumns of loaded ``_POINT`` records."""
+    prov = [p.get("provenance", {}) for p in records]
+    return PointColumns(label, [p["coords"] for p in records], *(
+        [p[name] for p in records] for name in
+        ("energy", "residual_norm", "index", "zero_eigs", "singular")),
+        [str(d.get("solver", "direct")) for d in prov], [int(d.get("seed", 0)) for d in prov],
+        [int(d.get("start_id", 0)) for d in prov])
 
 
 def _emit(obj, out, indent):
@@ -193,7 +227,7 @@ def save_result(result, cfg, path):
             "instance_label": sol.instance_label,
             "tolerance": sol.tolerance,
             "metric": sol.metric,
-            "points": [_point_record(sp) for sp in sol.points],
+            "points": _points_text(sol.columns),
         },
     }))
 
@@ -205,12 +239,8 @@ def load_result(path):
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     sol_d = d["solutions"]
     label = sol_d["instance_label"]
-    solutions = SolutionSet(
-        instance_label=label,
-        tolerance=float(sol_d["tolerance"]),
-        metric=str(sol_d["metric"]),
-        points=[stationary_point_from_dict(label, p) for p in sol_d["points"]],
-    )
+    solutions = SolutionSet(label, float(sol_d["tolerance"]), str(sol_d["metric"]),
+                            _point_columns(label, sol_d["points"]))
     stats_d = d.get("campaign_stats", {})
     stats = CampaignStats(**{name: int(stats_d.get(name, 0)) for name in
                              ("starts", "converged", "diverged", "spurious", "eval_errors")})
@@ -231,34 +261,38 @@ def check_result(instance, loaded):
         issues.append(f"instance label {loaded['instance_label']!r} does not match "
                       f"{instance.label!r}")
     tol = loaded["config"].accept_tol
-    points = loaded["solutions"].points
-    classified = {}
-    for i, sp in enumerate(points):
+    stored = loaded["solutions"].columns
+    lengths = stored.lengths()
+    failed = {}
+    for i in np.flatnonzero(lengths != instance.n).tolist():
         try:
-            instance.check_point(sp.point)
+            instance.check_point(stored.coords[i])
         except ValueError as exc:
-            classified[i] = exc
-    fits = [i for i in range(len(points)) if i not in classified]
-    stack = np.array([points[i].point for i in fits]).reshape(len(fits), instance.n)
-    classified.update(zip(fits, classify_batch(instance, stack)))
-    for i, sp in enumerate(points):
-        fresh = classified[i]
-        if isinstance(fresh, Exception):
-            issues.append(f"point {i}: classification failed: {fresh}")
+            failed[i] = exc
+    fits = np.flatnonzero(lengths == instance.n)
+    stack = stored.take(fits).coords.reshape(len(fits), instance.n)
+    fresh, errors = classify_batch(instance, stack)
+    failed.update((fits[r].item(), exc) for r, exc in errors.items())
+    rows = np.delete(fits, list(errors))  # the stored points of the rows of ``fresh``
+    old = stored.take(rows)
+    with np.errstate(all="ignore"):
+        flags = np.column_stack([
+            fresh.residual_norm > tol,
+            np.abs(fresh.residual_norm - old.residual_norm) > tol * 10.0 + 1e-15,
+            old.index != fresh.index, old.singular != fresh.singular,
+            old.zero_eigs != fresh.zero_eigs,
+            np.abs(fresh.energy - old.energy) > 1e-9 * (1.0 + np.abs(fresh.energy))])
+    for i in sorted(failed.keys() | set(rows[flags.any(axis=1)].tolist())):
+        if i in failed:
+            issues.append(f"point {i}: classification failed: {failed[i]}")
             continue
-        norm = fresh.residual_norm
-        if norm > tol:
-            issues.append(f"point {i}: residual norm {norm:.3e} exceeds "
-                          f"tolerance {tol:.3e}")
-        if abs(norm - sp.residual_norm) > tol * 10.0 + 1e-15:
-            issues.append(f"point {i}: stored residual norm {sp.residual_norm:.3e} "
-                          f"disagrees with recomputed {norm:.3e}")
-        for name in ("index", "singular", "zero_eigs"):
-            stored, recomputed = getattr(sp, name), getattr(fresh, name)
-            if stored != recomputed:
-                issues.append(f"point {i}: stored {name}={stored} but recomputed {recomputed}")
-        scale = 1.0 + abs(fresh.energy)
-        if abs(fresh.energy - sp.energy) > 1e-9 * scale:
-            issues.append(f"point {i}: stored energy {sp.energy!r} but "
-                          f"recomputed {fresh.energy!r}")
+        r = np.searchsorted(rows, i)
+        norm, energy = fresh.residual_norm[r], float(fresh.energy[r])
+        found = [f"residual norm {norm:.3e} exceeds tolerance {tol:.3e}",
+                 f"stored residual norm {old.residual_norm[r]:.3e} "
+                 f"disagrees with recomputed {norm:.3e}",
+                 *(f"stored {name}={getattr(old, name)[r]} but recomputed {getattr(fresh, name)[r]}"
+                   for name in ("index", "singular", "zero_eigs")),
+                 f"stored energy {float(old.energy[r])!r} but recomputed {energy!r}"]
+        issues += [f"point {i}: {text}" for text, flag in zip(found, flags[r]) if flag]
     return issues

@@ -47,8 +47,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
-from .core import (Provenance, SolutionSet, StationaryPoint, _dots, _require, classify,
-                   classify_batch, dedup)
+from .core import _dots, _require, classify, classify_batch, dedup
 
 THREADS_ENV = "SPBENCH_THREADS"
 
@@ -182,13 +181,20 @@ class _Live:
             setattr(self, name, value[mask])
 
 
+_STATUSES = list(Status)  # a status code is its position here
+
+
 class _Batch:
-    """The starts of one batched solve: their current points ``x`` and each
-    start's outcome and trace."""
+    """The starts of one batched solve: their current points ``x``, and as
+    columns each start's status code, iteration count and residual norm,
+    which ``end`` writes, and its trace.  A start that has ended never moves
+    again, so its row of ``x`` is its end point."""
 
     def __init__(self, instance, starts, cfg):
         self.x = instance.check_points(starts).copy()
-        self.outcomes = [None] * len(self.x)
+        m = len(self.x)
+        self.status = np.full(m, -1)  # until the start ends
+        self.iterations, self.norm = np.zeros(m, dtype=int), np.zeros(m)
         self.traces = [[] for _ in self.x] if cfg.record_trace else None
 
     def live(self, norm, **arrays):
@@ -207,15 +213,19 @@ class _Batch:
     def end(self, live, mask, status, steps):
         """End the live starts selected by ``mask`` with ``status`` after
         ``steps`` iterations, and drop them from ``live``."""
-        if not np.count_nonzero(mask):
+        if not mask.any():
             return
-        steps = np.broadcast_to(steps, live.idx.shape)
-        for i in np.flatnonzero(mask):
-            r = live.idx[i]
-            trace = self.traces[r] if self.traces is not None else None
-            self.outcomes[r] = SolveOutcome(status, self.x[r].copy(), float(live.norm[i]),
-                                            int(steps[i]), trace)
+        rows = live.idx[mask]
+        self.status[rows] = _STATUSES.index(status)
+        self.iterations[rows] = np.broadcast_to(steps, mask.shape)[mask]
+        self.norm[rows] = live.norm[mask]
         live.keep(~mask)
+
+    def outcomes(self):
+        """The per-start view: one SolveOutcome per start."""
+        return list(map(SolveOutcome, [_STATUSES[c] for c in self.status.tolist()], self.x,
+                        self.norm.tolist(), self.iterations.tolist(),
+                        self.traces or [None] * len(self.x)))
 
 
 def _linear_steps(jac, rhs, cond_limit):
@@ -304,7 +314,7 @@ def _line_search(instance, b, live, direction, step, sufficient, damping):
 def _solve_one(batch, instance, start, cfg, method):
     """A per-start call: the batch of one."""
     start = instance.check_point(np.array(start, dtype=float))
-    return batch(instance, start[None], _resolved(cfg, method))[0]
+    return batch(instance, start[None], _resolved(cfg, method)).outcomes()[0]
 
 
 def newton_solve(instance, start, cfg=None):
@@ -333,7 +343,7 @@ def _newton_batch(instance, starts, cfg):
                              lambda norm, s, r: norm <= (1.0 - damping.decrease * s) * norm0[r],
                              damping)
         b.end(live, ~moved, Status.DIVERGED, it)
-    return b.outcomes
+    return b
 
 
 def gradsq_solve(instance, start, cfg=None):
@@ -393,7 +403,7 @@ def _gradsq_batch(instance, starts, cfg):
             b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
             b.end(live, ~moved[~spurious], Status.DIVERGED, it)
         live.prev_g = live.grad
-    return b.outcomes
+    return b
 
 
 def homotopy_track(instance, start, cfg=None):
@@ -449,7 +459,7 @@ def _homotopy_batch(instance, starts, cfg):
         done = live.t >= 1.0
         b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
         b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)
-    return b.outcomes
+    return b
 
 
 def _correct(instance, live, cfg):
@@ -494,12 +504,19 @@ class CampaignStats:
     wall_time: float = 0.0
 
 
-@dataclass
 class MultistartResult:
-    solutions: SolutionSet
-    stats: CampaignStats
-    outcomes: list
-    starts: list
+    """A campaign's distinct points, its tally, one SolveOutcome per start
+    and the starts.  ``outcomes`` may be given as a function that returns
+    them, called on first use."""
+
+    def __init__(self, solutions, stats, outcomes, starts):
+        self.solutions, self.stats, self._outcomes, self.starts = solutions, stats, outcomes, starts
+
+    @property
+    def outcomes(self):
+        if callable(self._outcomes):
+            self._outcomes = self._outcomes()
+        return self._outcomes
 
 
 def worker_count():
@@ -600,22 +617,21 @@ def multistart(instance, cfg=None, starts=None):
 
     began = time.perf_counter()
     stack = np.array(starts, dtype=float) if starts else np.empty((0, instance.n))
-    outcomes = []
-    for chunk in np.array_split(stack, max(1, min(worker_count(), len(stack)))):
-        outcomes += solver(instance, chunk, cfg)
+    batches = [solver(instance, chunk, cfg)
+               for chunk in np.array_split(stack, max(1, min(worker_count(), len(stack))))]
     wall = time.perf_counter() - began
 
-    ends = [i for i, out in enumerate(outcomes) if out.status is Status.CONVERGED]
-    points = np.array([outcomes[i].point for i in ends]).reshape(len(ends), instance.n)
-    provenances = [Provenance(solver=cfg.method, seed=cfg.seed, start_id=i) for i in ends]
-    found = [sp for sp in classify_batch(instance, points, provenances=provenances)
-             if isinstance(sp, StationaryPoint)]
-    spurious = sum(out.status is Status.SPURIOUS_MINIMUM for out in outcomes)
-    failed = sum(out.status is Status.EVAL_ERROR for out in outcomes)
+    status = np.concatenate([b.status for b in batches])
+    ends = np.flatnonzero(status == _STATUSES.index(Status.CONVERGED))
+    points = np.concatenate([b.x for b in batches])[ends]
+    found, errors = classify_batch(instance, points, cfg.method, cfg.seed, ends)
     solutions = dedup(found, tol=cfg.dedup_tol, metric=instance.dedup_metric)
+    tally = np.bincount(status, minlength=len(_STATUSES)).tolist()
+    spurious = tally[_STATUSES.index(Status.SPURIOUS_MINIMUM)]
+    failed = tally[_STATUSES.index(Status.EVAL_ERROR)]
     stats = CampaignStats(starts=len(starts), converged=len(found),
-                          diverged=len(outcomes) - len(ends) - spurious - failed,
-                          spurious=spurious, eval_errors=failed + len(ends) - len(found),
+                          diverged=len(starts) - len(ends) - spurious - failed,
+                          spurious=spurious, eval_errors=failed + len(errors),
                           wall_time=wall)
-    return MultistartResult(solutions=solutions, stats=stats,
-                            outcomes=outcomes, starts=starts)
+    return MultistartResult(solutions, stats, lambda: [o for b in batches for o in b.outcomes()],
+                            starts)

@@ -8,6 +8,7 @@ from spbench.core import (
     EUCLIDEAN,
     EvaluationError,
     ProblemInstance,
+    PointColumns,
     Provenance,
     StationaryPoint,
     classify,
@@ -16,7 +17,7 @@ from spbench.core import (
     fd_hessian,
     point_distance,
 )
-from spbench.serialize import _point_record, stationary_point_from_dict
+from spbench.serialize import _point_columns, _points_text
 from test_hessians import _fd_signature
 
 
@@ -256,6 +257,37 @@ def test_dedup_keeps_what_the_quadratic_scan_keeps(metric, seed):
             assert [id(sp) for sp in kept] == [id(sp) for sp in _dedup_reference(pts, tol, metric)]
 
 
+def _order_cases():
+    """Points whose canonical order hangs on ties: equal energies, coordinates
+    that differ only in the sign of a zero, exact duplicates, permutations of
+    one vector, and angles a whole turn apart."""
+    zeros = [_sp("x", [a, b, 1.0], 0.5) for a in (0.0, -0.0) for b in (-0.0, 0.0)]
+    copies = [_sp("x", [1.0, 2.0, 3.0], -1.0) for _ in range(4)]
+    perms = [_sp("x", p, 2.0) for p in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0],
+                                        [1.0, 3.0, 2.0], [3.0, 2.0, 1.0], [2.0, 1.0, 3.0])]
+    turns = [_sp("x", [a, 0.25, -0.0], 2.0) for a in (0.5, 0.5 + 2 * np.pi, 0.5 - 2 * np.pi)]
+    mixed = [_sp("x", [0.0, 1e-7 * i, 0.0], e) for i, e in enumerate([1.0, 0.0, 1.0, 0.0, -0.0])]
+    return [zeros, copies, perms, turns, mixed, zeros + copies + perms + turns + mixed]
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, ANGULAR_MOD_2PI])
+def test_dedup_order_is_the_reference_order(metric):
+    # at tol 0 every point is kept, so the result is the whole canonical
+    # order; exact duplicates keep their input order
+    rng = np.random.default_rng(11)
+    for pts in _order_cases():
+        for perm in [range(len(pts)), range(len(pts))[::-1], rng.permutation(len(pts))]:
+            pts = [pts[i] for i in perm]
+            for tol in (0.0, 1e-6, 0.5, 3.0):
+                kept = dedup(pts, tol=tol, metric=metric)
+                ref = _dedup_reference(pts, tol, metric)
+                assert [id(sp) for sp in kept.points] == [id(sp) for sp in ref], (tol, metric)
+                # the columnar path keeps the same rows, in the same order
+                cols = dedup(PointColumns.of("x", pts), tol=tol, metric=metric).columns
+                assert cols.coords.tobytes() == np.array([sp.point for sp in ref]).tobytes()
+                assert cols.energy.tobytes() == np.array([sp.energy for sp in ref]).tobytes()
+
+
 def test_dedup_angular_metric_joins_wrapped_points():
     pts = [
         _sp("x", [0.0], 0.0),
@@ -273,7 +305,8 @@ def test_index_histogram():
 
 def test_stationary_point_dict_round_trip():
     sp = _sp("lbl", [0.25, -1.5], -3.25, index=2)
-    back = stationary_point_from_dict("lbl", json.loads(_point_record(sp)))
+    text = _points_text(PointColumns.of("lbl", [sp]))
+    (back,) = _point_columns("lbl", json.loads(text)).points()
     assert np.array_equal(back.point, sp.point)
     assert back.energy == sp.energy
     assert back.index == sp.index

@@ -164,6 +164,25 @@ def test_sample_start_draws_as_scalar_calls():
     assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 3), (9, 2), (1, 4, 2)])
+def test_stacked_sampler_draws_what_dirichlet_draws(shape):
+    # numpy's dirichlet at alpha 1; a player with 9 strategies sums past the
+    # 8 terms where np.sum turns pairwise
+    rng = np.random.default_rng(sum(shape))
+    inst = NashInstance(NashGame([rng.uniform(-2.0, 3.0, shape) for _ in shape]))
+    for seed in range(40):
+        mine = [np.random.default_rng((seed, i)) for i in range(7)]
+        theirs = [np.random.default_rng((seed, i)) for i in range(7)]
+        rows = inst.sample_start_batch(mine)
+        assert rows.shape == (7, inst.n)
+        for row, b in zip(rows, theirs):
+            parts = [b.dirichlet(np.ones(d)) for d in inst.dims]
+            pis = inst._pi_lo + inst._pi_span * b.random(len(shape))
+            assert row.tobytes() == inst.pack(parts, pis).tobytes()
+        assert [a.bit_generator.state for a in mine] == [b.bit_generator.state for b in theirs]
+    assert inst.sample_start_batch([]).shape == (0, inst.n)
+
+
 def test_residual_shape_checks():
     g = matching_pennies()
     with pytest.raises(ValueError):

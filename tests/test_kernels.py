@@ -179,16 +179,17 @@ def test_classify_batch_rows_equal_per_point_classify(reference):
     for k, inst in enumerate(_acceptance_3_instances()):
         rng = np.random.default_rng((4400, k))
         P = np.array([inst.sample_start(rng) for _ in range(5)])
-        provs = [Provenance(solver="newton", seed=k, start_id=i) for i in range(len(P))]
-        rows = classify_batch(inst, P, provs)
-        assert len(rows) == len(P)
-        for i, row in enumerate(rows):
+        found, errors = classify_batch(inst, P, "newton", k, np.arange(len(P)))
+        assert errors == {} and len(found) == len(P), (inst.label, errors)
+        for i, row in enumerate(found.points()):
             assert isinstance(row, StationaryPoint), (inst.label, row)
             if reference == "analytic":
-                assert _same_point(row, classify(inst, P[i], provs[i])), (inst.label, i)
+                prov = Provenance(solver="newton", seed=k, start_id=i)
+                assert _same_point(row, classify(inst, P[i], prov)), (inst.label, i)
             else:
                 assert (row.index, row.zero_eigs) == _fd_signature(inst, P[i]), (inst.label, i)
-        assert classify_batch(inst, P[:0]) == []
+        found, errors = classify_batch(inst, P[:0])
+        assert len(found) == 0 and errors == {}
 
 
 def test_classify_batch_fails_a_masked_row_alone():
@@ -197,13 +198,13 @@ def test_classify_batch_fails_a_masked_row_alone():
     P = np.array([inst.sample_start(rng) for _ in range(4)])
     P[1] = 0.0  # every atom on one spot
     with np.errstate(all="ignore"):
-        rows = classify_batch(inst, P)
+        found, errors = classify_batch(inst, P)
         with pytest.raises(EvaluationError) as raised:
             classify(inst, P[1])
-    assert isinstance(rows[1], EvaluationError)
-    assert str(rows[1]) == str(raised.value)
-    for i in (0, 2, 3):
-        assert _same_point(rows[i], classify(inst, P[i]))
+    assert list(errors) == [1] and isinstance(errors[1], EvaluationError)
+    assert str(errors[1]) == str(raised.value)
+    for row, i in zip(found.points(), (0, 2, 3), strict=True):
+        assert _same_point(row, classify(inst, P[i]))
 
 
 class CountingPhi4(Phi4Lattice):

@@ -11,7 +11,7 @@ import pytest
 from spbench import serialize
 from spbench.cli import main
 from spbench.clusters import MorseCluster, ThomsonSphere
-from spbench.core import Provenance, SolutionSet, StationaryPoint
+from spbench.core import EvaluationError, Provenance, SolutionSet, StationaryPoint, classify
 from spbench.games import NashGame, NashInstance, matching_pennies
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -24,6 +24,30 @@ def test_float_formatting_round_trips():
     values = [0.1, 1 / 3, math.pi, 1e-300, -1e17, 2.0, -0.0, 5e22]
     for v in values:
         assert float(serialize._fmt_float(v)) == v
+
+
+def test_one_pass_float_formatter_matches_the_scalar_one():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 12345678901234567.0, 1e17, -1e17,
+              2.0**53, 2.0**53 + 2, -(2.0**53), 99999999999999984.0, -1.5, 1 / 3, 123.0,
+              0.1, 1e-300, 5e22, math.pi, -2.0, 1e-7]
+    assert serialize._fmt_floats(values) == [serialize._fmt_float(v) for v in values]
+    assert serialize._fmt_floats(np.array(values)[:0]) == []
+
+
+@pytest.mark.parametrize("where", ["coordinate", "energy", "residual_norm"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_save_result_rejects_a_non_finite_value(tmp_path, where, bad):
+    result, cfg = _hand_made_result()
+    sol = result.solutions
+    points = list(sol.points)
+    if where == "coordinate":
+        points[1] = dataclasses.replace(points[1], point=np.array([1.0, bad, 2.0]))
+    else:
+        points[1] = dataclasses.replace(points[1], **{where: bad})
+    result.solutions = SolutionSet(sol.instance_label, sol.tolerance, sol.metric, points)
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize.save_result(result, cfg, tmp_path / "res.json")
+    assert not (tmp_path / "res.json").exists()
 
 
 def test_dumps_orders_keys_and_keeps_floats():
@@ -127,8 +151,10 @@ def _generic_result_text(result, cfg):
 
 def _hand_made_with_an_empty_point():
     result, cfg = _hand_made_result()
-    empty = dataclasses.replace(result.solutions.points[0], point=np.empty(0))
-    result.solutions.points.append(empty)
+    sol = result.solutions
+    empty = dataclasses.replace(sol.points[0], point=np.empty(0))
+    result.solutions = SolutionSet(sol.instance_label, sol.tolerance, sol.metric,
+                                   sol.points + [empty])
     return result, cfg
 
 
@@ -256,6 +282,82 @@ def test_result_file_round_trip(tmp_path):
     # wall time never reaches the payload
     raw = json.loads(path.read_text())
     assert raw["campaign_stats"]["wall_time"] is None
+    # save -> load -> save gives the same bytes, the points checking out
+    for make in _ROUND_TRIPS:
+        inst, cfg = make()
+        serialize.save_result(multistart(inst, cfg), cfg, path)
+        loaded = serialize.load_result(path)
+        assert len(loaded["solutions"]) > 0 and serialize.check_result(inst, loaded) == []
+        again = MultistartResult(loaded["solutions"], loaded["campaign_stats"], [], [])
+        serialize.save_result(again, loaded["config"], tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), inst.label
+
+
+_ROUND_TRIPS = [
+    lambda: (Phi4Lattice(3, J=0.0), SolverConfig(starts=200, seed=3)),
+    lambda: (XYLattice(1, 4), SolverConfig(starts=100, seed=21, accept_tol=1e-13)),
+    lambda: (ThomsonSphere(5), SolverConfig(starts=20, seed=0)),
+    lambda: (NashInstance(NashGame([np.random.default_rng(3).uniform(-1, 1, (3, 3, 3))
+                                    for _ in range(3)])), SolverConfig(starts=25, seed=2)),
+    lambda: (PuzzleInstance(generate_grid_puzzle(2, 2, 3, seed=8)[0]),
+             SolverConfig(starts=10, seed=0)),
+]
+
+
+def _check_result_reference(instance, loaded):
+    """``check_result`` point by point: each point classified alone, then
+    its fields compared one at a time."""
+    issues = []
+    tol = loaded["config"].accept_tol
+    for i, sp in enumerate(loaded["solutions"].points):
+        try:
+            fresh = classify(instance, sp.point)
+        except (ValueError, EvaluationError) as exc:
+            issues.append(f"point {i}: classification failed: {exc}")
+            continue
+        norm = fresh.residual_norm
+        if norm > tol:
+            issues.append(f"point {i}: residual norm {norm:.3e} exceeds "
+                          f"tolerance {tol:.3e}")
+        if abs(norm - sp.residual_norm) > tol * 10.0 + 1e-15:
+            issues.append(f"point {i}: stored residual norm {sp.residual_norm:.3e} "
+                          f"disagrees with recomputed {norm:.3e}")
+        for name in ("index", "singular", "zero_eigs"):
+            stored, recomputed = getattr(sp, name), getattr(fresh, name)
+            if stored != recomputed:
+                issues.append(f"point {i}: stored {name}={stored} but recomputed {recomputed}")
+        if abs(fresh.energy - sp.energy) > 1e-9 * (1.0 + abs(fresh.energy)):
+            issues.append(f"point {i}: stored energy {sp.energy!r} but "
+                          f"recomputed {fresh.energy!r}")
+    return issues
+
+
+def test_check_result_messages_match_a_point_by_point_check(tmp_path):
+    inst = Phi4Lattice(2)
+    cfg = SolverConfig(method="newton", seed=0)
+    path = tmp_path / "res.json"
+    serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
+    raw = json.loads(path.read_text())
+    points = raw["solutions"]["points"]
+    points[1]["coords"][0] += 0.5
+    points[1]["index"] += 1
+    points[1]["energy"] += 1.0
+    points[3].update(singular=not points[3]["singular"], zero_eigs=points[3]["zero_eigs"] + 2,
+                     residual_norm=1.0)
+    points[4]["coords"].append(0.0)
+    points[4]["index"] += 1
+    points[6]["energy"] *= 1.0 + 1e-6
+    points[6]["index"] -= 1
+    points[8]["coords"] = [c + 0.25 for c in points[8]["coords"]]
+    points[8].update(residual_norm=2.0, index=7, singular=True, zero_eigs=3, energy=-1e9)
+    points[11]["coords"] = points[11]["coords"][:2]
+    path.write_text(json.dumps(raw))
+    loaded = serialize.load_result(path)
+    issues = serialize.check_result(inst, loaded)
+    assert issues == _check_result_reference(inst, loaded)
+    assert [s.split(":")[0] for s in issues[:3]] == ["point 1"] * 3
+    assert sum("classification failed" in s for s in issues) == 2
+    assert sum(s.startswith("point 8:") for s in issues) == 6
 
 
 def test_check_result_catches_tampering(tmp_path):
