@@ -182,29 +182,22 @@ def _cmd_solve(args):
 def _cmd_report(args):
     loaded = serialize.load_result(args.result)
     sol = loaded["solutions"]
-    stats = loaded["campaign_stats"]
-    hist = sol.index_histogram()
-    singular = sum(1 for sp in sol.points if sp.singular)
-    energies = [sp.energy for sp in sol.points]
+    energies = sol.columns.energy.tolist()
+    summary = {
+        "index_histogram": {str(k): v for k, v in sol.index_histogram().items()},
+        "solutions": len(sol),
+        "energy_min": min(energies, default=None),
+        "energy_max": max(energies, default=None),
+        "singular": int(sol.columns.singular.sum()),
+        "spurious": loaded["campaign_stats"].spurious,
+    }
     if args.format == "json":
-        payload = {
-            "index_histogram": {str(k): v for k, v in hist.items()},
-            "solutions": len(sol),
-            "energy_min": min(energies) if energies else None,
-            "energy_max": max(energies) if energies else None,
-            "singular": singular,
-            "spurious": stats.spurious,
-        }
-        sys.stdout.write(serialize.dumps(payload))
+        sys.stdout.write(serialize.dumps(summary))
         return 0
-    print(" ".join(f"{k},{v}" for k, v in hist.items()))
-    print(f"solutions,{len(sol)}")
-    emin = serialize._fmt_float(min(energies)) if energies else ""
-    emax = serialize._fmt_float(max(energies)) if energies else ""
-    print(f"energy_min,{emin}")
-    print(f"energy_max,{emax}")
-    print(f"singular,{singular}")
-    print(f"spurious,{stats.spurious}")
+    print(" ".join(f"{k},{v}" for k, v in summary.pop("index_histogram").items()))
+    for key, value in summary.items():
+        text = serialize._fmt_float(value) if isinstance(value, float) else value
+        print(f"{key},{'' if text is None else text}")
     return 0
 
 
@@ -220,12 +213,8 @@ def _cmd_verify(args):
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "solve": _cmd_solve,
-    "report": _cmd_report,
-    "verify": _cmd_verify,
-}
+_COMMANDS = {"generate": _cmd_generate, "solve": _cmd_solve, "report": _cmd_report,
+             "verify": _cmd_verify}
 
 
 def main(argv=None):

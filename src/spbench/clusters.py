@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ProblemInstance, _block_diagonal, _masked
+from .core import ProblemInstance, _block_diagonal, _label, _masked
 
 _COINCIDENCE_TOL = 1e-12
 # sample_start draws until all pairs are this far apart, for at most this many draws
@@ -259,11 +259,7 @@ class LennardJonesCluster(_PairPotentialCluster):
 
     def __init__(self, atoms, epsilon=1.0, sigma=1.0, label=None):
         if label is None:
-            label = f"lj-{int(atoms)}"
-            if float(epsilon) != 1.0:
-                label += f"-eps{format(float(epsilon), 'g')}"
-            if float(sigma) != 1.0:
-                label += f"-sig{format(float(sigma), 'g')}"
+            label = _label(f"lj-{int(atoms)}", ("eps", epsilon, 1.0), ("sig", sigma, 1.0))
         super().__init__(atoms, label)
         self.epsilon = float(epsilon)
         self.sigma = float(sigma)
@@ -295,11 +291,8 @@ class MorseCluster(_PairPotentialCluster):
 
     def __init__(self, atoms, rho, epsilon=1.0, r_e=1.0, label=None):
         if label is None:
-            label = f"morse-{int(atoms)}-rho{format(float(rho), 'g')}"
-            if float(epsilon) != 1.0:
-                label += f"-eps{format(float(epsilon), 'g')}"
-            if float(r_e) != 1.0:
-                label += f"-re{format(float(r_e), 'g')}"
+            label = _label(f"morse-{int(atoms)}-rho{float(rho):g}", ("eps", epsilon, 1.0),
+                           ("re", r_e, 1.0))
         super().__init__(atoms, label)
         self.rho = float(rho)
         self.epsilon = float(epsilon)
@@ -348,10 +341,7 @@ def pair_curvature(cluster, at_equilibrium=True):
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if cluster._pair_dvdr(np.array(mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if cluster._pair_dvdr(np.array(mid)) < 0.0 else (lo, mid)
     r_min = 0.5 * (lo + hi)
     h = 1e-4 * r_min
     v = lambda r: float(cluster._pair_energy(np.array(r)))

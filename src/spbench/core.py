@@ -15,6 +15,7 @@ and ``fd_hessian`` are the central-difference references it is tested against.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from bisect import bisect_left, bisect_right
@@ -60,18 +61,14 @@ class ProblemInstance:
     def check_point(self, p):
         p = np.asarray(p, dtype=float)
         if p.shape != (self.n,):
-            raise ValueError(
-                f"{self.label}: point has shape {p.shape}, expected ({self.n},)"
-            )
+            raise ValueError(f"{self.label}: point has shape {p.shape}, expected ({self.n},)")
         return p
 
     def check_points(self, X):
         """``check_point`` for an (m, n) stack of points, one per row."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n:
-            raise ValueError(
-                f"{self.label}: points have shape {X.shape}, expected (m, {self.n})"
-            )
+            raise ValueError(f"{self.label}: points have shape {X.shape}, expected (m, {self.n})")
         return X
 
     def energy_batch(self, X):
@@ -228,6 +225,13 @@ _RULES = {
 }
 
 
+def _label(base, *extras):
+    """``base``, then "-<tag><value>" for each (tag, value, default) whose
+    value is not its default, the values in ``g`` format."""
+    return base + "".join(f"-{tag}{float(v):g}" for tag, v, default in extras
+                          if float(v) != default)
+
+
 def _require(cfg, **rules):
     """Raise ValueError unless every named field of ``cfg`` obeys its rule,
     a key of ``_RULES``; a value of the wrong type fails it."""
@@ -264,8 +268,8 @@ class StationaryPoint:
 
 class PointColumns:
     """Stationary points of one instance as columns; row i of each is point
-    i.  ``coords`` is an (m, n) array, or a list of 1-d arrays when the
-    points' lengths differ.  The other columns follow in the order of
+    i.  ``coords`` is an (m, n) array, or a list of arrays when the points
+    are not all 1-d of one length.  The other columns follow in the order of
     ``COLUMNS``, given as any sequences and kept as arrays of its dtypes;
     ``solver``, ``seed`` and ``start_id`` are the provenance, as the Python
     values."""
@@ -276,12 +280,14 @@ class PointColumns:
 
     def __init__(self, instance_label, coords, *columns):
         self.instance_label, self.coords = instance_label, coords
-        if not (isinstance(coords, np.ndarray) and coords.ndim == 2):
-            lengths = {len(p) for p in coords}
-            if len(lengths) > 1:
-                self.coords = [np.asarray(p, dtype=float) for p in coords]
-            else:
-                self.coords = np.array(coords, dtype=float).reshape(len(coords), *lengths or [0])
+        if not isinstance(coords, np.ndarray):
+            try:
+                self.coords = np.array(coords, dtype=float)
+            except ValueError:  # points of different shapes
+                self.coords = np.empty(0)
+            if self.coords.ndim != 2:
+                self.coords = ([np.asarray(p, dtype=float) for p in coords] if len(coords)
+                               else np.empty((0, 0)))
         for (name, dtype), column in zip(self.COLUMNS, columns, strict=True):
             setattr(self, name, np.asarray(column, dtype=dtype))
 
@@ -295,11 +301,6 @@ class PointColumns:
 
     def __len__(self):
         return len(self.energy)
-
-    def lengths(self):
-        if isinstance(self.coords, np.ndarray):
-            return np.full(len(self), self.coords.shape[1])
-        return np.array([len(p) for p in self.coords], dtype=int)
 
     def take(self, rows):
         """The points at ``rows``, an integer array, in that order."""
@@ -318,24 +319,28 @@ class PointColumns:
 
 
 class SolutionSet:
-    """Deduplicated stationary points of one instance, in canonical order, as
-    PointColumns ``columns``.  They may be given as a list of
-    StationaryPoints, which is then ``points``; otherwise ``points`` is built
-    on first use."""
+    """Deduplicated stationary points of one instance, in canonical order,
+    given as PointColumns or as a list of StationaryPoints.  ``columns`` and
+    ``points`` are the two forms; the one not given is built from the other
+    on first use, after which changes to either do not reach the other."""
 
     def __init__(self, instance_label, tolerance, metric, points=()):
         self.instance_label, self.tolerance, self.metric = instance_label, tolerance, metric
-        self._points = None if isinstance(points, PointColumns) else list(points)
-        self.columns = points if self._points is None else PointColumns.of(instance_label, points)
+        if isinstance(points, PointColumns):
+            self.columns = points
+        else:
+            self.points = list(points)
+
+    @functools.cached_property
+    def columns(self):
+        return PointColumns.of(self.instance_label, self.points)
+
+    @functools.cached_property
+    def points(self):
+        return self.columns.points()
 
     def __len__(self):
         return len(self.columns)
-
-    @property
-    def points(self):
-        if self._points is None:
-            self._points = self.columns.points()
-        return self._points
 
     def index_histogram(self):
         index, counts = np.unique(self.columns.index, return_counts=True)
@@ -438,7 +443,7 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
             raise ValueError(f"dedup saw mixed instance labels: {labels}")
         columns = PointColumns.of(labels[0] if labels else "", points)
     if isinstance(columns.coords, list):
-        raise ValueError(f"dedup saw points of lengths {sorted(set(columns.lengths().tolist()))} "
+        raise ValueError(f"dedup saw points of lengths {sorted({p.size for p in columns.coords})} "
                          f"for {columns.instance_label!r}")
     # a stable sort on energy, then each coordinate in turn, as sorted() on tuples
     order = np.lexsort([*columns.coords.T[::-1], columns.energy])

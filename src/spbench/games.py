@@ -33,10 +33,8 @@ class NashGame:
         payoffs = [np.asarray(t, dtype=float) for t in payoffs]
         shape = payoffs[0].shape
         if len(shape) != len(payoffs):
-            raise ValueError(
-                f"payoff tensors must have one axis per player: "
-                f"got {len(payoffs)} players but shape {shape}"
-            )
+            raise ValueError(f"payoff tensors must have one axis per player: "
+                             f"got {len(payoffs)} players but shape {shape}")
         for i, t in enumerate(payoffs):
             if t.shape != shape:
                 raise ValueError(f"player {i + 1} tensor has shape {t.shape}, expected {shape}")
@@ -55,10 +53,8 @@ class NashGame:
         for i, p in enumerate(probs):
             p = np.asarray(p, dtype=float)
             if p.shape != (self.shape[i],):
-                raise ValueError(
-                    f"player {i + 1} strategy vector has shape {p.shape}, "
-                    f"expected ({self.shape[i]},)"
-                )
+                raise ValueError(f"player {i + 1} strategy vector has shape {p.shape}, "
+                                 f"expected ({self.shape[i]},)")
             out.append(p)
         return out
 

@@ -15,12 +15,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    ANGULAR_MOD_2PI,
-    ProblemInstance,
-    classify_batch,
-    dedup,
-)
+from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, classify_batch, dedup
 
 PERIODIC = "periodic"
 ANTI_PERIODIC = "anti-periodic"
@@ -48,11 +43,7 @@ class Phi4Lattice(ProblemInstance):
         if N < 1:
             raise ValueError(f"grid side must be >= 1, got {N}")
         if label is None:
-            label = f"phi4-N{N}-J{_fmt(J)}"
-            if float(lam) != 0.6:
-                label += f"-lam{_fmt(lam)}"
-            if float(mu2) != 2.0:
-                label += f"-mu2{_fmt(mu2)}"
+            label = _label(f"phi4-N{N}-J{_fmt(J)}", ("lam", lam, 0.6), ("mu2", mu2, 2.0))
         super().__init__(N * N, label)
         self.N = N
         self.lam = float(lam)
@@ -66,12 +57,10 @@ class Phi4Lattice(ProblemInstance):
 
     @staticmethod
     def _neighbor_table(N):
+        """The up, down, left and right neighbor of every site."""
         idx = np.arange(N * N).reshape(N, N)
-        up = np.roll(idx, -1, axis=0)
-        down = np.roll(idx, 1, axis=0)
-        left = np.roll(idx, 1, axis=1)
-        right = np.roll(idx, -1, axis=1)
-        return np.stack([up.ravel(), down.ravel(), left.ravel(), right.ravel()], axis=1)
+        return np.stack([np.roll(idx, shift, axis=axis).ravel()
+                         for shift, axis in ((-1, 0), (1, 0), (1, 1), (-1, 1))], axis=1)
 
     def energy_batch(self, X):
         X = self.check_points(X)
@@ -214,17 +203,14 @@ class XYLattice(ProblemInstance):
         self.gauge_fixed = bool(gauge_fixed)
         self.disorder = _normalize_disorder(disorder)
         self.sites = L**d
-        edge_a, edge_b, wrap = self._edge_table(d, L)
-        self.edge_a = edge_a
-        self.edge_b = edge_b
-        self.wrap = wrap
+        self.edge_a, self.edge_b, self.wrap = self._edge_table(d, L)
         if couplings is None:
-            couplings = self._draw_couplings(len(edge_a))
+            couplings = self._draw_couplings(self.n_edges)
         couplings = np.asarray(couplings, dtype=float)
-        if couplings.shape != (len(edge_a),):
-            raise ValueError(f"expected {len(edge_a)} couplings, got shape {couplings.shape}")
+        if couplings.shape != (self.n_edges,):
+            raise ValueError(f"expected {self.n_edges} couplings, got shape {couplings.shape}")
         self.couplings = couplings
-        sign = np.where(wrap & (bc == ANTI_PERIODIC), -1.0, 1.0)
+        sign = np.where(self.wrap & (bc == ANTI_PERIODIC), -1.0, 1.0)
         self._j_eff = couplings * sign
         a, b, m = self.edge_a, self.edge_b, self.sites
         self._hess_idx = np.concatenate((a * m + a, b * m + b, a * m + b, b * m + a))
@@ -236,16 +222,11 @@ class XYLattice(ProblemInstance):
 
     @staticmethod
     def _edge_table(d, L):
-        shape = (L,) * d
-        idx = np.arange(L**d).reshape(shape)
-        edge_a, edge_b, wrap = [], [], []
-        for axis in range(d):
-            nb = np.roll(idx, -1, axis=axis)
-            edge_a.append(idx.ravel())
-            edge_b.append(nb.ravel())
-            coord = np.indices(shape)[axis].ravel()
-            wrap.append(coord == L - 1)
-        return (np.concatenate(edge_a), np.concatenate(edge_b), np.concatenate(wrap))
+        """Every site's edge to its next neighbor along each axis in turn: the
+        two ends and whether the edge wraps around."""
+        idx = np.arange(L**d).reshape((L,) * d)
+        nb = np.concatenate([np.roll(idx, -1, axis=axis).ravel() for axis in range(d)])
+        return np.tile(idx.ravel(), d), nb, np.indices(idx.shape).reshape(d, -1).ravel() == L - 1
 
     def _draw_couplings(self, n_edges):
         rng = np.random.default_rng(self.seed)
@@ -307,15 +288,9 @@ class XYLattice(ProblemInstance):
         return len(self.edge_a)
 
     def params(self):
-        return {
-            "d": self.d,
-            "L": self.L,
-            "bc": self.bc,
-            "disorder": dict(self.disorder),
-            "seed": self.seed,
-            "gauge_fixed": self.gauge_fixed,
-            "couplings": [float(v) for v in self.couplings],
-        }
+        return {"d": self.d, "L": self.L, "bc": self.bc, "disorder": dict(self.disorder),
+                "seed": self.seed, "gauge_fixed": self.gauge_fixed,
+                "couplings": [float(v) for v in self.couplings]}
 
     def sample_start(self, rng):
         # pi - U[0, 2pi) lands in (-pi, pi]

@@ -29,20 +29,13 @@ from .core import EvaluationError, RootSystem, _block_diagonal, _masked
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
 
-DEFAULT_K_SET = tuple(
-    (kx, ky)
-    for kx in (-2, -1, 0, 1, 2)
-    for ky in (-2, -1, 0, 1, 2)
-    if (kx, ky) != (0, 0)
-)
+DEFAULT_K_SET = tuple((kx, ky) for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0))
 
 
 def wrap_angle(a):
     """Reduce an angle to [0, 2*pi)."""
     a = float(a) % TWO_PI
-    if a >= TWO_PI:
-        a = 0.0
-    return a
+    return 0.0 if a >= TWO_PI else a
 
 
 def _circ_diff(a, b):
@@ -122,8 +115,7 @@ class Puzzle:
             raise ValueError("need at least one movable piece")
         self.frame = frame
         self.pieces = pieces
-        if k_set is None:
-            k_set = DEFAULT_K_SET
+        k_set = DEFAULT_K_SET if k_set is None else k_set
         self.k_set = tuple((int(kx), int(ky)) for kx, ky in k_set)
         if not self.k_set:
             raise ValueError("frequency set must be non-empty")
@@ -132,24 +124,16 @@ class Puzzle:
         self.colors = sorted({e.color for e in all_edges})
         self._reps = _cluster_angles([e.angle for e in all_edges])
 
-        counts = Counter((e.color, _find_rep(self._reps, e.angle)) for e in all_edges)
-        for (color, rep), cnt in sorted(counts.items()):
-            partner_cnt = counts[(color, _find_rep(self._reps, rep + math.pi))]
-            if cnt != partner_cnt:
-                raise ValueError(
-                    f"unbalanced edge classes: ({color}, {rep:.6g}) has {cnt} edges "
-                    f"but its opposite class has {partner_cnt}"
-                )
-
         # one class per unordered direction pair, keyed by the smaller angle
-        seen = set()
+        counts = Counter((e.color, _find_rep(self._reps, e.angle)) for e in all_edges)
         classes = []
-        for (color, rep) in sorted(counts):
+        for (color, rep), cnt in sorted(counts.items()):
             partner = _find_rep(self._reps, rep + math.pi)
-            if (color, partner) in seen:
-                continue
-            seen.add((color, rep))
-            classes.append((color, rep))
+            if cnt != counts[(color, partner)]:
+                raise ValueError(f"unbalanced edge classes: ({color}, {rep:.6g}) has {cnt} "
+                                 f"edges but its opposite class has {counts[(color, partner)]}")
+            if (color, partner) not in classes:
+                classes.append((color, rep))
         self.classes = classes
         self.label = label if label is not None else f"puzzle-{len(pieces)}p"
 
@@ -259,30 +243,19 @@ def generate_grid_puzzle(columns, rows, n_colors, seed, frame_color="border"):
              for j in range(1, rows) for i in range(columns)}
 
     right, left, up, down = 0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi
-    pieces = []
-    solution = []
-    for j in range(rows):
-        for i in range(columns):
-            edges = [
-                Edge((0.5, 0.0), vert.get((i + 1, j), frame_color), right),
-                Edge((-0.5, 0.0), vert.get((i, j), frame_color), left),
-                Edge((0.0, 0.5), horiz.get((i, j + 1), frame_color), up),
-                Edge((0.0, -0.5), horiz.get((i, j), frame_color), down),
-            ]
-            pieces.append(Piece(edges))
-            solution.append((i + 0.5, j + 0.5))
-
-    frame_edges = []
-    for j in range(rows):
-        frame_edges.append(Edge((0.0, j + 0.5), frame_color, right))
-        frame_edges.append(Edge((float(columns), j + 0.5), frame_color, left))
-    for i in range(columns):
-        frame_edges.append(Edge((i + 0.5, 0.0), frame_color, up))
-        frame_edges.append(Edge((i + 0.5, float(rows)), frame_color, down))
-
+    cells = [(i, j) for j in range(rows) for i in range(columns)]
+    pieces = [Piece([Edge((0.5, 0.0), vert.get((i + 1, j), frame_color), right),
+                     Edge((-0.5, 0.0), vert.get((i, j), frame_color), left),
+                     Edge((0.0, 0.5), horiz.get((i, j + 1), frame_color), up),
+                     Edge((0.0, -0.5), horiz.get((i, j), frame_color), down)])
+              for i, j in cells]
+    frame = ([e for j in range(rows) for e in (Edge((0.0, j + 0.5), frame_color, right),
+                                               Edge((columns, j + 0.5), frame_color, left))]
+             + [e for i in range(columns) for e in (Edge((i + 0.5, 0.0), frame_color, up),
+                                                    Edge((i + 0.5, rows), frame_color, down))])
     label = f"puzzle-{columns}x{rows}-c{n_colors}-s{seed}"
-    puzzle = Puzzle(Piece(frame_edges), pieces, label=label)
-    return puzzle, np.asarray(solution, dtype=float)
+    puzzle = Puzzle(Piece(frame), pieces, label=label)
+    return puzzle, np.array([(i + 0.5, j + 0.5) for i, j in cells])
 
 
 class PuzzleInstance(RootSystem):

@@ -81,9 +81,11 @@ def _points_text(cols):
     """The "points" list of a result file, from the PointColumns ``cols``."""
     if not len(cols):
         return _Json("[]")
-    lengths = cols.lengths()
     coords = cols.coords
-    flat = coords.ravel() if isinstance(coords, np.ndarray) else np.concatenate(coords)
+    if isinstance(coords, np.ndarray):
+        lengths, flat = np.full(len(cols), coords.shape[1]), coords.ravel()
+    else:
+        lengths, flat = np.array([len(p) for p in coords]), np.concatenate(coords)
     # each point's slots: its coordinates, then the eight of _POINT, from ``tail`` on
     at = np.arange(flat.size) + 8 * np.repeat(np.arange(len(cols)), lengths)
     tail = np.cumsum(lengths + 8) - 8
@@ -172,12 +174,8 @@ def write_atomic(path, text):
 
 
 def instance_to_dict(instance):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": instance.family,
-        "label": instance.label,
-        "params": instance.params(),
-    }
+    return {"schema_version": SCHEMA_VERSION, "family": instance.family,
+            "label": instance.label, "params": instance.params()}
 
 
 # every family that instance files can hold, by its ``family`` name
@@ -262,14 +260,14 @@ def check_result(instance, loaded):
                       f"{instance.label!r}")
     tol = loaded["config"].accept_tol
     stored = loaded["solutions"].columns
-    lengths = stored.lengths()
     failed = {}
-    for i in np.flatnonzero(lengths != instance.n).tolist():
-        try:
-            instance.check_point(stored.coords[i])
-        except ValueError as exc:
-            failed[i] = exc
-    fits = np.flatnonzero(lengths == instance.n)
+    if not (isinstance(stored.coords, np.ndarray) and stored.coords.shape[1] == instance.n):
+        for i, p in enumerate(stored.coords):
+            try:
+                instance.check_point(p)
+            except ValueError as exc:
+                failed[i] = exc
+    fits = np.delete(np.arange(len(stored)), list(failed))
     stack = stored.take(fits).coords.reshape(len(fits), instance.n)
     fresh, errors = classify_batch(instance, stack)
     failed.update((fits[r].item(), exc) for r, exc in errors.items())
@@ -291,7 +289,8 @@ def check_result(instance, loaded):
         found = [f"residual norm {norm:.3e} exceeds tolerance {tol:.3e}",
                  f"stored residual norm {old.residual_norm[r]:.3e} "
                  f"disagrees with recomputed {norm:.3e}",
-                 *(f"stored {name}={getattr(old, name)[r]} but recomputed {getattr(fresh, name)[r]}"
+                 *(f"stored {name}={getattr(old, name)[r]} "
+                   f"but recomputed {getattr(fresh, name)[r]}"
                    for name in ("index", "singular", "zero_eigs")),
                  f"stored energy {float(old.energy[r])!r} but recomputed {energy!r}"]
         issues += [f"point {i}: {text}" for text, flag in zip(found, flags[r]) if flag]

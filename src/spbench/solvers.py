@@ -47,7 +47,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
-from .core import _dots, _require, classify, classify_batch, dedup
+from .core import SolutionSet, _dots, _require, classify, classify_batch, dedup
 
 THREADS_ENV = "SPBENCH_THREADS"
 
@@ -487,11 +487,7 @@ def _correct(instance, live, cfg):
     return used, cur_norm
 
 
-_METHODS = {
-    "newton": _newton_batch,
-    "gradsq": _gradsq_batch,
-    "homotopy": _homotopy_batch,
-}
+_METHODS = {"newton": _newton_batch, "gradsq": _gradsq_batch, "homotopy": _homotopy_batch}
 
 
 @dataclass
@@ -504,19 +500,12 @@ class CampaignStats:
     wall_time: float = 0.0
 
 
+@dataclass
 class MultistartResult:
-    """A campaign's distinct points, its tally, one SolveOutcome per start
-    and the starts.  ``outcomes`` may be given as a function that returns
-    them, called on first use."""
-
-    def __init__(self, solutions, stats, outcomes, starts):
-        self.solutions, self.stats, self._outcomes, self.starts = solutions, stats, outcomes, starts
-
-    @property
-    def outcomes(self):
-        if callable(self._outcomes):
-            self._outcomes = self._outcomes()
-        return self._outcomes
+    solutions: SolutionSet
+    stats: CampaignStats
+    outcomes: list
+    starts: list
 
 
 def worker_count():
@@ -633,5 +622,4 @@ def multistart(instance, cfg=None, starts=None):
                           diverged=len(starts) - len(ends) - spurious - failed,
                           spurious=spurious, eval_errors=failed + len(errors),
                           wall_time=wall)
-    return MultistartResult(solutions, stats, lambda: [o for b in batches for o in b.outcomes()],
-                            starts)
+    return MultistartResult(solutions, stats, [o for b in batches for o in b.outcomes()], starts)

@@ -351,12 +351,15 @@ def test_check_result_messages_match_a_point_by_point_check(tmp_path):
     points[8]["coords"] = [c + 0.25 for c in points[8]["coords"]]
     points[8].update(residual_norm=2.0, index=7, singular=True, zero_eigs=3, energy=-1e9)
     points[11]["coords"] = points[11]["coords"][:2]
+    # a nested point of 4 entries has a point's length, a scalar one has none
+    points[5]["coords"] = [[c] for c in points[5]["coords"]]
+    points[7]["coords"] = points[7]["coords"][0]
     path.write_text(json.dumps(raw))
     loaded = serialize.load_result(path)
     issues = serialize.check_result(inst, loaded)
     assert issues == _check_result_reference(inst, loaded)
     assert [s.split(":")[0] for s in issues[:3]] == ["point 1"] * 3
-    assert sum("classification failed" in s for s in issues) == 2
+    assert sum("classification failed" in s for s in issues) == 4
     assert sum(s.startswith("point 8:") for s in issues) == 6
 
 
@@ -442,6 +445,25 @@ def test_cli_verify_exits_3_when_classify_fails(tmp_path, capsys, monkeypatch):
                                          np.zeros(len(X), dtype=bool)))
     assert run_cli("verify", str(inst), str(resf)) == 3
     assert "classification failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", ["nested", "scalar"])
+@pytest.mark.parametrize("count", [1, 81])
+def test_cli_verify_exits_3_on_points_of_the_wrong_shape(tmp_path, capsys, shape, count):
+    # [[x1], ..., [x4]] has the length of a point of n = 4, and a scalar has
+    # none: check_point rejects both, in one point or in all of them
+    inst, resf = tmp_path / "phi4.json", tmp_path / "r.json"
+    assert run_cli("generate", "phi4", "--N", "2", "-o", str(inst)) == 0
+    assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
+    capsys.readouterr()
+    raw = json.loads(resf.read_text())
+    for p in raw["solutions"]["points"][:count]:
+        p["coords"] = [[c] for c in p["coords"]] if shape == "nested" else p["coords"][0]
+    resf.write_text(json.dumps(raw))
+    assert run_cli("verify", str(inst), str(resf)) == 3
+    err = capsys.readouterr().err
+    assert err.count("classification failed") == count
+    assert ("shape (4, 1)" if shape == "nested" else "shape ()") in err
 
 
 def test_cli_generate_solve_report_verify(tmp_path, capsys):
