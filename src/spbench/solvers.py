@@ -12,11 +12,11 @@ Three methods share one outcome type:
   and gets the least-squares step.  Otherwise the start ends
   ``singular-step``.  Quadratic near regular roots, and the workhorse
   everywhere.
-* ``gradsq_solve``: descent on the scalar landscape W = |f|^2 along its exact
-  gradient 2 J^T f, backtracking on W from a secant step through the one
-  line search it shares with Newton, ``_line_search``.  It cannot jump over
-  barriers, which is the point: it gets stuck in minima of W that are not
-  roots, and reports them as ``spurious-minimum`` instead of pretending.
+* ``gradsq_solve``: Levenberg-Marquardt descent on W = |f|^2 along
+  V diag(s / (s^2 + mu)) U^T (-f) from the same thin SVD, mu kept per start,
+  backtracking on W through the line search it shares with Newton.  It
+  cannot jump over barriers, which is the point: it gets stuck in minima of
+  W that are not roots, and reports them as ``spurious-minimum``.
 * ``homotopy_track``: Newton homotopy from the start point, deforming
   f(x) - (1 - t) f(x0) from a trivially solved system at t=0 to the real one
   at t=1 with an Euler predictor and a short Newton corrector, under an
@@ -62,6 +62,11 @@ THREADS_ENV = "SPBENCH_THREADS"
 # direction shrinks with the distance to the pole, so the step is still sound
 # there.
 LEAST_NORM_FORCING = 1e-4
+
+# gradsq's Levenberg-Marquardt damping (More 1978): mu starts at MU0, becomes
+# mu / 3 after a full step and 4 mu after a shorter one, never below MU_MIN.
+MU0 = 1e-2
+MU_MIN = 1e-20
 
 
 class Status(str, enum.Enum):
@@ -156,10 +161,11 @@ def _resolved(cfg, method):
 
 def _residuals(instance, X):
     """Residuals at the rows of X, their norms, and the mask of rows whose
-    evaluation raised or whose norm is not finite (norm inf)."""
+    evaluation raised or whose norm is not finite or overflows (norm inf)."""
     f, failed = instance.residual_batch(X)
     f = np.asarray(f, dtype=float)
-    norm = np.sqrt(_dots(f, f))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_dots(f, f))
     failed = failed | ~np.isfinite(norm)
     norm[failed] = np.inf
     return f, norm, failed
@@ -228,9 +234,11 @@ class _Batch:
                         self.traces or [None] * len(self.x)))
 
 
-def _linear_steps(jac, rhs, cond_limit):
+def _linear_steps(jac, rhs, cond_limit, mu=None):
     """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems with one
     stacked thin SVD; returns the steps and a mask of the rows that have one.
+    Given a damping ``mu[i]`` per row, every finite row has a step, the
+    Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
 
     The SVD J = U diag(s) V^T gives both the conditioning guard and the step:
     singular values with s > 0 and s >= s[0] / cond_limit are kept, and the
@@ -246,19 +254,20 @@ def _linear_steps(jac, rhs, cond_limit):
     if jac.ndim != 3:
         raise ValueError(f"jacobians must be a 3-d stack, got {jac.ndim}-d")
     m, k, n = jac.shape
-    delta = np.zeros((m, n))
-    ok = np.zeros(m, dtype=bool)
+    delta, ok = np.zeros((m, n)), np.zeros(m, dtype=bool)
     rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
     b = rhs[rows]
     u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
     keep = (s > 0.0) & (s >= s[:, :1] / cond_limit)
     proj = (b[:, None, :] @ u)[:, 0, :]
-    if k == n:
+    coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
+    if mu is not None:  # Levenberg-Marquardt: every finite row has a step
+        has, coef = slice(None), proj * s / (s * s + mu[rows][:, None])
+    elif k == n:
         dropped = np.where(keep, 0.0, proj)
         has = ~(np.sqrt(_dots(dropped, dropped)) > LEAST_NORM_FORCING * np.sqrt(_dots(b, b)))
     else:
         has = keep.all(axis=1) & (k > n)
-    coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
     delta[rows[has]] = (coef[has][:, None, :] @ vt[has])[:, 0, :]
     ok[rows[has]] = True
     return delta, ok
@@ -267,23 +276,24 @@ def _linear_steps(jac, rhs, cond_limit):
 # Rungs that ``_line_search`` tries per row once its first rung has failed.
 # Most searches end on the first rung, so it is tried alone.  Its share over the
 # bench workloads at seed 0: Newton 0.77 (clusters) to 0.99 (XY ring); gradsq
-# on disordered XY (d=2, L=3) 0.69, with 0.28 on rungs 1-7 and 0.03 later.  A
-# whole-ladder first round was rejected: 0.69x the time of that 25-start
-# campaign but 1.39x at 500 starts, where 8x the rows swamp the kernel, and a
-# row backtracks after a backtrack (0.32) about as often as after none (0.31).
+# on disordered XY (d=2, L=3) 0.78 at 25 starts and 0.74 at 500, nearly all
+# the rest on rungs 1-3.  A whole-ladder first round was rejected, with
+# gradsq's earlier gradient step: 0.69x the time of that 25-start campaign but
+# 1.39x at 500 starts, where 8x the rows swamp the kernel.
 LADDER_RUNGS = 8
 
 
 def _line_search(instance, b, live, direction, step, sufficient, damping):
     """Backtrack along ``direction`` from each live row's first step ``step``;
     move the rows where ``sufficient(norm, steps, rows)`` holds for a rung's
-    residual norm, and return which did.  A row takes the first acceptable
-    rung of step, step * backtrack, ... down to ``damping.min_step``, as a
-    one-at-a-time search would.  Each round is one dense (rows, rungs) block
-    in one call: one rung per row, then ``LADDER_RUNGS``.  A block's rungs
-    below ``min_step`` are evaluated but never taken: the ladder only falls,
-    so a one-at-a-time search stops before them."""
-    moved = np.zeros(len(live), dtype=bool)
+    residual norm, and return the step each row took (0 where it did not
+    move): the first acceptable rung of step, step * backtrack, ... down to
+    ``damping.min_step``, as a one-at-a-time search would.  Each round is one
+    dense (rows, rungs) block in one call: one rung per row, then
+    ``LADDER_RUNGS``.  A block's rungs below ``min_step`` are evaluated but
+    never taken: the ladder only falls, so a one-at-a-time search stops
+    before them."""
+    taken = np.zeros(len(live))
     go_on = step >= damping.min_step
     rows, step = go_on.nonzero()[0], step[go_on]
     n, rungs = direction.shape[1], 1
@@ -303,12 +313,12 @@ def _line_search(instance, b, live, direction, step, sufficient, damping):
             pick = hit.nonzero()[0] * rungs + accept[hit].argmax(axis=1)
             b.x[live.idx[took]] = cand[pick]
             live.f[took], live.norm[took] = f[pick], norm[pick]
-            moved[took] = True
+            taken[took] = ladder.ravel()[pick]
         step = ladder[:, -1] * damping.backtrack
         go_on = ~hit & (step >= damping.min_step)
         rows, step = rows[go_on], step[go_on]
         rungs = LADDER_RUNGS
-    return moved
+    return taken
 
 
 def _solve_one(batch, instance, start, cfg, method):
@@ -339,22 +349,23 @@ def _newton_batch(instance, starts, cfg):
         live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit)
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
         norm0, damping = live.norm.copy(), cfg.damping
-        moved = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
+        taken = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
                              lambda norm, s, r: norm <= (1.0 - damping.decrease * s) * norm0[r],
                              damping)
-        b.end(live, ~moved, Status.DIVERGED, it)
+        b.end(live, taken == 0, Status.DIVERGED, it)
     return b
 
 
 def gradsq_solve(instance, start, cfg=None):
-    """Descent on W = |f|^2 with exact gradient and backtracking.
+    """Levenberg-Marquardt descent on W = |f|^2 with backtracking.
 
     Stops as ``converged`` only when the residual itself is small; a small
     gradient with a large residual is reported as ``spurious-minimum``.  The
     gradient test has a scale-free branch (gradient small against the local
     slope bound 2 |J| |f|) and an absolute branch for landscapes whose
-    Jacobian degenerates at the spurious point.  Step lengths start from a
-    secant estimate so narrow valleys do not stall the iteration.
+    Jacobian degenerates at the spurious point.  Each start's damping mu falls
+    while full steps pass, towards Gauss-Newton's step, and rises while they
+    fail, towards a short step along -grad W.
     """
     return _solve_one(_gradsq_batch, instance, start, cfg, "gradsq")
 
@@ -362,12 +373,16 @@ def gradsq_solve(instance, start, cfg=None):
 def _gradsq_batch(instance, starts, cfg):
     b = _Batch(instance, starts, cfg)
     f, norm, failed = _residuals(instance, b.x)
-    live = b.live(norm, f=f)
+    live = b.live(norm, f=f, mu=np.full_like(norm, MU0))
     b.end(live, failed, Status.EVAL_ERROR, 0)
-    tol = cfg.accept_tol
+    damping = cfg.damping
+    def flat(a, r):  # the spurious-minimum test, gradient tolerances times a and r
+        return (((live.gnorm <= a * cfg.gradsq_abs_gtol)
+                 | (live.gnorm <= r * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
+                & (live.norm > 100.0 * cfg.accept_tol))
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
-        b.end(live, live.norm <= tol, Status.CONVERGED, it)
+        b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
         live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
         b.end(live, failed, Status.EVAL_ERROR, it)
         if not len(live):
@@ -375,34 +390,22 @@ def _gradsq_batch(instance, starts, cfg):
         live.grad = ((2.0 * live.jac.transpose(0, 2, 1)) @ live.f[:, :, None])[:, :, 0]
         live.gnorm = np.sqrt(_dots(live.grad, live.grad))
         live.jnorm = np.sqrt(np.sum(live.jac * live.jac, axis=(1, 2)))
-        small_grad = ((live.gnorm <= cfg.gradsq_abs_gtol)
-                      | (live.gnorm <= cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
-        b.end(live, small_grad & (live.norm > 100.0 * tol), Status.SPURIOUS_MINIMUM, it)
+        b.end(live, flat(1.0, 1.0), Status.SPURIOUS_MINIMUM, it)
         if it == cfg.max_iters:
             b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
-        # the scalar rules max(1, g), max(s, 1e-12) and min(s, 1e6), nan included
-        step = 1.0 / np.where(live.gnorm > 1.0, live.gnorm, 1.0)
-        x = b.x[live.idx]
-        if it > 0:  # every live row moved at every earlier iteration
-            ds = x - live.prev_x
-            curv = _dots(ds, live.grad - live.prev_g)
-            np.divide(_dots(ds, ds), curv, out=step, where=curv > 0.0)
-        step = np.clip(step, 1e-12, 1e6)
-        live.prev_x = x
-        w, d = live.norm * live.norm, cfg.damping.decrease
-        moved = _line_search(
-            instance, b, live, -live.grad, step,
-            lambda norm, s, r: norm * norm <= w[r] - d * s * live.gnorm[r] * live.gnorm[r],
-            cfg.damping)
-        if not moved.all():
-            # W can no longer fall at floating-point resolution: relaxed
-            # thresholds tell a spurious minimum from plain divergence
-            floor = ((live.gnorm <= 1e4 * cfg.gradsq_abs_gtol)
-                     | (live.gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
-            spurious = ~moved & floor & (live.norm > 100.0 * tol)
-            b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
-            b.end(live, ~moved[~spurious], Status.DIVERGED, it)
-        live.prev_g = live.grad
+        live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit, live.mu)
+        b.end(live, ~ok, Status.SINGULAR_STEP, it)
+        # Armijo on W along delta: W(x + s delta) <= W + d s grad . delta
+        w, slope, d = live.norm * live.norm, _dots(live.grad, live.delta), damping.decrease
+        taken = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
+                             lambda norm, s, r: norm * norm <= w[r] + d * s * slope[r], damping)
+        live.mu = np.maximum(np.where(taken == damping.initial, live.mu / 3.0, 4.0 * live.mu),
+                             MU_MIN)
+        # where W cannot fall at floating-point resolution, relaxed thresholds
+        # tell a spurious minimum from plain divergence
+        spurious = (taken == 0) & flat(1e4, 1e2)
+        b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
+        b.end(live, taken[~spurious] == 0, Status.DIVERGED, it)
     return b
 
 
@@ -434,13 +437,11 @@ def _homotopy_batch(instance, starts, cfg):
             jac, failed = instance.residual_jacobian_batch(b.x[live.idx[need]])
             velocity, ok = _linear_steps(jac, -live.f0[need], cfg.cond_limit)
             live.velocity[need], live.fresh[need] = velocity, True
-            error = np.zeros(len(live), dtype=bool)
-            error[need[failed]] = True
-            singular = np.zeros(len(live), dtype=bool)
-            singular[need[~ok]] = True
+            error, singular = np.zeros((2, len(live)), dtype=bool)
+            error[need[failed]] = singular[need[~ok]] = True
             b.end(live, error, Status.EVAL_ERROR, live.steps)
             b.end(live, singular[~error], Status.SINGULAR_STEP, live.steps)
-        dt_eff = np.where(1.0 - live.t < live.dt, 1.0 - live.t, live.dt)
+        dt_eff = np.minimum(live.dt, 1.0 - live.t)
         live.t_new = live.t + dt_eff
         live.cur = b.x[live.idx] + dt_eff[:, None] * live.velocity
         live.used, live.cur_norm = _correct(instance, live, cfg)
@@ -453,9 +454,8 @@ def _homotopy_batch(instance, starts, cfg):
         live.steps[took] += 1
         live.fresh[took] = False
         b.record(live, live.steps, took)
-        grown = live.dt * sched.grow
         easy = took & (live.used <= sched.easy_iters)
-        live.dt[easy] = np.where(sched.dt_max < grown, sched.dt_max, grown)[easy]
+        live.dt[easy] = np.minimum(live.dt * sched.grow, sched.dt_max)[easy]
         done = live.t >= 1.0
         b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
         b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)

@@ -17,8 +17,8 @@ from spbench.core import EvaluationError
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
-from spbench.solvers import (LEAST_NORM_FORCING, SolverConfig, Status, _resolved,
-                             draw_starts, multistart)
+from spbench.solvers import (LEAST_NORM_FORCING, MU0, MU_MIN, SolverConfig, Status,
+                             _resolved, draw_starts, multistart)
 from test_solvers import Hole
 
 
@@ -84,7 +84,7 @@ def _newton(instance, x, cfg):
 
 
 def _gradsq(instance, x, cfg):
-    prev_x = prev_g = None
+    mu = MU0
     for it in range(cfg.max_iters + 1):
         try:
             f, norm = _norm(instance, x)
@@ -104,21 +104,21 @@ def _gradsq(instance, x, cfg):
             return Status.SPURIOUS_MINIMUM, x, norm, it
         if it == cfg.max_iters:
             return Status.MAX_ITERS, x, norm, it
-        step = 1.0 / max(1.0, gnorm)
-        if prev_g is not None:
-            ds = x - prev_x
-            curv = float(ds @ (grad - prev_g))
-            if curv > 0.0:
-                step = float(ds @ ds) / curv
-        step = min(max(step, 1e-12), 1e6)
+        if not np.all(np.isfinite(jac)):
+            return Status.SINGULAR_STEP, x, norm, it
+        # the Levenberg-Marquardt step V diag(s / (s^2 + mu)) U^T (-f)
+        u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+        delta = ((-f @ u) * sv / (sv * sv + mu)) @ vt
+        slope = float(grad @ delta)
+        step = cfg.damping.initial
         while step >= cfg.damping.min_step:
-            cand = x - step * grad
+            cand = x + step * delta
             try:
                 cand_w = _norm(instance, cand)[1] ** 2
             except EvaluationError:
                 cand_w = math.inf
-            if cand_w <= norm * norm - cfg.damping.decrease * step * gnorm * gnorm:
-                prev_x, prev_g, x = x, grad, cand
+            if cand_w <= norm * norm + cfg.damping.decrease * step * slope:
+                x = cand
                 break
             step *= cfg.damping.backtrack
         else:
@@ -127,6 +127,7 @@ def _gradsq(instance, x, cfg):
                     and norm > 100.0 * cfg.accept_tol):
                 return Status.SPURIOUS_MINIMUM, x, norm, it
             return Status.DIVERGED, x, norm, it
+        mu = max(mu / 3.0 if step == cfg.damping.initial else 4.0 * mu, MU_MIN)
 
 
 def _homotopy(instance, x, cfg):

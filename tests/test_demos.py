@@ -1,7 +1,7 @@
 """The demos run to the end against the library's current API.
 
-Run as scripts they take about 2.5 s for the XY demo, 1.3 s for the
-cluster demo and 0.4 s for the φ⁴ census (2-core host, Python 3.11,
+Run as scripts they take about 0.9 s for the XY demo, 0.6 s for the
+cluster demo and 0.3 s for the φ⁴ census (2-core host, Python 3.11,
 numpy 2.4).
 """
 
@@ -25,7 +25,7 @@ def test_root_system_demo_runs(name, expected, capsys):
 @pytest.mark.parametrize("name, expected", [
     ("phi4_census.py", "enumerated stationary points: 81"),
     ("cluster_minima.py", "N=4  best energy 3.6742346142  (closed form 3.6742346142)"),
-    # its 200-start gradsq campaign runs the line search on 8x the rows of
+    # its 200-start gradsq campaign runs the line search on 13x the rows of
     # the bench's 25-start one
     ("xy_landscape.py", "H =  8.00000  index 3"),
 ])

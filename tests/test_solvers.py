@@ -575,14 +575,36 @@ class NanJacobian(Cubic):
         return np.full((len(X), self.n, self.n), np.nan), _none_failed(X)
 
 
-@pytest.mark.parametrize("method", ["newton", "homotopy"])
+@pytest.mark.parametrize("method", ["newton", "gradsq", "homotopy"])
 def test_non_finite_jacobian_is_singular_step(method):
     # the first start is a root and needs no Jacobian
     res = multistart(NanJacobian(), SolverConfig(method=method),
                      starts=[np.array([1.0, -1.0]), np.array([1.5, 0.5])])
     assert [o.status for o in res.outcomes] == [Status.CONVERGED, Status.SINGULAR_STEP]
-    alone = newton_solve if method == "newton" else homotopy_track
+    alone = {"newton": newton_solve, "gradsq": gradsq_solve, "homotopy": homotopy_track}[method]
     assert alone(NanJacobian(), np.array([1.5, 0.5])).status is Status.SINGULAR_STEP
+
+
+class Huge(Cubic):
+    """The Cubic residual times 1e200: finite, but its square overflows."""
+
+    def residual_batch(self, X):
+        f, failed = super().residual_batch(X)
+        return 1e200 * f, failed
+
+
+def test_residual_norm_overflow_is_a_failed_row():
+    f, norm, failed = _residuals(Huge(), np.array([[1.5, 0.5], [1.0, -1.0]]))
+    assert np.isfinite(f).all()
+    assert norm.tolist() == [math.inf, 0.0] and failed.tolist() == [True, False]
+
+
+def test_gradsq_converges_on_rectangular_puzzle():
+    # 156 equations in 8 unknowns: the Levenberg-Marquardt step has no shape
+    # condition, and steps whose residual overflows are refused silently
+    inst = PuzzleInstance(generate_grid_puzzle(2, 2, 3, seed=8)[0])
+    res = multistart(inst, SolverConfig(method="gradsq", starts=10, seed=3, max_iters=1500))
+    assert res.stats.converged > 0
 
 
 def test_linear_step_stack_mixes_branches():
@@ -648,13 +670,13 @@ class Shell(ProblemInstance):
 
 def _search_alone(inst, x, direction, step, accepts, damping):
     """One row's backtracking search, one rung per residual call: the rungs
-    it tried and, if one was accepted, its point, residual and norm."""
+    it tried and, if one was accepted, its point, residual, norm and step."""
     tried = []
     while step >= damping.min_step:
         tried.append(x + step * direction)
         f, norm, _ = _residuals(inst, tried[-1][None])
         if accepts(norm, np.array([step]))[0]:
-            return tried, (tried[-1], f[0], norm[0])
+            return tried, (tried[-1], f[0], norm[0], step)
         step *= damping.backtrack
     return tried, None
 
@@ -690,7 +712,7 @@ def test_line_search_matches_one_row_at_a_time(damping):
         return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
 
     inst.calls, inst.seen = 0, []
-    moved = _line_search(inst, b, live, direction, step.copy(), sufficient, damping)
+    taken = _line_search(inst, b, live, direction, step.copy(), sufficient, damping)
     calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
 
     rounds, evaluated = [0], 0
@@ -698,15 +720,15 @@ def test_line_search_matches_one_row_at_a_time(damping):
         tried, took = _search_alone(inst, x0[i], direction[i], step[i],
                                     lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])),
                                     damping)
-        assert moved[i] == (took is not None)
-        point, fi, ni = took or (x0[i], f[i], norm0[i])
+        assert taken[i] == (0.0 if took is None else took[3])
+        point, fi, ni, _ = took or (x0[i], f[i], norm0[i], 0.0)
         assert np.array_equal(b.x[i], point)
         assert np.array_equal(live.f[i], fi) and live.norm[i] == ni
         assert seen.issuperset(p.tobytes() for p in tried)
         if tried:  # rung 0 alone, then LADDER_RUNGS rungs a round
             rounds.append(1 + math.ceil((len(tried) - 1) / LADDER_RUNGS))
             evaluated += 1 + LADDER_RUNGS * (rounds[-1] - 1)
-    assert moved.tolist() == [True, True, False, True, False, True, False, False]
+    assert (taken > 0).tolist() == [True, True, False, True, False, True, False, False]
     assert calls == max(rounds) and rows_in == evaluated
     # the row acceptable only below min_step evaluated that rung in its block
     s = step[4]
