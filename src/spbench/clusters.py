@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .core import ProblemInstance, _block_diagonal, _label, _masked
+from .core import ProblemInstance, _block_diagonal, _label, _masked, _uniform_rows
 
 _COINCIDENCE_TOL = 1e-12
-# sample_start draws until all pairs are this far apart, for at most this many draws
+# sample_start_batch draws until all pairs are this far apart, for at most this many draws
 _MIN_SEPARATION = 0.5
 _MAX_TRIES = 10000
 
@@ -70,9 +70,10 @@ def _cartesian_hessian(diff, dist, radial, d2vdr2):
 
 class _Cluster(ProblemInstance):
     """The kernels shared by the particle families.  Subclasses supply the
-    pair potential v(r) with its first two derivatives, ``_draw(rng)`` and
-    ``_chart(X)``, which returns what the chain rule needs and the positions
-    (m, N, 3) of every row.  The chain rule selects the ``_free`` Cartesian
+    pair potential v(r) with its first two derivatives, the draw region
+    ``_draw_lo + _draw_span u``, u uniform in [0, 1), and ``_chart(X)``,
+    which returns what the chain rule needs and the positions (m, N, 3) of
+    every row.  The chain rule selects the ``_free`` Cartesian
     coordinates unless ``_pull_gradient`` and ``_pull_hessian`` say more."""
 
     _failure = (f"coincident particles (pair distance < {_COINCIDENCE_TOL}) "
@@ -116,18 +117,15 @@ class _Cluster(ProblemInstance):
         h = self._pull_hessian(*parts)[:, self._free[:, None], self._free]
         return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
 
-    def sample_start(self, rng):
-        return self.sample_start_batch([rng])[0]
-
     def sample_start_batch(self, rngs):
-        """Starts from ``_draw``, rejection-sampled so that every pair of
+        """Starts from the draw region, rejection-sampled so that every pair of
         particles starts at least ``_MIN_SEPARATION`` apart.  Each round
         draws the next candidate of every start still pending and tests
         them together, so each generator yields the candidates it would
         alone."""
         starts, pending = np.empty((len(rngs), self.n)), np.arange(len(rngs))
         for _ in range(_MAX_TRIES):
-            X = np.array([self._draw(rngs[i]) for i in pending]).reshape(len(pending), self.n)
+            X = _uniform_rows([rngs[i] for i in pending], self._draw_lo, self._draw_span, self.n)
             lengths = _pair_distances(self._chart(X)[1], self._pairs)[2]
             ok = np.min(lengths, axis=1) >= _MIN_SEPARATION
             starts[pending[ok]] = X[ok]
@@ -158,9 +156,9 @@ class ThomsonSphere(_Cluster):
         # the variables within (theta_1, phi_1, ..., theta_N, phi_N): all
         # but the pinned theta_1, phi_1 and phi_2
         self._free = np.r_[2, 4:2 * charges]
-        # _draw takes lo + span u, u uniform in [0, 1), over theta_2 and then
-        # theta and phi of each further charge: the bits of the scalar draws
-        # uniform(0.1, pi - 0.1) for theta and pi - uniform(0, 2 pi) for phi
+        # the draw region over theta_2 and then theta and phi of each further
+        # charge: the bits of the scalar draws uniform(0.1, pi - 0.1) for
+        # theta and pi - uniform(0, 2 pi) for phi
         theta = (math.pi - 0.1) - 0.1
         self._draw_lo = np.array([0.1] + [0.1, math.pi] * (charges - 2))
         self._draw_span = np.array([theta] + [theta, -2.0 * math.pi] * (charges - 2))
@@ -215,12 +213,6 @@ class ThomsonSphere(_Cluster):
     def params(self):
         return {"charges": self.charges}
 
-    def _draw(self, rng):
-        """Polar angles away from the poles, azimuths pi - U[0, 2 pi).  This
-        is ``rng.uniform`` as numpy computes it, lo + (hi - lo) u, without
-        the checks that make array bounds cost more than the draw."""
-        return self._draw_lo + self._draw_span * rng.random(self.n)
-
 
 class _PairPotentialCluster(_Cluster):
     """Shared embedding for free clusters of N >= 2 atoms.
@@ -241,15 +233,14 @@ class _PairPotentialCluster(_Cluster):
         # the free coordinates within the flattened (N, 3) positions; the
         # embedding is linear, so the chain rule is a selection by this index
         self._free = np.r_[3] if atoms == 2 else np.r_[3, 6, 7, 9:3 * atoms]
+        # starts are uniform(-h, h) in every free coordinate
+        h = 2.0 if atoms <= 4 else 1.2 * atoms ** (1.0 / 3.0) + 1.0
+        self._draw_lo, self._draw_span = -h, 2.0 * h
 
     def _chart(self, X):
         pos = np.zeros((len(X), 3 * self.atoms))
         pos[:, self._free] = X
         return None, pos.reshape(len(X), self.atoms, 3)
-
-    def _draw(self, rng):
-        half_width = 2.0 if self.atoms <= 4 else 1.2 * self.atoms ** (1.0 / 3.0) + 1.0
-        return rng.uniform(-half_width, half_width, self.n)
 
 
 class LennardJonesCluster(_PairPotentialCluster):

@@ -42,11 +42,11 @@ class ProblemInstance:
 
     Subclasses set ``family`` and implement the kernels ``energy_batch``,
     ``residual_batch`` and ``residual_jacobian_batch``, ``params`` and
-    ``sample_start``.  The per-point ``energy``, ``residual`` and
-    ``residual_jacobian`` are the batch of one and raise EvaluationError
-    where the kernel masks the row; for the gradient families the residual
-    is also the ``gradient`` and, as ``hessian_batch``, its Jacobian the
-    ``hessian``.
+    ``sample_start_batch``.  The per-point ``energy``, ``residual``,
+    ``residual_jacobian`` and ``sample_start`` are the batch of one, and the
+    first three raise EvaluationError where the kernel masks the row; for
+    the gradient families the residual is also the ``gradient`` and, as
+    ``hessian_batch``, its Jacobian the ``hessian``.
     """
 
     family = "abstract"
@@ -131,14 +131,12 @@ class ProblemInstance:
         names = [name for name in inspect.signature(cls).parameters if name != "label"]
         return cls(**{name: params[name] for name in names}, label=label)
 
-    def sample_start(self, rng):
-        """Draw one solver start from the family's default region."""
+    def sample_start_batch(self, rngs):
+        """An (m, n) stack of starts from the family's region, row i drawn by ``rngs[i]`` alone."""
         raise NotImplementedError
 
-    def sample_start_batch(self, rngs):
-        """An (m, n) stack of starts, row i drawn by ``sample_start(rngs[i])``."""
-        return np.array([self.sample_start(rng) for rng in rngs], dtype=float).reshape(
-            len(rngs), self.n)
+    def sample_start(self, rng):
+        return self.sample_start_batch([rng])[0]
 
 
 class RootSystem(ProblemInstance):
@@ -169,6 +167,15 @@ class RootSystem(ProblemInstance):
         with np.errstate(over="ignore", invalid="ignore"):
             h = 2.0 * (jac.swapaxes(1, 2) @ jac + curv)
         return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
+
+
+def _uniform_rows(rngs, lo, span, n):
+    """Row i is lo + span ``rngs[i].random(n)``, the bits ``rngs[i].uniform`` draws over
+    [lo, lo + span), without the checks that make array bounds cost more than the draw."""
+    u = np.empty((len(rngs), n))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return lo + span * u
 
 
 def _masked(values, failed):
@@ -220,8 +227,8 @@ _RULES = {
     ">= 1": lambda v: v >= 1.0,
     "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
                                      and not isinstance(v, bool) and v >= 0),
-    "None or finite (lo, hi) with lo < hi":
-        lambda v: v is None or (len(v) == 2 and -math.inf < v[0] < v[1] < math.inf),
+    "None or (lo, hi) with lo < hi and a finite hi - lo":
+        lambda v: v is None or (len(v) == 2 and v[0] < v[1] and math.isfinite(v[1] - v[0])),
 }
 
 
@@ -291,14 +298,6 @@ class PointColumns:
         for (name, dtype), column in zip(self.COLUMNS, columns, strict=True):
             setattr(self, name, np.asarray(column, dtype=dtype))
 
-    @classmethod
-    def of(cls, label, points):
-        """The columns of a list of StationaryPoints."""
-        rows = [(sp.point, sp.energy, sp.residual_norm, sp.index, sp.zero_eigs, sp.singular,
-                 sp.provenance.solver, sp.provenance.seed, sp.provenance.start_id)
-                for sp in points]
-        return cls(label, *(list(zip(*rows)) or [()] * 9))
-
     def __len__(self):
         return len(self.energy)
 
@@ -319,21 +318,15 @@ class PointColumns:
 
 
 class SolutionSet:
-    """Deduplicated stationary points of one instance, in canonical order,
-    given as PointColumns or as a list of StationaryPoints.  ``columns`` and
-    ``points`` are the two forms; the one not given is built from the other
-    on first use, after which changes to either do not reach the other."""
+    """Deduplicated stationary points of one instance, in canonical order, as
+    PointColumns; ``points`` is their per-point view, built on first use."""
 
-    def __init__(self, instance_label, tolerance, metric, points=()):
-        self.instance_label, self.tolerance, self.metric = instance_label, tolerance, metric
-        if isinstance(points, PointColumns):
-            self.columns = points
-        else:
-            self.points = list(points)
+    def __init__(self, tolerance, metric, columns):
+        self.tolerance, self.metric, self.columns = tolerance, metric, columns
 
-    @functools.cached_property
-    def columns(self):
-        return PointColumns.of(self.instance_label, self.points)
+    @property
+    def instance_label(self):
+        return self.columns.instance_label
 
     @functools.cached_property
     def points(self):
@@ -421,9 +414,9 @@ def _wrap(d, metric):
     raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
 
 
-def dedup(points, tol=1e-6, metric=EUCLIDEAN):
-    """Collapse near-duplicate stationary points, a list of StationaryPoints
-    or PointColumns, into a SolutionSet of the same form.
+def dedup(columns, tol=1e-6, metric=EUCLIDEAN):
+    """Collapse near-duplicate stationary points, given as PointColumns, into
+    a SolutionSet.
 
     Points are sorted canonically (ascending energy, then lexicographic
     coordinates) and kept greedily: a point is kept unless an earlier kept
@@ -436,12 +429,6 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
     """
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
-    columns = points
-    if not isinstance(points, PointColumns):
-        labels = sorted({sp.instance_label for sp in points})
-        if len(labels) > 1:
-            raise ValueError(f"dedup saw mixed instance labels: {labels}")
-        columns = PointColumns.of(labels[0] if labels else "", points)
     if isinstance(columns.coords, list):
         raise ValueError(f"dedup saw points of lengths {sorted({p.size for p in columns.coords})} "
                          f"for {columns.instance_label!r}")
@@ -465,7 +452,4 @@ def dedup(points, tol=1e-6, metric=EUCLIDEAN):
                 at = bisect_right(window, key + turn)
                 window.insert(at, key + turn)
                 rows_of.insert(at, i)
-    kept = order[reps]
-    return SolutionSet(columns.instance_label, float(tol), metric,
-                       columns.take(kept) if columns is points
-                       else [points[i] for i in kept.tolist()])
+    return SolutionSet(float(tol), metric, columns.take(order[reps]))

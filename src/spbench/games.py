@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import RootSystem
+from .core import RootSystem, _uniform_rows
 
 
 class NashGame:
@@ -146,7 +146,7 @@ class NashInstance(RootSystem):
         ends = np.cumsum(self.dims).tolist()
         self._blocks = [slice(e - d, e) for d, e in zip(self.dims, ends)]
         self._strat = ends[-1]
-        # sample_start draws each pi_i uniformly within player i's payoff range
+        # sample_start_batch draws each pi_i uniformly within player i's payoff range
         lo, hi = np.array([(np.min(t), np.max(t)) for t in game.payoffs]).T
         self._pi_lo, self._pi_span = lo, hi - lo
         if label is None:
@@ -252,19 +252,15 @@ class NashInstance(RootSystem):
             "payoffs": [t.tolist() for t in self.game.payoffs],
         }
 
-    def sample_start(self, rng):
-        return self.sample_start_batch([rng])[0]
-
     def sample_start_batch(self, rngs):
         # each block is rng.dirichlet(np.ones(d)) as numpy draws it at alpha 1:
-        # exponentials times 1 / their left-to-right sum; then the pis as
-        # rng.uniform(lo, hi) computes them (see ThomsonSphere._draw)
+        # exponentials times 1 / their left-to-right sum; then the pis, uniform
         out = np.empty((len(rngs), self.n))
         for row, rng in zip(out, rngs):
             for block, d in zip(self._blocks, self.dims):
                 e = rng.standard_exponential(d)
                 row[block] = e * (1.0 / np.add.accumulate(e)[-1])
-            row[self._strat:] = self._pi_lo + self._pi_span * rng.random(len(self._pi_lo))
+        out[:, self._strat:] = _uniform_rows(rngs, self._pi_lo, self._pi_span, len(self._pi_lo))
         return out
 
 

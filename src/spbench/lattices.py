@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, classify_batch, dedup
+from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, _uniform_rows, classify_batch, dedup
 
 PERIODIC = "periodic"
 ANTI_PERIODIC = "anti-periodic"
@@ -90,8 +90,8 @@ class Phi4Lattice(ProblemInstance):
     def params(self):
         return {"N": self.N, "lam": self.lam, "mu2": self.mu2, "J": self.J}
 
-    def sample_start(self, rng):
-        return rng.uniform(-6.0, 6.0, self.n)
+    def sample_start_batch(self, rngs):
+        return _uniform_rows(rngs, -6.0, 12.0, self.n)
 
     def grid_starts(self, values=(-5.0, 0.0, 5.0), cap=3**9):
         """Cartesian product of per-site start values, one start per combination."""
@@ -292,6 +292,6 @@ class XYLattice(ProblemInstance):
                 "seed": self.seed, "gauge_fixed": self.gauge_fixed,
                 "couplings": [float(v) for v in self.couplings]}
 
-    def sample_start(self, rng):
+    def sample_start_batch(self, rngs):
         # pi - U[0, 2pi) lands in (-pi, pi]
-        return np.pi - rng.uniform(0.0, 2.0 * np.pi, self.n)
+        return _uniform_rows(rngs, np.pi, -2.0 * np.pi, self.n)

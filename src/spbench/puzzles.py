@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, RootSystem, _block_diagonal, _masked
+from .core import EvaluationError, RootSystem, _block_diagonal, _masked, _uniform_rows
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
@@ -265,14 +265,14 @@ class PuzzleInstance(RootSystem):
 
     family = "puzzle"
     _failure = "exponential overflow"
-    _START_PAD = 1.0
 
     def __init__(self, puzzle, label=None):
         self.puzzle = puzzle
         super().__init__(2 * len(puzzle.pieces), label if label is not None else puzzle.label)
+        # starts put each piece uniformly in the frame's box widened by 1
         frame_pos = np.array([e.offset for e in puzzle.frame.edges])
-        self._lo = frame_pos.min(axis=0)
-        self._hi = frame_pos.max(axis=0)
+        lo, hi = frame_pos.min(axis=0) - 1.0, frame_pos.max(axis=0) + 1.0
+        self._draw_lo, self._draw_span = np.tile([lo, hi - lo], len(puzzle.pieces))
         self._freqs = np.array(puzzle.k_set, dtype=float)
         # sign restricted to one piece's edges, ((classes x pieces) x edges)
         owned = puzzle.owner[None, :] == np.arange(puzzle.n_pieces())[:, None]
@@ -360,8 +360,5 @@ class PuzzleInstance(RootSystem):
             "k_set": [list(k) for k in self.puzzle.k_set],
         }
 
-    def sample_start(self, rng):
-        lo = self._lo - self._START_PAD
-        hi = self._hi + self._START_PAD
-        pts = rng.uniform(lo, hi, size=(len(self.puzzle.pieces), 2))
-        return pts.reshape(-1)
+    def sample_start_batch(self, rngs):
+        return _uniform_rows(rngs, self._draw_lo, self._draw_span, self.n)

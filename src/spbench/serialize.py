@@ -101,9 +101,16 @@ def _points_text(cols):
     return _Json("[\n      " + text + "\n    ]")
 
 
+def _object(value, what):
+    """``value``, which must be a JSON object (a dict); ValueError otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _point_columns(label, records):
     """The PointColumns of loaded ``_POINT`` records."""
-    prov = [p.get("provenance", {}) for p in records]
+    prov = [_object(_object(p, "point").get("provenance", {}), "provenance") for p in records]
     return PointColumns(label, [p["coords"] for p in records], *(
         [p[name] for p in records] for name in
         ("energy", "residual_norm", "index", "zero_eigs", "singular")),
@@ -186,7 +193,7 @@ FAMILIES = {cls.family: cls for cls in (
 
 
 def instance_from_dict(d):
-    if d.get("schema_version") != SCHEMA_VERSION:
+    if _object(d, "instance file").get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     family = d.get("family")
     if family not in FAMILIES:
@@ -232,14 +239,14 @@ def save_result(result, cfg, path):
 
 def load_result(path):
     with open(path) as fh:
-        d = json.load(fh)
+        d = _object(json.load(fh), "result file")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     sol_d = d["solutions"]
     label = sol_d["instance_label"]
-    solutions = SolutionSet(label, float(sol_d["tolerance"]), str(sol_d["metric"]),
+    solutions = SolutionSet(float(sol_d["tolerance"]), str(sol_d["metric"]),
                             _point_columns(label, sol_d["points"]))
-    stats_d = d.get("campaign_stats", {})
+    stats_d = _object(d.get("campaign_stats", {}), "campaign_stats")
     stats = CampaignStats(**{name: int(stats_d.get(name, 0)) for name in
                              ("starts", "converged", "diverged", "spurious", "eval_errors")})
     return {

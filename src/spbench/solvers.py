@@ -47,7 +47,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
-from .core import SolutionSet, _dots, _require, classify, classify_batch, dedup
+from .core import SolutionSet, _dots, _require, _uniform_rows, classify, classify_batch, dedup
 
 THREADS_ENV = "SPBENCH_THREADS"
 
@@ -135,7 +135,7 @@ class SolverConfig:
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
         _require(self, starts="a non-negative int", seed="a non-negative int",
                  accept_tol="finite and >= 0", dedup_tol="finite and >= 0", cond_limit=">= 1",
-                 start_box="None or finite (lo, hi) with lo < hi")
+                 start_box="None or (lo, hi) with lo < hi and a finite hi - lo")
         if self.max_iters is not None:
             _require(self, max_iters="a non-negative int")
 
@@ -582,9 +582,10 @@ def draw_starts(instance, cfg):
     same no matter how many starts run or in which order."""
     rngs = [np.random.Generator(np.random.PCG64(_State(words)))
             for words in _seed_states(cfg.seed, cfg.starts)]
-    if cfg.start_box is not None:
-        return [rng.uniform(*cfg.start_box, instance.n) for rng in rngs]
-    return list(instance.sample_start_batch(rngs))
+    if cfg.start_box is None:
+        return list(instance.sample_start_batch(rngs))
+    lo, hi = cfg.start_box
+    return list(_uniform_rows(rngs, lo, hi - lo, instance.n))
 
 
 def multistart(instance, cfg=None, starts=None):

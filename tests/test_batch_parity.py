@@ -198,8 +198,8 @@ class CountingHole(Hole):
         self.masked += int(failed.sum())
         return f, failed
 
-    def sample_start(self, rng):
-        return rng.uniform(0.5, 3.0, 1)
+    def sample_start_batch(self, rngs):
+        return np.array([rng.uniform(0.5, 3.0, 1) for rng in rngs]).reshape(len(rngs), 1)
 
 
 def _nash_3_players():

@@ -142,9 +142,15 @@ def _reference_thomson_draw(inst, rng):
     return p
 
 
+def _reference_pair_draw(inst, rng):
+    """A free cluster's draw as one uniform call over (-h, h), h from the atom count."""
+    h = 2.0 if inst.atoms <= 4 else 1.2 * inst.atoms ** (1.0 / 3.0) + 1.0
+    return rng.uniform(-h, h, inst.n)
+
+
 def _reference_start(inst, rng):
     """Rejection sampling one candidate at a time on one generator."""
-    draw = _reference_thomson_draw if isinstance(inst, ThomsonSphere) else type(inst)._draw
+    draw = _reference_thomson_draw if isinstance(inst, ThomsonSphere) else _reference_pair_draw
     for _ in range(clusters._MAX_TRIES):
         p = draw(inst, rng)
         pos = inst.positions(p)

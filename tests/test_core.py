@@ -10,7 +10,6 @@ from spbench.core import (
     ProblemInstance,
     PointColumns,
     Provenance,
-    StationaryPoint,
     classify,
     dedup,
     fd_gradient,
@@ -142,25 +141,18 @@ def test_point_distance_angular_wraps():
         point_distance(a2, b2, EUCLIDEAN))
 
 
-def _sp(label, point, energy, index=0):
-    return StationaryPoint(
-        instance_label=label,
-        point=np.asarray(point, dtype=float),
-        energy=energy,
-        residual_norm=0.0,
-        index=index,
-        zero_eigs=0,
-        singular=False,
-    )
+def _columns(rows, index=None):
+    """The PointColumns of instance "x" with the (point, energy) ``rows``;
+    row i has start_id i, so a kept row names its input row, and saddle
+    index ``index[i]``, 0 by default."""
+    m = len(rows)
+    return PointColumns("x", [np.asarray(p, dtype=float) for p, _ in rows], [e for _, e in rows],
+                        np.zeros(m), np.zeros(m, int) if index is None else index,
+                        np.zeros(m, int), np.zeros(m, bool), ["direct"] * m, [0] * m, range(m))
 
 
 def test_dedup_merges_within_tolerance():
-    pts = [
-        _sp("x", [0.0, 0.0], 1.0),
-        _sp("x", [1e-8, 0.0], 1.0),
-        _sp("x", [2.0, 0.0], 5.0),
-    ]
-    out = dedup(pts, tol=1e-6)
+    out = dedup(_columns([([0.0, 0.0], 1.0), ([1e-8, 0.0], 1.0), ([2.0, 0.0], 5.0)]), tol=1e-6)
     assert len(out) == 2
     assert out.points[0].energy == 1.0
     assert out.points[1].energy == 5.0
@@ -170,39 +162,29 @@ def test_dedup_compares_only_with_kept_representatives():
     # the middle point is within tol of the first and is dropped; the third
     # is within tol of the dropped one only, so it opens its own cluster
     tol = 1e-6
-    pts = [_sp("x", [c * tol, 0.0], 1.0) for c in (0.0, 0.7, 1.4)]
-    out = dedup(pts, tol=tol)
+    out = dedup(_columns([([c * tol, 0.0], 1.0) for c in (0.0, 0.7, 1.4)]), tol=tol)
     assert [sp.point[0] for sp in out.points] == [0.0, 1.4 * tol]
 
 
 def test_dedup_is_order_independent():
     rng = np.random.default_rng(5)
-    base = [_sp("x", rng.uniform(-3, 3, 2), float(i)) for i in range(12)]
-    noisy = base + [_sp("x", b.point + 1e-9, b.energy) for b in base[:5]]
+    base = [(rng.uniform(-3, 3, 2), float(i)) for i in range(12)]
+    noisy = _columns(base + [(p + 1e-9, e) for p, e in base[:5]])
     ref = dedup(noisy, tol=1e-6)
     for seed in range(4):
-        perm = np.random.default_rng(seed).permutation(len(noisy))
-        out = dedup([noisy[i] for i in perm], tol=1e-6)
-        assert len(out) == len(ref)
-        for a, b in zip(out.points, ref.points):
-            assert np.array_equal(a.point, b.point)
+        out = dedup(noisy.take(np.random.default_rng(seed).permutation(len(noisy))), tol=1e-6)
+        assert out.columns.coords.tobytes() == ref.columns.coords.tobytes()
 
 
 def test_dedup_idempotent():
-    pts = [_sp("x", [float(i), 0.0], float(i)) for i in range(6)]
-    once = dedup(pts, tol=1e-6)
-    twice = dedup(once.points, tol=1e-6)
+    once = dedup(_columns([([float(i), 0.0], float(i)) for i in range(6)]), tol=1e-6)
+    twice = dedup(once.columns, tol=1e-6)
     assert len(once) == len(twice)
-
-
-def test_dedup_rejects_mixed_instances():
-    with pytest.raises(ValueError):
-        dedup([_sp("a", [0.0], 0.0), _sp("b", [0.0], 0.0)])
 
 
 def test_dedup_rejects_points_of_different_lengths():
     with pytest.raises(ValueError, match=r"lengths \[2, 3\] for 'x'"):
-        dedup([_sp("x", [0.0, 0.0], 0.0), _sp("x", [0.0, 0.0, 0.0], 1.0)])
+        dedup(_columns([([0.0, 0.0], 0.0), ([0.0, 0.0, 0.0], 1.0)]))
 
 
 def _dedup_reference(points, tol, metric):
@@ -239,7 +221,7 @@ def _near_duplicates(rng, n, tol, metric, count=60):
     if metric == ANGULAR_MOD_2PI:
         pts += [p + 2.0 * np.pi * rng.integers(-2, 3, n) for p in pts[::5]]
     levels = rng.uniform(-1.0, 1.0, 3)
-    return [_sp("x", p, float(rng.choice(levels))) for p in pts]
+    return [(p, float(rng.choice(levels))) for p in pts]
 
 
 @pytest.mark.parametrize("metric", [EUCLIDEAN, ANGULAR_MOD_2PI])
@@ -248,25 +230,26 @@ def test_dedup_keeps_what_the_quadratic_scan_keeps(metric, seed):
     rng = np.random.default_rng(seed)
     n = (1, 2, 3, 9, 17, 40)[seed]
     cases = [_near_duplicates(rng, n, tol, metric) for tol in (1e-6, 0.05, 0.7)]
-    cases += [[], [_sp("x", rng.uniform(-3, 3, n), 0.0)]]
-    cases.append([_sp("x", np.full(n, 0.5), 1.0) for _ in range(50)])
+    cases += [[], [(rng.uniform(-3, 3, n), 0.0)]]
+    cases.append([(np.full(n, 0.5), 1.0) for _ in range(50)])
     for tol in (1e-6, 0.05, 0.7, 0.0):
-        for pts in cases:
-            pts = [pts[i] for i in rng.permutation(len(pts))]
-            kept = dedup(pts, tol=tol, metric=metric).points
-            assert [id(sp) for sp in kept] == [id(sp) for sp in _dedup_reference(pts, tol, metric)]
+        for rows in cases:
+            cols = _columns([rows[i] for i in rng.permutation(len(rows))])
+            kept = dedup(cols, tol=tol, metric=metric).columns.start_id.tolist()
+            ref = _dedup_reference(cols.points(), tol, metric)
+            assert kept == [sp.provenance.start_id for sp in ref]
 
 
 def _order_cases():
     """Points whose canonical order hangs on ties: equal energies, coordinates
     that differ only in the sign of a zero, exact duplicates, permutations of
     one vector, and angles a whole turn apart."""
-    zeros = [_sp("x", [a, b, 1.0], 0.5) for a in (0.0, -0.0) for b in (-0.0, 0.0)]
-    copies = [_sp("x", [1.0, 2.0, 3.0], -1.0) for _ in range(4)]
-    perms = [_sp("x", p, 2.0) for p in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0],
-                                        [1.0, 3.0, 2.0], [3.0, 2.0, 1.0], [2.0, 1.0, 3.0])]
-    turns = [_sp("x", [a, 0.25, -0.0], 2.0) for a in (0.5, 0.5 + 2 * np.pi, 0.5 - 2 * np.pi)]
-    mixed = [_sp("x", [0.0, 1e-7 * i, 0.0], e) for i, e in enumerate([1.0, 0.0, 1.0, 0.0, -0.0])]
+    zeros = [([a, b, 1.0], 0.5) for a in (0.0, -0.0) for b in (-0.0, 0.0)]
+    copies = [([1.0, 2.0, 3.0], -1.0) for _ in range(4)]
+    perms = [(p, 2.0) for p in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0],
+                                [1.0, 3.0, 2.0], [3.0, 2.0, 1.0], [2.0, 1.0, 3.0])]
+    turns = [([a, 0.25, -0.0], 2.0) for a in (0.5, 0.5 + 2 * np.pi, 0.5 - 2 * np.pi)]
+    mixed = [([0.0, 1e-7 * i, 0.0], e) for i, e in enumerate([1.0, 0.0, 1.0, 0.0, -0.0])]
     return [zeros, copies, perms, turns, mixed, zeros + copies + perms + turns + mixed]
 
 
@@ -275,38 +258,34 @@ def test_dedup_order_is_the_reference_order(metric):
     # at tol 0 every point is kept, so the result is the whole canonical
     # order; exact duplicates keep their input order
     rng = np.random.default_rng(11)
-    for pts in _order_cases():
-        for perm in [range(len(pts)), range(len(pts))[::-1], rng.permutation(len(pts))]:
-            pts = [pts[i] for i in perm]
+    for rows in _order_cases():
+        for perm in [range(len(rows)), range(len(rows))[::-1], rng.permutation(len(rows))]:
+            cols = _columns([rows[i] for i in perm])
             for tol in (0.0, 1e-6, 0.5, 3.0):
-                kept = dedup(pts, tol=tol, metric=metric)
-                ref = _dedup_reference(pts, tol, metric)
-                assert [id(sp) for sp in kept.points] == [id(sp) for sp in ref], (tol, metric)
-                # the columnar path keeps the same rows, in the same order
-                cols = dedup(PointColumns.of("x", pts), tol=tol, metric=metric).columns
-                assert cols.coords.tobytes() == np.array([sp.point for sp in ref]).tobytes()
-                assert cols.energy.tobytes() == np.array([sp.energy for sp in ref]).tobytes()
+                kept = dedup(cols, tol=tol, metric=metric).columns
+                ref = _dedup_reference(cols.points(), tol, metric)
+                assert kept.start_id.tolist() == [sp.provenance.start_id for sp in ref], tol
+                assert kept.coords.tobytes() == np.array([sp.point for sp in ref]).tobytes()
+                assert kept.energy.tobytes() == np.array([sp.energy for sp in ref]).tobytes()
 
 
 def test_dedup_angular_metric_joins_wrapped_points():
-    pts = [
-        _sp("x", [0.0], 0.0),
-        _sp("x", [2 * np.pi - 1e-9], 0.0),
-    ]
-    out = dedup(pts, tol=1e-6, metric=ANGULAR_MOD_2PI)
+    out = dedup(_columns([([0.0], 0.0), ([2 * np.pi - 1e-9], 0.0)]), tol=1e-6,
+                metric=ANGULAR_MOD_2PI)
     assert len(out) == 1
 
 
 def test_index_histogram():
-    pts = [_sp("x", [float(i)], 0.0, index=i % 2) for i in range(5)]
-    hist = dedup(pts, tol=1e-9).index_histogram()
+    cols = _columns([([float(i)], 0.0) for i in range(5)], index=[i % 2 for i in range(5)])
+    hist = dedup(cols, tol=1e-9).index_histogram()
     assert hist == {0: 3, 1: 2}
 
 
 def test_stationary_point_dict_round_trip():
-    sp = _sp("lbl", [0.25, -1.5], -3.25, index=2)
-    text = _points_text(PointColumns.of("lbl", [sp]))
-    (back,) = _point_columns("lbl", json.loads(text)).points()
+    cols = PointColumns("lbl", [[0.25, -1.5]], [-3.25], [0.0], [2], [0], [False], ["direct"],
+                        [0], [0])
+    (sp,) = cols.points()
+    (back,) = _point_columns("lbl", json.loads(_points_text(cols))).points()
     assert np.array_equal(back.point, sp.point)
     assert back.energy == sp.energy
     assert back.index == sp.index

@@ -177,7 +177,7 @@ def test_stacked_sampler_draws_what_dirichlet_draws(shape):
         assert rows.shape == (7, inst.n)
         for row, b in zip(rows, theirs):
             parts = [b.dirichlet(np.ones(d)) for d in inst.dims]
-            pis = inst._pi_lo + inst._pi_span * b.random(len(shape))
+            pis = [b.uniform(np.min(t), np.max(t)) for t in inst.game.payoffs]
             assert row.tobytes() == inst.pack(parts, pis).tobytes()
         assert [a.bit_generator.state for a in mine] == [b.bit_generator.state for b in theirs]
     assert inst.sample_start_batch([]).shape == (0, inst.n)

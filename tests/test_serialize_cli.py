@@ -11,7 +11,7 @@ import pytest
 from spbench import serialize
 from spbench.cli import main
 from spbench.clusters import MorseCluster, ThomsonSphere
-from spbench.core import EvaluationError, Provenance, SolutionSet, StationaryPoint, classify
+from spbench.core import EvaluationError, PointColumns, SolutionSet, classify
 from spbench.games import NashGame, NashInstance, matching_pennies
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -38,13 +38,11 @@ def test_one_pass_float_formatter_matches_the_scalar_one():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_save_result_rejects_a_non_finite_value(tmp_path, where, bad):
     result, cfg = _hand_made_result()
-    sol = result.solutions
-    points = list(sol.points)
+    cols = result.solutions.columns
     if where == "coordinate":
-        points[1] = dataclasses.replace(points[1], point=np.array([1.0, bad, 2.0]))
+        cols.coords[1, 1] = bad
     else:
-        points[1] = dataclasses.replace(points[1], **{where: bad})
-    result.solutions = SolutionSet(sol.instance_label, sol.tolerance, sol.metric, points)
+        getattr(cols, where)[1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         serialize.save_result(result, cfg, tmp_path / "res.json")
     assert not (tmp_path / "res.json").exists()
@@ -98,22 +96,17 @@ def _hand_made_result():
     """A result whose values test the writer's corner cases: signed zeros,
     the smallest subnormal, integral floats, 17-digit values, and a label
     with a quote and a non-ASCII character."""
-    label = 'phi4 "census" façade'
-
-    def point(coords, energy, residual_norm, index, zero_eigs, solver, start_id):
-        return StationaryPoint(label, np.array(coords), energy, residual_norm, index, zero_eigs,
-                               zero_eigs > 0, Provenance(solver, 7, start_id))
-
-    points = [
-        point([0.0, -0.0, 5e-324], 1e16, 0.0, 0, 2, "newton", 0),
-        point([123.0, 0.1, 1 / 3], -0.0, 5e-324, 3, 0, "homotopy", 41),
-        point([-math.e, 6.02214076e23, -1e16], 123.0, 1.2345678901234567e-11, 1, 0, "gradsq", 999),
-    ]
+    points = PointColumns(
+        'phi4 "census" façade',
+        [[0.0, -0.0, 5e-324], [123.0, 0.1, 1 / 3], [-math.e, 6.02214076e23, -1e16]],
+        [1e16, -0.0, 123.0], [0.0, 5e-324, 1.2345678901234567e-11],  # energy, residual norm
+        [0, 3, 1], [2, 0, 0], [True, False, False],  # index, zero_eigs, singular
+        ["newton", "homotopy", "gradsq"], [7, 7, 7], [0, 41, 999])  # solver, seed, start_id
     stats = CampaignStats(starts=50, converged=3, diverged=40, spurious=5, eval_errors=2,
                           wall_time=3.25)
     cfg = SolverConfig(method="newton", accept_tol=1e-12, max_iters=None, starts=50, seed=7,
                        start_box=(-2.5, 2.5))
-    return MultistartResult(SolutionSet(label, 1e-6, "euclidean", points), stats, [], []), cfg
+    return MultistartResult(SolutionSet(1e-6, "euclidean", points), stats, [], []), cfg
 
 
 def test_result_file_of_hand_made_points_has_the_committed_bytes(tmp_path):
@@ -150,11 +143,13 @@ def _generic_result_text(result, cfg):
 
 
 def _hand_made_with_an_empty_point():
+    # the three points and a copy of the first with no coordinates
     result, cfg = _hand_made_result()
-    sol = result.solutions
-    empty = dataclasses.replace(sol.points[0], point=np.empty(0))
-    result.solutions = SolutionSet(sol.instance_label, sol.tolerance, sol.metric,
-                                   sol.points + [empty])
+    sol, rows = result.solutions, np.array([0, 1, 2, 0])
+    cols = sol.columns
+    result.solutions = SolutionSet(sol.tolerance, sol.metric, PointColumns(
+        cols.instance_label, [*cols.coords, np.empty(0)],
+        *(getattr(cols, name)[rows] for name, _ in PointColumns.COLUMNS)))
     return result, cfg
 
 
@@ -569,6 +564,31 @@ def test_cli_exit_codes(tmp_path, capsys):
                    "--max-iters", "3")
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, file, spoil", [
+    ("verify", "result", lambda raw: [raw]),
+    ("report", "result", lambda raw: raw.update(campaign_stats=[])),
+    ("report", "result", lambda raw: raw["solutions"]["points"].__setitem__(0, 5)),
+    ("verify", "result", lambda raw: raw["solutions"]["points"][0].update(provenance=None)),
+    ("solve", "instance", lambda raw: [raw]),
+], ids=["result-list", "stats-list", "point-int", "provenance-null", "instance-list"])
+def test_cli_malformed_file_is_an_error(tmp_path, capsys, command, file, spoil):
+    # a value that must be a JSON object but is not ends in one error line, not a traceback
+    paths = {"instance": tmp_path / "phi4.json", "result": tmp_path / "r.json"}
+    assert run_cli("generate", "phi4", "--N", "2", "-o", str(paths["instance"])) == 0
+    assert run_cli("solve", str(paths["instance"]), "-o", str(paths["result"]),
+                   "--starts", "grid3") == 0
+    raw = json.loads(paths[file].read_text())
+    paths[file].write_text(json.dumps(spoil(raw) or raw))
+    capsys.readouterr()
+    argv = {"verify": ["verify", str(paths["instance"]), str(paths["result"])],
+            "report": ["report", str(paths["result"])],
+            "solve": ["solve", str(paths["instance"]), "-o", str(tmp_path / "again.json"),
+                      "--starts", "grid3"]}[command]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "JSON object" in err[0]
 
 
 def test_cli_grid3_only_for_phi4(tmp_path, capsys):

@@ -29,6 +29,7 @@ from spbench.solvers import (
     newton_solve,
     worker_count,
 )
+from test_clusters import _reference_start
 
 
 def _none_failed(X):
@@ -58,8 +59,8 @@ class Cubic(ProblemInstance):
         jac[:, own, own] = 3 * X**2 - 1
         return jac, _none_failed(X)
 
-    def sample_start(self, rng):
-        return rng.uniform(-2, 2, self.n)
+    def sample_start_batch(self, rngs):
+        return np.array([rng.uniform(-2, 2, self.n) for rng in rngs]).reshape(len(rngs), self.n)
 
 
 class NoRoot(RootSystem):
@@ -303,7 +304,7 @@ def test_config_validation():
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
     for bad in ((2.0, -2.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0,), 3.0,
-                ("a", "b")):
+                ("a", "b"), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="start_box"):
             SolverConfig(start_box=bad)
     SolverConfig(starts=0, max_iters=0, seed=np.int64(3), start_box=(-1.0, 2))
@@ -397,10 +398,28 @@ def test_start_draw_cases_cover_every_family():
     assert {inst.family for inst in _every_family()} == set(serialize.FAMILIES)
 
 
+def _scalar_start(inst, rng):
+    """A start of ``inst`` drawn by the scalar numpy calls of its family's region."""
+    if isinstance(inst, Phi4Lattice):
+        return rng.uniform(-6.0, 6.0, inst.n)
+    if isinstance(inst, XYLattice):
+        return np.pi - rng.uniform(0.0, 2.0 * np.pi, inst.n)
+    if isinstance(inst, PuzzleInstance):
+        frame = np.array([e.offset for e in inst.puzzle.frame.edges])
+        return rng.uniform(frame.min(axis=0) - 1.0, frame.max(axis=0) + 1.0,
+                           (inst.n // 2, 2)).reshape(-1)
+    if isinstance(inst, NashInstance):
+        parts = [rng.dirichlet(np.ones(d)) for d in inst.dims]
+        return np.concatenate(parts + [[rng.uniform(np.min(t), np.max(t))
+                                        for t in inst.game.payoffs]])
+    return _reference_start(inst, rng)  # the clusters' rejection sampling
+
+
 @pytest.mark.parametrize("box", [None, (-1.5, 2.0)])
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 def test_draw_starts_matches_per_start_generators(seed, box):
     # the reference: one default_rng((seed, i)) per start, drawn on its own
+    # by the scalar calls
     for inst in _every_family():
         for starts in (0, 1, 37):
             cfg = SolverConfig(starts=starts, seed=seed, start_box=box)
@@ -408,8 +427,22 @@ def test_draw_starts_matches_per_start_generators(seed, box):
             assert isinstance(got, list) and len(got) == starts
             for i, x in enumerate(got):
                 rng = np.random.default_rng((seed, i))
-                want = rng.uniform(*box, inst.n) if box else inst.sample_start(rng)
+                want = rng.uniform(*box, inst.n) if box else _scalar_start(inst, rng)
                 assert x.dtype == float and x.tobytes() == np.asarray(want, float).tobytes()
+
+
+@pytest.mark.parametrize("inst", _every_family(), ids=lambda inst: inst.family)
+def test_sample_start_batch_draws_what_the_scalar_calls_draw(inst):
+    # row by row, and each generator ends where the scalar calls leave it
+    mine = [np.random.default_rng((3, i)) for i in range(9)]
+    theirs = [np.random.default_rng((3, i)) for i in range(9)]
+    X = inst.sample_start_batch(mine)
+    assert X.shape == (9, inst.n) and inst.sample_start_batch([]).shape == (0, inst.n)
+    assert [x.tobytes() for x in X] == [_scalar_start(inst, b).tobytes() for b in theirs]
+    assert [a.bit_generator.state for a in mine] == [b.bit_generator.state for b in theirs]
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    assert inst.sample_start(a).tobytes() == _scalar_start(inst, b).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", SEEDS + [2**96 - 1, 2**96, 2**200 + 17], ids=repr)

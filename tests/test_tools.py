@@ -1,9 +1,11 @@
-"""tools/drift.py writes the files that two checkouts compare byte for byte."""
+"""tools/drift.py writes the files that two checkouts compare byte for byte;
+tools/size.py counts the library's lines and significant tokens."""
 
 import runpy
 from pathlib import Path
 
-DRIFT = Path(__file__).resolve().parent.parent / "tools" / "drift.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+DRIFT = TOOLS / "drift.py"
 
 
 def test_drift_writes_each_result_file_and_a_line_per_start(tmp_path):
@@ -19,3 +21,14 @@ def test_drift_writes_each_result_file_and_a_line_per_start(tmp_path):
     status, iterations, point, norm = lines[0].split(" ")
     assert status == "converged" and int(iterations) > 0
     assert len(bytes.fromhex(point)) == 9 * 8 and float(norm) < 1e-10
+
+
+def test_size_counts_lines_and_significant_tokens(capsys):
+    size = runpy.run_path(str(TOOLS / "size.py"))
+    # def f ( x ) : return x + 1; not the comment, line breaks or indentation
+    assert size["size"]("def f(x):\n    # a comment\n\n    return x + 1\n") == (4, 10)
+    size["main"]([])
+    *modules, total = [line.split() for line in capsys.readouterr().out.splitlines()]
+    names = sorted(p.name for p in (TOOLS.parent / "src" / "spbench").glob("*.py"))
+    assert [row[0] for row in modules] == names and total[0] == "total"
+    assert [int(v) for v in total[1:]] == [sum(int(row[k]) for row in modules) for k in (1, 2)]
