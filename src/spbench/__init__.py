@@ -15,8 +15,8 @@ from .puzzles import (
     DEFAULT_K_SET, Edge, Piece, Puzzle, PuzzleInstance, exp_coordinates, exponential_residual,
     generate_grid_puzzle, linear_residual, signed_indicator, verify_geometric)
 from .solvers import (
-    CampaignStats, Damping, HomotopySchedule, MultistartResult, SolveOutcome, SolverConfig,
-    Status, gradsq_solve, homotopy_track, multistart, newton_solve)
+    CampaignStats, MultistartResult, SolveOutcome, SolverConfig, Status, gradsq_solve,
+    homotopy_track, multistart, newton_solve)
 from . import serialize
 
 __version__ = "0.1.0"

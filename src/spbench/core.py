@@ -220,11 +220,7 @@ def _central_differences(instance, fn, p, step, what):
 
 
 _RULES = {
-    "finite": math.isfinite,
     "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
-    "finite and > 0": lambda v: math.isfinite(v) and v > 0.0,
-    "in (0, 1)": lambda v: 0.0 < v < 1.0,
-    ">= 1": lambda v: v >= 1.0,
     "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
                                      and not isinstance(v, bool) and v >= 0),
     "None or (lo, hi) with lo < hi and a finite hi - lo":

@@ -254,12 +254,14 @@ class NashInstance(RootSystem):
 
     def sample_start_batch(self, rngs):
         # each block is rng.dirichlet(np.ones(d)) as numpy draws it at alpha 1:
-        # exponentials times 1 / their left-to-right sum; then the pis, uniform
+        # exponentials times 1 / their left-to-right sum; one draw per start
+        # gives the bits of one per block.  Then the pis, uniform
         out = np.empty((len(rngs), self.n))
         for row, rng in zip(out, rngs):
-            for block, d in zip(self._blocks, self.dims):
-                e = rng.standard_exponential(d)
-                row[block] = e * (1.0 / np.add.accumulate(e)[-1])
+            rng.standard_exponential(out=row[:self._strat])
+        for block in self._blocks:
+            e = out[:, block]
+            e *= 1.0 / np.add.accumulate(e, axis=1)[:, -1:]
         out[:, self._strat:] = _uniform_rows(rngs, self._pi_lo, self._pi_span, len(self._pi_lo))
         return out
 

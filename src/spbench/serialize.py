@@ -2,13 +2,12 @@
 
 Both file kinds are JSON with sorted keys and floats printed to 17
 significant digits, so saving, loading and saving again reproduces the bytes
-exactly, and a seeded campaign writes the same file whatever batch count
-``SPBENCH_THREADS`` sets.  ``_emit`` lays out any value.  A result file's
-stationary points, most of its bytes, are written from their columns in the
-same layout: every float in one ``%`` pass, then every point from the
-template ``_POINT`` for its length in one more.  Writes go through a
-temporary file, given the mode a plain ``open`` would give, and an atomic
-rename.
+exactly, and a seeded campaign always writes the same file.  ``_emit`` lays
+out any value.  A result file's stationary points, most of its bytes, are
+written from their columns in the same layout: every float in one ``%``
+pass, then every point from the template ``_POINT`` for its length in one
+more.  Writes go through a temporary file, given the mode a plain ``open``
+would give, and an atomic rename.
 """
 
 from __future__ import annotations
@@ -24,9 +23,13 @@ import numpy as np
 
 from . import clusters, games, lattices, puzzles
 from .core import PointColumns, SolutionSet, classify_batch
-from .solvers import CampaignStats, Damping, HomotopySchedule, SolverConfig
+from .solvers import CampaignStats, SolverConfig
 
 SCHEMA_VERSION = 1
+
+# config keys of older result files for what are now constants in ``solvers``;
+# loading drops them whatever their values
+_RETIRED_KEYS = ("cond_limit", "damping", "gradsq_abs_gtol", "gradsq_rel_gtol", "homotopy")
 
 
 def _fmt_float(v):
@@ -211,9 +214,7 @@ def load_instance(path):
 
 
 def config_from_dict(d):
-    d = dict(d)
-    d["damping"] = Damping(**d.get("damping", {}))
-    d["homotopy"] = HomotopySchedule(**d.get("homotopy", {}))
+    d = {k: v for k, v in _object(d, "config").items() if k not in _RETIRED_KEYS}
     if d.get("start_box") is not None:
         d["start_box"] = tuple(d["start_box"])
     return SolverConfig(**d)

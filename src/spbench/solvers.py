@@ -5,7 +5,7 @@ Three methods share one outcome type:
 * ``newton_solve``: damped Newton on the residual, backtracking on the
   residual norm.  Each linear step comes from one thin SVD of the Jacobian,
   which also gives the condition-number guard: the step lives on the
-  singular directions within ``cond_limit`` of the largest.  A square
+  singular directions within ``COND_LIMIT`` of the largest.  A square
   system that drops some of them still gets the least-norm step, provided
   the right-hand side barely reaches the dropped ones (an inexact-Newton
   step, see ``LEAST_NORM_FORCING``); a rectangular one must keep them all,
@@ -29,9 +29,13 @@ keeps its own status, iteration count, step length and trace.  A row's
 arithmetic never depends on the other rows, so a start ends exactly where it
 would alone; the per-start functions are the batch of one.
 
-``multistart`` runs any of them over seeded starts, classifies the converged
-points and deduplicates them.  Start vectors depend only on (seed, start_id),
-so campaigns are reproducible at any batch size.
+``multistart`` runs any of them over seeded starts as one batch, classifies
+the converged points and deduplicates them.  Start vectors depend only on
+(seed, start_id), so campaigns are reproducible at any batch size.
+
+A ``SolverConfig`` holds what campaigns vary; the line search, the
+conditioning guard, gradsq's gradient tolerances and the homotopy's step
+control are the module constants below.
 """
 
 from __future__ import annotations
@@ -39,17 +43,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
 from .core import SolutionSet, _dots, _require, _uniform_rows, classify, classify_batch, dedup
-
-THREADS_ENV = "SPBENCH_THREADS"
 
 # Forcing term of the least-norm step that ``_linear_steps`` takes when the thin
 # SVD of a square system has singular values below the condition guard: the
@@ -68,6 +69,33 @@ LEAST_NORM_FORCING = 1e-4
 MU0 = 1e-2
 MU_MIN = 1e-20
 
+# The line search shared by Newton and gradsq: the first step STEP0, times
+# BACKTRACK per rung, never below MIN_STEP, and the sufficient-decrease factor
+# DECREASE.  A BACKTRACK of 1 or more would never fall below MIN_STEP.
+STEP0 = 1.0
+BACKTRACK = 0.5
+MIN_STEP = 1e-12
+DECREASE = 1e-4
+
+# ``_linear_steps`` keeps the singular values within COND_LIMIT of the largest.
+COND_LIMIT = 1e12
+
+# gradsq's spurious-minimum test: a gradient norm at most GRADSQ_ABS_GTOL, or
+# at most GRADSQ_REL_GTOL times the local slope bound 2 |J| |f|.
+GRADSQ_ABS_GTOL = 1e-9
+GRADSQ_REL_GTOL = 1e-6
+
+# The homotopy's step control: the first step DT0 in t, halved after a failed
+# corrector and ending the start ``diverged`` below DT_MIN, grown by DT_GROW
+# up to DT_MAX after a corrector that met the tolerance within EASY_ITERS of
+# its CORRECTOR_ITERS Newton iterations.
+DT0 = 0.05
+DT_MIN = 1e-8
+DT_MAX = 0.25
+DT_GROW = 1.5
+CORRECTOR_ITERS = 5
+EASY_ITERS = 2
+
 
 class Status(str, enum.Enum):
     CONVERGED = "converged"
@@ -78,38 +106,6 @@ class Status(str, enum.Enum):
     SINGULAR_STEP = "singular-step"
 
 
-@dataclass(frozen=True)
-class Damping:
-    """Backtracking line-search knobs shared by the damped methods."""
-
-    initial: float = 1.0
-    backtrack: float = 0.5
-    min_step: float = 1e-12
-    decrease: float = 1e-4
-
-    def __post_init__(self):
-        # a backtrack factor of 1 or more never takes the step below min_step
-        _require(self, initial="finite and > 0", backtrack="in (0, 1)",
-                 min_step="finite and > 0", decrease="finite")
-
-
-@dataclass(frozen=True)
-class HomotopySchedule:
-    """Adaptive step control for ``homotopy_track``."""
-
-    dt_initial: float = 0.05
-    dt_min: float = 1e-8
-    dt_max: float = 0.25
-    grow: float = 1.5
-    corrector_iters: int = 5
-    easy_iters: int = 2
-
-    def __post_init__(self):
-        _require(self, dt_initial="finite and > 0", dt_min="finite and > 0",
-                 dt_max="finite and > 0", grow="finite",
-                 corrector_iters="a non-negative int", easy_iters="a non-negative int")
-
-
 _DEFAULT_MAX_ITERS = {"newton": 100, "gradsq": 5000, "homotopy": 2000}
 
 
@@ -118,15 +114,10 @@ class SolverConfig:
     method: str = "newton"
     accept_tol: float = 1e-10
     max_iters: int | None = None
-    damping: Damping = field(default_factory=Damping)
-    homotopy: HomotopySchedule = field(default_factory=HomotopySchedule)
     starts: int = 100
     seed: int = 0
     start_box: tuple | None = None
     dedup_tol: float = 1e-6
-    cond_limit: float = 1e12
-    gradsq_abs_gtol: float = 1e-9
-    gradsq_rel_gtol: float = 1e-6
     record_trace: bool = False
 
     def __post_init__(self):
@@ -134,7 +125,7 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
         _require(self, starts="a non-negative int", seed="a non-negative int",
-                 accept_tol="finite and >= 0", dedup_tol="finite and >= 0", cond_limit=">= 1",
+                 accept_tol="finite and >= 0", dedup_tol="finite and >= 0",
                  start_box="None or (lo, hi) with lo < hi and a finite hi - lo")
         if self.max_iters is not None:
             _require(self, max_iters="a non-negative int")
@@ -234,14 +225,14 @@ class _Batch:
                         self.traces or [None] * len(self.x)))
 
 
-def _linear_steps(jac, rhs, cond_limit, mu=None):
+def _linear_steps(jac, rhs, mu=None):
     """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems with one
     stacked thin SVD; returns the steps and a mask of the rows that have one.
     Given a damping ``mu[i]`` per row, every finite row has a step, the
     Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
 
     The SVD J = U diag(s) V^T gives both the conditioning guard and the step:
-    singular values with s > 0 and s >= s[0] / cond_limit are kept, and the
+    singular values with s > 0 and s >= s[0] / COND_LIMIT are kept, and the
     step is V diag(1 / s) U^T rhs on the kept directions.  A row whose
     singular values are all kept has a step; for k > n it is the
     least-squares one.  A square row that drops some has the least-norm step
@@ -258,7 +249,7 @@ def _linear_steps(jac, rhs, cond_limit, mu=None):
     rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
     b = rhs[rows]
     u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
-    keep = (s > 0.0) & (s >= s[:, :1] / cond_limit)
+    keep = (s > 0.0) & (s >= s[:, :1] / COND_LIMIT)
     proj = (b[:, None, :] @ u)[:, 0, :]
     coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
     if mu is not None:  # Levenberg-Marquardt: every finite row has a step
@@ -283,29 +274,29 @@ def _linear_steps(jac, rhs, cond_limit, mu=None):
 LADDER_RUNGS = 8
 
 
-def _line_search(instance, b, live, direction, step, sufficient, damping):
+def _line_search(instance, b, live, direction, step, sufficient):
     """Backtrack along ``direction`` from each live row's first step ``step``;
     move the rows where ``sufficient(norm, steps, rows)`` holds for a rung's
     residual norm, and return the step each row took (0 where it did not
-    move): the first acceptable rung of step, step * backtrack, ... down to
-    ``damping.min_step``, as a one-at-a-time search would.  Each round is one
+    move): the first acceptable rung of step, step * BACKTRACK, ... down to
+    ``MIN_STEP``, as a one-at-a-time search would.  Each round is one
     dense (rows, rungs) block in one call: one rung per row, then
-    ``LADDER_RUNGS``.  A block's rungs below ``min_step`` are evaluated but
+    ``LADDER_RUNGS``.  A block's rungs below ``MIN_STEP`` are evaluated but
     never taken: the ladder only falls, so a one-at-a-time search stops
     before them."""
     taken = np.zeros(len(live))
-    go_on = step >= damping.min_step
+    go_on = step >= MIN_STEP
     rows, step = go_on.nonzero()[0], step[go_on]
     n, rungs = direction.shape[1], 1
     while rows.size:
         m = len(rows)
-        ladder = np.full((m, rungs), damping.backtrack)
+        ladder = np.full((m, rungs), BACKTRACK)
         ladder[:, 0] = step
         ladder = np.multiply.accumulate(ladder, axis=1)  # the bits of repeated *=
         cand = (b.x[live.idx[rows]][:, None, :]
                 + ladder[:, :, None] * direction[rows][:, None, :]).reshape(m * rungs, n)
         f, norm, _ = _residuals(instance, cand)
-        accept = ((ladder >= damping.min_step)
+        accept = ((ladder >= MIN_STEP)
                   & sufficient(norm.reshape(m, rungs), ladder, rows[:, None]))
         hit = accept.any(axis=1)
         took = rows[hit]
@@ -314,8 +305,8 @@ def _line_search(instance, b, live, direction, step, sufficient, damping):
             b.x[live.idx[took]] = cand[pick]
             live.f[took], live.norm[took] = f[pick], norm[pick]
             taken[took] = ladder.ravel()[pick]
-        step = ladder[:, -1] * damping.backtrack
-        go_on = ~hit & (step >= damping.min_step)
+        step = ladder[:, -1] * BACKTRACK
+        go_on = ~hit & (step >= MIN_STEP)
         rows, step = rows[go_on], step[go_on]
         rungs = LADDER_RUNGS
     return taken
@@ -346,12 +337,11 @@ def _newton_batch(instance, starts, cfg):
             break
         live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
         b.end(live, failed, Status.EVAL_ERROR, it)
-        live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit)
+        live.delta, ok = _linear_steps(live.jac, -live.f)
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
-        norm0, damping = live.norm.copy(), cfg.damping
-        taken = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
-                             lambda norm, s, r: norm <= (1.0 - damping.decrease * s) * norm0[r],
-                             damping)
+        norm0 = live.norm.copy()
+        taken = _line_search(instance, b, live, live.delta, np.full(len(live), STEP0),
+                             lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
         b.end(live, taken == 0, Status.DIVERGED, it)
     return b
 
@@ -375,10 +365,9 @@ def _gradsq_batch(instance, starts, cfg):
     f, norm, failed = _residuals(instance, b.x)
     live = b.live(norm, f=f, mu=np.full_like(norm, MU0))
     b.end(live, failed, Status.EVAL_ERROR, 0)
-    damping = cfg.damping
     def flat(a, r):  # the spurious-minimum test, gradient tolerances times a and r
-        return (((live.gnorm <= a * cfg.gradsq_abs_gtol)
-                 | (live.gnorm <= r * cfg.gradsq_rel_gtol * 2.0 * live.jnorm * live.norm))
+        return (((live.gnorm <= a * GRADSQ_ABS_GTOL)
+                 | (live.gnorm <= r * GRADSQ_REL_GTOL * 2.0 * live.jnorm * live.norm))
                 & (live.norm > 100.0 * cfg.accept_tol))
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
@@ -393,14 +382,13 @@ def _gradsq_batch(instance, starts, cfg):
         b.end(live, flat(1.0, 1.0), Status.SPURIOUS_MINIMUM, it)
         if it == cfg.max_iters:
             b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
-        live.delta, ok = _linear_steps(live.jac, -live.f, cfg.cond_limit, live.mu)
+        live.delta, ok = _linear_steps(live.jac, -live.f, live.mu)
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
         # Armijo on W along delta: W(x + s delta) <= W + d s grad . delta
-        w, slope, d = live.norm * live.norm, _dots(live.grad, live.delta), damping.decrease
-        taken = _line_search(instance, b, live, live.delta, np.full(len(live), damping.initial),
-                             lambda norm, s, r: norm * norm <= w[r] + d * s * slope[r], damping)
-        live.mu = np.maximum(np.where(taken == damping.initial, live.mu / 3.0, 4.0 * live.mu),
-                             MU_MIN)
+        w, slope = live.norm * live.norm, _dots(live.grad, live.delta)
+        taken = _line_search(instance, b, live, live.delta, np.full(len(live), STEP0),
+                             lambda norm, s, r: norm * norm <= w[r] + DECREASE * s * slope[r])
+        live.mu = np.maximum(np.where(taken == STEP0, live.mu / 3.0, 4.0 * live.mu), MU_MIN)
         # where W cannot fall at floating-point resolution, relaxed thresholds
         # tell a spurious minimum from plain divergence
         spurious = (taken == 0) & flat(1e4, 1e2)
@@ -418,13 +406,12 @@ def homotopy_track(instance, start, cfg=None):
 
 
 def _homotopy_batch(instance, starts, cfg):
-    sched = cfg.homotopy
     tol = cfg.accept_tol
     b = _Batch(instance, starts, cfg)
     m = len(b.x)
     f0, norm, failed = _residuals(instance, b.x)
     # the velocity at x solves J(x) v = -f0 and stays valid until x moves
-    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, sched.dt_initial),
+    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, DT0),
                   steps=np.zeros(m, dtype=int), velocity=np.zeros_like(b.x),
                   fresh=np.zeros(m, dtype=bool))
     b.end(live, failed, Status.EVAL_ERROR, 0)
@@ -435,7 +422,7 @@ def _homotopy_batch(instance, starts, cfg):
         need = np.flatnonzero(~live.fresh)
         if need.size:
             jac, failed = instance.residual_jacobian_batch(b.x[live.idx[need]])
-            velocity, ok = _linear_steps(jac, -live.f0[need], cfg.cond_limit)
+            velocity, ok = _linear_steps(jac, -live.f0[need])
             live.velocity[need], live.fresh[need] = velocity, True
             error, singular = np.zeros((2, len(live)), dtype=bool)
             error[need[failed]] = singular[need[~ok]] = True
@@ -447,15 +434,15 @@ def _homotopy_batch(instance, starts, cfg):
         live.used, live.cur_norm = _correct(instance, live, cfg)
         failed = live.used < 0
         live.dt[failed] *= 0.5
-        b.end(live, failed & (live.dt < sched.dt_min), Status.DIVERGED, live.steps)
+        b.end(live, failed & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
         took = live.used >= 0
         b.x[live.idx[took]] = live.cur[took]
         live.norm[took], live.t[took] = live.cur_norm[took], live.t_new[took]
         live.steps[took] += 1
         live.fresh[took] = False
         b.record(live, live.steps, took)
-        easy = took & (live.used <= sched.easy_iters)
-        live.dt[easy] = np.minimum(live.dt * sched.grow, sched.dt_max)[easy]
+        easy = took & (live.used <= EASY_ITERS)
+        live.dt[easy] = np.minimum(live.dt * DT_GROW, DT_MAX)[easy]
         done = live.t >= 1.0
         b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
         b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)
@@ -469,7 +456,7 @@ def _correct(instance, live, cfg):
     used = np.full(len(live), -1)
     cur_norm = np.zeros(len(live))
     active = np.arange(len(live))
-    for k in range(cfg.homotopy.corrector_iters + 1):
+    for k in range(CORRECTOR_ITERS + 1):
         f, norm, failed = _residuals(instance, live.cur[active])
         h = f - (1.0 - live.t_new[active])[:, None] * live.f0[active]
         met = ~failed & (np.sqrt(_dots(h, h)) <= cfg.accept_tol)
@@ -477,10 +464,10 @@ def _correct(instance, live, cfg):
         cur_norm[active[met]] = norm[met]
         go_on = ~failed & ~met
         active, h = active[go_on], h[go_on]
-        if k == cfg.homotopy.corrector_iters or not active.size:
+        if k == CORRECTOR_ITERS or not active.size:
             break
         jac, failed = instance.residual_jacobian_batch(live.cur[active])
-        dc, ok = _linear_steps(jac, -h, cfg.cond_limit)
+        dc, ok = _linear_steps(jac, -h)
         ok &= ~failed
         active = active[ok]
         live.cur[active] = live.cur[active] + dc[ok]
@@ -506,21 +493,6 @@ class MultistartResult:
     stats: CampaignStats
     outcomes: list
     starts: list
-
-
-def worker_count():
-    """How many batches multistart splits its starts into: the
-    SPBENCH_THREADS variable if set, else 1.  The batches run one after
-    another on the calling thread, and a campaign's results do not depend on
-    their number; fewer, larger batches spend less interpreter time per
-    start."""
-    env = os.environ.get(THREADS_ENV, "1")
-    try:
-        if int(env) >= 1:
-            return int(env)
-    except ValueError:
-        pass
-    raise ValueError(f"{THREADS_ENV} must be an integer >= 1, got {env!r}")
 
 
 @functools.cache
@@ -589,7 +561,7 @@ def draw_starts(instance, cfg):
 
 
 def multistart(instance, cfg=None, starts=None):
-    """Run one solver from many starts, classify and deduplicate.
+    """Run one solver from many starts as one batch, classify and deduplicate.
 
     ``starts`` overrides the seeded sample with an explicit list.  Converged
     endpoints whose classification fails to evaluate count as eval errors;
@@ -599,7 +571,6 @@ def multistart(instance, cfg=None, starts=None):
     if cfg is None:
         cfg = SolverConfig()
     cfg = _resolved(cfg, cfg.method)
-    solver = _METHODS[cfg.method]
     if starts is None:
         starts = draw_starts(instance, cfg)
     else:
@@ -607,20 +578,17 @@ def multistart(instance, cfg=None, starts=None):
 
     began = time.perf_counter()
     stack = np.array(starts, dtype=float) if starts else np.empty((0, instance.n))
-    batches = [solver(instance, chunk, cfg)
-               for chunk in np.array_split(stack, max(1, min(worker_count(), len(stack))))]
+    batch = _METHODS[cfg.method](instance, stack, cfg)
     wall = time.perf_counter() - began
 
-    status = np.concatenate([b.status for b in batches])
-    ends = np.flatnonzero(status == _STATUSES.index(Status.CONVERGED))
-    points = np.concatenate([b.x for b in batches])[ends]
-    found, errors = classify_batch(instance, points, cfg.method, cfg.seed, ends)
+    ends = np.flatnonzero(batch.status == _STATUSES.index(Status.CONVERGED))
+    found, errors = classify_batch(instance, batch.x[ends], cfg.method, cfg.seed, ends)
     solutions = dedup(found, tol=cfg.dedup_tol, metric=instance.dedup_metric)
-    tally = np.bincount(status, minlength=len(_STATUSES)).tolist()
+    tally = np.bincount(batch.status, minlength=len(_STATUSES)).tolist()
     spurious = tally[_STATUSES.index(Status.SPURIOUS_MINIMUM)]
     failed = tally[_STATUSES.index(Status.EVAL_ERROR)]
     stats = CampaignStats(starts=len(starts), converged=len(found),
                           diverged=len(starts) - len(ends) - spurious - failed,
                           spurious=spurious, eval_errors=failed + len(errors),
                           wall_time=wall)
-    return MultistartResult(solutions, stats, [o for b in batches for o in b.outcomes()], starts)
+    return MultistartResult(solutions, stats, batch.outcomes(), starts)

@@ -17,8 +17,10 @@ from spbench.core import EvaluationError
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
-from spbench.solvers import (LEAST_NORM_FORCING, MU0, MU_MIN, SolverConfig, Status,
-                             _resolved, draw_starts, multistart)
+from spbench.solvers import (
+    BACKTRACK, COND_LIMIT, CORRECTOR_ITERS, DECREASE, DT0, DT_GROW, DT_MAX, DT_MIN, EASY_ITERS,
+    GRADSQ_ABS_GTOL, GRADSQ_REL_GTOL, LEAST_NORM_FORCING, MIN_STEP, MU0, MU_MIN, STEP0,
+    SolverConfig, Status, _resolved, draw_starts, multistart)
 from test_solvers import Hole
 
 
@@ -30,9 +32,9 @@ def _norm(instance, x):
     return f, norm
 
 
-def _step(jac, rhs, cond_limit):
+def _step(jac, rhs):
     """One system's step from its thin SVD J = U diag(s) V^T: V diag(1/s) U^T
-    rhs on the singular values s > 0 within ``cond_limit`` of the largest.
+    rhs on the singular values s > 0 within ``COND_LIMIT`` of the largest.
     A rectangular system must keep them all; a square one may drop some when
     the share of rhs in the dropped directions is at most the forcing term."""
     jac = np.asarray(jac, dtype=float)
@@ -40,7 +42,7 @@ def _step(jac, rhs, cond_limit):
         return None
     m, n = jac.shape
     u, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    keep = (sv > 0.0) & (sv >= sv[0] / cond_limit)
+    keep = (sv > 0.0) & (sv >= sv[0] / COND_LIMIT)
     proj = rhs @ u
     if m != n:
         if m < n or not keep.all():
@@ -63,22 +65,22 @@ def _newton(instance, x, cfg):
         if it == cfg.max_iters:
             return Status.MAX_ITERS, x, norm, it
         try:
-            delta = _step(instance.residual_jacobian(x), -f, cfg.cond_limit)
+            delta = _step(instance.residual_jacobian(x), -f)
         except EvaluationError:
             return Status.EVAL_ERROR, x, norm, it
         if delta is None:
             return Status.SINGULAR_STEP, x, norm, it
-        step = cfg.damping.initial
-        while step >= cfg.damping.min_step:
+        step = STEP0
+        while step >= MIN_STEP:
             cand = x + step * delta
             try:
                 cand_norm = _norm(instance, cand)[1]
             except EvaluationError:
                 cand_norm = math.inf
-            if cand_norm <= (1.0 - cfg.damping.decrease * step) * norm:
+            if cand_norm <= (1.0 - DECREASE * step) * norm:
                 x = cand
                 break
-            step *= cfg.damping.backtrack
+            step *= BACKTRACK
         else:
             return Status.DIVERGED, x, norm, it
 
@@ -99,7 +101,7 @@ def _gradsq(instance, x, cfg):
         grad = 2.0 * jac.T @ f
         gnorm = math.sqrt(grad @ grad)
         jnorm = math.sqrt(float(np.sum(jac * jac)))
-        if ((gnorm <= cfg.gradsq_abs_gtol or gnorm <= cfg.gradsq_rel_gtol * 2.0 * jnorm * norm)
+        if ((gnorm <= GRADSQ_ABS_GTOL or gnorm <= GRADSQ_REL_GTOL * 2.0 * jnorm * norm)
                 and norm > 100.0 * cfg.accept_tol):
             return Status.SPURIOUS_MINIMUM, x, norm, it
         if it == cfg.max_iters:
@@ -110,40 +112,39 @@ def _gradsq(instance, x, cfg):
         u, sv, vt = np.linalg.svd(jac, full_matrices=False)
         delta = ((-f @ u) * sv / (sv * sv + mu)) @ vt
         slope = float(grad @ delta)
-        step = cfg.damping.initial
-        while step >= cfg.damping.min_step:
+        step = STEP0
+        while step >= MIN_STEP:
             cand = x + step * delta
             try:
                 cand_w = _norm(instance, cand)[1] ** 2
             except EvaluationError:
                 cand_w = math.inf
-            if cand_w <= norm * norm + cfg.damping.decrease * step * slope:
+            if cand_w <= norm * norm + DECREASE * step * slope:
                 x = cand
                 break
-            step *= cfg.damping.backtrack
+            step *= BACKTRACK
         else:
-            if ((gnorm <= 1e4 * cfg.gradsq_abs_gtol
-                 or gnorm <= 1e2 * cfg.gradsq_rel_gtol * 2.0 * jnorm * norm)
+            if ((gnorm <= 1e4 * GRADSQ_ABS_GTOL
+                 or gnorm <= 1e2 * GRADSQ_REL_GTOL * 2.0 * jnorm * norm)
                     and norm > 100.0 * cfg.accept_tol):
                 return Status.SPURIOUS_MINIMUM, x, norm, it
             return Status.DIVERGED, x, norm, it
-        mu = max(mu / 3.0 if step == cfg.damping.initial else 4.0 * mu, MU_MIN)
+        mu = max(mu / 3.0 if step == STEP0 else 4.0 * mu, MU_MIN)
 
 
 def _homotopy(instance, x, cfg):
-    sched = cfg.homotopy
     try:
         f0, norm = _norm(instance, x)
     except EvaluationError:
         return Status.EVAL_ERROR, x, math.inf, 0
-    t, dt, steps = 0.0, sched.dt_initial, 0
+    t, dt, steps = 0.0, DT0, 0
     if norm <= cfg.accept_tol:
         return Status.CONVERGED, x, norm, steps
     while t < 1.0:
         if steps >= cfg.max_iters:
             return Status.MAX_ITERS, x, norm, steps
         try:
-            velocity = _step(instance.residual_jacobian(x), -f0, cfg.cond_limit)
+            velocity = _step(instance.residual_jacobian(x), -f0)
         except EvaluationError:
             return Status.EVAL_ERROR, x, norm, steps
         if velocity is None:
@@ -152,7 +153,7 @@ def _homotopy(instance, x, cfg):
         t_new = t + dt_eff
         cur = x + dt_eff * velocity
         used = None
-        for k in range(sched.corrector_iters + 1):
+        for k in range(CORRECTOR_ITERS + 1):
             try:
                 f, cur_norm = _norm(instance, cur)
             except EvaluationError:
@@ -161,10 +162,10 @@ def _homotopy(instance, x, cfg):
             if float(np.linalg.norm(h)) <= cfg.accept_tol:
                 used = k
                 break
-            if k == sched.corrector_iters:
+            if k == CORRECTOR_ITERS:
                 break
             try:
-                dc = _step(instance.residual_jacobian(cur), -h, cfg.cond_limit)
+                dc = _step(instance.residual_jacobian(cur), -h)
             except EvaluationError:
                 break
             if dc is None:
@@ -172,13 +173,13 @@ def _homotopy(instance, x, cfg):
             cur = cur + dc
         if used is None:
             dt *= 0.5
-            if dt < sched.dt_min:
+            if dt < DT_MIN:
                 return Status.DIVERGED, x, norm, steps
             continue
         x, norm, t = cur, cur_norm, t_new
         steps += 1
-        if used <= sched.easy_iters:
-            dt = min(dt * sched.grow, sched.dt_max)
+        if used <= EASY_ITERS:
+            dt = min(dt * DT_GROW, DT_MAX)
     return (Status.CONVERGED if norm <= cfg.accept_tol else Status.DIVERGED), x, norm, steps
 
 

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
-from spbench import serialize
+from spbench import serialize, solvers
 from spbench.core import (EvaluationError, Provenance, RootSystem,
                           StationaryPoint, classify, classify_batch)
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
-from spbench.solvers import Damping, SolverConfig, Status, multistart
+from spbench.solvers import SolverConfig, Status, multistart
 from test_hessians import _acceptance_3_instances, _fd_signature
 
 
@@ -149,9 +149,9 @@ def test_lattice_kernels_take_an_empty_stack(make):
 
 
 @pytest.mark.parametrize("name", ["thomson-4", "nash-2x3x2x2", "puzzle"])
-def test_gradsq_campaign_ends_on_an_empty_stack(name):
+def test_gradsq_campaign_ends_on_an_empty_stack(name, monkeypatch):
     # from Newton's roots every row converges at iteration 0, and with a
-    # min_step above the first step every row stops in its first line
+    # MIN_STEP above the first step every row stops in its first line
     # search; either way gradsq's next round evaluates an empty stack
     inst = FAMILIES[name]()
     found = multistart(inst, SolverConfig(starts=8, seed=1)).solutions.points
@@ -160,8 +160,8 @@ def test_gradsq_campaign_ends_on_an_empty_stack(name):
     res = multistart(inst, SolverConfig(method="gradsq"), starts=roots)
     assert [(out.status, out.iterations) for out in res.outcomes] == \
         [(Status.CONVERGED, 0)] * len(roots)
-    stuck = SolverConfig(method="gradsq", starts=4, seed=1, damping=Damping(min_step=1.5))
-    res = multistart(inst, stuck)
+    monkeypatch.setattr(solvers, "MIN_STEP", 1.5)
+    res = multistart(inst, SolverConfig(method="gradsq", starts=4, seed=1))
     assert [(out.status, out.iterations) for out in res.outcomes] == [(Status.DIVERGED, 0)] * 4
 
 

@@ -249,12 +249,10 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path):
     cfg = SolverConfig(method="newton", seed=0)
     path = tmp_path / "res.json"
     serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
-    for part, name, bad in (("damping", "backtrack", 1.0), ("homotopy", "dt_min", 0.0),
-                            ("homotopy", "corrector_iters", 1.5), (None, "starts", 2.5),
-                            (None, "max_iters", 2.5), (None, "seed", -1),
-                            (None, "start_box", [2.0, -2.0]), (None, "start_box", [1.0])):
+    for name, bad in (("starts", 2.5), ("max_iters", 2.5), ("seed", -1),
+                      ("start_box", [2.0, -2.0]), ("start_box", [1.0])):
         raw = json.loads(path.read_text())
-        (raw["config"][part] if part else raw["config"])[name] = bad
+        raw["config"][name] = bad
         bad_path = tmp_path / f"bad-{name}.json"
         bad_path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=name):
@@ -613,6 +611,48 @@ def test_cli_verify_flags_tampered_file(tmp_path, capsys):
     assert "mismatch" in err
 
 
+# the solver settings that result files carried before they became constants,
+# with the values every such file held
+RETIRED_CONFIG = {
+    "cond_limit": 1e12, "gradsq_abs_gtol": 1e-9, "gradsq_rel_gtol": 1e-6,
+    "damping": {"backtrack": 0.5, "decrease": 1e-4, "initial": 1.0, "min_step": 1e-12},
+    "homotopy": {"corrector_iters": 5, "dt_initial": 0.05, "dt_max": 0.25, "dt_min": 1e-8,
+                 "easy_iters": 2, "grow": 1.5},
+}
+
+
+def _solved_phi4(tmp_path, capsys):
+    inst, resf = tmp_path / "phi4.json", tmp_path / "r.json"
+    assert run_cli("generate", "phi4", "--N", "2", "-o", str(inst)) == 0
+    assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
+    capsys.readouterr()
+    return inst, resf
+
+
+def test_result_files_with_the_retired_settings_still_load(tmp_path, capsys):
+    # whatever their values, the retired keys are dropped on loading
+    _, cfg = _hand_made_result()
+    old = json.loads((DATA / "hand_made_result.json").read_text())
+    for retired in (RETIRED_CONFIG, {"cond_limit": 1.0, "damping": {"backtrack": 2.0}}):
+        old["config"].update(retired)
+        (tmp_path / "old.json").write_text(serialize.dumps(old))
+        assert serialize.load_result(tmp_path / "old.json")["config"] == cfg
+    inst, resf = _solved_phi4(tmp_path, capsys)
+    raw = json.loads(resf.read_text())
+    raw["config"].update(RETIRED_CONFIG)
+    resf.write_text(serialize.dumps(raw))
+    assert run_cli("verify", str(inst), str(resf)) == 0
+
+
+def test_cli_verify_rejects_an_unknown_config_key(tmp_path, capsys):
+    inst, resf = _solved_phi4(tmp_path, capsys)
+    raw = json.loads(resf.read_text())
+    raw["config"]["line_search"] = 0.5
+    resf.write_text(serialize.dumps(raw))
+    assert run_cli("verify", str(inst), str(resf)) == 1
+    assert "line_search" in capsys.readouterr().err
+
+
 def test_cli_rerun_byte_identity(tmp_path, capsys):
     inst = tmp_path / "xy.json"
     assert run_cli("generate", "xy", "--d", "1", "--L", "4",
@@ -621,12 +661,8 @@ def test_cli_rerun_byte_identity(tmp_path, capsys):
     r2 = tmp_path / "r2.json"
     assert run_cli("solve", str(inst), "-o", str(r1), "--starts", "50",
                    "--seed", "4") == 0
-    os.environ["SPBENCH_THREADS"] = "2"
-    try:
-        assert run_cli("solve", str(inst), "-o", str(r2), "--starts", "50",
-                       "--seed", "4") == 0
-    finally:
-        del os.environ["SPBENCH_THREADS"]
+    assert run_cli("solve", str(inst), "-o", str(r2), "--starts", "50",
+                   "--seed", "4") == 0
     capsys.readouterr()
     assert r1.read_bytes() == r2.read_bytes()
 

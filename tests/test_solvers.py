@@ -1,25 +1,22 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
-from spbench import serialize
+from spbench import serialize, solvers
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from spbench.core import ProblemInstance, RootSystem, _dots, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
-from spbench.serialize import save_result
 from spbench.solvers import (
     LADDER_RUNGS,
-    Damping,
-    HomotopySchedule,
     SolverConfig,
     Status,
     _Batch,
     _line_search,
     _linear_steps,
+    _resolved,
     _residuals,
     _seed_states,
     draw_starts,
@@ -27,7 +24,6 @@ from spbench.solvers import (
     homotopy_track,
     multistart,
     newton_solve,
-    worker_count,
 )
 from test_clusters import _reference_start
 
@@ -178,23 +174,23 @@ def test_homotopy_trace_recording():
     assert homotopy_track(inst, start).trace is None
 
 
-def test_newton_respects_cond_limit():
+def test_newton_respects_cond_limit(monkeypatch):
+    monkeypatch.setattr(solvers, "COND_LIMIT", 1.0 + 1e-9)
     inst = Phi4Lattice(2)
-    cfg = SolverConfig(method="newton", cond_limit=1.0 + 1e-9)
-    out = newton_solve(inst, np.array([1.0, 2.0, 3.0, 4.0]), cfg)
+    out = newton_solve(inst, np.array([1.0, 2.0, 3.0, 4.0]), SolverConfig(method="newton"))
     assert out.status is Status.SINGULAR_STEP
 
 
 def test_linear_step_least_norm_when_rhs_in_range():
     # rank-deficient beyond any condition limit, but the right-hand side lies
     # in the range: the least-norm step solves the system
-    delta, ok = _linear_steps(np.diag([1.0, 0.0])[None], np.array([[1.0, 0.0]]), 1e12)
+    delta, ok = _linear_steps(np.diag([1.0, 0.0])[None], np.array([[1.0, 0.0]]))
     assert ok[0]
     assert np.array_equal(delta[0], [1.0, 0.0])
 
 
 def test_linear_step_refuses_rhs_in_null_directions():
-    assert not _linear_steps(np.diag([1.0, 0.0])[None], np.array([[0.0, 1.0]]), 1e12)[1][0]
+    assert not _linear_steps(np.diag([1.0, 0.0])[None], np.array([[0.0, 1.0]]))[1][0]
 
 
 def test_newton_thomson_octahedron_with_charge_near_pole():
@@ -312,40 +308,10 @@ def test_config_validation():
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
-    for bad in (0.5, -1.0, math.nan):
-        with pytest.raises(ValueError, match="cond_limit"):
-            SolverConfig(cond_limit=bad)
-    SolverConfig(accept_tol=0.0, dedup_tol=0.0, cond_limit=1.0)
+    SolverConfig(accept_tol=0.0, dedup_tol=0.0)
     out = newton_solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
     assert out.status is Status.MAX_ITERS
     assert out.iterations == 0
-
-
-def test_damping_and_schedule_validation():
-    # checked at construction: a backtrack factor of 1 would keep the line
-    # search from ever dropping below min_step, so no campaign may run with it
-    for bad in (1.0, 1.5, 0.0, -0.5, math.nan):
-        with pytest.raises(ValueError, match="backtrack"):
-            Damping(backtrack=bad)
-    for name in ("initial", "min_step"):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=name):
-                Damping(**{name: bad})
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="decrease"):
-            Damping(decrease=bad)
-    for name in ("dt_initial", "dt_min", "dt_max"):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=name):
-                HomotopySchedule(**{name: bad})
-    with pytest.raises(ValueError, match="grow"):
-        HomotopySchedule(grow=math.nan)
-    for name in ("corrector_iters", "easy_iters"):
-        for bad in (-1, 1.5, False):
-            with pytest.raises(ValueError, match=name):
-                HomotopySchedule(**{name: bad})
-    Damping(backtrack=0.99, min_step=1e-300)
-    HomotopySchedule(corrector_iters=0, easy_iters=0)
 
 
 def test_multistart_phi4_grid_recovers_all_roots():
@@ -465,25 +431,6 @@ def test_multistart_start_id_stability():
         assert np.array_equal(s, b)
 
 
-def test_multistart_thread_count_invariance():
-    inst = XYLattice(1, 4)
-    cfg = SolverConfig(method="newton", starts=40, seed=5)
-    os.environ["SPBENCH_THREADS"] = "1"
-    try:
-        one = multistart(inst, cfg)
-    finally:
-        os.environ["SPBENCH_THREADS"] = "8"
-    try:
-        eight = multistart(inst, cfg)
-    finally:
-        del os.environ["SPBENCH_THREADS"]
-    assert len(one.solutions) == len(eight.solutions)
-    for a, b in zip(one.solutions.points, eight.solutions.points):
-        assert np.array_equal(a.point, b.point)
-    for a, b in zip(one.outcomes, eight.outcomes):
-        assert a.status is b.status
-
-
 def test_multistart_provenance():
     inst = Cubic()
     cfg = SolverConfig(method="newton", starts=6, seed=3)
@@ -500,23 +447,6 @@ def test_multistart_dedup_metric_for_xy():
     cfg = SolverConfig(method="newton", starts=60, seed=2)
     res = multistart(inst, cfg)
     assert res.solutions.metric == "angular-mod-2pi"
-
-
-def test_worker_count_env():
-    os.environ["SPBENCH_THREADS"] = "3"
-    try:
-        assert worker_count() == 3
-    finally:
-        del os.environ["SPBENCH_THREADS"]
-    assert worker_count() >= 1
-
-
-@pytest.mark.parametrize("value", ["abc", "2.0", "", "0"])
-def test_worker_count_names_the_variable(value, monkeypatch):
-    monkeypatch.setenv("SPBENCH_THREADS", value)
-    with pytest.raises(ValueError) as err:
-        worker_count()
-    assert str(err.value) == f"SPBENCH_THREADS must be an integer >= 1, got {value!r}"
 
 
 def test_status_wire_values():
@@ -552,22 +482,21 @@ CHUNKED_CAMPAIGNS = {
 
 
 @pytest.mark.parametrize("name", sorted(CHUNKED_CAMPAIGNS))
-def test_multistart_chunk_invariance(name, tmp_path, monkeypatch):
-    # one batch, uneven batches, and batches of one start give the same bytes
+def test_multistart_chunk_invariance(name):
+    # multistart's one batch, uneven batches, and batches of one start give
+    # the same bytes
     make, kwargs = CHUNKED_CAMPAIGNS[name]
     inst = make()
     starts = 14
     cfg = SolverConfig(starts=starts, seed=11, **kwargs)
-    files, outcomes = [], []
-    for chunks in (1, 7, starts):
-        monkeypatch.setenv("SPBENCH_THREADS", str(chunks))
-        res = multistart(inst, cfg)
-        path = tmp_path / f"{name}-{chunks}.json"
-        save_result(res, cfg, path)
-        files.append(path.read_bytes())
+    res = multistart(inst, cfg)
+    outcomes = [[(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
+                 for o in res.outcomes]]
+    solver, resolved = solvers._METHODS[cfg.method], _resolved(cfg, cfg.method)
+    for chunks in (7, starts):
         outcomes.append([(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
-                         for o in res.outcomes])
-    assert files[0] == files[1] == files[2]
+                         for chunk in np.array_split(np.array(res.starts), chunks)
+                         for o in solver(inst, chunk, resolved).outcomes()])
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
@@ -655,10 +584,10 @@ def test_linear_step_stack_mixes_branches():
     for jac, rhs, expect in ((square, square_rhs, [True, True, False, False]),
                              (tall, tall_rhs, [True, False, False]),
                              (wide, np.array([[1.0, 1.0]]), [False])):
-        delta, ok = _linear_steps(jac, rhs, 1e12)
+        delta, ok = _linear_steps(jac, rhs)
         assert ok.tolist() == expect
         for j, r, d, good in zip(jac, rhs, delta, ok):
-            alone, has = _linear_steps(j[None], r[None], 1e12)
+            alone, has = _linear_steps(j[None], r[None])
             assert has[0] == good
             assert not good or np.array_equal(alone[0], d)
         if jac is square:
@@ -676,7 +605,7 @@ def test_linear_steps_agree_with_numpy(k, n):
     if k == n:
         jac += 2.0 * np.sqrt(n) * np.eye(n)
     rhs = rng.standard_normal((12, k))
-    delta, ok = _linear_steps(jac, rhs, 1e12)
+    delta, ok = _linear_steps(jac, rhs)
     assert ok.all()
     for j, r, d in zip(jac, rhs, delta):
         ref = np.linalg.solve(j, r) if k == n else np.linalg.lstsq(j, r, rcond=None)[0]
@@ -701,38 +630,39 @@ class Shell(ProblemInstance):
         return X * (r2 - 1.0)[:, None], r2 < 0.25
 
 
-def _search_alone(inst, x, direction, step, accepts, damping):
+def _search_alone(inst, x, direction, step, accepts):
     """One row's backtracking search, one rung per residual call: the rungs
     it tried and, if one was accepted, its point, residual, norm and step."""
     tried = []
-    while step >= damping.min_step:
+    while step >= solvers.MIN_STEP:
         tried.append(x + step * direction)
         f, norm, _ = _residuals(inst, tried[-1][None])
         if accepts(norm, np.array([step]))[0]:
             return tried, (tried[-1], f[0], norm[0], step)
-        step *= damping.backtrack
+        step *= solvers.BACKTRACK
     return tried, None
 
 
-@pytest.mark.parametrize("damping", [Damping(min_step=0.01),
-                                     Damping(backtrack=0.99, min_step=0.01)],
-                         ids=["halving", "backtrack-0.99"])
-def test_line_search_matches_one_row_at_a_time(damping):
+@pytest.mark.parametrize("backtrack", [0.5, 0.99], ids=["halving", "backtrack-0.99"])
+def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
     # each row backtracks along +-u from radius r0; a rung is acceptable when
     # the norm falls enough and its step lies in [lo, hi]
+    min_step = 0.01
+    monkeypatch.setattr(solvers, "BACKTRACK", backtrack)
+    monkeypatch.setattr(solvers, "MIN_STEP", min_step)
     u = np.array([0.6, 0.8])
     rows = [  # (r0, sign of the direction, first step, lo, hi)
         (2.0, -1.0, 1.0, 0.0, np.inf),  # above min_step, first rung taken
-        (2.0, -1.0, damping.min_step, 0.0, np.inf),  # equal to min_step
-        (2.0, -1.0, 0.5 * damping.min_step, 0.0, np.inf),  # below: no search
-        (2.0, -1.0, 1.0, 0.0, 2.0 * damping.min_step),  # taken near min_step
+        (2.0, -1.0, min_step, 0.0, np.inf),  # equal to min_step
+        (2.0, -1.0, 0.5 * min_step, 0.0, np.inf),  # below: no search
+        (2.0, -1.0, 1.0, 0.0, 2.0 * min_step),  # taken near min_step
         # acceptable only at the first rung below min_step
-        (2.0, -1.0, 1.0, 0.9 * damping.backtrack * damping.min_step,
-         np.nextafter(damping.min_step, 0.0)),
+        (2.0, -1.0, 1.0, 0.9 * backtrack * min_step,
+         np.nextafter(min_step, 0.0)),
         (1.6, -1.0, 1.3, 0.0, np.inf),  # the first rungs land in the mask
         (2.0, 1.0, 1.0, 0.0, np.inf),  # uphill: no rung is acceptable
         # uphill, and rung 8, the last of round 2, is the last one >= min_step
-        (2.0, 1.0, damping.min_step * damping.backtrack**-8.5, 0.0, np.inf),
+        (2.0, 1.0, min_step * backtrack**-8.5, 0.0, np.inf),
     ]
     r0, sign, step, lo, hi = (np.array(col) for col in zip(*rows))
     inst = Shell()
@@ -745,14 +675,13 @@ def test_line_search_matches_one_row_at_a_time(damping):
         return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
 
     inst.calls, inst.seen = 0, []
-    taken = _line_search(inst, b, live, direction, step.copy(), sufficient, damping)
+    taken = _line_search(inst, b, live, direction, step.copy(), sufficient)
     calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
 
     rounds, evaluated = [0], 0
     for i in range(len(rows)):
         tried, took = _search_alone(inst, x0[i], direction[i], step[i],
-                                    lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])),
-                                    damping)
+                                    lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])))
         assert taken[i] == (0.0 if took is None else took[3])
         point, fi, ni, _ = took or (x0[i], f[i], norm0[i], 0.0)
         assert np.array_equal(b.x[i], point)
@@ -765,8 +694,8 @@ def test_line_search_matches_one_row_at_a_time(damping):
     assert calls == max(rounds) and rows_in == evaluated
     # the row acceptable only below min_step evaluated that rung in its block
     s = step[4]
-    while s >= damping.min_step:
-        s *= damping.backtrack
+    while s >= min_step:
+        s *= backtrack
     assert (x0[4] + s * direction[4]).tobytes() in seen
     # and the masked first rung was evaluated but no row moved into the mask
     assert (x0[5] + step[5] * direction[5]).tobytes() in seen
