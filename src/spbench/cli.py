@@ -18,7 +18,7 @@ from . import serialize
 from .games import NashInstance, matching_pennies, prisoners_dilemma
 from .lattices import phi4_bezout
 from .puzzles import PuzzleInstance, generate_grid_puzzle
-from .solvers import SolverConfig, multistart
+from .solvers import _METHODS, SolverConfig, multistart
 
 
 class CliError(Exception):
@@ -89,8 +89,7 @@ def _build_parser():
     sol = sub.add_parser("solve", help="run a multistart campaign")
     sol.add_argument("instance", help="instance file")
     sol.add_argument("-o", "--out", required=True, help="result file to write")
-    sol.add_argument("--method", default="newton",
-                     choices=["newton", "gradsq", "homotopy"])
+    sol.add_argument("--method", default="newton", choices=list(_METHODS))
     sol.add_argument("--starts", default="100",
                      help="start count, or grid3 for the 3-value grid (phi4)")
     sol.add_argument("--seed", type=int, default=None,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ProblemInstance, _block_diagonal, _label, _masked, _uniform_rows
+from .core import ProblemInstance, _block_diagonal, _label, _masked
 
 _COINCIDENCE_TOL = 1e-12
 # sample_start_batch draws until all pairs are this far apart, for at most this many draws
@@ -125,7 +125,7 @@ class _Cluster(ProblemInstance):
         alone."""
         starts, pending = np.empty((len(rngs), self.n)), np.arange(len(rngs))
         for _ in range(_MAX_TRIES):
-            X = _uniform_rows([rngs[i] for i in pending], self._draw_lo, self._draw_span, self.n)
+            X = super().sample_start_batch([rngs[i] for i in pending])
             lengths = _pair_distances(self._chart(X)[1], self._pairs)[2]
             ok = np.min(lengths, axis=1) >= _MIN_SEPARATION
             starts[pending[ok]] = X[ok]

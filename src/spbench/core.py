@@ -41,12 +41,15 @@ class ProblemInstance:
     """Base class for a concrete problem with a fixed parameter set.
 
     Subclasses set ``family`` and implement the kernels ``energy_batch``,
-    ``residual_batch`` and ``residual_jacobian_batch``, ``params`` and
-    ``sample_start_batch``.  The per-point ``energy``, ``residual``,
-    ``residual_jacobian`` and ``sample_start`` are the batch of one, and the
-    first three raise EvaluationError where the kernel masks the row; for
-    the gradient families the residual is also the ``gradient`` and, as
-    ``hessian_batch``, its Jacobian the ``hessian``.
+    ``residual_batch`` and ``residual_jacobian_batch``, and ``params``.
+    The per-point ``energy``, ``residual``, ``residual_jacobian`` and
+    ``sample_start`` are the batch of one, and the first three raise
+    EvaluationError where the kernel masks the row; for the gradient
+    families the residual is also the ``gradient`` and, as
+    ``hessian_batch``, its Jacobian the ``hessian``.  Starts are drawn
+    uniformly from the region ``_draw_lo + _draw_span u``, u in [0, 1)^n,
+    whose bounds a family sets as scalars or per coordinate; a family whose
+    starts are not a uniform box overrides ``sample_start_batch``.
     """
 
     family = "abstract"
@@ -133,7 +136,7 @@ class ProblemInstance:
 
     def sample_start_batch(self, rngs):
         """An (m, n) stack of starts from the family's region, row i drawn by ``rngs[i]`` alone."""
-        raise NotImplementedError
+        return _uniform_rows(rngs, self._draw_lo, self._draw_span, self.n)
 
     def sample_start(self, rng):
         return self.sample_start_batch([rng])[0]
@@ -220,7 +223,8 @@ def _central_differences(instance, fn, p, step, what):
 
 
 _RULES = {
-    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0.0,
+    "finite and >= 0": lambda v: not isinstance(v, bool) and math.isfinite(v) and v >= 0.0,
+    "a bool": lambda v: isinstance(v, bool),
     "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
                                      and not isinstance(v, bool) and v >= 0),
     "None or (lo, hi) with lo < hi and a finite hi - lo":

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, _uniform_rows, classify_batch, dedup
+from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, classify_batch, dedup
 
 PERIODIC = "periodic"
 ANTI_PERIODIC = "anti-periodic"
@@ -37,6 +37,7 @@ class Phi4Lattice(ProblemInstance):
     """
 
     family = "phi4"
+    _draw_lo, _draw_span = -6.0, 12.0
 
     def __init__(self, N, lam=0.6, mu2=2.0, J=0.0, label=None):
         N = int(N)
@@ -90,15 +91,14 @@ class Phi4Lattice(ProblemInstance):
     def params(self):
         return {"N": self.N, "lam": self.lam, "mu2": self.mu2, "J": self.J}
 
-    def sample_start_batch(self, rngs):
-        return _uniform_rows(rngs, -6.0, 12.0, self.n)
-
     def grid_starts(self, values=(-5.0, 0.0, 5.0), cap=3**9):
-        """Cartesian product of per-site start values, one start per combination."""
+        """Cartesian product of per-site start values as an (m, n) stack, one
+        row per combination."""
         total = len(values) ** self.n
         if total > cap:
             raise ValueError(f"grid of {total} starts exceeds cap {cap}")
-        return [np.array(c, dtype=float) for c in itertools.product(values, repeat=self.n)]
+        return np.array(list(itertools.product(values, repeat=self.n)),
+                        dtype=float).reshape(total, self.n)
 
 
 def phi4_bezout(N):
@@ -120,11 +120,8 @@ def phi4_enumerate_decoupled(instance, cap=3**9):
     """
     if instance.J != 0.0:
         raise ValueError(f"decoupled enumeration requires J = 0, got J = {instance.J}")
-    total = 3**instance.n
-    if total > cap:
-        raise ValueError(f"enumeration of {total} points exceeds cap {cap}")
-    combos = np.array(list(itertools.product(instance.site_roots(), repeat=instance.n)))
-    points, _ = classify_batch(instance, combos, solver="enumeration")
+    grid = instance.grid_starts(instance.site_roots(), cap)
+    points, _ = classify_batch(instance, grid, solver="enumeration")
     return dedup(points, tol=1e-6, metric=instance.dedup_metric)
 
 
@@ -180,6 +177,8 @@ class XYLattice(ProblemInstance):
 
     family = "xy"
     dedup_metric = ANGULAR_MOD_2PI
+    # starts pi - U[0, 2pi) land in (-pi, pi]
+    _draw_lo, _draw_span = np.pi, -2.0 * np.pi
 
     def __init__(self, d, L, bc=PERIODIC, disorder=("constant", 1.0), seed=0,
                  gauge_fixed=None, couplings=None, label=None):
@@ -291,7 +290,3 @@ class XYLattice(ProblemInstance):
         return {"d": self.d, "L": self.L, "bc": self.bc, "disorder": dict(self.disorder),
                 "seed": self.seed, "gauge_fixed": self.gauge_fixed,
                 "couplings": [float(v) for v in self.couplings]}
-
-    def sample_start_batch(self, rngs):
-        # pi - U[0, 2pi) lands in (-pi, pi]
-        return _uniform_rows(rngs, np.pi, -2.0 * np.pi, self.n)

@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, RootSystem, _block_diagonal, _masked, _uniform_rows
+from .core import EvaluationError, RootSystem, _block_diagonal, _masked
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-9
@@ -359,6 +359,3 @@ class PuzzleInstance(RootSystem):
             "colors": list(self.puzzle.colors),
             "k_set": [list(k) for k in self.puzzle.k_set],
         }
-
-    def sample_start_batch(self, rngs):
-        return _uniform_rows(rngs, self._draw_lo, self._draw_span, self.n)

@@ -1,33 +1,40 @@
 """Root finders and the seeded multistart driver.
 
-Three methods share one outcome type:
+``solve(instance, start, cfg)`` runs the method ``cfg.method`` names from one
+start; all three share one outcome type:
 
-* ``newton_solve``: damped Newton on the residual, backtracking on the
-  residual norm.  Each linear step comes from one thin SVD of the Jacobian,
-  which also gives the condition-number guard: the step lives on the
-  singular directions within ``COND_LIMIT`` of the largest.  A square
-  system that drops some of them still gets the least-norm step, provided
-  the right-hand side barely reaches the dropped ones (an inexact-Newton
-  step, see ``LEAST_NORM_FORCING``); a rectangular one must keep them all,
-  and gets the least-squares step.  Otherwise the start ends
-  ``singular-step``.  Quadratic near regular roots, and the workhorse
-  everywhere.
-* ``gradsq_solve``: Levenberg-Marquardt descent on W = |f|^2 along
-  V diag(s / (s^2 + mu)) U^T (-f) from the same thin SVD, mu kept per start,
-  backtracking on W through the line search it shares with Newton.  It
-  cannot jump over barriers, which is the point: it gets stuck in minima of
-  W that are not roots, and reports them as ``spurious-minimum``.
-* ``homotopy_track``: Newton homotopy from the start point, deforming
-  f(x) - (1 - t) f(x0) from a trivially solved system at t=0 to the real one
-  at t=1 with an Euler predictor and a short Newton corrector, under an
-  adaptive step length.
+* ``newton``: damped Newton on the residual, backtracking on the residual
+  norm.  Each linear step comes from one thin SVD of the Jacobian, which
+  also gives the condition-number guard: the step lives on the singular
+  directions within ``COND_LIMIT`` of the largest.  A square system that
+  drops some of them still gets the least-norm step, provided the
+  right-hand side barely reaches the dropped ones (an inexact-Newton step,
+  see ``LEAST_NORM_FORCING``); a rectangular one must keep them all, and
+  gets the least-squares step.  Otherwise the start ends ``singular-step``.
+  Quadratic near regular roots, and the workhorse everywhere.
+* ``gradsq``: Levenberg-Marquardt descent on W = |f|^2 along
+  V diag(s / (s^2 + mu)) U^T (-f) from the same thin SVD, backtracking on W
+  through the line search it shares with Newton.  Each start's damping mu
+  falls while full steps pass, towards Gauss-Newton's step, and rises while
+  they fail, towards a short step along -grad W.  It cannot jump over
+  barriers, which is the point: it gets stuck in minima of W that are not
+  roots.  It stops as ``converged`` only when the residual itself is small;
+  a small gradient with a large residual is a ``spurious-minimum``.  The
+  gradient test has a scale-free branch (gradient small against the local
+  slope bound 2 |J| |f|) and an absolute branch for landscapes whose
+  Jacobian degenerates at the spurious point.
+* ``homotopy``: Newton homotopy from the start point x0, following the zero
+  set of f(x) - (1 - t) f(x0) from a trivially solved system at t=0 to the
+  real one at t=1 with an Euler predictor and a few Newton corrections per
+  step, under an adaptive step length.  Its trace holds the start and every
+  accepted step.
 
 Each method is written once, over an (m, n) stack of starts: it advances the
 starts still live together, one call of a family's stacked kernel
 (``residual_batch``, ``residual_jacobian_batch``) per step, while every start
 keeps its own status, iteration count, step length and trace.  A row's
 arithmetic never depends on the other rows, so a start ends exactly where it
-would alone; the per-start functions are the batch of one.
+would alone; ``solve`` is the batch of one.
 
 ``multistart`` runs any of them over seeded starts as one batch, classifies
 the converged points and deduplicates them.  Start vectors depend only on
@@ -126,7 +133,8 @@ class SolverConfig:
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
         _require(self, starts="a non-negative int", seed="a non-negative int",
                  accept_tol="finite and >= 0", dedup_tol="finite and >= 0",
-                 start_box="None or (lo, hi) with lo < hi and a finite hi - lo")
+                 start_box="None or (lo, hi) with lo < hi and a finite hi - lo",
+                 record_trace="a bool")
         if self.max_iters is not None:
             _require(self, max_iters="a non-negative int")
 
@@ -140,13 +148,11 @@ class SolveOutcome:
     trace: list | None = None
 
 
-def _resolved(cfg, method):
-    if cfg is None:
-        cfg = SolverConfig(method=method)
-    if cfg.method != method:
-        cfg = dataclasses.replace(cfg, method=method)
+def _resolved(cfg):
+    """``cfg``, or the default config, with its method's default ``max_iters`` filled in."""
+    cfg = cfg or SolverConfig()
     if cfg.max_iters is None:
-        cfg = dataclasses.replace(cfg, max_iters=_DEFAULT_MAX_ITERS[method])
+        cfg = dataclasses.replace(cfg, max_iters=_DEFAULT_MAX_ITERS[cfg.method])
     return cfg
 
 
@@ -312,17 +318,6 @@ def _line_search(instance, b, live, direction, step, sufficient):
     return taken
 
 
-def _solve_one(batch, instance, start, cfg, method):
-    """A per-start call: the batch of one."""
-    start = instance.check_point(np.array(start, dtype=float))
-    return batch(instance, start[None], _resolved(cfg, method)).outcomes()[0]
-
-
-def newton_solve(instance, start, cfg=None):
-    """Damped Newton iteration on the residual from one start point."""
-    return _solve_one(_newton_batch, instance, start, cfg, "newton")
-
-
 def _newton_batch(instance, starts, cfg):
     b = _Batch(instance, starts, cfg)
     f, norm, failed = _residuals(instance, b.x)
@@ -344,20 +339,6 @@ def _newton_batch(instance, starts, cfg):
                              lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
         b.end(live, taken == 0, Status.DIVERGED, it)
     return b
-
-
-def gradsq_solve(instance, start, cfg=None):
-    """Levenberg-Marquardt descent on W = |f|^2 with backtracking.
-
-    Stops as ``converged`` only when the residual itself is small; a small
-    gradient with a large residual is reported as ``spurious-minimum``.  The
-    gradient test has a scale-free branch (gradient small against the local
-    slope bound 2 |J| |f|) and an absolute branch for landscapes whose
-    Jacobian degenerates at the spurious point.  Each start's damping mu falls
-    while full steps pass, towards Gauss-Newton's step, and rises while they
-    fail, towards a short step along -grad W.
-    """
-    return _solve_one(_gradsq_batch, instance, start, cfg, "gradsq")
 
 
 def _gradsq_batch(instance, starts, cfg):
@@ -395,14 +376,6 @@ def _gradsq_batch(instance, starts, cfg):
         b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
         b.end(live, taken[~spurious] == 0, Status.DIVERGED, it)
     return b
-
-
-def homotopy_track(instance, start, cfg=None):
-    """Newton homotopy from ``start``: follow the zero set of
-    f(x) - (1 - t) f(x0) from t=0 to t=1 with Euler prediction and a few
-    Newton corrections per step.  The trace holds the start and every
-    accepted step."""
-    return _solve_one(_homotopy_batch, instance, start, cfg, "homotopy")
 
 
 def _homotopy_batch(instance, starts, cfg):
@@ -477,6 +450,13 @@ def _correct(instance, live, cfg):
 _METHODS = {"newton": _newton_batch, "gradsq": _gradsq_batch, "homotopy": _homotopy_batch}
 
 
+def solve(instance, start, cfg=None):
+    """Run ``cfg.method`` (Newton by default) from the one point ``start``:
+    the batch of one."""
+    cfg = _resolved(cfg)
+    return _METHODS[cfg.method](instance, instance.check_point(start)[None], cfg).outcomes()[0]
+
+
 @dataclass
 class CampaignStats:
     starts: int
@@ -492,7 +472,7 @@ class MultistartResult:
     solutions: SolutionSet
     stats: CampaignStats
     outcomes: list
-    starts: list
+    starts: np.ndarray
 
 
 @functools.cache
@@ -549,36 +529,35 @@ class _State(ISeedSequence):
 
 
 def draw_starts(instance, cfg):
-    """The campaign's start points.  Start i comes from its own generator,
-    the one ``np.random.default_rng((seed, i))`` gives, so point i is the
-    same no matter how many starts run or in which order."""
+    """The campaign's start points, an (m, n) stack.  Start i comes from its
+    own generator, the one ``np.random.default_rng((seed, i))`` gives, so
+    point i is the same no matter how many starts run or in which order."""
     rngs = [np.random.Generator(np.random.PCG64(_State(words)))
             for words in _seed_states(cfg.seed, cfg.starts)]
     if cfg.start_box is None:
-        return list(instance.sample_start_batch(rngs))
+        return instance.sample_start_batch(rngs)
     lo, hi = cfg.start_box
-    return list(_uniform_rows(rngs, lo, hi - lo, instance.n))
+    return _uniform_rows(rngs, lo, hi - lo, instance.n)
 
 
 def multistart(instance, cfg=None, starts=None):
     """Run one solver from many starts as one batch, classify and deduplicate.
 
-    ``starts`` overrides the seeded sample with an explicit list.  Converged
-    endpoints whose classification fails to evaluate count as eval errors;
-    max-iters and singular-step endpoints count as diverged in the tally
-    (the per-start outcomes keep the distinction).
+    ``starts`` overrides the seeded sample with explicit points, each checked
+    by ``check_point``.  Converged endpoints whose classification fails to
+    evaluate count as eval errors; max-iters and singular-step endpoints
+    count as diverged in the tally (the per-start outcomes keep the
+    distinction).
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    cfg = _resolved(cfg, cfg.method)
+    cfg = _resolved(cfg)
     if starts is None:
         starts = draw_starts(instance, cfg)
     else:
-        starts = [instance.check_point(np.asarray(s, dtype=float)) for s in starts]
+        starts = np.array([instance.check_point(s) for s in starts],
+                          dtype=float).reshape(len(starts), instance.n)
 
     began = time.perf_counter()
-    stack = np.array(starts, dtype=float) if starts else np.empty((0, instance.n))
-    batch = _METHODS[cfg.method](instance, stack, cfg)
+    batch = _METHODS[cfg.method](instance, starts, cfg)
     wall = time.perf_counter() - began
 
     ends = np.flatnonzero(batch.status == _STATUSES.index(Status.CONVERGED))

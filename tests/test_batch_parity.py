@@ -223,7 +223,7 @@ CASES = {
 
 def _config(method):
     return _resolved(SolverConfig(method=method, starts=12, seed=3,
-                                  max_iters=300 if method == "gradsq" else None), method)
+                                  max_iters=300 if method == "gradsq" else None))
 
 
 @pytest.mark.parametrize("case,method", [(c, m) for c, (_, ms) in sorted(CASES.items())

@@ -1,4 +1,5 @@
-"""The demos run to the end against the library's current API.
+"""The demos, and the README's library example, run to the end against the
+library's current API.
 
 Run as scripts they take about 0.9 s for the XY demo, 0.6 s for the
 cluster demo and 0.3 s for the φ⁴ census (2-core host, Python 3.11,
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name, expected", [
@@ -33,3 +35,10 @@ def test_census_and_cluster_demo_runs(name, expected, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expected in capsys.readouterr().out
 
+
+def test_readme_library_usage_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library usage", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("81 {0: 16, 1: 32, 2: 24, 3: 8, 4: 1}\nconverged ")

@@ -244,19 +244,19 @@ def test_result_file_config_is_validated(tmp_path):
         serialize.load_result(path)
 
 
-def test_result_file_damping_and_schedule_are_validated(tmp_path):
-    inst = Phi4Lattice(1)
-    cfg = SolverConfig(method="newton", seed=0)
-    path = tmp_path / "res.json"
-    serialize.save_result(multistart(inst, cfg, starts=inst.grid_starts()), cfg, path)
+def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
+    inst, path = _solved_phi4(tmp_path, capsys)
     for name, bad in (("starts", 2.5), ("max_iters", 2.5), ("seed", -1),
-                      ("start_box", [2.0, -2.0]), ("start_box", [1.0])):
+                      ("start_box", [2.0, -2.0]), ("start_box", [1.0]),
+                      ("accept_tol", True), ("dedup_tol", False), ("record_trace", "no")):
         raw = json.loads(path.read_text())
         raw["config"][name] = bad
         bad_path = tmp_path / f"bad-{name}.json"
         bad_path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=name):
             serialize.load_result(bad_path)
+        assert run_cli("verify", str(inst), str(bad_path)) == 1
+        assert name in capsys.readouterr().err
 
 
 def test_result_file_round_trip(tmp_path):
@@ -665,6 +665,16 @@ def test_cli_rerun_byte_identity(tmp_path, capsys):
                    "--seed", "4") == 0
     capsys.readouterr()
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_cli_solve_rejects_an_unknown_method(tmp_path, capsys):
+    inst = tmp_path / "phi4.json"
+    assert run_cli("generate", "phi4", "--N", "1", "-o", str(inst)) == 0
+    capsys.readouterr()
+    assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"), "--method", "bfgs",
+                   "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert all(method in err for method in ("newton", "gradsq", "homotopy"))
 
 
 def test_cli_help_exits_zero(capsys):

@@ -20,12 +20,12 @@ from spbench.solvers import (
     _residuals,
     _seed_states,
     draw_starts,
-    gradsq_solve,
-    homotopy_track,
     multistart,
-    newton_solve,
+    solve,
 )
 from test_clusters import _reference_start
+
+GRADSQ, HOMOTOPY = SolverConfig(method="gradsq"), SolverConfig(method="homotopy")
 
 
 def _none_failed(X):
@@ -104,7 +104,7 @@ class Hole(ProblemInstance):
 
 def test_newton_converges_quadratically_to_nearby_root():
     inst = Cubic()
-    out = newton_solve(inst, np.array([1.2, -0.8]))
+    out = solve(inst, np.array([1.2, -0.8]))
     assert out.status is Status.CONVERGED
     assert out.residual_norm <= 1e-10
     assert np.allclose(out.point, [1.0, -1.0], atol=1e-8)
@@ -113,7 +113,7 @@ def test_newton_converges_quadratically_to_nearby_root():
 
 def test_newton_zero_iterations_at_root():
     inst = Cubic()
-    out = newton_solve(inst, np.array([1.0, 1.0]))
+    out = solve(inst, np.array([1.0, 1.0]))
     assert out.status is Status.CONVERGED
     assert out.iterations == 0
     assert np.array_equal(out.point, [1.0, 1.0])
@@ -122,25 +122,25 @@ def test_newton_zero_iterations_at_root():
 def test_newton_max_iters():
     inst = Cubic()
     cfg = SolverConfig(method="newton", max_iters=1)
-    out = newton_solve(inst, np.array([5.0, 5.0]), cfg)
+    out = solve(inst, np.array([5.0, 5.0]), cfg)
     assert out.status is Status.MAX_ITERS
     assert out.iterations == 1
 
 
 def test_newton_singular_at_degenerate_jacobian():
     # the NoRoot Jacobian 2x vanishes exactly at the origin
-    out = newton_solve(NoRoot(), np.array([0.0]))
+    out = solve(NoRoot(), np.array([0.0]))
     assert out.status is Status.SINGULAR_STEP
 
 
 def test_newton_eval_error_at_start():
-    out = newton_solve(Hole(), np.array([0.1]))
+    out = solve(Hole(), np.array([0.1]))
     assert out.status is Status.EVAL_ERROR
 
 
 def test_newton_survives_eval_error_in_line_search():
     # stepping across the hole is treated as a failed trial, not a crash
-    out = newton_solve(Hole(), np.array([2.0]))
+    out = solve(Hole(), np.array([2.0]))
     assert out.status in (Status.CONVERGED, Status.DIVERGED)
     if out.status is Status.CONVERGED:
         assert abs(abs(out.point[0]) - 1.0) < 1e-8
@@ -149,13 +149,13 @@ def test_newton_survives_eval_error_in_line_search():
 def test_newton_trace_recording():
     inst = Cubic()
     cfg = SolverConfig(method="newton", record_trace=True)
-    out = newton_solve(inst, np.array([1.4, 1.4]), cfg)
+    out = solve(inst, np.array([1.4, 1.4]), cfg)
     assert out.trace is not None
     assert out.trace[0][0] == 0
     assert len(out.trace) == out.iterations + 1
     norms = [t[2] for t in out.trace]
     assert norms[-1] <= 1e-10
-    out2 = newton_solve(inst, np.array([1.4, 1.4]))
+    out2 = solve(inst, np.array([1.4, 1.4]))
     assert out2.trace is None
 
 
@@ -163,7 +163,7 @@ def test_homotopy_trace_recording():
     inst = Cubic()
     start = np.array([1.4, 1.4])
     cfg = SolverConfig(method="homotopy", record_trace=True)
-    out = homotopy_track(inst, start, cfg)
+    out = solve(inst, start, cfg)
     assert out.status is Status.CONVERGED
     assert [t[0] for t in out.trace] == list(range(out.iterations + 1))
     assert np.array_equal(out.trace[0][1], start)
@@ -171,13 +171,13 @@ def test_homotopy_trace_recording():
     assert out.trace[-1][2] == out.residual_norm
     for _, x, norm in out.trace:
         assert norm == pytest.approx(np.linalg.norm(inst.residual(x)), rel=1e-12, abs=1e-15)
-    assert homotopy_track(inst, start).trace is None
+    assert solve(inst, start, HOMOTOPY).trace is None
 
 
 def test_newton_respects_cond_limit(monkeypatch):
     monkeypatch.setattr(solvers, "COND_LIMIT", 1.0 + 1e-9)
     inst = Phi4Lattice(2)
-    out = newton_solve(inst, np.array([1.0, 2.0, 3.0, 4.0]), SolverConfig(method="newton"))
+    out = solve(inst, np.array([1.0, 2.0, 3.0, 4.0]), SolverConfig(method="newton"))
     assert out.status is Status.SINGULAR_STEP
 
 
@@ -201,7 +201,7 @@ def test_newton_thomson_octahedron_with_charge_near_pole():
     x = np.array([half, half, half, half, np.pi, half, -half, np.pi - 1e-5, 0.0])
     x[:7] += 1e-4 * np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
     inst = ThomsonSphere(6)
-    out = newton_solve(inst, x)
+    out = solve(inst, x)
     assert out.status is Status.CONVERGED
     assert abs(inst.energy(out.point) - 9.985281374) <= 1e-8
 
@@ -210,7 +210,7 @@ def test_newton_lj_trimer_reaches_equilateral_minimum():
     inst = LennardJonesCluster(3)
     r = 2 ** (1 / 6)
     x = np.array([r, r / 2, r * np.sqrt(3) / 2]) + np.array([0.05, -0.04, 0.03])
-    out = newton_solve(inst, x)
+    out = solve(inst, x)
     assert out.status is Status.CONVERGED
     sp = classify(inst, out.point)
     assert abs(sp.energy + 3.0) <= 1e-10
@@ -224,20 +224,20 @@ def test_newton_rectangular_system():
     puz, sol = generate_grid_puzzle(2, 1, 2, seed=3)
     inst = PuzzleInstance(puz)
     start = sol.reshape(-1) + 0.2 * np.random.default_rng(0).standard_normal(inst.n)
-    out = newton_solve(inst, start)
+    out = solve(inst, start)
     assert out.status is Status.CONVERGED
     assert verify_geometric(puz, out.point.reshape(-1, 2))
 
 
 def test_gradsq_converges_on_gradient_system():
     inst = Cubic()
-    out = gradsq_solve(inst, np.array([1.3, -1.3]))
+    out = solve(inst, np.array([1.3, -1.3]), GRADSQ)
     assert out.status is Status.CONVERGED
     assert out.residual_norm <= 1e-10
 
 
 def test_gradsq_reports_spurious_minimum():
-    out = gradsq_solve(NoRoot(), np.array([0.8]))
+    out = solve(NoRoot(), np.array([0.8]), GRADSQ)
     assert out.status is Status.SPURIOUS_MINIMUM
     assert abs(out.point[0]) < 1e-4
     assert out.residual_norm > 0.5
@@ -246,18 +246,18 @@ def test_gradsq_reports_spurious_minimum():
 def test_gradsq_max_iters():
     inst = Cubic()
     cfg = SolverConfig(method="gradsq", max_iters=2)
-    out = gradsq_solve(inst, np.array([1.9, 1.9]), cfg)
+    out = solve(inst, np.array([1.9, 1.9]), cfg)
     assert out.status is Status.MAX_ITERS
 
 
 def test_gradsq_eval_error():
-    out = gradsq_solve(Hole(), np.array([0.2]))
+    out = solve(Hole(), np.array([0.2]), GRADSQ)
     assert out.status is Status.EVAL_ERROR
 
 
 def test_homotopy_reaches_root():
     inst = Cubic()
-    out = homotopy_track(inst, np.array([1.7, -0.6]))
+    out = solve(inst, np.array([1.7, -0.6]), HOMOTOPY)
     assert out.status is Status.CONVERGED
     assert out.residual_norm <= 1e-10
     assert out.iterations >= 1
@@ -265,7 +265,7 @@ def test_homotopy_reaches_root():
 
 def test_homotopy_constant_path_at_root():
     inst = Cubic()
-    out = homotopy_track(inst, np.array([0.0, 1.0]))
+    out = solve(inst, np.array([0.0, 1.0]), HOMOTOPY)
     assert out.status is Status.CONVERGED
     assert out.iterations == 0
     assert np.array_equal(out.point, [0.0, 1.0])
@@ -276,7 +276,7 @@ def test_homotopy_on_xy_lattice():
     rng = np.random.default_rng(8)
     converged = 0
     for _ in range(10):
-        out = homotopy_track(inst, inst.sample_start(rng))
+        out = solve(inst, inst.sample_start(rng), HOMOTOPY)
         if out.status is Status.CONVERGED:
             converged += 1
             assert np.linalg.norm(inst.gradient(out.point)) <= 1e-10
@@ -284,8 +284,21 @@ def test_homotopy_on_xy_lattice():
 
 
 def test_homotopy_singular_start():
-    out = homotopy_track(NoRoot(), np.array([0.0]))
+    out = solve(NoRoot(), np.array([0.0]), HOMOTOPY)
     assert out.status is Status.SINGULAR_STEP
+
+
+@pytest.mark.parametrize("method", ["newton", "gradsq", "homotopy"])
+def test_solve_is_the_campaign_of_one_start(method):
+    # from this start Newton and gradsq end at (1, -1) and the homotopy at
+    # (1, 0), so a solve that ran another method than cfg.method shows
+    x, cfg = np.array([1.5, 0.5]), SolverConfig(method=method)
+    out = solve(Cubic(), x, cfg)
+    ref = multistart(Cubic(), cfg, starts=[x]).outcomes[0]
+    assert ((out.status, out.iterations, out.point.tobytes(), out.residual_norm)
+            == (ref.status, ref.iterations, ref.point.tobytes(), ref.residual_norm))
+    assert out.status is Status.CONVERGED
+    assert np.allclose(out.point, [1.0, 0.0] if method == "homotopy" else [1.0, -1.0])
 
 
 def test_config_validation():
@@ -305,11 +318,11 @@ def test_config_validation():
             SolverConfig(start_box=bad)
     SolverConfig(starts=0, max_iters=0, seed=np.int64(3), start_box=(-1.0, 2))
     for name in ("accept_tol", "dedup_tol"):
-        for bad in (-1.0, math.nan, math.inf):
+        for bad in (-1.0, math.nan, math.inf, True, False):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
     SolverConfig(accept_tol=0.0, dedup_tol=0.0)
-    out = newton_solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
+    out = solve(Cubic(), np.array([1.5, 0.5]), SolverConfig(max_iters=0))
     assert out.status is Status.MAX_ITERS
     assert out.iterations == 0
 
@@ -390,7 +403,7 @@ def test_draw_starts_matches_per_start_generators(seed, box):
         for starts in (0, 1, 37):
             cfg = SolverConfig(starts=starts, seed=seed, start_box=box)
             got = draw_starts(inst, cfg)
-            assert isinstance(got, list) and len(got) == starts
+            assert got.dtype == float and got.shape == (starts, inst.n)
             for i, x in enumerate(got):
                 rng = np.random.default_rng((seed, i))
                 want = rng.uniform(*box, inst.n) if box else _scalar_start(inst, rng)
@@ -492,7 +505,7 @@ def test_multistart_chunk_invariance(name):
     res = multistart(inst, cfg)
     outcomes = [[(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
                  for o in res.outcomes]]
-    solver, resolved = solvers._METHODS[cfg.method], _resolved(cfg, cfg.method)
+    solver, resolved = solvers._METHODS[cfg.method], _resolved(cfg)
     for chunks in (7, starts):
         outcomes.append([(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
                          for chunk in np.array_split(np.array(res.starts), chunks)
@@ -507,7 +520,7 @@ def test_multistart_without_starts(method):
                 multistart(inst, SolverConfig(method=method, starts=5), starts=[])):
         assert res.stats.starts == 0
         assert res.outcomes == []
-        assert res.starts == []
+        assert res.starts.shape == (0, inst.n)
         assert len(res.solutions) == 0
 
 
@@ -525,8 +538,8 @@ def test_eval_error_ends_only_its_start(method):
     assert res.outcomes[1].iterations == 0
     for i in (0, 2, 3):
         assert res.outcomes[i].status is Status.CONVERGED
-        alone = newton_solve if method == "newton" else homotopy_track
-        assert np.array_equal(res.outcomes[i].point, alone(inst, starts[i]).point)
+        alone = solve(inst, starts[i], SolverConfig(method=method))
+        assert np.array_equal(res.outcomes[i].point, alone.point)
 
 
 class NanJacobian(Cubic):
@@ -543,8 +556,8 @@ def test_non_finite_jacobian_is_singular_step(method):
     res = multistart(NanJacobian(), SolverConfig(method=method),
                      starts=[np.array([1.0, -1.0]), np.array([1.5, 0.5])])
     assert [o.status for o in res.outcomes] == [Status.CONVERGED, Status.SINGULAR_STEP]
-    alone = {"newton": newton_solve, "gradsq": gradsq_solve, "homotopy": homotopy_track}[method]
-    assert alone(NanJacobian(), np.array([1.5, 0.5])).status is Status.SINGULAR_STEP
+    alone = solve(NanJacobian(), np.array([1.5, 0.5]), SolverConfig(method=method))
+    assert alone.status is Status.SINGULAR_STEP
 
 
 class Huge(Cubic):
