@@ -3,8 +3,7 @@ and campaign tooling to hunt their minima, saddles and singular points."""
 
 from .core import (
     ANGULAR_MOD_2PI, EUCLIDEAN, EvaluationError, ProblemInstance, Provenance, RootSystem,
-    SolutionSet, StationaryPoint, ZERO_TOL, classify, classify_batch, dedup, fd_gradient,
-    fd_hessian, point_distance)
+    SolutionSet, StationaryPoint, ZERO_TOL, classify, classify_batch, dedup, point_distance)
 from .lattices import (
     ANTI_PERIODIC, PERIODIC, Phi4Lattice, XYLattice, phi4_bezout, phi4_enumerate_decoupled)
 from .clusters import LennardJonesCluster, MorseCluster, ThomsonSphere, pair_curvature

@@ -309,32 +309,14 @@ class MorseCluster(_PairPotentialCluster):
         return {"atoms": self.atoms, "epsilon": self.epsilon, "r_e": self.r_e, "rho": self.rho}
 
 
-def pair_curvature(cluster, at_equilibrium=True):
+def pair_curvature(cluster):
     """Dimensionless stiffness r_min^2 v''(r_min) / eps of the pair potential
-    at the bottom of its well.
-
-    With ``at_equilibrium`` the closed forms are returned: 2 rho^2 for Morse
-    and exactly 72 for the 12-6 potential, so a Morse cluster with rho = 6
-    matches the 12-6 well curvature.  Otherwise the well is located
-    numerically by bisection on v'(r) and the second derivative is taken by
-    central differences, which serves as an independent cross-check.
+    at the bottom of its well, in closed form: 2 rho^2 for Morse and exactly
+    72 for the 12-6 potential, so a Morse cluster with rho = 6 matches the
+    12-6 well curvature.
     """
     if isinstance(cluster, LennardJonesCluster):
-        if at_equilibrium:
-            return 72.0
-        lo, hi = 0.8 * cluster.sigma, 2.0 * cluster.sigma
-    elif isinstance(cluster, MorseCluster):
-        if at_equilibrium:
-            return 2.0 * cluster.rho**2
-        lo, hi = 0.5 * cluster.r_e, 2.0 * cluster.r_e
-    else:
-        raise ValueError(f"no pair potential for family {cluster.family!r}")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if cluster._pair_dvdr(np.array(mid)) < 0.0 else (lo, mid)
-    r_min = 0.5 * (lo + hi)
-    h = 1e-4 * r_min
-    v = lambda r: float(cluster._pair_energy(np.array(r)))
-    second = (v(r_min + h) - 2.0 * v(r_min) + v(r_min - h)) / (h * h)
-    return r_min**2 * second / cluster.epsilon
+        return 72.0
+    if isinstance(cluster, MorseCluster):
+        return 2.0 * cluster.rho**2
+    raise ValueError(f"no pair potential for family {cluster.family!r}")

@@ -1,5 +1,5 @@
 """Shared vocabulary for the benchmark: problem instances, stationary-point
-classification, finite-difference checks, and windowed duplicate removal.
+classification and windowed duplicate removal.
 
 Every problem family subclasses ProblemInstance and writes its energy, its
 residual and its Jacobian once, as kernels over an (m, n) stack of points;
@@ -9,8 +9,8 @@ system to solve is its gradient.  Root-finding families (game and puzzle
 systems) subclass RootSystem: the residual is their polynomial system, and
 its squared norm is their ``energy`` so that descent methods and
 classification have a scalar landscape to work with.
-Classification reads each family's own ``hessian_batch``; ``fd_gradient``
-and ``fd_hessian`` are the central-difference references it is tested against.
+Classification reads each family's own ``hessian_batch``; the tests hold
+every family's derivatives to central differences.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ class ProblemInstance:
     def _at_point(self, kernel, p):
         """The values of ``kernel`` at the single point ``p``, the batch of
         one; EvaluationError if the kernel masks it."""
-        *values, failed = kernel(self.check_point(p)[None])
+        values, failed = kernel(self.check_point(p)[None])
         if failed[0]:
             raise EvaluationError(f"{self.label}: {self._failure}")
-        return values[0][0] if len(values) == 1 else tuple(v[0] for v in values)
+        return values[0]
 
     def residual(self, p):
         return self._at_point(self.residual_batch, p)
@@ -200,35 +200,14 @@ def _block_diagonal(blocks):
     return out.reshape(m, count * rows, count * cols)
 
 
-def fd_gradient(instance, p, step=1e-5):
-    """Central-difference gradient of ``instance.energy`` at ``p``."""
-    return _central_differences(instance, instance.energy, p, step, "gradient")
-
-
-def fd_hessian(instance, p, step=1e-5):
-    """Central-difference Jacobian of the analytic gradient at ``p``."""
-    return _central_differences(instance, instance.gradient, p, step, "Hessian")
-
-
-def _central_differences(instance, fn, p, step, what):
-    """(fn(p + step e_i) - fn(p - step e_i)) / (2 step) for each unit vector
-    e_i, stacked on the last axis; EvaluationError unless all are finite."""
-    p = instance.check_point(p)
-    columns = [(np.asarray(fn(p + e), dtype=float) - np.asarray(fn(p - e), dtype=float))
-               / (2.0 * step) for e in np.eye(instance.n) * step]
-    out = np.stack(columns, axis=-1)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"{instance.label}: non-finite finite-difference {what}")
-    return out
-
-
 _RULES = {
     "finite and >= 0": lambda v: not isinstance(v, bool) and math.isfinite(v) and v >= 0.0,
     "a bool": lambda v: isinstance(v, bool),
     "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
                                      and not isinstance(v, bool) and v >= 0),
-    "None or (lo, hi) with lo < hi and a finite hi - lo":
-        lambda v: v is None or (len(v) == 2 and v[0] < v[1] and math.isfinite(v[1] - v[0])),
+    "None or (lo, hi), not bools, with lo < hi and a finite hi - lo":
+        lambda v: v is None or (len(v) == 2 and bool not in map(type, v) and v[0] < v[1]
+                                and math.isfinite(v[1] - v[0])),
 }
 
 

@@ -22,6 +22,9 @@ import numpy as np
 
 from .core import RootSystem, _uniform_rows
 
+# the slack of ``is_equilibrium``: on the residual, the probabilities and the payoff margins
+EQUILIBRIUM_TOL = 1e-9
+
 
 class NashGame:
     """An n-player game given by one payoff tensor per player, each of shape
@@ -106,11 +109,11 @@ def nash_residual_jacobian(game, probs, pis):
     return NashInstance(game).residual_jacobian(_checked_point(game, probs, pis))
 
 
-def is_equilibrium(game, probs, pis, tol=1e-9):
+def is_equilibrium(game, probs, pis):
     """Decide whether a stationarity root is an equilibrium.
 
-    Requires the residual to vanish within ``tol``, every probability to be
-    >= -tol, and every margin pi_i minus pure-deviation payoff to be >= -tol.
+    Requires |residual| <= EQUILIBRIUM_TOL, and every probability and every
+    margin pi_i minus pure-deviation payoff >= -EQUILIBRIUM_TOL.
     Returns (flag, report) where the report carries the extreme values that
     the decision was based on.
     """
@@ -122,9 +125,9 @@ def is_equilibrium(game, probs, pis, tol=1e-9):
         "min_probability": float(min(np.min(p) for p in probs)),
         "min_payoff_margin": float(min(pi - np.max(r) for pi, r in zip(pis[0], resp))),
     }
-    flag = (report["residual_inf"] <= tol
-            and report["min_probability"] >= -tol
-            and report["min_payoff_margin"] >= -tol)
+    flag = (report["residual_inf"] <= EQUILIBRIUM_TOL
+            and report["min_probability"] >= -EQUILIBRIUM_TOL
+            and report["min_payoff_margin"] >= -EQUILIBRIUM_TOL)
     report["equilibrium"] = flag
     return flag, report
 

@@ -20,6 +20,9 @@ from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, classify_batch, dedu
 PERIODIC = "periodic"
 ANTI_PERIODIC = "anti-periodic"
 
+# the most starts ``Phi4Lattice.grid_starts`` builds, the 3^9 of a 3 x 3 grid
+GRID_CAP = 3**9
+
 
 def _fmt(x):
     return format(float(x), "g")
@@ -91,12 +94,12 @@ class Phi4Lattice(ProblemInstance):
     def params(self):
         return {"N": self.N, "lam": self.lam, "mu2": self.mu2, "J": self.J}
 
-    def grid_starts(self, values=(-5.0, 0.0, 5.0), cap=3**9):
+    def grid_starts(self, values=(-5.0, 0.0, 5.0)):
         """Cartesian product of per-site start values as an (m, n) stack, one
-        row per combination."""
+        row per combination; ValueError above ``GRID_CAP`` rows."""
         total = len(values) ** self.n
-        if total > cap:
-            raise ValueError(f"grid of {total} starts exceeds cap {cap}")
+        if total > GRID_CAP:
+            raise ValueError(f"grid of {total} starts exceeds cap {GRID_CAP}")
         return np.array(list(itertools.product(values, repeat=self.n)),
                         dtype=float).reshape(total, self.n)
 
@@ -110,17 +113,17 @@ def phi4_bezout(N):
     return 3 ** (N * N)
 
 
-def phi4_enumerate_decoupled(instance, cap=3**9):
+def phi4_enumerate_decoupled(instance):
     """Every real stationary point of a J = 0 instance, fully classified.
 
     With the springs off, each site independently sits at one of the three
     single-site roots, so the landscape is the Cartesian product of those
     choices and the saddle index equals the number of sites parked at zero.
-    Raises if the coupling is nonzero or the enumeration would exceed ``cap``.
+    Raises if J != 0 or the enumeration would exceed ``GRID_CAP`` points.
     """
     if instance.J != 0.0:
         raise ValueError(f"decoupled enumeration requires J = 0, got J = {instance.J}")
-    grid = instance.grid_starts(instance.site_roots(), cap)
+    grid = instance.grid_starts(instance.site_roots())
     points, _ = classify_batch(instance, grid, solver="enumeration")
     return dedup(points, tol=1e-6, metric=instance.dedup_metric)
 

@@ -27,6 +27,7 @@ import numpy as np
 from .core import EvaluationError, RootSystem, _block_diagonal, _masked
 
 TWO_PI = 2.0 * math.pi
+# the slack of edge directions, and of the positions ``verify_geometric`` matches
 ANGLE_TOL = 1e-9
 
 DEFAULT_K_SET = tuple((kx, ky) for kx in range(-2, 3) for ky in range(-2, 3) if (kx, ky) != (0, 0))
@@ -67,35 +68,35 @@ class Piece:
         self.edges = edges
 
 
-def signed_indicator(edge, color, angle, tol=ANGLE_TOL):
+def signed_indicator(edge, color, angle):
     """+1 if the edge belongs to class (color, angle), -1 if it belongs to
     the opposite-direction partner class, 0 otherwise."""
     if edge.color != color:
         return 0
-    if abs(_circ_diff(edge.angle, angle)) <= tol:
+    if abs(_circ_diff(edge.angle, angle)) <= ANGLE_TOL:
         return 1
-    if abs(_circ_diff(edge.angle, angle + math.pi)) <= tol:
+    if abs(_circ_diff(edge.angle, angle + math.pi)) <= ANGLE_TOL:
         return -1
     return 0
 
 
-def _cluster_angles(angles, tol=ANGLE_TOL):
-    """Representative angles, merging values within tol (circularly)."""
+def _cluster_angles(angles):
+    """Representative angles, merging values within ANGLE_TOL (circularly)."""
     if not angles:
         return []
     ordered = sorted(wrap_angle(a) for a in angles)
     reps = [ordered[0]]
     for a in ordered[1:]:
-        if a - reps[-1] > tol:
+        if a - reps[-1] > ANGLE_TOL:
             reps.append(a)
-    if len(reps) > 1 and (reps[0] + TWO_PI) - reps[-1] <= tol:
+    if len(reps) > 1 and (reps[0] + TWO_PI) - reps[-1] <= ANGLE_TOL:
         reps.pop()
     return reps
 
 
-def _find_rep(reps, angle, tol=ANGLE_TOL):
+def _find_rep(reps, angle):
     a = wrap_angle(angle)
-    return next((r for r in reps if abs(_circ_diff(a, r)) <= tol), None)
+    return next((r for r in reps if abs(_circ_diff(a, r)) <= ANGLE_TOL), None)
 
 
 class Puzzle:
@@ -179,13 +180,14 @@ def linear_residual(puzzle, placement):
     return (puzzle.sign @ puzzle.positions(placement)).ravel()
 
 
-def exponential_residual(puzzle, placement, k_set=None):
-    """Signed exponential sums, one component per (class, frequency) pair.
+def exponential_residual(puzzle, placement):
+    """Signed exponential sums, one component per (class, frequency) pair
+    of the puzzle's ``k_set``.
 
     Each class is rescaled by its largest exponent so the evaluation stays
     in range; rescaling never moves a zero away from zero.
     """
-    freqs = np.array(k_set if k_set is not None else puzzle.k_set, dtype=float).reshape(-1, 2)
+    freqs = np.array(puzzle.k_set, dtype=float)
     member = (puzzle.sign != 0)[:, :, None]
     exps = np.where(member, (puzzle.positions(placement) @ freqs.T)[None], -np.inf)
     shift = exps.max(axis=1, keepdims=True)
@@ -196,16 +198,17 @@ def exponential_residual(puzzle, placement, k_set=None):
     return out.ravel()
 
 
-def verify_geometric(puzzle, placement, tol=ANGLE_TOL):
+def verify_geometric(puzzle, placement):
     """Ground truth: every edge must coincide with exactly one partner edge
-    of equal color and opposite direction, within tol in position."""
+    of equal color and opposite direction, within ANGLE_TOL in direction
+    and in position."""
     placed = puzzle.placed_edges(placement)
     partners = []
     for i, (_, ei, pi) in enumerate(placed):
         cand = [j for j, (_, ej, pj) in enumerate(placed)
                 if j != i and ej.color == ei.color
-                and abs(_circ_diff(ej.angle, ei.angle + math.pi)) <= tol
-                and np.max(np.abs(pj - pi)) <= tol]
+                and abs(_circ_diff(ej.angle, ei.angle + math.pi)) <= ANGLE_TOL
+                and np.max(np.abs(pj - pi)) <= ANGLE_TOL]
         if len(cand) != 1:
             return False
         partners.append(cand[0])
@@ -220,13 +223,13 @@ def exp_coordinates(placement):
     return np.exp(np.asarray(placement, dtype=float))
 
 
-def generate_grid_puzzle(columns, rows, n_colors, seed, frame_color="border"):
+def generate_grid_puzzle(columns, rows, n_colors, seed):
     """Random rectangular puzzle of unit squares inside a frame.
 
-    Interior edge colors are drawn uniformly from ``n_colors`` names; the
-    frame contributes one inward-facing edge per boundary cell, all in
-    ``frame_color``.  Returns (puzzle, solution) where the solution stacks
-    the cell centers in piece order.
+    Interior edge colors are drawn uniformly from the ``n_colors`` names c0,
+    c1, ...; the frame contributes one inward-facing edge per boundary cell,
+    all in the color "border".  Returns (puzzle, solution) where the solution
+    stacks the cell centers in piece order.
     """
     if columns < 1 or rows < 1:
         raise ValueError("grid must be at least 1x1")
@@ -234,8 +237,7 @@ def generate_grid_puzzle(columns, rows, n_colors, seed, frame_color="border"):
         raise ValueError("need at least one interior color")
     rng = np.random.default_rng(seed)
     palette = [f"c{i}" for i in range(n_colors)]
-    if frame_color in palette:
-        raise ValueError("frame color collides with the interior palette")
+    border = "border"
 
     vert = {(i, j): palette[rng.integers(n_colors)]
             for i in range(1, columns) for j in range(rows)}
@@ -244,15 +246,15 @@ def generate_grid_puzzle(columns, rows, n_colors, seed, frame_color="border"):
 
     right, left, up, down = 0.0, math.pi, 0.5 * math.pi, 1.5 * math.pi
     cells = [(i, j) for j in range(rows) for i in range(columns)]
-    pieces = [Piece([Edge((0.5, 0.0), vert.get((i + 1, j), frame_color), right),
-                     Edge((-0.5, 0.0), vert.get((i, j), frame_color), left),
-                     Edge((0.0, 0.5), horiz.get((i, j + 1), frame_color), up),
-                     Edge((0.0, -0.5), horiz.get((i, j), frame_color), down)])
+    pieces = [Piece([Edge((0.5, 0.0), vert.get((i + 1, j), border), right),
+                     Edge((-0.5, 0.0), vert.get((i, j), border), left),
+                     Edge((0.0, 0.5), horiz.get((i, j + 1), border), up),
+                     Edge((0.0, -0.5), horiz.get((i, j), border), down)])
               for i, j in cells]
-    frame = ([e for j in range(rows) for e in (Edge((0.0, j + 0.5), frame_color, right),
-                                               Edge((columns, j + 0.5), frame_color, left))]
-             + [e for i in range(columns) for e in (Edge((i + 0.5, 0.0), frame_color, up),
-                                                    Edge((i + 0.5, rows), frame_color, down))])
+    frame = ([e for j in range(rows) for e in (Edge((0.0, j + 0.5), border, right),
+                                               Edge((columns, j + 0.5), border, left))]
+             + [e for i in range(columns) for e in (Edge((i + 0.5, 0.0), border, up),
+                                                    Edge((i + 0.5, rows), border, down))])
     label = f"puzzle-{columns}x{rows}-c{n_colors}-s{seed}"
     puzzle = Puzzle(Piece(frame), pieces, label=label)
     return puzzle, np.array([(i + 0.5, j + 0.5) for i, j in cells])

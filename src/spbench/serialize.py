@@ -111,14 +111,42 @@ def _object(value, what):
     return value
 
 
+# what each rule admits, by JSON type: a bool is no int here, and "numbers" admits lists of them
+_TYPES = {"a number": {int, float}, "numbers": {int, float}, "an int": {int},
+          "a non-negative int": {int}, "a bool": {bool}, "a string": {str}}
+# the rule of each field of a ``_POINT`` record, in the order of ``PointColumns``; a
+# wrong index, like a wrong shape, loads for ``check_result`` to report
+_POINT_RULES = {"coords": "numbers", "energy": "a number", "residual_norm": "a number",
+                "index": "an int", "zero_eigs": "an int", "singular": "a bool",
+                "solver": "a string", "seed": "a non-negative int",
+                "start_id": "a non-negative int"}
+_PROVENANCE = {"solver": "direct", "seed": 0, "start_id": 0}
+
+
+def _typed(values, rule, where):
+    """The list ``values`` when each value obeys ``rule``, a key of ``_TYPES``;
+    otherwise ValueError "<where> must be <rule>" for the first that does not,
+    its position in place of a "{}" in ``where``."""
+    flat, kinds = values, set(map(type, values))
+    while rule == "numbers" and list in kinds:  # the values of nested lists, level by level
+        flat = [x for v in flat for x in (v if type(v) is list else (v,))]
+        kinds = set(map(type, flat))
+    if kinds <= _TYPES[rule] and (rule != "a non-negative int" or min(flat, default=0) >= 0):
+        return values
+    for i, value in enumerate(values if "{}" in where else ()):  # raises at the first bad one
+        _typed([value], rule, where.format(i))
+    raise ValueError(f"{where} must be {rule}, got {json.dumps(values[0])[:40]}")
+
+
 def _point_columns(label, records):
-    """The PointColumns of loaded ``_POINT`` records."""
-    prov = [_object(_object(p, "point").get("provenance", {}), "provenance") for p in records]
-    return PointColumns(label, [p["coords"] for p in records], *(
-        [p[name] for p in records] for name in
-        ("energy", "residual_norm", "index", "zero_eigs", "singular")),
-        [str(d.get("solver", "direct")) for d in prov], [int(d.get("seed", 0)) for d in prov],
-        [int(d.get("start_id", 0)) for d in prov])
+    """The PointColumns of loaded ``_POINT`` records; ValueError names the
+    first point and field that breaks its rule in ``_POINT_RULES``."""
+    points = [_object(p, "point") for p in records]
+    prov = [_object(p.get("provenance", {}), "provenance") for p in points]
+    return PointColumns(label, *(_typed(
+        [d.get(name, _PROVENANCE[name]) for d in prov] if name in _PROVENANCE
+        else [p[name] for p in points], rule, f"point {{}}: {name}")
+        for name, rule in _POINT_RULES.items()))
 
 
 def _emit(obj, out, indent):
@@ -248,7 +276,8 @@ def load_result(path):
     solutions = SolutionSet(float(sol_d["tolerance"]), str(sol_d["metric"]),
                             _point_columns(label, sol_d["points"]))
     stats_d = _object(d.get("campaign_stats", {}), "campaign_stats")
-    stats = CampaignStats(**{name: int(stats_d.get(name, 0)) for name in
+    stats = CampaignStats(**{name: _typed([stats_d.get(name, 0)], "a non-negative int",
+                                          f"campaign_stats: {name}")[0] for name in
                              ("starts", "converged", "diverged", "spurious", "eval_errors")})
     return {
         "instance_label": d["instance_label"],

@@ -133,7 +133,7 @@ class SolverConfig:
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
         _require(self, starts="a non-negative int", seed="a non-negative int",
                  accept_tol="finite and >= 0", dedup_tol="finite and >= 0",
-                 start_box="None or (lo, hi) with lo < hi and a finite hi - lo",
+                 start_box="None or (lo, hi), not bools, with lo < hi and a finite hi - lo",
                  record_trace="a bool")
         if self.max_iters is not None:
             _require(self, max_iters="a non-negative int")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spbench.core import EvaluationError, classify, fd_gradient, fd_hessian
+from spbench.core import EvaluationError, classify
 from spbench.clusters import (
     LennardJonesCluster,
     MorseCluster,
@@ -12,7 +12,7 @@ from spbench.clusters import (
 )
 from spbench import clusters
 from spbench.solvers import SolverConfig, draw_starts
-from test_hessians import _fd_signature
+from test_hessians import _fd_signature, fd_gradient, fd_hessian
 
 
 def test_thomson_variable_counts():
@@ -228,11 +228,28 @@ def test_pair_curvature_closed_forms():
     assert pair_curvature(MorseCluster(2, rho=3.0)) == 18.0
 
 
+def _numeric_pair_curvature(cluster):
+    """r_min^2 v''(r_min) / eps of a LJ or Morse pair potential, with the
+    well located by bisection on v'(r) and v'' by central differences: the
+    reference for the closed forms of ``pair_curvature``."""
+    if isinstance(cluster, LennardJonesCluster):
+        lo, hi = 0.8 * cluster.sigma, 2.0 * cluster.sigma
+    else:
+        lo, hi = 0.5 * cluster.r_e, 2.0 * cluster.r_e
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cluster._pair_dvdr(np.array(mid)) < 0.0 else (lo, mid)
+    r_min = 0.5 * (lo + hi)
+    h = 1e-4 * r_min
+    v = lambda r: float(cluster._pair_energy(np.array(r)))
+    second = (v(r_min + h) - 2.0 * v(r_min) + v(r_min - h)) / (h * h)
+    return r_min**2 * second / cluster.epsilon
+
+
 def test_pair_curvature_numeric_agrees():
-    num_lj = pair_curvature(LennardJonesCluster(2), at_equilibrium=False)
-    assert num_lj == pytest.approx(72.0, rel=1e-5)
-    num_m = pair_curvature(MorseCluster(2, rho=6.0), at_equilibrium=False)
-    assert num_m == pytest.approx(72.0, rel=1e-5)
+    for cluster in (LennardJonesCluster(2), MorseCluster(2, rho=6.0), MorseCluster(2, rho=3.0)):
+        num = _numeric_pair_curvature(cluster)
+        assert num == pytest.approx(pair_curvature(cluster), rel=1e-5), cluster.label
 
 
 def test_cluster_gradients_match_fd():

@@ -12,12 +12,10 @@ from spbench.core import (
     Provenance,
     classify,
     dedup,
-    fd_gradient,
-    fd_hessian,
     point_distance,
 )
 from spbench.serialize import _point_columns, _points_text
-from test_hessians import _fd_signature
+from test_hessians import _fd_signature, fd_gradient, fd_hessian
 
 
 class Quadratic(ProblemInstance):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spbench.core import fd_gradient
 from spbench.games import (
+    EQUILIBRIUM_TOL,
     NashGame,
     NashInstance,
     is_equilibrium,
@@ -12,6 +12,7 @@ from spbench.games import (
     prisoners_dilemma,
 )
 from spbench.solvers import SolverConfig, multistart
+from test_hessians import fd_gradient
 
 
 def test_game_validation():
@@ -74,6 +75,17 @@ def test_prisoners_dilemma_equilibrium():
     flag2, report2 = is_equilibrium(g, coop, np.array([-1.0, -1.0]))
     assert not flag2
     assert report2["min_payoff_margin"] < 0
+
+
+def test_is_equilibrium_allows_a_payoff_margin_of_equilibrium_tol():
+    # lowering pi_1 by d leaves the residual at d / 2 and the margin at -d
+    g = matching_pennies()
+    probs = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
+    for slack, expected in ((0.5, True), (2.0, False)):
+        flag, report = is_equilibrium(g, probs, np.array([-slack * EQUILIBRIUM_TOL, 0.0]))
+        assert flag is expected
+        assert report["min_payoff_margin"] == -slack * EQUILIBRIUM_TOL
+        assert report["residual_inf"] <= EQUILIBRIUM_TOL
 
 
 def test_negative_probability_rejected():

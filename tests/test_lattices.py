@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from spbench.core import classify, fd_gradient, fd_hessian
+from spbench.core import classify
 from spbench.lattices import (
     ANTI_PERIODIC,
+    GRID_CAP,
     PERIODIC,
     Phi4Lattice,
     XYLattice,
     phi4_bezout,
     phi4_enumerate_decoupled,
 )
+from test_hessians import fd_gradient, fd_hessian
 
 ROOT = math.sqrt(20.0)  # nonzero site root for lam=0.6, mu2=2
 
@@ -94,8 +96,9 @@ def test_phi4_enumeration_requires_decoupled():
 
 
 def test_phi4_enumeration_cap():
-    with pytest.raises(ValueError):
-        phi4_enumerate_decoupled(Phi4Lattice(4), cap=100)
+    # the 3^16 points of a 4 x 4 grid are more than GRID_CAP
+    with pytest.raises(ValueError, match=f"exceeds cap {GRID_CAP}"):
+        phi4_enumerate_decoupled(Phi4Lattice(4))
 
 
 def test_phi4_grid_starts():
@@ -103,8 +106,9 @@ def test_phi4_grid_starts():
     starts = inst.grid_starts()
     assert len(starts) == 81
     assert all(s.shape == (4,) for s in starts)
-    with pytest.raises(ValueError):
-        Phi4Lattice(4).grid_starts(cap=100)
+    assert Phi4Lattice(3).grid_starts().shape == (GRID_CAP, 9)
+    with pytest.raises(ValueError, match=f"exceeds cap {GRID_CAP}"):
+        Phi4Lattice(4).grid_starts()
 
 
 def test_phi4_index_counts_sites_at_zero():

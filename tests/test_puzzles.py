@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spbench.core import EvaluationError, fd_gradient
+from spbench.core import EvaluationError
 from spbench.puzzles import (
+    ANGLE_TOL,
     DEFAULT_K_SET,
     Edge,
     Piece,
@@ -18,6 +19,7 @@ from spbench.puzzles import (
     verify_geometric,
     wrap_angle,
 )
+from test_hessians import fd_gradient
 
 
 def test_default_k_set():
@@ -72,8 +74,10 @@ def test_generate_grid_puzzle_balanced_and_solvable():
 def test_generated_frame_color_is_reserved():
     puz, _ = generate_grid_puzzle(2, 1, 2, seed=0)
     assert "border" in puz.colors
-    with pytest.raises(ValueError):
-        generate_grid_puzzle(2, 1, 2, seed=0, frame_color="c0")
+    # only the frame's edges and the pieces' edges facing them carry it
+    assert {e.color for e in puz.frame.edges} == {"border"}
+    facing = [e for piece in puz.pieces for e in piece.edges if e.color == "border"]
+    assert len(facing) == len(puz.frame.edges) == 6
 
 
 def test_verify_geometric_rejects_swaps_and_shifts():
@@ -84,8 +88,9 @@ def test_verify_geometric_rejects_swaps_and_shifts():
     assert not verify_geometric(puz, swapped)
     # small perturbation breaks coincidence
     assert not verify_geometric(puz, sol + 1e-3)
-    # large tolerance would accept the perturbation again
-    assert verify_geometric(puz, sol + 1e-3, tol=1e-2)
+    # positions agree within ANGLE_TOL and no further
+    assert verify_geometric(puz, sol + 0.5 * ANGLE_TOL)
+    assert not verify_geometric(puz, sol + 2.0 * ANGLE_TOL)
 
 
 def test_linear_residual_misses_uniform_shift():
@@ -107,7 +112,7 @@ def test_exponential_residual_zero_at_solutions():
 
 def test_exponential_residual_custom_k_set():
     puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
-    r = exponential_residual(puz, sol, k_set=[(1, 0), (0, 1)])
+    r = exponential_residual(Puzzle(puz.frame, puz.pieces, k_set=[(1, 0), (0, 1)]), sol)
     assert r.shape == (len(puz.classes) * 2,)
     assert np.max(np.abs(r)) < 1e-12
 

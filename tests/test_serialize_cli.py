@@ -248,7 +248,8 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
     inst, path = _solved_phi4(tmp_path, capsys)
     for name, bad in (("starts", 2.5), ("max_iters", 2.5), ("seed", -1),
                       ("start_box", [2.0, -2.0]), ("start_box", [1.0]),
-                      ("accept_tol", True), ("dedup_tol", False), ("record_trace", "no")):
+                      ("start_box", [False, True]), ("accept_tol", True), ("dedup_tol", False),
+                      ("record_trace", "no")):
         raw = json.loads(path.read_text())
         raw["config"][name] = bad
         bad_path = tmp_path / f"bad-{name}.json"
@@ -257,6 +258,32 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
             serialize.load_result(bad_path)
         assert run_cli("verify", str(inst), str(bad_path)) == 1
         assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record, field, spoil", [
+    ("point", "index", lambda v: 1.5), ("point", "index", str),
+    ("point", "energy", str), ("point", "residual_norm", str),
+    ("point", "coords", lambda v: [str(c) for c in v]),
+    ("provenance", "seed", lambda v: True), ("provenance", "solver", lambda v: 7),
+    ("provenance", "start_id", lambda v: 2.9),
+    ("campaign_stats", "converged", lambda v: 2.5), ("campaign_stats", "converged", str),
+], ids=["index-float", "index-str", "energy-str", "residual-str", "coords-str", "seed-bool",
+        "solver-int", "start_id-float", "converged-float", "converged-str"])
+def test_cli_verify_exits_1_on_a_field_of_the_wrong_type(tmp_path, capsys, record, field, spoil):
+    # casting each of these to its column's type would load a file that verifies
+    inst, resf = _solved_phi4(tmp_path, capsys)
+    raw = json.loads(resf.read_text())
+    i, point = next((i, p) for i, p in enumerate(raw["solutions"]["points"]) if p["index"] == 1)
+    target = {"point": point, "provenance": point["provenance"],
+              "campaign_stats": raw["campaign_stats"]}[record]
+    target[field] = spoil(target[field])
+    resf.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=field):
+        serialize.load_result(resf)
+    assert run_cli("verify", str(inst), str(resf)) == 1
+    err = capsys.readouterr().err.splitlines()
+    where = "campaign_stats" if record == "campaign_stats" else f"point {i}"
+    assert len(err) == 1 and err[0].startswith(f"error: {where}: {field} must be ")
 
 
 def test_result_file_round_trip(tmp_path):

@@ -313,7 +313,7 @@ def test_config_validation():
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: bad})
     for bad in ((2.0, -2.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0), (1.0,), 3.0,
-                ("a", "b"), (-1e308, 1e308)):
+                ("a", "b"), (-1e308, 1e308), (False, True)):
         with pytest.raises(ValueError, match="start_box"):
             SolverConfig(start_box=bad)
     SolverConfig(starts=0, max_iters=0, seed=np.int64(3), start_box=(-1.0, 2))

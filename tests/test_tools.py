@@ -23,6 +23,19 @@ def test_drift_writes_each_result_file_and_a_line_per_start(tmp_path):
     assert len(bytes.fromhex(point)) == 9 * 8 and float(norm) < 1e-10
 
 
+def test_drift_writes_the_cli_files_byte_for_byte(tmp_path):
+    write_cli = runpy.run_path(str(DRIFT))["write_cli"]
+    for side in ("a", "b"):
+        write_cli(tmp_path / side)
+    a, b = tmp_path / "a" / "cli", tmp_path / "b" / "cli"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["disordered-gradsq.json", "disordered.json", "pennies.json",
+                     "phi4-grid3.json", "phi4.json", "puzzle.json", "ring-homotopy.json",
+                     "ring.json"]
+    assert sorted(p.name for p in b.iterdir()) == names
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
 def test_size_counts_lines_and_significant_tokens(capsys):
     size = runpy.run_path(str(TOOLS / "size.py"))
     # def f ( x ) : return x + 1; not the comment, line breaks or indentation

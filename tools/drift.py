@@ -6,7 +6,9 @@ Runs every campaign of every workload in ``bench/workloads.py`` at run seeds
 0 and 1 with the checkout's ``src/``, and writes ``OUT/<workload>-seed-<s>/``:
 ``<campaign>.json``, the result file as ``save_result`` writes it, and
 ``<campaign>.starts``, one line per start with its status, iteration count,
-end point bytes (hex) and the repr of its residual norm.  Run it in two
+end point bytes (hex) and the repr of its residual norm.  It also runs the
+command lines of ``CLI_RUNS`` through ``spbench.cli.main`` and keeps the
+instance and result files they write in ``OUT/cli/``.  Run it in two
 checkouts; ``diff -r OUT_A OUT_B`` prints nothing when every result is
 byte-identical.
 """
@@ -14,6 +16,8 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -21,9 +25,25 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import spbench  # noqa: E402
+import spbench.cli  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 1)
+
+# spbench command lines, in order; each *.json argument names a file in OUT/cli
+CLI_RUNS = (
+    ("generate", "phi4", "--N", "2", "-o", "phi4.json"),
+    ("solve", "phi4.json", "-o", "phi4-grid3.json", "--starts", "grid3"),
+    ("generate", "xy", "--d", "1", "--L", "4", "-o", "ring.json"),
+    ("solve", "ring.json", "-o", "ring-homotopy.json", "--method", "homotopy",
+     "--starts", "50", "--seed", "3"),
+    ("generate", "xy", "--d", "2", "--L", "3", "--disorder", "uniform-signed", "--seed", "1",
+     "-o", "disordered.json"),
+    ("solve", "disordered.json", "-o", "disordered-gradsq.json", "--method", "gradsq",
+     "--starts", "40", "--seed", "7"),
+    ("generate", "nash", "--preset", "matching-pennies", "-o", "pennies.json"),
+    ("generate", "puzzle", "--grid", "2x2", "--colors", "3", "--seed", "8", "-o", "puzzle.json"),
+)
 
 
 def write_campaigns(out, name, seed):
@@ -38,6 +58,17 @@ def write_campaigns(out, name, seed):
         (folder / f"{camp.name}.starts").write_text("".join(lines))
 
 
+def write_cli(out):
+    folder = out / "cli"
+    folder.mkdir(parents=True, exist_ok=True)
+    for run in CLI_RUNS:
+        argv = [str(folder / arg) if arg.endswith(".json") else arg for arg in run]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = spbench.cli.main(argv)
+        if code != 0:
+            sys.exit(f"spbench {' '.join(run)} exited with {code}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory to write the files into")
@@ -47,6 +78,7 @@ def main(argv=None):
     for name in WORKLOADS:
         for seed in SEEDS:
             write_campaigns(args.out, name, seed)
+    write_cli(args.out)
 
 
 if __name__ == "__main__":
