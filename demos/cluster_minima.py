@@ -8,10 +8,10 @@ import spbench as sb
 lj = sb.LennardJonesCluster(2)
 morse = sb.MorseCluster(2, rho=6.0)
 
+# 32 dimer separations from [0.8, 2.5), start i drawn by its own generator (4, i)
+starts = [np.random.default_rng((4, i)).uniform(0.8, 2.5, 1) for i in range(32)]
 for inst in (lj, morse):
-    cfg = sb.SolverConfig(method="newton", starts=32, seed=4,
-                          start_box=(0.8, 2.5))
-    res = sb.multistart(inst, cfg)
+    res = sb.multistart(inst, sb.SolverConfig(method="newton", seed=4), starts=starts)
     sp = min(res.solutions.points, key=lambda s: s.energy)
     print("%-14s minimum at r = %.10f, energy %.10f"
           % (inst.label, sp.point[0], sp.energy))

@@ -40,37 +40,37 @@ def _build_parser():
     gen = sub.add_parser("generate", help="write an instance file")
     fam = gen.add_subparsers(dest="family", required=True)
 
-    p = fam.add_parser("phi4", help="scalar field lattice")
+    # the flags of a family built from plain values have no defaults here: an
+    # omitted one is left to the constructor
+    p = fam.add_parser("phi4", help="scalar field lattice", argument_default=argparse.SUPPRESS)
     p.add_argument("--N", type=int, required=True, help="lattice side length")
-    p.add_argument("--J", type=float, default=0.0, help="neighbor coupling")
-    p.add_argument("--lam", type=float, default=0.6, help="quartic coefficient")
-    p.add_argument("--mu2", type=float, default=2.0, help="squared mass")
+    p.add_argument("--J", type=float, help="neighbor coupling")
+    p.add_argument("--lam", type=float, help="quartic coefficient")
+    p.add_argument("--mu2", type=float, help="squared mass")
 
-    p = fam.add_parser("xy", help="rotor lattice")
+    p = fam.add_parser("xy", help="rotor lattice", argument_default=argparse.SUPPRESS)
     p.add_argument("--d", type=int, required=True, help="lattice dimension (1, 2 or 3)")
     p.add_argument("--L", type=int, required=True, help="lattice side length")
-    p.add_argument("--bc", default="periodic", choices=["periodic", "anti-periodic"])
-    p.add_argument("--disorder", default="constant:1",
-                   help="constant[:VALUE], uniform-signed or uniform:LOW:HIGH")
-    p.add_argument("--seed", type=int, default=None,
-                   help="coupling seed (required for random disorder)")
-    p.add_argument("--no-gauge-fix", action="store_true",
+    p.add_argument("--bc", choices=["periodic", "anti-periodic"])
+    p.add_argument("--disorder", help="constant[:VALUE], uniform-signed or uniform:LOW:HIGH")
+    p.add_argument("--seed", type=int, help="coupling seed (required for random disorder)")
+    p.add_argument("--no-gauge-fix", dest="gauge_fixed", action="store_false",
                    help="keep the global rotation instead of pinning site 0")
 
-    p = fam.add_parser("thomson", help="charges on the unit sphere")
+    p = fam.add_parser("thomson", help="charges on the unit sphere",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--charges", type=int, required=True)
 
-    p = fam.add_parser("lj", help="Lennard-Jones cluster")
+    p = fam.add_parser("lj", help="Lennard-Jones cluster", argument_default=argparse.SUPPRESS)
     p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--sigma", type=float)
 
-    p = fam.add_parser("morse", help="Morse cluster")
+    p = fam.add_parser("morse", help="Morse cluster", argument_default=argparse.SUPPRESS)
     p.add_argument("--atoms", type=int, required=True)
     p.add_argument("--rho", type=float, required=True, help="well stiffness")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--re", dest="r_e", type=float, default=1.0,
-                   help="equilibrium pair distance")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--re", dest="r_e", type=float, help="equilibrium pair distance")
 
     p = fam.add_parser("nash", help="mixed-equilibrium system")
     src = p.add_mutually_exclusive_group(required=True)
@@ -125,13 +125,9 @@ def _cmd_generate(args):
         puzzle, _ = generate_grid_puzzle(cols, rows, args.colors, args.seed)
         inst = PuzzleInstance(puzzle, label=args.label)
     else:
-        params = vars(args)
-        if args.family == "xy":
-            # the options that are not constructor parameters
-            params = dict(params, seed=args.seed or 0, couplings=None,
-                          gauge_fixed=False if args.no_gauge_fix else None)
-        inst = serialize.FAMILIES[args.family].from_params(params, args.label)
-        if args.family == "xy" and inst.disorder["kind"] != "constant" and args.seed is None:
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "family", "out")}
+        inst = serialize.FAMILIES[args.family](**params)
+        if args.family == "xy" and inst.disorder["kind"] != "constant" and "seed" not in params:
             raise CliError("random disorder needs an explicit --seed")
 
     serialize.save_instance(inst, args.out)

@@ -145,6 +145,7 @@ class ThomsonSphere(_Cluster):
     """
 
     family = "thomson"
+    _PARAMS = {"charges": "an int"}
 
     def __init__(self, charges, label=None):
         charges = int(charges)
@@ -210,9 +211,6 @@ class ThomsonSphere(_Cluster):
         return (jac.transpose(0, 2, 1) @ kart @ jac
                 + _block_diagonal(curv.reshape(len(curv), self.charges, 2, 2)))
 
-    def params(self):
-        return {"charges": self.charges}
-
 
 class _PairPotentialCluster(_Cluster):
     """Shared embedding for free clusters of N >= 2 atoms.
@@ -247,6 +245,7 @@ class LennardJonesCluster(_PairPotentialCluster):
     """12-6 pair potential 4 eps ((sigma/r)^12 - (sigma/r)^6) summed over pairs."""
 
     family = "lj"
+    _PARAMS = {"atoms": "an int", "epsilon": "a number", "sigma": "a number"}
 
     def __init__(self, atoms, epsilon=1.0, sigma=1.0, label=None):
         if label is None:
@@ -271,14 +270,12 @@ class LennardJonesCluster(_PairPotentialCluster):
         """Separation and depth of the two-body well: (2^(1/6) sigma, -eps)."""
         return (2.0 ** (1.0 / 6.0) * self.sigma, -self.epsilon)
 
-    def params(self):
-        return {"atoms": self.atoms, "epsilon": self.epsilon, "sigma": self.sigma}
-
 
 class MorseCluster(_PairPotentialCluster):
     """Morse pair potential eps * u * (u - 2) with u = exp(rho (1 - r/r_e))."""
 
     family = "morse"
+    _PARAMS = {"atoms": "an int", "rho": "a number", "epsilon": "a number", "r_e": "a number"}
 
     def __init__(self, atoms, rho, epsilon=1.0, r_e=1.0, label=None):
         if label is None:
@@ -304,9 +301,6 @@ class MorseCluster(_PairPotentialCluster):
     def pair_minimum(self):
         """Separation and depth of the two-body well: (r_e, -eps)."""
         return (self.r_e, -self.epsilon)
-
-    def params(self):
-        return {"atoms": self.atoms, "epsilon": self.epsilon, "r_e": self.r_e, "rho": self.rho}
 
 
 def pair_curvature(cluster):

@@ -16,10 +16,11 @@ every family's derivatives to central differences.
 from __future__ import annotations
 
 import functools
-import inspect
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,7 +42,9 @@ class ProblemInstance:
     """Base class for a concrete problem with a fixed parameter set.
 
     Subclasses set ``family`` and implement the kernels ``energy_batch``,
-    ``residual_batch`` and ``residual_jacobian_batch``, and ``params``.
+    ``residual_batch`` and ``residual_jacobian_batch``.  A family built
+    from plain values states its parameters once, in ``_PARAMS``; others
+    override ``params`` and ``from_params``.
     The per-point ``energy``, ``residual``, ``residual_jacobian`` and
     ``sample_start`` are the batch of one, and the first three raise
     EvaluationError where the kernel masks the row; for the gradient
@@ -54,6 +57,9 @@ class ProblemInstance:
 
     family = "abstract"
     dedup_metric = EUCLIDEAN
+    # each constructor parameter but ``label``, kept as an attribute of its
+    # name, with the ``_TYPES`` rule of its value in an instance file
+    _PARAMS = {}
     # what makes a kernel mask a row, for the per-point error messages
     _failure = "evaluation failed"
 
@@ -123,16 +129,15 @@ class ProblemInstance:
         return self.energy_batch(X)
 
     def params(self):
-        """Serializable dict of the defining parameters."""
-        raise NotImplementedError
+        """Serializable dict of the defining parameters, an array as a list."""
+        values = {name: getattr(self, name) for name in self._PARAMS}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @classmethod
     def from_params(cls, params, label=None):
-        """The instance that a ``params()`` dict describes.  The default
-        passes every constructor parameter but ``label`` by name, and each
-        one must be present; other keys are ignored."""
-        names = [name for name in inspect.signature(cls).parameters if name != "label"]
-        return cls(**{name: params[name] for name in names}, label=label)
+        """The instance that a ``params()`` dict describes: each parameter
+        must be present and obey its rule; other keys are ignored."""
+        return cls(**_checked(params, cls._PARAMS), label=label)
 
     def sample_start_batch(self, rngs):
         """An (m, n) stack of starts from the family's region, row i drawn by ``rngs[i]`` alone."""
@@ -200,15 +205,38 @@ def _block_diagonal(blocks):
     return out.reshape(m, count * rows, count * cols)
 
 
-_RULES = {
-    "finite and >= 0": lambda v: not isinstance(v, bool) and math.isfinite(v) and v >= 0.0,
-    "a bool": lambda v: isinstance(v, bool),
-    "a non-negative int": lambda v: (isinstance(v, (int, np.integer))
-                                     and not isinstance(v, bool) and v >= 0),
-    "None or (lo, hi), not bools, with lo < hi and a finite hi - lo":
-        lambda v: v is None or (len(v) == 2 and bool not in map(type, v) and v[0] < v[1]
-                                and math.isfinite(v[1] - v[0])),
-}
+# the rule of a value read from a file or given as a setting: the types it
+# admits, where a bool is no number, and a test of all the values at once;
+# "numbers" and "ints" admit nested lists of them
+_TYPES = {"a number": (Real, None), "numbers": (Real, None), "an int": (Integral, None),
+          "ints": (Integral, None), "a non-negative int": (Integral, lambda vs: min(vs) >= 0),
+          "finite and >= 0": (Real, lambda vs: all(0 <= v < math.inf for v in vs)),
+          "a bool": (bool, None), "a string": (str, None),
+          "a string or null": ((str, type(None)), None), "a JSON object": (dict, None),
+          "a metric name": (str, lambda vs: set(vs) <= set(_METRICS))}
+
+
+def _typed(values, rule, where):
+    """The list ``values`` when each value obeys ``rule``, a key of ``_TYPES``;
+    otherwise ValueError "<where> must be <rule>" for the first that does not,
+    its position in place of a "{}" in ``where``."""
+    types, test = _TYPES[rule]
+    flat, kinds = values, set(map(type, values))
+    while rule in ("numbers", "ints") and list in kinds:  # nested lists, level by level
+        flat = [x for v in flat for x in (v if type(v) is list else (v,))]
+        kinds = set(map(type, flat))
+    if (all(issubclass(k, types) and (k is not bool or types is bool) for k in kinds)
+            and (test is None or not flat or test(flat))):
+        return values
+    for i, value in enumerate(values if "{}" in where else ()):  # raises at the first bad one
+        _typed([value], rule, where.format(i))
+    raise ValueError(f"{where} must be {rule}, got {json.dumps(values[0], default=repr)[:40]}")
+
+
+def _checked(values, rules, where=""):
+    """The entry of the dict ``values`` for each name of ``rules``, checked by
+    ``_typed`` against its rule; KeyError for a missing one."""
+    return {name: _typed([values[name]], rule, where + name)[0] for name, rule in rules.items()}
 
 
 def _label(base, *extras):
@@ -216,19 +244,6 @@ def _label(base, *extras):
     value is not its default, the values in ``g`` format."""
     return base + "".join(f"-{tag}{float(v):g}" for tag, v, default in extras
                           if float(v) != default)
-
-
-def _require(cfg, **rules):
-    """Raise ValueError unless every named field of ``cfg`` obeys its rule,
-    a key of ``_RULES``; a value of the wrong type fails it."""
-    for name, rule in rules.items():
-        value = getattr(cfg, name)
-        try:
-            ok = _RULES[rule](value)
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)

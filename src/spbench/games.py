@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import RootSystem, _uniform_rows
+from .core import RootSystem, _checked, _uniform_rows
 
 # the slack of ``is_equilibrium``: on the residual, the probabilities and the payoff margins
 EQUILIBRIUM_TOL = 1e-9
@@ -240,11 +240,13 @@ class NashInstance(RootSystem):
 
     @classmethod
     def from_params(cls, params, label=None):
+        params = _checked(params, {"players": "an int", "strategy_counts": "ints",
+                                   "payoffs": "numbers"})
         game = NashGame(params["payoffs"])
-        counts = [int(c) for c in params["strategy_counts"]]
+        counts = params["strategy_counts"]
         if list(game.shape) != counts:
             raise ValueError(f"strategy_counts {counts} do not match payoff shape {game.shape}")
-        if game.players != int(params["players"]):
+        if game.players != params["players"]:
             raise ValueError("player count does not match the payoff tensors")
         return cls(game, label=label)
 

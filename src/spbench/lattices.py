@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, classify_batch, dedup
+from .core import ANGULAR_MOD_2PI, ProblemInstance, _label, _typed, classify_batch, dedup
 
 PERIODIC = "periodic"
 ANTI_PERIODIC = "anti-periodic"
@@ -40,6 +40,7 @@ class Phi4Lattice(ProblemInstance):
     """
 
     family = "phi4"
+    _PARAMS = {"N": "an int", "lam": "a number", "mu2": "a number", "J": "a number"}
     _draw_lo, _draw_span = -6.0, 12.0
 
     def __init__(self, N, lam=0.6, mu2=2.0, J=0.0, label=None):
@@ -91,9 +92,6 @@ class Phi4Lattice(ProblemInstance):
         r = math.sqrt(6.0 * self.mu2 / self.lam)
         return (0.0, r, -r)
 
-    def params(self):
-        return {"N": self.N, "lam": self.lam, "mu2": self.mu2, "J": self.J}
-
     def grid_starts(self, values=(-5.0, 0.0, 5.0)):
         """Cartesian product of per-site start values as an (m, n) stack, one
         row per combination; ValueError above ``GRID_CAP`` rows."""
@@ -134,16 +132,15 @@ _DISORDER_KINDS = {"constant": ("value",), "uniform-signed": (), "uniform": ("lo
 
 def _normalize_disorder(disorder):
     """The coupling disorder as a dict {"kind": ..., and its numbers}.
-    Accepts that dict, a tuple (kind, *numbers), or the string grammar of
-    the command line: ``constant[:VALUE]``, ``uniform-signed`` or
+    Accepts that dict, whose numbers must be numbers, or the string grammar
+    of the command line: ``constant[:VALUE]``, ``uniform-signed`` or
     ``uniform:LOW:HIGH``.  A constant's value defaults to 1."""
     if isinstance(disorder, str):
-        disorder = disorder.split(":")
-    if isinstance(disorder, dict):
+        kind, *numbers = disorder.split(":")
+    elif isinstance(disorder, dict):
         kind = disorder.get("kind")
-        numbers = [disorder[k] for k in _DISORDER_KINDS.get(kind, ()) if k in disorder]
-    elif isinstance(disorder, (tuple, list)) and disorder:
-        kind, *numbers = disorder
+        numbers = [_typed([disorder[k]], "a number", f"disorder {k}")[0]
+                   for k in _DISORDER_KINDS.get(kind, ()) if k in disorder]
     else:
         raise ValueError(f"cannot interpret disorder spec {disorder!r}")
     if kind not in _DISORDER_KINDS:
@@ -179,11 +176,13 @@ class XYLattice(ProblemInstance):
     """
 
     family = "xy"
+    _PARAMS = {"d": "an int", "L": "an int", "bc": "a string", "disorder": "a JSON object",
+               "seed": "a non-negative int", "gauge_fixed": "a bool", "couplings": "numbers"}
     dedup_metric = ANGULAR_MOD_2PI
     # starts pi - U[0, 2pi) land in (-pi, pi]
     _draw_lo, _draw_span = np.pi, -2.0 * np.pi
 
-    def __init__(self, d, L, bc=PERIODIC, disorder=("constant", 1.0), seed=0,
+    def __init__(self, d, L, bc=PERIODIC, disorder="constant", seed=0,
                  gauge_fixed=None, couplings=None, label=None):
         d = int(d)
         L = int(L)
@@ -288,8 +287,3 @@ class XYLattice(ProblemInstance):
     @property
     def n_edges(self):
         return len(self.edge_a)
-
-    def params(self):
-        return {"d": self.d, "L": self.L, "bc": self.bc, "disorder": dict(self.disorder),
-                "seed": self.seed, "gauge_fixed": self.gauge_fixed,
-                "couplings": [float(v) for v in self.couplings]}

@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, RootSystem, _block_diagonal, _masked
+from .core import EvaluationError, RootSystem, _block_diagonal, _checked, _masked, _typed
 
 TWO_PI = 2.0 * math.pi
 # the slack of edge directions, and of the positions ``verify_geometric`` matches
@@ -267,6 +267,8 @@ class PuzzleInstance(RootSystem):
 
     family = "puzzle"
     _failure = "exponential overflow"
+    # an edge's offset, color and angle in an instance file: their keys and rules
+    _EDGE_RULES = {"b": "numbers", "c": "a string", "theta": "a number"}
 
     def __init__(self, puzzle, label=None):
         self.puzzle = puzzle
@@ -342,9 +344,10 @@ class PuzzleInstance(RootSystem):
     @classmethod
     def from_params(cls, params, label=None):
         def piece(d):
-            return Piece([Edge(e["b"], e["c"], e["theta"]) for e in d["edges"]])
+            return Piece([Edge(*_checked(e, cls._EDGE_RULES, "edge ").values())
+                          for e in d["edges"]])
 
-        k_set = [tuple(k) for k in params["k_set"]] if "k_set" in params else None
+        k_set = _typed([params["k_set"]], "ints", "k_set")[0] if "k_set" in params else None
         puzzle = Puzzle(piece(params["frame"]), [piece(p) for p in params["pieces"]],
                         k_set=k_set, label=label)
         return cls(puzzle, label=label)

@@ -22,14 +22,15 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import PointColumns, SolutionSet, classify_batch
+from .core import PointColumns, Provenance, SolutionSet, _checked, _typed, classify_batch
 from .solvers import CampaignStats, SolverConfig
 
 SCHEMA_VERSION = 1
 
-# config keys of older result files for what are now constants in ``solvers``;
-# loading drops them whatever their values
-_RETIRED_KEYS = ("cond_limit", "damping", "gradsq_abs_gtol", "gradsq_rel_gtol", "homotopy")
+# config keys of older result files for what are now constants in ``solvers``,
+# and the retired start box; loading drops them whatever their values
+_RETIRED_KEYS = ("cond_limit", "damping", "gradsq_abs_gtol", "gradsq_rel_gtol", "homotopy",
+                 "start_box")
 
 
 def _fmt_float(v):
@@ -104,45 +105,21 @@ def _points_text(cols):
     return _Json("[\n      " + text + "\n    ]")
 
 
-def _object(value, what):
-    """``value``, which must be a JSON object (a dict); ValueError otherwise."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {json.dumps(value)[:40]}")
-    return value
-
-
-# what each rule admits, by JSON type: a bool is no int here, and "numbers" admits lists of them
-_TYPES = {"a number": {int, float}, "numbers": {int, float}, "an int": {int},
-          "a non-negative int": {int}, "a bool": {bool}, "a string": {str}}
 # the rule of each field of a ``_POINT`` record, in the order of ``PointColumns``; a
 # wrong index, like a wrong shape, loads for ``check_result`` to report
 _POINT_RULES = {"coords": "numbers", "energy": "a number", "residual_norm": "a number",
                 "index": "an int", "zero_eigs": "an int", "singular": "a bool",
                 "solver": "a string", "seed": "a non-negative int",
                 "start_id": "a non-negative int"}
-_PROVENANCE = {"solver": "direct", "seed": 0, "start_id": 0}
-
-
-def _typed(values, rule, where):
-    """The list ``values`` when each value obeys ``rule``, a key of ``_TYPES``;
-    otherwise ValueError "<where> must be <rule>" for the first that does not,
-    its position in place of a "{}" in ``where``."""
-    flat, kinds = values, set(map(type, values))
-    while rule == "numbers" and list in kinds:  # the values of nested lists, level by level
-        flat = [x for v in flat for x in (v if type(v) is list else (v,))]
-        kinds = set(map(type, flat))
-    if kinds <= _TYPES[rule] and (rule != "a non-negative int" or min(flat, default=0) >= 0):
-        return values
-    for i, value in enumerate(values if "{}" in where else ()):  # raises at the first bad one
-        _typed([value], rule, where.format(i))
-    raise ValueError(f"{where} must be {rule}, got {json.dumps(values[0])[:40]}")
+_PROVENANCE = dataclasses.asdict(Provenance())
 
 
 def _point_columns(label, records):
     """The PointColumns of loaded ``_POINT`` records; ValueError names the
     first point and field that breaks its rule in ``_POINT_RULES``."""
-    points = [_object(p, "point") for p in records]
-    prov = [_object(p.get("provenance", {}), "provenance") for p in points]
+    points = _typed(records, "a JSON object", "point {}")
+    prov = _typed([p.get("provenance", {}) for p in points], "a JSON object",
+                  "point {}: provenance")
     return PointColumns(label, *(_typed(
         [d.get(name, _PROVENANCE[name]) for d in prov] if name in _PROVENANCE
         else [p[name] for p in points], rule, f"point {{}}: {name}")
@@ -224,12 +201,13 @@ FAMILIES = {cls.family: cls for cls in (
 
 
 def instance_from_dict(d):
-    if _object(d, "instance file").get("schema_version") != SCHEMA_VERSION:
+    if _typed([d], "a JSON object", "instance file")[0].get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     family = d.get("family")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return FAMILIES[family].from_params(d["params"], d.get("label"))
+    label = _typed([d.get("label")], "a string or null", "label")[0]
+    return FAMILIES[family].from_params(_typed([d["params"]], "a JSON object", "params")[0], label)
 
 
 def save_instance(instance, path):
@@ -242,10 +220,8 @@ def load_instance(path):
 
 
 def config_from_dict(d):
-    d = {k: v for k, v in _object(d, "config").items() if k not in _RETIRED_KEYS}
-    if d.get("start_box") is not None:
-        d["start_box"] = tuple(d["start_box"])
-    return SolverConfig(**d)
+    d = _typed([d], "a JSON object", "config")[0]
+    return SolverConfig(**{k: v for k, v in d.items() if k not in _RETIRED_KEYS})
 
 
 def save_result(result, cfg, path):
@@ -255,7 +231,7 @@ def save_result(result, cfg, path):
     write_atomic(path, dumps({
         "schema_version": SCHEMA_VERSION,
         "instance_label": sol.instance_label,
-        "config": dataclasses.asdict(cfg),  # _emit writes the start_box tuple as a list
+        "config": dataclasses.asdict(cfg),
         "campaign_stats": stats,
         "solutions": {
             "instance_label": sol.instance_label,
@@ -268,17 +244,18 @@ def save_result(result, cfg, path):
 
 def load_result(path):
     with open(path) as fh:
-        d = _object(json.load(fh), "result file")
+        d = _typed([json.load(fh)], "a JSON object", "result file")[0]
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
     sol_d = d["solutions"]
-    label = sol_d["instance_label"]
-    solutions = SolutionSet(float(sol_d["tolerance"]), str(sol_d["metric"]),
-                            _point_columns(label, sol_d["points"]))
-    stats_d = _object(d.get("campaign_stats", {}), "campaign_stats")
-    stats = CampaignStats(**{name: _typed([stats_d.get(name, 0)], "a non-negative int",
-                                          f"campaign_stats: {name}")[0] for name in
-                             ("starts", "converged", "diverged", "spurious", "eval_errors")})
+    sol = _checked(sol_d, {"instance_label": "a string", "tolerance": "finite and >= 0",
+                           "metric": "a metric name"}, "solutions: ")
+    solutions = SolutionSet(float(sol["tolerance"]), sol["metric"],
+                            _point_columns(sol["instance_label"], sol_d["points"]))
+    stats_d = _typed([d.get("campaign_stats", {})], "a JSON object", "campaign_stats")[0]
+    stats = CampaignStats(**{f.name: _typed([stats_d.get(f.name, 0)], "a non-negative int",
+                                            f"campaign_stats: {f.name}")[0]
+                             for f in dataclasses.fields(CampaignStats) if f.type == "int"})
     return {
         "instance_label": d["instance_label"],
         "config": config_from_dict(d["config"]),

@@ -57,7 +57,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 # classify stays importable from here, where bench/tracing.py wraps it
-from .core import SolutionSet, _dots, _require, _uniform_rows, classify, classify_batch, dedup
+from .core import SolutionSet, _checked, _dots, _typed, classify, classify_batch, dedup
 
 # Forcing term of the least-norm step that ``_linear_steps`` takes when the thin
 # SVD of a square system has singular values below the condition guard: the
@@ -123,7 +123,6 @@ class SolverConfig:
     max_iters: int | None = None
     starts: int = 100
     seed: int = 0
-    start_box: tuple | None = None
     dedup_tol: float = 1e-6
     record_trace: bool = False
 
@@ -131,12 +130,11 @@ class SolverConfig:
         if self.method not in _DEFAULT_MAX_ITERS:
             raise ValueError(f"unknown method {self.method!r}, "
                              f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
-        _require(self, starts="a non-negative int", seed="a non-negative int",
-                 accept_tol="finite and >= 0", dedup_tol="finite and >= 0",
-                 start_box="None or (lo, hi), not bools, with lo < hi and a finite hi - lo",
-                 record_trace="a bool")
+        _checked(vars(self), {"starts": "a non-negative int", "seed": "a non-negative int",
+                              "accept_tol": "finite and >= 0", "dedup_tol": "finite and >= 0",
+                              "record_trace": "a bool"})
         if self.max_iters is not None:
-            _require(self, max_iters="a non-negative int")
+            _typed([self.max_iters], "a non-negative int", "max_iters")
 
 
 @dataclass
@@ -532,12 +530,8 @@ def draw_starts(instance, cfg):
     """The campaign's start points, an (m, n) stack.  Start i comes from its
     own generator, the one ``np.random.default_rng((seed, i))`` gives, so
     point i is the same no matter how many starts run or in which order."""
-    rngs = [np.random.Generator(np.random.PCG64(_State(words)))
-            for words in _seed_states(cfg.seed, cfg.starts)]
-    if cfg.start_box is None:
-        return instance.sample_start_batch(rngs)
-    lo, hi = cfg.start_box
-    return _uniform_rows(rngs, lo, hi - lo, instance.n)
+    return instance.sample_start_batch([np.random.Generator(np.random.PCG64(_State(words)))
+                                        for words in _seed_states(cfg.seed, cfg.starts)])
 
 
 def multistart(instance, cfg=None, starts=None):

@@ -130,9 +130,9 @@ def test_criterion_04_dimer_closed_forms():
     morse = sb.MorseCluster(2, rho=6.0)
 
     def deepest(inst):
-        cfg = sb.SolverConfig(method="newton", starts=32, seed=4,
-                              start_box=(0.8, 2.5))
-        res = sb.multistart(inst, cfg)
+        # 32 separations from [0.8, 2.5), start i drawn by its own generator (4, i)
+        starts = [np.random.default_rng((4, i)).uniform(0.8, 2.5, 1) for i in range(32)]
+        res = sb.multistart(inst, sb.SolverConfig(method="newton", seed=4), starts=starts)
         return min(res.solutions.points, key=lambda sp: sp.energy)
 
     lj_min = deepest(lj)

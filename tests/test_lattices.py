@@ -167,7 +167,7 @@ def test_xy_gradient_and_hessian_match_fd():
         XYLattice(1, 4),
         XYLattice(2, 3, disorder="uniform-signed", seed=3),
         XYLattice(1, 5, bc=ANTI_PERIODIC, gauge_fixed=False),
-        XYLattice(3, 2, disorder=("uniform", 0.5, 1.5), seed=9),
+        XYLattice(3, 2, disorder="uniform:0.5:1.5", seed=9),
     ]
     for inst in cases:
         for _ in range(4):
@@ -203,25 +203,27 @@ def test_xy_disorder_seeded_and_reproducible():
     assert np.array_equal(a.couplings, b.couplings)
     assert not np.array_equal(a.couplings, c.couplings)
     assert set(np.unique(a.couplings)) <= {-1.0, 1.0}
-    u = XYLattice(2, 3, disorder=("uniform", 0.25, 0.75), seed=5)
+    u = XYLattice(2, 3, disorder="uniform:0.25:0.75", seed=5)
     assert np.all(u.couplings >= 0.25) and np.all(u.couplings <= 0.75)
 
 
 def test_xy_disorder_grammar():
-    # the command line's strings, tuples and dicts name the same disorder
+    # the command line's strings and the instance file's dicts name the same disorder
     for spec, expect in (("constant", {"kind": "constant", "value": 1.0}),
                          ("constant:2.5", {"kind": "constant", "value": 2.5}),
-                         (("constant", 2.5), {"kind": "constant", "value": 2.5}),
+                         ({"kind": "constant", "value": 2.5}, {"kind": "constant", "value": 2.5}),
                          ("uniform-signed", {"kind": "uniform-signed"}),
                          ("uniform:0.25:0.75", {"kind": "uniform", "low": 0.25, "high": 0.75}),
                          ({"kind": "uniform", "low": 0.25, "high": 0.75},
                           {"kind": "uniform", "low": 0.25, "high": 0.75})):
         assert XYLattice(2, 3, disorder=spec, seed=5).disorder == expect
     assert np.array_equal(XYLattice(2, 3, disorder="uniform:0.25:0.75", seed=5).couplings,
-                          XYLattice(2, 3, disorder=("uniform", 0.25, 0.75), seed=5).couplings)
+                          XYLattice(2, 3, disorder={"kind": "uniform", "low": 0.25,
+                                                    "high": 0.75}, seed=5).couplings)
     for bad in ("uniform", {"kind": "uniform"}, {"kind": "uniform", "low": 0.0}, "uniform:1",
                 "uniform-signed:3", "constant:abc", "constant:1:2", "foo", {"value": 1.0}, (),
-                3.0):
+                3.0, ("constant", 2.5), {"kind": "constant", "value": True},
+                {"kind": "uniform", "low": "0", "high": 1.0}):
         with pytest.raises(ValueError):
             XYLattice(1, 4, disorder=bad)
 

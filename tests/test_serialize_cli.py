@@ -10,7 +10,7 @@ import pytest
 
 from spbench import serialize
 from spbench.cli import main
-from spbench.clusters import MorseCluster, ThomsonSphere
+from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
 from spbench.core import EvaluationError, PointColumns, SolutionSet, classify
 from spbench.games import NashGame, NashInstance, matching_pennies
 from spbench.lattices import Phi4Lattice, XYLattice
@@ -104,8 +104,7 @@ def _hand_made_result():
         ["newton", "homotopy", "gradsq"], [7, 7, 7], [0, 41, 999])  # solver, seed, start_id
     stats = CampaignStats(starts=50, converged=3, diverged=40, spurious=5, eval_errors=2,
                           wall_time=3.25)
-    cfg = SolverConfig(method="newton", accept_tol=1e-12, max_iters=None, starts=50, seed=7,
-                       start_box=(-2.5, 2.5))
+    cfg = SolverConfig(method="newton", accept_tol=1e-12, max_iters=None, starts=50, seed=7)
     return MultistartResult(SolutionSet(1e-6, "euclidean", points), stats, [], []), cfg
 
 
@@ -120,9 +119,6 @@ def _generic_result_text(result, cfg):
     sol = result.solutions
     stats = dataclasses.asdict(result.stats)
     stats["wall_time"] = None
-    config = dataclasses.asdict(cfg)
-    if config["start_box"] is not None:
-        config["start_box"] = list(config["start_box"])
     points = [{
         "coords": [float(v) for v in sp.point],
         "energy": float(sp.energy),
@@ -135,7 +131,7 @@ def _generic_result_text(result, cfg):
     return serialize.dumps({
         "schema_version": serialize.SCHEMA_VERSION,
         "instance_label": sol.instance_label,
-        "config": config,
+        "config": dataclasses.asdict(cfg),
         "campaign_stats": stats,
         "solutions": {"instance_label": sol.instance_label, "tolerance": sol.tolerance,
                       "metric": sol.metric, "points": points},
@@ -232,6 +228,89 @@ def test_instance_file_schema_checks(tmp_path):
             serialize.load_instance(path)
 
 
+def _puzzle():
+    return PuzzleInstance(generate_grid_puzzle(2, 2, 3, seed=5)[0])
+
+
+@pytest.mark.parametrize("make, key, spoil", [
+    (lambda: Phi4Lattice(2), "N", lambda d: d["params"].update(N=2.7)),
+    (lambda: Phi4Lattice(2), "J", lambda d: d["params"].update(J=False)),
+    (lambda: Phi4Lattice(2), "lam", lambda d: d["params"].update(lam="0.6")),
+    (lambda: MorseCluster(2, rho=6.0), "rho", lambda d: d["params"].update(rho="6")),
+    (lambda: XYLattice(1, 4), "L", lambda d: d["params"].update(L=3.0)),
+    (lambda: XYLattice(1, 4), "seed", lambda d: d["params"].update(seed=1.5)),
+    (lambda: XYLattice(1, 4), "gauge_fixed", lambda d: d["params"].update(gauge_fixed="yes")),
+    (lambda: XYLattice(1, 4), "couplings",
+     lambda d: d["params"].update(couplings=[str(c) for c in d["params"]["couplings"]])),
+    (lambda: XYLattice(1, 4), "disorder value",
+     lambda d: d["params"]["disorder"].update(value=True)),
+    (lambda: NashInstance(matching_pennies()), "players",
+     lambda d: d["params"].update(players=2.9)),
+    (lambda: NashInstance(matching_pennies()), "strategy_counts",
+     lambda d: d["params"].update(strategy_counts=[2.5, "2"])),
+    (lambda: NashInstance(matching_pennies()), "payoffs",
+     lambda d: d["params"]["payoffs"][1][0].__setitem__(1, True)),
+    (_puzzle, "k_set", lambda d: d["params"]["k_set"].__setitem__(3, [1.5, True])),
+    (_puzzle, "edge theta", lambda d: d["params"]["frame"]["edges"][0].update(theta="0")),
+    (_puzzle, "edge c", lambda d: d["params"]["pieces"][1]["edges"][2].update(c=7)),
+    (lambda: ThomsonSphere(3), "label", lambda d: d.update(label=7)),
+], ids=["phi4-N-float", "phi4-J-bool", "phi4-lam-str", "morse-rho-str", "xy-L-float",
+        "xy-seed-float", "xy-gauge_fixed-str", "xy-couplings-str", "xy-disorder-bool",
+        "nash-players-float", "nash-strategy_counts", "nash-payoff-bool", "puzzle-k_set",
+        "puzzle-theta-str", "puzzle-color-int", "label-int"])
+def test_instance_file_value_of_the_wrong_type_is_an_error(tmp_path, capsys, make, key, spoil):
+    # casting each of these would load an instance other than the one the file states
+    inst, resf = tmp_path / "inst.json", tmp_path / "r.json"
+    serialize.save_instance(make(), inst)
+    run_cli("solve", str(inst), "-o", str(resf), "--starts", "3", "--seed", "0")
+    raw = json.loads(inst.read_text())
+    spoil(raw)
+    inst.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        serialize.load_instance(inst)
+    capsys.readouterr()
+    assert run_cli("verify", str(inst), str(resf)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
+
+
+_GENERATE_FLAGS = [
+    (["phi4", "--N", "2"], Phi4Lattice, {"N": 2}),
+    (["phi4", "--N", "2", "--J", "0.5"], Phi4Lattice, {"N": 2, "J": 0.5}),
+    (["phi4", "--N", "2", "--lam", "1.5"], Phi4Lattice, {"N": 2, "lam": 1.5}),
+    (["phi4", "--N", "2", "--mu2", "3"], Phi4Lattice, {"N": 2, "mu2": 3.0}),
+    (["xy", "--d", "1", "--L", "4"], XYLattice, {"d": 1, "L": 4}),
+    (["xy", "--d", "1", "--L", "4", "--bc", "anti-periodic"], XYLattice,
+     {"d": 1, "L": 4, "bc": "anti-periodic"}),
+    (["xy", "--d", "2", "--L", "3", "--no-gauge-fix"], XYLattice,
+     {"d": 2, "L": 3, "gauge_fixed": False}),
+    (["xy", "--d", "1", "--L", "4", "--disorder", "constant:2.5"], XYLattice,
+     {"d": 1, "L": 4, "disorder": "constant:2.5"}),
+    (["xy", "--d", "2", "--L", "3", "--disorder", "uniform:0.5:1.5", "--seed", "4"], XYLattice,
+     {"d": 2, "L": 3, "disorder": "uniform:0.5:1.5", "seed": 4}),
+    (["thomson", "--charges", "4"], ThomsonSphere, {"charges": 4}),
+    (["lj", "--atoms", "3"], LennardJonesCluster, {"atoms": 3}),
+    (["lj", "--atoms", "3", "--epsilon", "2"], LennardJonesCluster, {"atoms": 3, "epsilon": 2.0}),
+    (["lj", "--atoms", "3", "--sigma", "1.5"], LennardJonesCluster, {"atoms": 3, "sigma": 1.5}),
+    (["morse", "--atoms", "3", "--rho", "6"], MorseCluster, {"atoms": 3, "rho": 6.0}),
+    (["morse", "--atoms", "3", "--rho", "6", "--epsilon", "0.5"], MorseCluster,
+     {"atoms": 3, "rho": 6.0, "epsilon": 0.5}),
+    (["morse", "--atoms", "3", "--rho", "6", "--re", "1.2"], MorseCluster,
+     {"atoms": 3, "rho": 6.0, "r_e": 1.2}),
+]
+
+
+@pytest.mark.parametrize("flags, cls, kwargs", _GENERATE_FLAGS,
+                         ids=[" ".join(flags) for flags, _, _ in _GENERATE_FLAGS])
+def test_cli_generate_flag_writes_what_the_constructor_builds(tmp_path, capsys, flags, cls,
+                                                              kwargs):
+    # each flag reaches its constructor parameter, and an omitted one is the constructor's default
+    assert run_cli("generate", *flags, "-o", str(tmp_path / "cli.json")) == 0
+    capsys.readouterr()
+    serialize.save_instance(cls(**kwargs), tmp_path / "lib.json")
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
 def test_result_file_config_is_validated(tmp_path):
     inst = Phi4Lattice(1)
     cfg = SolverConfig(method="newton", seed=0)
@@ -246,10 +325,8 @@ def test_result_file_config_is_validated(tmp_path):
 
 def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
     inst, path = _solved_phi4(tmp_path, capsys)
-    for name, bad in (("starts", 2.5), ("max_iters", 2.5), ("seed", -1),
-                      ("start_box", [2.0, -2.0]), ("start_box", [1.0]),
-                      ("start_box", [False, True]), ("accept_tol", True), ("dedup_tol", False),
-                      ("record_trace", "no")):
+    for name, bad in (("starts", 2.5), ("max_iters", 2.5), ("seed", -1), ("accept_tol", True),
+                      ("dedup_tol", False), ("record_trace", "no")):
         raw = json.loads(path.read_text())
         raw["config"][name] = bad
         bad_path = tmp_path / f"bad-{name}.json"
@@ -267,22 +344,26 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
     ("provenance", "seed", lambda v: True), ("provenance", "solver", lambda v: 7),
     ("provenance", "start_id", lambda v: 2.9),
     ("campaign_stats", "converged", lambda v: 2.5), ("campaign_stats", "converged", str),
+    ("solutions", "tolerance", str), ("solutions", "tolerance", lambda v: -v),
+    ("solutions", "tolerance", lambda v: math.nan), ("solutions", "metric", lambda v: 7),
+    ("solutions", "metric", lambda v: "manhattan"),
 ], ids=["index-float", "index-str", "energy-str", "residual-str", "coords-str", "seed-bool",
-        "solver-int", "start_id-float", "converged-float", "converged-str"])
+        "solver-int", "start_id-float", "converged-float", "converged-str", "tolerance-str",
+        "tolerance-negative", "tolerance-nan", "metric-int", "metric-unknown"])
 def test_cli_verify_exits_1_on_a_field_of_the_wrong_type(tmp_path, capsys, record, field, spoil):
     # casting each of these to its column's type would load a file that verifies
     inst, resf = _solved_phi4(tmp_path, capsys)
     raw = json.loads(resf.read_text())
     i, point = next((i, p) for i, p in enumerate(raw["solutions"]["points"]) if p["index"] == 1)
     target = {"point": point, "provenance": point["provenance"],
-              "campaign_stats": raw["campaign_stats"]}[record]
+              "campaign_stats": raw["campaign_stats"], "solutions": raw["solutions"]}[record]
     target[field] = spoil(target[field])
     resf.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match=field):
         serialize.load_result(resf)
     assert run_cli("verify", str(inst), str(resf)) == 1
     err = capsys.readouterr().err.splitlines()
-    where = "campaign_stats" if record == "campaign_stats" else f"point {i}"
+    where = record if record in ("campaign_stats", "solutions") else f"point {i}"
     assert len(err) == 1 and err[0].startswith(f"error: {where}: {field} must be ")
 
 
@@ -638,13 +719,14 @@ def test_cli_verify_flags_tampered_file(tmp_path, capsys):
     assert "mismatch" in err
 
 
-# the solver settings that result files carried before they became constants,
-# with the values every such file held
+# the solver settings that result files carried before they became constants or,
+# for start_box, were retired, with the values every such file held by default
 RETIRED_CONFIG = {
     "cond_limit": 1e12, "gradsq_abs_gtol": 1e-9, "gradsq_rel_gtol": 1e-6,
     "damping": {"backtrack": 0.5, "decrease": 1e-4, "initial": 1.0, "min_step": 1e-12},
     "homotopy": {"corrector_iters": 5, "dt_initial": 0.05, "dt_max": 0.25, "dt_min": 1e-8,
                  "easy_iters": 2, "grow": 1.5},
+    "start_box": None,
 }
 
 
@@ -660,7 +742,8 @@ def test_result_files_with_the_retired_settings_still_load(tmp_path, capsys):
     # whatever their values, the retired keys are dropped on loading
     _, cfg = _hand_made_result()
     old = json.loads((DATA / "hand_made_result.json").read_text())
-    for retired in (RETIRED_CONFIG, {"cond_limit": 1.0, "damping": {"backtrack": 2.0}}):
+    for retired in (RETIRED_CONFIG, {"cond_limit": 1.0, "damping": {"backtrack": 2.0},
+                                     "start_box": [-2.5, 2.5]}):
         old["config"].update(retired)
         (tmp_path / "old.json").write_text(serialize.dumps(old))
         assert serialize.load_result(tmp_path / "old.json")["config"] == cfg

@@ -43,6 +43,20 @@ CLI_RUNS = (
      "--starts", "40", "--seed", "7"),
     ("generate", "nash", "--preset", "matching-pennies", "-o", "pennies.json"),
     ("generate", "puzzle", "--grid", "2x2", "--colors", "3", "--seed", "8", "-o", "puzzle.json"),
+    ("generate", "thomson", "--charges", "5", "-o", "thomson.json"),
+    ("generate", "lj", "--atoms", "4", "-o", "lj.json"),
+    ("generate", "morse", "--atoms", "4", "--rho", "6", "-o", "morse.json"),
+    # each optional flag of the families built from plain values
+    ("generate", "phi4", "--N", "2", "--J", "0.25", "-o", "phi4-J.json"),
+    ("generate", "phi4", "--N", "2", "--lam", "1.5", "-o", "phi4-lam.json"),
+    ("generate", "phi4", "--N", "2", "--mu2", "3", "-o", "phi4-mu2.json"),
+    ("generate", "xy", "--d", "1", "--L", "4", "--bc", "anti-periodic", "-o", "ring-bc.json"),
+    ("generate", "xy", "--d", "2", "--L", "3", "--no-gauge-fix", "-o", "xy-nogauge.json"),
+    ("generate", "xy", "--d", "1", "--L", "4", "--disorder", "constant:2.5",
+     "-o", "ring-constant.json"),
+    ("generate", "lj", "--atoms", "4", "--epsilon", "2", "-o", "lj-epsilon.json"),
+    ("generate", "lj", "--atoms", "4", "--sigma", "1.5", "-o", "lj-sigma.json"),
+    ("generate", "morse", "--atoms", "4", "--rho", "6", "--re", "1.2", "-o", "morse-re.json"),
 )
 
 
