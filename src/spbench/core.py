@@ -207,9 +207,10 @@ def _block_diagonal(blocks):
 
 # the rule of a value read from a file or given as a setting: the types it
 # admits, where a bool is no number, and a test of all the values at once;
-# "numbers" and "ints" admit nested lists of them
+# "numbers" admits a number or nested lists of them, "a list of ..." only the lists
 _TYPES = {"a number": (Real, None), "numbers": (Real, None), "an int": (Integral, None),
-          "ints": (Integral, None), "a non-negative int": (Integral, lambda vs: min(vs) >= 0),
+          "a list of numbers": (Real, None), "a list of ints": (Integral, None),
+          "a non-negative int": (Integral, lambda vs: min(vs) >= 0),
           "finite and >= 0": (Real, lambda vs: all(0 <= v < math.inf for v in vs)),
           "a bool": (bool, None), "a string": (str, None),
           "a string or null": ((str, type(None)), None), "a JSON object": (dict, None),
@@ -222,10 +223,11 @@ def _typed(values, rule, where):
     its position in place of a "{}" in ``where``."""
     types, test = _TYPES[rule]
     flat, kinds = values, set(map(type, values))
-    while rule in ("numbers", "ints") and list in kinds:  # nested lists, level by level
+    listed = kinds <= {list} or not rule.startswith("a list")
+    while rule.endswith(("numbers", "ints")) and list in kinds:  # nested lists, level by level
         flat = [x for v in flat for x in (v if type(v) is list else (v,))]
         kinds = set(map(type, flat))
-    if (all(issubclass(k, types) and (k is not bool or types is bool) for k in kinds)
+    if (listed and all(issubclass(k, types) and (k is not bool or types is bool) for k in kinds)
             and (test is None or not flat or test(flat))):
         return values
     for i, value in enumerate(values if "{}" in where else ()):  # raises at the first bad one
@@ -235,7 +237,11 @@ def _typed(values, rule, where):
 
 def _checked(values, rules, where=""):
     """The entry of the dict ``values`` for each name of ``rules``, checked by
-    ``_typed`` against its rule; KeyError for a missing one."""
+    ``_typed`` against its rule; ValueError "<where><name> is missing" for a
+    missing one."""
+    for name in rules:
+        if name not in values:
+            raise ValueError(f"{where}{name} is missing")
     return {name: _typed([values[name]], rule, where + name)[0] for name, rule in rules.items()}
 
 

@@ -240,8 +240,8 @@ class NashInstance(RootSystem):
 
     @classmethod
     def from_params(cls, params, label=None):
-        params = _checked(params, {"players": "an int", "strategy_counts": "ints",
-                                   "payoffs": "numbers"})
+        params = _checked(params, {"players": "an int", "strategy_counts": "a list of ints",
+                                   "payoffs": "a list of numbers"})
         game = NashGame(params["payoffs"])
         counts = params["strategy_counts"]
         if list(game.shape) != counts:

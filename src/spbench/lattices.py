@@ -177,7 +177,8 @@ class XYLattice(ProblemInstance):
 
     family = "xy"
     _PARAMS = {"d": "an int", "L": "an int", "bc": "a string", "disorder": "a JSON object",
-               "seed": "a non-negative int", "gauge_fixed": "a bool", "couplings": "numbers"}
+               "seed": "a non-negative int", "gauge_fixed": "a bool",
+               "couplings": "a list of numbers"}
     dedup_metric = ANGULAR_MOD_2PI
     # starts pi - U[0, 2pi) land in (-pi, pi]
     _draw_lo, _draw_span = np.pi, -2.0 * np.pi

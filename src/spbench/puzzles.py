@@ -268,7 +268,7 @@ class PuzzleInstance(RootSystem):
     family = "puzzle"
     _failure = "exponential overflow"
     # an edge's offset, color and angle in an instance file: their keys and rules
-    _EDGE_RULES = {"b": "numbers", "c": "a string", "theta": "a number"}
+    _EDGE_RULES = {"b": "a list of numbers", "c": "a string", "theta": "a number"}
 
     def __init__(self, puzzle, label=None):
         self.puzzle = puzzle
@@ -347,7 +347,8 @@ class PuzzleInstance(RootSystem):
             return Piece([Edge(*_checked(e, cls._EDGE_RULES, "edge ").values())
                           for e in d["edges"]])
 
-        k_set = _typed([params["k_set"]], "ints", "k_set")[0] if "k_set" in params else None
+        k_set = (_typed([params["k_set"]], "a list of ints", "k_set")[0]
+                 if "k_set" in params else None)
         puzzle = Puzzle(piece(params["frame"]), [piece(p) for p in params["pieces"]],
                         k_set=k_set, label=label)
         return cls(puzzle, label=label)

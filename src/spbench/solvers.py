@@ -4,8 +4,9 @@
 start; all three share one outcome type:
 
 * ``newton``: damped Newton on the residual, backtracking on the residual
-  norm.  Each linear step comes from one thin SVD of the Jacobian, which
-  also gives the condition-number guard: the step lives on the singular
+  norm.  Each linear step is inverse first, SVD where the guard is in
+  doubt: a square Jacobian well inside the condition-number guard takes
+  the step from its inverse, others from a thin SVD, on the singular
   directions within ``COND_LIMIT`` of the largest.  A square system that
   drops some of them still gets the least-norm step, provided the
   right-hand side barely reaches the dropped ones (an inexact-Newton step,
@@ -13,7 +14,7 @@ start; all three share one outcome type:
   gets the least-squares step.  Otherwise the start ends ``singular-step``.
   Quadratic near regular roots, and the workhorse everywhere.
 * ``gradsq``: Levenberg-Marquardt descent on W = |f|^2 along
-  V diag(s / (s^2 + mu)) U^T (-f) from the same thin SVD, backtracking on W
+  V diag(s / (s^2 + mu)) U^T (-f) from the thin SVD, backtracking on W
   through the line search it shares with Newton.  Each start's damping mu
   falls while full steps pass, towards Gauss-Newton's step, and rises while
   they fail, towards a short step along -grad W.  It cannot jump over
@@ -229,9 +230,30 @@ class _Batch:
                         self.traces or [None] * len(self.x)))
 
 
+def _inverses(jac):
+    """Inverses of a stack of square matrices, and the mask of rows with
+    cond_inf = |J|_inf |J^-1|_inf below COND_LIMIT / n.  Since
+    cond_2 <= n cond_inf, every singular value of such a row passes the SVD
+    guard.  A stacked ``inv`` fails as a whole on one exactly singular
+    matrix; the stack is then bisected, so that only such a matrix fails."""
+    m, n = len(jac), jac.shape[-1]
+    try:
+        inv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        if m == 1:  # the matrix stands in for the inverse it has not
+            return jac, np.zeros(1, dtype=bool)
+        halves = _inverses(jac[:m // 2]), _inverses(jac[m // 2:])
+        return tuple(np.concatenate(part) for part in zip(*halves))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
+    return inv, cond < COND_LIMIT / n
+
+
 def _linear_steps(jac, rhs, mu=None):
-    """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems with one
-    stacked thin SVD; returns the steps and a mask of the rows that have one.
+    """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems, inverse
+    first, SVD where the guard is in doubt; returns the steps and a mask of
+    the rows that have one.  An undamped square row that passes the test of
+    ``_inverses`` takes inv @ rhs; the other rows share one stacked thin SVD.
     Given a damping ``mu[i]`` per row, every finite row has a step, the
     Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
 
@@ -251,6 +273,13 @@ def _linear_steps(jac, rhs, mu=None):
     m, k, n = jac.shape
     delta, ok = np.zeros((m, n)), np.zeros(m, dtype=bool)
     rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
+    if mu is None and k == n:
+        inv, good = _inverses(jac[rows])
+        delta[rows[good]] = (inv[good] @ rhs[rows[good]][:, :, None])[:, :, 0]
+        ok[rows[good]] = True
+        rows = rows[~good]
+        if not len(rows):
+            return delta, ok
     b = rhs[rows]
     u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
     keep = (s > 0.0) & (s >= s[:, :1] / COND_LIMIT)

@@ -33,7 +33,9 @@ def _norm(instance, x):
 
 
 def _step(jac, rhs):
-    """One system's step from its thin SVD J = U diag(s) V^T: V diag(1/s) U^T
+    """One system's step.  A square system with an inverse and
+    cond_inf = |J|_inf |J^-1|_inf below ``COND_LIMIT`` / n takes J^-1 rhs.
+    Any other takes it from its thin SVD J = U diag(s) V^T: V diag(1/s) U^T
     rhs on the singular values s > 0 within ``COND_LIMIT`` of the largest.
     A rectangular system must keep them all; a square one may drop some when
     the share of rhs in the dropped directions is at most the forcing term."""
@@ -41,6 +43,16 @@ def _step(jac, rhs):
     if not np.all(np.isfinite(jac)):
         return None
     m, n = jac.shape
+    if m == n:
+        try:
+            inv = np.linalg.inv(jac)
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cond = np.abs(jac).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+            if cond < COND_LIMIT / n:
+                return inv @ rhs
     u, sv, vt = np.linalg.svd(jac, full_matrices=False)
     keep = (sv > 0.0) & (sv >= sv[0] / COND_LIMIT)
     proj = rhs @ u

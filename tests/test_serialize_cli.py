@@ -210,7 +210,7 @@ def test_instance_file_schema_checks(tmp_path):
     d = serialize.instance_to_dict(Phi4Lattice(2))
     del d["params"]["lam"]
     path.write_text(json.dumps(d))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^lam is missing$"):
         serialize.load_instance(path)
     # an incomplete disorder is a ValueError
     d = serialize.instance_to_dict(XYLattice(2, 3, disorder="uniform-signed", seed=1))
@@ -254,10 +254,20 @@ def _puzzle():
     (_puzzle, "edge theta", lambda d: d["params"]["frame"]["edges"][0].update(theta="0")),
     (_puzzle, "edge c", lambda d: d["params"]["pieces"][1]["edges"][2].update(c=7)),
     (lambda: ThomsonSphere(3), "label", lambda d: d.update(label=7)),
+    # a bare number where a list is meant
+    (lambda: XYLattice(1, 4), "couplings", lambda d: d["params"].update(couplings=1.0)),
+    (lambda: NashInstance(matching_pennies()), "strategy_counts",
+     lambda d: d["params"].update(strategy_counts=2)),
+    (lambda: NashInstance(matching_pennies()), "payoffs",
+     lambda d: d["params"].update(payoffs=1.0)),
+    (_puzzle, "k_set", lambda d: d["params"].update(k_set=5)),
+    (_puzzle, "edge b", lambda d: d["params"]["frame"]["edges"][0].update(b=0.5)),
 ], ids=["phi4-N-float", "phi4-J-bool", "phi4-lam-str", "morse-rho-str", "xy-L-float",
         "xy-seed-float", "xy-gauge_fixed-str", "xy-couplings-str", "xy-disorder-bool",
         "nash-players-float", "nash-strategy_counts", "nash-payoff-bool", "puzzle-k_set",
-        "puzzle-theta-str", "puzzle-color-int", "label-int"])
+        "puzzle-theta-str", "puzzle-color-int", "label-int", "xy-couplings-scalar",
+        "nash-strategy_counts-scalar", "nash-payoffs-scalar", "puzzle-k_set-scalar",
+        "puzzle-b-scalar"])
 def test_instance_file_value_of_the_wrong_type_is_an_error(tmp_path, capsys, make, key, spoil):
     # casting each of these would load an instance other than the one the file states
     inst, resf = tmp_path / "inst.json", tmp_path / "r.json"
@@ -272,6 +282,28 @@ def test_instance_file_value_of_the_wrong_type_is_an_error(tmp_path, capsys, mak
     assert run_cli("verify", str(inst), str(resf)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {key} must be ")
+
+
+@pytest.mark.parametrize("make, key, drop", [
+    (lambda: Phi4Lattice(2), "lam", lambda d: d["params"].pop("lam")),
+    (lambda: XYLattice(1, 4), "couplings", lambda d: d["params"].pop("couplings")),
+    (lambda: ThomsonSphere(3), "charges", lambda d: d["params"].pop("charges")),
+    (lambda: LennardJonesCluster(3), "sigma", lambda d: d["params"].pop("sigma")),
+    (lambda: MorseCluster(2, rho=6.0), "r_e", lambda d: d["params"].pop("r_e")),
+    (lambda: NashInstance(matching_pennies()), "payoffs", lambda d: d["params"].pop("payoffs")),
+    (_puzzle, "edge theta", lambda d: d["params"]["pieces"][0]["edges"][1].pop("theta")),
+], ids=["phi4", "xy", "thomson", "lj", "morse", "nash", "puzzle"])
+def test_instance_file_without_a_parameter_names_it(tmp_path, capsys, make, key, drop):
+    inst = tmp_path / "inst.json"
+    serialize.save_instance(make(), inst)
+    raw = json.loads(inst.read_text())
+    drop(raw)
+    inst.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"^{key} is missing$"):
+        serialize.load_instance(inst)
+    capsys.readouterr()
+    assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"), "--starts", "3") == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {key} is missing"]
 
 
 _GENERATE_FLAGS = [

@@ -625,6 +625,83 @@ def test_linear_steps_agree_with_numpy(k, n):
         assert np.linalg.norm(d - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def _svd_step(jac, rhs):
+    """One system's step by the SVD rule alone: V diag(1/s) U^T rhs on the
+    kept singular values."""
+    u, s, vt = np.linalg.svd(jac[None], full_matrices=False)
+    keep = (s > 0.0) & (s >= s[:, :1] / solvers.COND_LIMIT)
+    proj = (rhs[None, None, :] @ u)[:, 0, :]
+    coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)
+    return (coef[:, None, :] @ vt)[0, 0, :]
+
+
+def test_linear_steps_bisect_around_singular_rows():
+    # a stacked inv fails as a whole on one exactly singular matrix: the
+    # stack is bisected, so the well-conditioned rows keep their inverse
+    # steps and each singular row gets the SVD rule's least-norm step (rows 0
+    # and 8, rhs in the range) or none (row 4, rhs in the null directions)
+    rng = np.random.default_rng(9)
+    jac = rng.standard_normal((9, 4, 4)) + 4.0 * np.eye(4)
+    rhs = rng.standard_normal((9, 4))
+    jac[[0, 4, 8]] = np.diag([1.0, 0.0, 0.0, 0.0])
+    rhs[[0, 4, 8]] = [[2.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]]
+    delta, ok = _linear_steps(jac, rhs)
+    assert ok.tolist() == [True] * 4 + [False] + [True] * 4
+    for i, (j, r) in enumerate(zip(jac, rhs)):
+        alone, has = _linear_steps(j[None], r[None])
+        assert has[0] == ok[i] and np.array_equal(alone[0], delta[i])
+        if i % 4:
+            assert np.array_equal(delta[i], np.linalg.inv(j) @ r)
+    assert np.array_equal(delta[[0, 8]], [[2.0, 0.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]])
+    assert not delta[4].any()
+
+
+def test_linear_steps_take_the_svd_where_the_inverse_guard_is_in_doubt():
+    # cond_inf just above COND_LIMIT / n, cond_2 below COND_LIMIT: the row
+    # passes the SVD guard, and its step has the SVD rule's bits, not the
+    # inverse's
+    rng = np.random.default_rng(1)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+    base = q1 @ np.diag([1.0, 0.5, 0.3, 0.0]) @ q2.T
+    tail = np.outer(q2[:, 3], q1[:, 3])  # J^-1 is about tail / t for a small t
+    t = np.abs(base).sum(axis=1).max() * np.abs(tail).sum(axis=1).max() / (
+        1.01 * solvers.COND_LIMIT / 4)
+    jac = base + t * np.outer(q1[:, 3], q2[:, 3])
+    rhs = rng.standard_normal(4)
+    cond_inf = np.abs(jac).sum(axis=1).max() * np.abs(np.linalg.inv(jac)).sum(axis=1).max()
+    assert solvers.COND_LIMIT / 4 < cond_inf < 1.05 * solvers.COND_LIMIT / 4
+    assert np.linalg.cond(jac) < solvers.COND_LIMIT
+    delta, ok = _linear_steps(jac[None], rhs[None])
+    assert ok[0] and np.array_equal(delta[0], _svd_step(jac, rhs))
+    assert not np.array_equal(delta[0], np.linalg.inv(jac) @ rhs)
+
+
+def test_linear_steps_take_the_svd_where_the_inverse_overflows():
+    # 1 / 1e-310 overflows, so the inverse is not finite; the SVD drops that
+    # direction and, with no rhs in it, takes the least-norm step
+    jac = np.diag([1.0, 2.0, 4.0, 1e-310])
+    rhs = np.array([1.0, 1.0, 1.0, 0.0])
+    assert not np.isfinite(np.linalg.inv(jac)).all()
+    delta, ok = _linear_steps(jac[None], rhs[None])
+    assert ok[0] and np.array_equal(delta[0], _svd_step(jac, rhs))
+    assert np.array_equal(delta[0], [1.0, 0.5, 0.25, 0.0])
+
+
+def test_linear_steps_make_no_svd_call_when_every_row_passes(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(4)
+    jac = rng.standard_normal((6, 3, 3)) + 3.0 * np.eye(3)
+    rhs = rng.standard_normal((6, 3))
+    assert _linear_steps(jac, rhs)[1].all() and not calls
+    jac[2] = np.diag([1.0, 1.0, 0.0])  # one row left for the SVD
+    assert _linear_steps(jac, rhs)[1].tolist() == [True, True, False, True, True, True]
+    assert len(calls) == 1
+    _linear_steps(jac, rhs, np.ones(6))  # gradsq rows always take the SVD
+    assert len(calls) == 2
+
+
 class Shell(ProblemInstance):
     """f(x) = x (|x|^2 - 1) in the plane, masked inside |x| < 0.5; counts its
     calls and keeps every row it evaluates."""
