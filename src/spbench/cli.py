@@ -86,17 +86,19 @@ def _build_parser():
         sp.add_argument("-o", "--out", required=True, help="instance file to write")
         sp.add_argument("--label", default=None, help="override the instance label")
 
-    sol = sub.add_parser("solve", help="run a multistart campaign")
+    # the solver flags have no defaults here either: an omitted one is left to SolverConfig
+    sol = sub.add_parser("solve", help="run a multistart campaign",
+                         argument_default=argparse.SUPPRESS)
     sol.add_argument("instance", help="instance file")
     sol.add_argument("-o", "--out", required=True, help="result file to write")
-    sol.add_argument("--method", default="newton", choices=list(_METHODS))
+    sol.add_argument("--method", choices=list(_METHODS))
     sol.add_argument("--starts", default="100",
                      help="start count, or grid3 for the 3-value grid (phi4)")
     sol.add_argument("--seed", type=int, default=None,
                      help="start seed (required for sampled starts)")
-    sol.add_argument("--tol", type=float, default=1e-10, help="acceptance tolerance")
-    sol.add_argument("--max-iters", type=int, default=None)
-    sol.add_argument("--dedup-tol", type=float, default=1e-6)
+    sol.add_argument("--tol", dest="accept_tol", type=float, help="acceptance tolerance")
+    sol.add_argument("--max-iters", type=int)
+    sol.add_argument("--dedup-tol", type=float)
 
     rep = sub.add_parser("report", help="summarize a result file")
     rep.add_argument("result", help="result file")
@@ -158,9 +160,9 @@ def _cmd_solve(args):
             raise CliError("sampled starts need an explicit --seed")
         seed = args.seed
 
-    cfg = SolverConfig(method=args.method, accept_tol=args.tol,
-                       max_iters=args.max_iters, starts=n_starts, seed=seed,
-                       dedup_tol=args.dedup_tol)
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("command", "instance", "out", "starts", "seed")}
+    cfg = SolverConfig(starts=n_starts, seed=seed, **given)
     result = multistart(inst, cfg, starts=explicit_starts)
     serialize.save_result(result, cfg, args.out)
     s = result.stats

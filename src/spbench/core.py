@@ -207,9 +207,10 @@ def _block_diagonal(blocks):
 
 # the rule of a value read from a file or given as a setting: the types it
 # admits, where a bool is no number, and a test of all the values at once;
-# "numbers" admits a number or nested lists of them, "a list of ..." only the lists
+# "numbers" admits a number or nested lists of them, "a list ..." only the lists
 _TYPES = {"a number": (Real, None), "numbers": (Real, None), "an int": (Integral, None),
-          "a list of numbers": (Real, None), "a list of ints": (Integral, None),
+          "a list": (list, None), "a list of numbers": (Real, None),
+          "a list of ints": (Integral, None),
           "a non-negative int": (Integral, lambda vs: min(vs) >= 0),
           "finite and >= 0": (Real, lambda vs: all(0 <= v < math.inf for v in vs)),
           "a bool": (bool, None), "a string": (str, None),
@@ -217,10 +218,14 @@ _TYPES = {"a number": (Real, None), "numbers": (Real, None), "an int": (Integral
           "a metric name": (str, lambda vs: set(vs) <= set(_METRICS))}
 
 
+_MISSING = object()  # a value that is not there, which no rule admits
+
+
 def _typed(values, rule, where):
     """The list ``values`` when each value obeys ``rule``, a key of ``_TYPES``;
-    otherwise ValueError "<where> must be <rule>" for the first that does not,
-    its position in place of a "{}" in ``where``."""
+    otherwise ValueError "<where> must be <rule>", or "<where> is missing"
+    for ``_MISSING``, for the first that does not, its position in place of
+    a "{}" in ``where``."""
     types, test = _TYPES[rule]
     flat, kinds = values, set(map(type, values))
     listed = kinds <= {list} or not rule.startswith("a list")
@@ -232,17 +237,18 @@ def _typed(values, rule, where):
         return values
     for i, value in enumerate(values if "{}" in where else ()):  # raises at the first bad one
         _typed([value], rule, where.format(i))
+    if values[0] is _MISSING:
+        raise ValueError(f"{where} is missing")
     raise ValueError(f"{where} must be {rule}, got {json.dumps(values[0], default=repr)[:40]}")
 
 
 def _checked(values, rules, where=""):
-    """The entry of the dict ``values`` for each name of ``rules``, checked by
-    ``_typed`` against its rule; ValueError "<where><name> is missing" for a
-    missing one."""
-    for name in rules:
-        if name not in values:
-            raise ValueError(f"{where}{name} is missing")
-    return {name: _typed([values[name]], rule, where + name)[0] for name, rule in rules.items()}
+    """The entry of the JSON object ``values`` for each name of ``rules``,
+    checked by ``_typed`` against its rule, where ``where`` names ``values``
+    ("params" when empty) and prefixes each name."""
+    values = _typed([values], "a JSON object", where.rstrip(": ") or "params")[0]
+    return {name: _typed([values.get(name, _MISSING)], rule, where + name)[0]
+            for name, rule in rules.items()}
 
 
 def _label(base, *extras):

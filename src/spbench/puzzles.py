@@ -343,13 +343,15 @@ class PuzzleInstance(RootSystem):
 
     @classmethod
     def from_params(cls, params, label=None):
-        def piece(d):
+        def piece(d, where):
             return Piece([Edge(*_checked(e, cls._EDGE_RULES, "edge ").values())
-                          for e in d["edges"]])
+                          for e in _checked(d, {"edges": "a list"}, where)["edges"]])
 
+        parts = _checked(params, {"frame": "a JSON object", "pieces": "a list"})
         k_set = (_typed([params["k_set"]], "a list of ints", "k_set")[0]
                  if "k_set" in params else None)
-        puzzle = Puzzle(piece(params["frame"]), [piece(p) for p in params["pieces"]],
+        puzzle = Puzzle(piece(parts["frame"], "frame: "),
+                        [piece(p, f"piece {i}: ") for i, p in enumerate(parts["pieces"])],
                         k_set=k_set, label=label)
         return cls(puzzle, label=label)
 

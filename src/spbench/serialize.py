@@ -22,7 +22,8 @@ import tempfile
 import numpy as np
 
 from . import clusters, games, lattices, puzzles
-from .core import PointColumns, Provenance, SolutionSet, _checked, _typed, classify_batch
+from .core import (
+    _MISSING, PointColumns, Provenance, SolutionSet, _checked, _typed, classify_batch)
 from .solvers import CampaignStats, SolverConfig
 
 SCHEMA_VERSION = 1
@@ -122,7 +123,7 @@ def _point_columns(label, records):
                   "point {}: provenance")
     return PointColumns(label, *(_typed(
         [d.get(name, _PROVENANCE[name]) for d in prov] if name in _PROVENANCE
-        else [p[name] for p in points], rule, f"point {{}}: {name}")
+        else [p.get(name, _MISSING) for p in points], rule, f"point {{}}: {name}")
         for name, rule in _POINT_RULES.items()))
 
 
@@ -207,7 +208,7 @@ def instance_from_dict(d):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     label = _typed([d.get("label")], "a string or null", "label")[0]
-    return FAMILIES[family].from_params(_typed([d["params"]], "a JSON object", "params")[0], label)
+    return FAMILIES[family].from_params(_checked(d, {"params": "a JSON object"})["params"], label)
 
 
 def save_instance(instance, path):
@@ -247,18 +248,19 @@ def load_result(path):
         d = _typed([json.load(fh)], "a JSON object", "result file")[0]
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    sol_d = d["solutions"]
-    sol = _checked(sol_d, {"instance_label": "a string", "tolerance": "finite and >= 0",
-                           "metric": "a metric name"}, "solutions: ")
+    top = _checked(d, {"instance_label": "a string", "config": "a JSON object",
+                       "solutions": "a JSON object"}, "result file: ")
+    sol = _checked(top["solutions"], {"instance_label": "a string", "tolerance": "finite and >= 0",
+                                      "metric": "a metric name", "points": "a list"}, "solutions: ")
     solutions = SolutionSet(float(sol["tolerance"]), sol["metric"],
-                            _point_columns(sol["instance_label"], sol_d["points"]))
+                            _point_columns(sol["instance_label"], sol["points"]))
     stats_d = _typed([d.get("campaign_stats", {})], "a JSON object", "campaign_stats")[0]
     stats = CampaignStats(**{f.name: _typed([stats_d.get(f.name, 0)], "a non-negative int",
                                             f"campaign_stats: {f.name}")[0]
                              for f in dataclasses.fields(CampaignStats) if f.type == "int"})
     return {
-        "instance_label": d["instance_label"],
-        "config": config_from_dict(d["config"]),
+        "instance_label": top["instance_label"],
+        "config": config_from_dict(top["config"]),
         "campaign_stats": stats,
         "solutions": solutions,
     }

@@ -33,9 +33,11 @@ start; all three share one outcome type:
 Each method is written once, over an (m, n) stack of starts: it advances the
 starts still live together, one call of a family's stacked kernel
 (``residual_batch``, ``residual_jacobian_batch``) per step, while every start
-keeps its own status, iteration count, step length and trace.  A row's
-arithmetic never depends on the other rows, so a start ends exactly where it
-would alone; ``solve`` is the batch of one.
+keeps its own point, status, iteration count, step length and trace.  A
+live start's state sits in one place, its row of the ``_Live`` arrays, and
+moves to the ``_Batch`` columns when it ends.  A row's arithmetic never
+depends on the other rows, so a start ends exactly where it would alone;
+``solve`` is the batch of one.
 
 ``multistart`` runs any of them over seeded starts as one batch, classifies
 the converged points and deduplicates them.  Start vectors depend only on
@@ -169,8 +171,8 @@ def _residuals(instance, X):
 
 class _Live:
     """One entry per live start in each array attribute, kept aligned: ``idx``
-    is the start's row in the batch, ``norm`` its residual norm, and solvers
-    add what else they carry per start."""
+    is the start's row in the batch, ``x`` its current point, ``norm`` its
+    residual norm, and solvers add what else they carry from step to step."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -187,10 +189,10 @@ _STATUSES = list(Status)  # a status code is its position here
 
 
 class _Batch:
-    """The starts of one batched solve: their current points ``x``, and as
-    columns each start's status code, iteration count and residual norm,
-    which ``end`` writes, and its trace.  A start that has ended never moves
-    again, so its row of ``x`` is its end point."""
+    """The starts of one batched solve: as columns each start's point
+    ``x``, status code, iteration count and residual norm, and its trace.
+    ``x`` holds the starts until ``end`` writes a start's end point there;
+    until then the point moves in ``_Live.x``."""
 
     def __init__(self, instance, starts, cfg):
         self.x = instance.check_points(starts).copy()
@@ -200,7 +202,7 @@ class _Batch:
         self.traces = [[] for _ in self.x] if cfg.record_trace else None
 
     def live(self, norm, **arrays):
-        return _Live(idx=np.arange(len(self.x)), norm=norm, **arrays)
+        return _Live(idx=np.arange(len(self.x)), x=self.x.copy(), norm=norm, **arrays)
 
     def record(self, live, steps, mask=None):
         """Append (step, point, norm) to the traces of the live starts, or
@@ -209,15 +211,16 @@ class _Batch:
             return
         steps = np.broadcast_to(steps, live.idx.shape)
         for i in np.flatnonzero(mask) if mask is not None else range(len(live)):
-            r = live.idx[i]
-            self.traces[r].append((int(steps[i]), self.x[r].copy(), float(live.norm[i])))
+            self.traces[live.idx[i]].append((int(steps[i]), live.x[i].copy(),
+                                             float(live.norm[i])))
 
     def end(self, live, mask, status, steps):
-        """End the live starts selected by ``mask`` with ``status`` after
-        ``steps`` iterations, and drop them from ``live``."""
+        """End the live starts selected by ``mask`` at their points with
+        ``status`` after ``steps`` iterations, and drop them from ``live``."""
         if not mask.any():
             return
         rows = live.idx[mask]
+        self.x[rows] = live.x[mask]
         self.status[rows] = _STATUSES.index(status)
         self.iterations[rows] = np.broadcast_to(steps, mask.shape)[mask]
         self.norm[rows] = live.norm[mask]
@@ -307,11 +310,12 @@ def _linear_steps(jac, rhs, mu=None):
 LADDER_RUNGS = 8
 
 
-def _line_search(instance, b, live, direction, step, sufficient):
-    """Backtrack along ``direction`` from each live row's first step ``step``;
-    move the rows where ``sufficient(norm, steps, rows)`` holds for a rung's
-    residual norm, and return the step each row took (0 where it did not
-    move): the first acceptable rung of step, step * BACKTRACK, ... down to
+def _line_search(instance, live, direction, step, sufficient):
+    """Backtrack along ``direction`` from each live row's point ``live.x``
+    with first step ``step``; move the rows where ``sufficient(norm, steps,
+    rows)`` holds for a rung's residual norm, updating their ``x``, ``f``
+    and ``norm`` in ``live``, and return the step each row took (0 where it
+    did not move): the first acceptable rung of step, step * BACKTRACK, ... down to
     ``MIN_STEP``, as a one-at-a-time search would.  Each round is one
     dense (rows, rungs) block in one call: one rung per row, then
     ``LADDER_RUNGS``.  A block's rungs below ``MIN_STEP`` are evaluated but
@@ -326,7 +330,7 @@ def _line_search(instance, b, live, direction, step, sufficient):
         ladder = np.full((m, rungs), BACKTRACK)
         ladder[:, 0] = step
         ladder = np.multiply.accumulate(ladder, axis=1)  # the bits of repeated *=
-        cand = (b.x[live.idx[rows]][:, None, :]
+        cand = (live.x[rows][:, None, :]
                 + ladder[:, :, None] * direction[rows][:, None, :]).reshape(m * rungs, n)
         f, norm, _ = _residuals(instance, cand)
         accept = ((ladder >= MIN_STEP)
@@ -335,7 +339,7 @@ def _line_search(instance, b, live, direction, step, sufficient):
         took = rows[hit]
         if took.size:
             pick = hit.nonzero()[0] * rungs + accept[hit].argmax(axis=1)
-            b.x[live.idx[took]] = cand[pick]
+            live.x[took] = cand[pick]
             live.f[took], live.norm[took] = f[pick], norm[pick]
             taken[took] = ladder.ravel()[pick]
         step = ladder[:, -1] * BACKTRACK
@@ -357,12 +361,12 @@ def _newton_batch(instance, starts, cfg):
             b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
         if not len(live):
             break
-        live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
+        jac, failed = instance.residual_jacobian_batch(live.x)
+        live.delta, ok = _linear_steps(jac, -live.f)
         b.end(live, failed, Status.EVAL_ERROR, it)
-        live.delta, ok = _linear_steps(live.jac, -live.f)
-        b.end(live, ~ok, Status.SINGULAR_STEP, it)
+        b.end(live, ~ok[~failed], Status.SINGULAR_STEP, it)
         norm0 = live.norm.copy()
-        taken = _line_search(instance, b, live, live.delta, np.full(len(live), STEP0),
+        taken = _line_search(instance, live, live.delta, np.full(len(live), STEP0),
                              lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
         b.end(live, taken == 0, Status.DIVERGED, it)
     return b
@@ -380,7 +384,7 @@ def _gradsq_batch(instance, starts, cfg):
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
         b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
-        live.jac, failed = instance.residual_jacobian_batch(b.x[live.idx])
+        live.jac, failed = instance.residual_jacobian_batch(live.x)
         b.end(live, failed, Status.EVAL_ERROR, it)
         if not len(live):
             break
@@ -394,7 +398,7 @@ def _gradsq_batch(instance, starts, cfg):
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
         # Armijo on W along delta: W(x + s delta) <= W + d s grad . delta
         w, slope = live.norm * live.norm, _dots(live.grad, live.delta)
-        taken = _line_search(instance, b, live, live.delta, np.full(len(live), STEP0),
+        taken = _line_search(instance, live, live.delta, np.full(len(live), STEP0),
                              lambda norm, s, r: norm * norm <= w[r] + DECREASE * s * slope[r])
         live.mu = np.maximum(np.where(taken == STEP0, live.mu / 3.0, 4.0 * live.mu), MU_MIN)
         # where W cannot fall at floating-point resolution, relaxed thresholds
@@ -410,67 +414,57 @@ def _homotopy_batch(instance, starts, cfg):
     b = _Batch(instance, starts, cfg)
     m = len(b.x)
     f0, norm, failed = _residuals(instance, b.x)
-    # the velocity at x solves J(x) v = -f0 and stays valid until x moves
-    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, DT0),
-                  steps=np.zeros(m, dtype=int), velocity=np.zeros_like(b.x),
-                  fresh=np.zeros(m, dtype=bool))
+    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, DT0), steps=np.zeros(m, dtype=int))
     b.end(live, failed, Status.EVAL_ERROR, 0)
     b.record(live, 0)
     b.end(live, live.norm <= tol, Status.CONVERGED, 0)
     while len(live):
         b.end(live, live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
-        need = np.flatnonzero(~live.fresh)
-        if need.size:
-            jac, failed = instance.residual_jacobian_batch(b.x[live.idx[need]])
-            velocity, ok = _linear_steps(jac, -live.f0[need])
-            live.velocity[need], live.fresh[need] = velocity, True
-            error, singular = np.zeros((2, len(live)), dtype=bool)
-            error[need[failed]] = singular[need[~ok]] = True
-            b.end(live, error, Status.EVAL_ERROR, live.steps)
-            b.end(live, singular[~error], Status.SINGULAR_STEP, live.steps)
+        # the velocity at x solves J(x) v = -f0
+        jac, failed = instance.residual_jacobian_batch(live.x)
+        live.velocity, ok = _linear_steps(jac, -live.f0)
+        b.end(live, failed, Status.EVAL_ERROR, live.steps)
+        b.end(live, ~ok[~failed], Status.SINGULAR_STEP, live.steps)
         dt_eff = np.minimum(live.dt, 1.0 - live.t)
-        live.t_new = live.t + dt_eff
-        live.cur = b.x[live.idx] + dt_eff[:, None] * live.velocity
-        live.used, live.cur_norm = _correct(instance, live, cfg)
-        failed = live.used < 0
-        live.dt[failed] *= 0.5
-        b.end(live, failed & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
-        took = live.used >= 0
-        b.x[live.idx[took]] = live.cur[took]
-        live.norm[took], live.t[took] = live.cur_norm[took], live.t_new[took]
+        t_new = live.t + dt_eff
+        cur = live.x + dt_eff[:, None] * live.velocity
+        used, cur_norm = _correct(instance, cur, (1.0 - t_new)[:, None] * live.f0, tol)
+        took = used >= 0
+        live.x[took], live.norm[took], live.t[took] = cur[took], cur_norm[took], t_new[took]
         live.steps[took] += 1
-        live.fresh[took] = False
         b.record(live, live.steps, took)
-        easy = took & (live.used <= EASY_ITERS)
+        easy = took & (used <= EASY_ITERS)
         live.dt[easy] = np.minimum(live.dt * DT_GROW, DT_MAX)[easy]
+        live.dt[~took] *= 0.5
+        b.end(live, ~took & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
         done = live.t >= 1.0
         b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
         b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)
     return b
 
 
-def _correct(instance, live, cfg):
-    """Newton corrector on f(x) - (1 - t_new) f0 from the predicted points
-    ``live.cur``, updated in place.  Returns per row the iteration at which
-    it met the tolerance (-1 if it failed) and the residual norm there."""
-    used = np.full(len(live), -1)
-    cur_norm = np.zeros(len(live))
-    active = np.arange(len(live))
+def _correct(instance, cur, shift, tol):
+    """Newton corrector on f(x) - shift from the predicted points ``cur``,
+    updated in place.  Returns per row the iteration at which it met the
+    tolerance (-1 if it failed) and the residual norm there."""
+    used = np.full(len(cur), -1)
+    cur_norm = np.zeros(len(cur))
+    active = np.arange(len(cur))
     for k in range(CORRECTOR_ITERS + 1):
-        f, norm, failed = _residuals(instance, live.cur[active])
-        h = f - (1.0 - live.t_new[active])[:, None] * live.f0[active]
-        met = ~failed & (np.sqrt(_dots(h, h)) <= cfg.accept_tol)
+        f, norm, failed = _residuals(instance, cur[active])
+        h = f - shift[active]
+        met = ~failed & (np.sqrt(_dots(h, h)) <= tol)
         used[active[met]] = k
         cur_norm[active[met]] = norm[met]
         go_on = ~failed & ~met
         active, h = active[go_on], h[go_on]
         if k == CORRECTOR_ITERS or not active.size:
             break
-        jac, failed = instance.residual_jacobian_batch(live.cur[active])
+        jac, failed = instance.residual_jacobian_batch(cur[active])
         dc, ok = _linear_steps(jac, -h)
         ok &= ~failed
         active = active[ok]
-        live.cur[active] = live.cur[active] + dc[ok]
+        cur[active] = cur[active] + dc[ok]
     return used, cur_norm
 
 

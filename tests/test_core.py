@@ -1,4 +1,6 @@
+import contextlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -230,11 +232,17 @@ def test_dedup_keeps_what_the_quadratic_scan_keeps(metric, seed):
     cases = [_near_duplicates(rng, n, tol, metric) for tol in (1e-6, 0.05, 0.7)]
     cases += [[], [(rng.uniform(-3, 3, n), 0.0)]]
     cases.append([(np.full(n, 0.5), 1.0) for _ in range(50)])
-    for tol in (1e-6, 0.05, 0.7, 0.0):
+    # points near the float limit, with exact copies: the window is not finite
+    # and their distances overflow, in the scan as here
+    big = [(p, 0.0) for p in rng.uniform(-1.0, 1.0, (8, n)) * 1e308]
+    cases.append(big + big[:3])
+    for tol in (1e-6, 0.05, 0.7, 0.0, math.inf):
         for rows in cases:
             cols = _columns([rows[i] for i in rng.permutation(len(rows))])
-            kept = dedup(cols, tol=tol, metric=metric).columns.start_id.tolist()
-            ref = _dedup_reference(cols.points(), tol, metric)
+            quiet = np.errstate(over="ignore", invalid="ignore")
+            with quiet if rows is cases[-1] else contextlib.nullcontext():
+                kept = dedup(cols, tol=tol, metric=metric).columns.start_id.tolist()
+                ref = _dedup_reference(cols.points(), tol, metric)
             assert kept == [sp.provenance.start_id for sp in ref]
 
 

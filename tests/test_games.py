@@ -104,6 +104,7 @@ def test_jacobian_matches_fd():
     for _ in range(10):
         x = inst.sample_start(rng)
         jac = inst.residual_jacobian(x)
+        assert np.array_equal(nash_residual_jacobian(g, *inst.split(x)), jac)
         step = 1e-6
         jf = np.zeros_like(jac)
         for k in range(inst.n):

@@ -54,6 +54,14 @@ def test_unbalanced_puzzle_rejected():
         Puzzle(frame, [lonely])
 
 
+def test_edges_either_side_of_zero_are_one_direction():
+    # 0 and 2 pi - 1e-10 lie within ANGLE_TOL across the wrap: one class, not two
+    frame = Piece([Edge((0, 0), "a", 0.0), Edge((1, 0), "a", 2 * math.pi - 1e-10)])
+    piece = Piece([Edge((0, 0), "a", math.pi), Edge((1, 0), "a", math.pi)])
+    puzzle = Puzzle(frame, [piece])
+    assert puzzle._reps == [0.0, math.pi] and puzzle.classes == [("a", 0.0)]
+
+
 def test_empty_k_set_rejected():
     frame = Piece([Edge((0, 0), "a", 0.0)])
     piece = Piece([Edge((0, 0), "a", math.pi)])

@@ -685,6 +685,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"),
                    "--starts", "5") == 1
     capsys.readouterr()
+    # 1: a start count that is no positive int, a grid spec that is no
+    # COLUMNSxROWS, and random disorder without a seed
+    for starts, says in (("abc", "--starts must be an integer or grid3, got 'abc'"),
+                         ("0", "--starts must be >= 1")):
+        assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"),
+                       "--starts", starts, "--seed", "0") == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
+    assert run_cli("generate", "puzzle", "--grid", "2by2", "--colors", "3", "--seed", "8",
+                   "-o", str(tmp_path / "p.json")) == 1
+    assert "bad grid spec '2by2'" in capsys.readouterr().err
+    assert run_cli("generate", "xy", "--d", "1", "--L", "4", "--disorder", "uniform-signed",
+                   "-o", str(tmp_path / "x.json")) == 1
+    assert capsys.readouterr().err == "error: random disorder needs an explicit --seed\n"
+    assert not any((tmp_path / name).exists() for name in ("r.json", "p.json", "x.json"))
     # 1: a bad tolerance is refused before any start runs
     assert run_cli("solve", str(inst), "-o", str(tmp_path / "r.json"),
                    "--starts", "5", "--seed", "0", "--tol", "-1") == 1
@@ -704,29 +718,62 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command, file, spoil", [
-    ("verify", "result", lambda raw: [raw]),
-    ("report", "result", lambda raw: raw.update(campaign_stats=[])),
-    ("report", "result", lambda raw: raw["solutions"]["points"].__setitem__(0, 5)),
-    ("verify", "result", lambda raw: raw["solutions"]["points"][0].update(provenance=None)),
-    ("solve", "instance", lambda raw: [raw]),
-], ids=["result-list", "stats-list", "point-int", "provenance-null", "instance-list"])
-def test_cli_malformed_file_is_an_error(tmp_path, capsys, command, file, spoil):
-    # a value that must be a JSON object but is not ends in one error line, not a traceback
-    paths = {"instance": tmp_path / "phi4.json", "result": tmp_path / "r.json"}
+def _drop(*keys):
+    """A spoil that deletes raw[keys[0]]...[keys[-1]]."""
+    def spoil(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        del raw[keys[-1]]
+    return spoil
+
+
+@pytest.mark.parametrize("command, file, spoil, says", [
+    ("verify", "result", lambda raw: [raw], "result file must be a JSON object"),
+    ("report", "result", lambda raw: raw.update(campaign_stats=[]),
+     "campaign_stats must be a JSON object"),
+    ("report", "result", lambda raw: raw["solutions"]["points"].__setitem__(0, 5),
+     "point 0 must be a JSON object"),
+    ("verify", "result", lambda raw: raw["solutions"]["points"][0].update(provenance=None),
+     "point 0: provenance must be a JSON object"),
+    ("solve", "instance", lambda raw: [raw], "instance file must be a JSON object"),
+    ("solve", "instance", _drop("params"), "params is missing"),
+    ("solve", "puzzle", _drop("params", "frame"), "frame is missing"),
+    ("solve", "puzzle", _drop("params", "pieces"), "pieces is missing"),
+    ("solve", "puzzle", _drop("params", "pieces", 1, "edges"), "piece 1: edges is missing"),
+    ("verify", "result", _drop("solutions"), "result file: solutions is missing"),
+    ("verify", "result", _drop("config"), "result file: config is missing"),
+    ("verify", "result", _drop("instance_label"), "result file: instance_label is missing"),
+    ("report", "result", _drop("solutions", "points"), "solutions: points is missing"),
+    ("verify", "result", _drop("solutions", "points", 2, "energy"), "point 2: energy is missing"),
+    ("report", "result", lambda raw: raw["solutions"].update(points=5),
+     "solutions: points must be a list"),
+    ("verify", "result", lambda raw: raw.update(solutions=[1]),
+     "result file: solutions must be a JSON object"),
+    ("verify", "result", lambda raw: raw.update(schema_version=2),
+     "unsupported schema_version 2"),
+], ids=["result-list", "stats-list", "point-int", "provenance-null", "instance-list",
+        "no-params", "no-frame", "no-pieces", "no-edges", "no-solutions", "no-config",
+        "no-label", "no-points", "no-energy", "points-int", "solutions-list", "schema-2"])
+def test_cli_malformed_file_is_an_error(tmp_path, capsys, command, file, spoil, says):
+    # a file that is not what its reader expects ends in one error line that
+    # names what is wrong where, not in a traceback
+    paths = {"instance": tmp_path / "phi4.json", "result": tmp_path / "r.json",
+             "puzzle": tmp_path / "puzzle.json"}
     assert run_cli("generate", "phi4", "--N", "2", "-o", str(paths["instance"])) == 0
     assert run_cli("solve", str(paths["instance"]), "-o", str(paths["result"]),
                    "--starts", "grid3") == 0
+    assert run_cli("generate", "puzzle", "--grid", "2x2", "--colors", "3", "--seed", "8",
+                   "-o", str(paths["puzzle"])) == 0
     raw = json.loads(paths[file].read_text())
     paths[file].write_text(json.dumps(spoil(raw) or raw))
     capsys.readouterr()
     argv = {"verify": ["verify", str(paths["instance"]), str(paths["result"])],
             "report": ["report", str(paths["result"])],
-            "solve": ["solve", str(paths["instance"]), "-o", str(tmp_path / "again.json"),
+            "solve": ["solve", str(paths[file]), "-o", str(tmp_path / "again.json"),
                       "--starts", "grid3"]}[command]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "JSON object" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {says}")
 
 
 def test_cli_grid3_only_for_phi4(tmp_path, capsys):
@@ -743,6 +790,13 @@ def test_cli_verify_flags_tampered_file(tmp_path, capsys):
     assert run_cli("generate", "phi4", "--N", "2", "-o", str(inst)) == 0
     assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
     capsys.readouterr()
+    # a result checked against another instance than its own
+    other = tmp_path / "phi4-J.json"
+    assert run_cli("generate", "phi4", "--N", "2", "--J", "0.1", "-o", str(other)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(other), str(resf)) == 3
+    assert ("mismatch: instance label 'phi4-N2-J0' does not match 'phi4-N2-J0.1'"
+            in capsys.readouterr().err.splitlines())
     raw = json.loads(resf.read_text())
     raw["solutions"]["points"][3]["coords"][0] += 0.25
     resf.write_text(json.dumps(raw))

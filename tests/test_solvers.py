@@ -765,7 +765,7 @@ def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
         return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
 
     inst.calls, inst.seen = 0, []
-    taken = _line_search(inst, b, live, direction, step.copy(), sufficient)
+    taken = _line_search(inst, live, direction, step.copy(), sufficient)
     calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
 
     rounds, evaluated = [0], 0
@@ -774,7 +774,7 @@ def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
                                     lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])))
         assert taken[i] == (0.0 if took is None else took[3])
         point, fi, ni, _ = took or (x0[i], f[i], norm0[i], 0.0)
-        assert np.array_equal(b.x[i], point)
+        assert np.array_equal(live.x[i], point)
         assert np.array_equal(live.f[i], fi) and live.norm[i] == ni
         assert seen.issuperset(p.tobytes() for p in tried)
         if tried:  # rung 0 alone, then LADDER_RUNGS rungs a round
@@ -789,4 +789,4 @@ def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
     assert (x0[4] + s * direction[4]).tobytes() in seen
     # and the masked first rung was evaluated but no row moved into the mask
     assert (x0[5] + step[5] * direction[5]).tobytes() in seen
-    assert _dots(b.x, b.x).min() >= 0.25
+    assert _dots(live.x, live.x).min() >= 0.25

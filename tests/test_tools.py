@@ -23,6 +23,24 @@ def test_drift_writes_each_result_file_and_a_line_per_start(tmp_path):
     assert len(bytes.fromhex(point)) == 9 * 8 and float(norm) < 1e-10
 
 
+def test_drift_writes_each_methods_traces_byte_for_byte(tmp_path):
+    write_traces = runpy.run_path(str(DRIFT))["write_traces"]
+    for side in ("a", "b"):
+        write_traces(tmp_path / side)
+    a, b = tmp_path / "a" / "traces", tmp_path / "b" / "traces"
+    names = sorted(p.name for p in a.iterdir())
+    assert names == ["gradsq.trace", "homotopy.trace", "newton.trace"]
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+    for name in names:
+        steps = {}  # each start's steps, in file order
+        for line in (a / name).read_text().splitlines():
+            start, step, point, norm = line.split(" ")
+            steps.setdefault(int(start), []).append(int(step))
+            assert len(bytes.fromhex(point)) == 3 * 8 and float(norm) >= 0.0
+        assert sorted(steps) == list(range(20))
+        assert all(s == list(range(len(s))) for s in steps.values())
+
+
 def test_drift_writes_the_cli_files_byte_for_byte(tmp_path):
     write_cli = runpy.run_path(str(DRIFT))["write_cli"]
     for side in ("a", "b"):

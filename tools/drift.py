@@ -8,7 +8,10 @@ Runs every campaign of every workload in ``bench/workloads.py`` at run seeds
 ``<campaign>.starts``, one line per start with its status, iteration count,
 end point bytes (hex) and the repr of its residual norm.  It also runs the
 command lines of ``CLI_RUNS`` through ``spbench.cli.main`` and keeps the
-instance and result files they write in ``OUT/cli/``.  Run it in two
+instance and result files they write in ``OUT/cli/``, and writes
+``OUT/traces/<method>.trace``: each method's recorded traces on the XY ring
+(L=4, 20 starts, seed 3), one line per entry with its start, step, point
+bytes (hex) and the repr of its residual norm.  Run it in two
 checkouts; ``diff -r OUT_A OUT_B`` prints nothing when every result is
 byte-identical.
 """
@@ -83,6 +86,18 @@ def write_cli(out):
             sys.exit(f"spbench {' '.join(run)} exited with {code}")
 
 
+def write_traces(out):
+    folder = out / "traces"
+    folder.mkdir(parents=True, exist_ok=True)
+    ring = spbench.XYLattice(1, 4)
+    for method in ("newton", "gradsq", "homotopy"):
+        cfg = spbench.SolverConfig(method=method, starts=20, seed=3, record_trace=True)
+        lines = [f"{start} {step} {point.tobytes().hex()} {norm!r}\n"
+                 for start, o in enumerate(spbench.multistart(ring, cfg).outcomes)
+                 for step, point, norm in o.trace]
+        (folder / f"{method}.trace").write_text("".join(lines))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory to write the files into")
@@ -93,6 +108,7 @@ def main(argv=None):
         for seed in SEEDS:
             write_campaigns(args.out, name, seed)
     write_cli(args.out)
+    write_traces(args.out)
 
 
 if __name__ == "__main__":
