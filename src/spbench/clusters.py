@@ -266,10 +266,6 @@ class LennardJonesCluster(_PairPotentialCluster):
         s6 = (self.sigma / r) ** 6
         return 4.0 * self.epsilon * (156.0 * s6 * s6 - 42.0 * s6) / (r * r)
 
-    def pair_minimum(self):
-        """Separation and depth of the two-body well: (2^(1/6) sigma, -eps)."""
-        return (2.0 ** (1.0 / 6.0) * self.sigma, -self.epsilon)
-
 
 class MorseCluster(_PairPotentialCluster):
     """Morse pair potential eps * u * (u - 2) with u = exp(rho (1 - r/r_e))."""
@@ -297,10 +293,6 @@ class MorseCluster(_PairPotentialCluster):
     def _pair_d2vdr2(self, r):
         u = np.exp(self.rho * (1.0 - r / self.r_e))
         return 2.0 * self.epsilon * (self.rho / self.r_e) ** 2 * u * (2.0 * u - 1.0)
-
-    def pair_minimum(self):
-        """Separation and depth of the two-body well: (r_e, -eps)."""
-        return (self.r_e, -self.epsilon)
 
 
 def pair_curvature(cluster):

@@ -399,17 +399,6 @@ def classify(instance, p, provenance=None):
     return found.points()[0]
 
 
-def point_distance(a, b, metric=EUCLIDEAN):
-    """Distance between coordinate vectors under the named metric.
-
-    The angular metric wraps each component difference onto the shortest arc
-    in (-pi, pi] before taking the Euclidean norm, so vectors that differ by
-    whole turns in any component compare as equal.
-    """
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.linalg.norm(_wrap(d, metric)))
-
-
 def _wrap(d, metric):
     """Coordinate differences under ``metric``: unchanged for the Euclidean
     one, each component wrapped onto (-pi, pi] for the angular one."""
@@ -446,8 +435,7 @@ def dedup(columns, tol=1e-6, metric=EUCLIDEAN):
     first = X[:, 0] if n else np.zeros(m)
     keys = X @ (u / np.linalg.norm(u)) if metric == EUCLIDEAN else np.mod(first, 2 * np.pi)
     pad = 2.0 * tol + 1e-9 * (1.0 + np.abs(X).sum(axis=1).max(initial=0.0))
-    if not np.isfinite(pad):  # non-finite points or tol: every representative is a candidate
-        keys, pad = np.zeros(m), math.inf
+    # a pad of inf or nan (points or tol not finite) makes every representative a candidate
     turns = (0.0,) if metric == EUCLIDEAN else (-2 * np.pi, 0.0, 2 * np.pi)
     window, rows_of, reps = [], [], []  # the representatives' keys, sorted, and rows of X
     for i, key in enumerate(keys.tolist()):

@@ -10,8 +10,8 @@ deviation pays more than pi_i and that no probability is negative.
 ``NashInstance`` is the one implementation of the system.  It contracts the
 payoff tensors once per stack of points, into the pair matrices from which
 the responses, the Jacobian and the curvature all follow.  The functions on a
-profile (``nash_residual``, ``nash_residual_jacobian``, ``is_equilibrium``)
-check it with ``NashGame.check_profile`` and call the instance.
+profile (``nash_residual``, ``is_equilibrium``) check it with
+``NashGame.check_profile`` and call the instance.
 """
 
 from __future__ import annotations
@@ -33,7 +33,13 @@ class NashGame:
     def __init__(self, payoffs):
         if len(payoffs) < 2:
             raise ValueError("need at least 2 players")
-        payoffs = [np.asarray(t, dtype=float) for t in payoffs]
+        payoffs = list(payoffs)
+        for i, t in enumerate(payoffs):
+            try:
+                payoffs[i] = np.asarray(t, dtype=float)
+            except ValueError:  # ragged nested lists, or entries that are no numbers
+                raise ValueError(f"player {i + 1} tensor must be a rectangular array of "
+                                 f"numbers") from None
         shape = payoffs[0].shape
         if len(shape) != len(payoffs):
             raise ValueError(f"payoff tensors must have one axis per player: "
@@ -60,17 +66,6 @@ class NashGame:
                                  f"expected ({self.shape[i]},)")
             out.append(p)
         return out
-
-    def expected_payoff(self, probs, player):
-        """Payoff of ``player`` when everyone plays their mixed strategy."""
-        probs = self.check_profile(probs)
-        return float(self._contract(self.payoffs[player], [p[None] for p in probs], ())[0])
-
-    def pure_response_payoffs(self, probs, player):
-        """Vector over ``player``'s pure strategies, each against the
-        opponents' mixture."""
-        probs = self.check_profile(probs)
-        return self._contract(self.payoffs[player], [p[None] for p in probs], (player,))[0]
 
     def _contract(self, t, vectors, keep):
         """Tensor ``t`` contracted on every axis not in ``keep`` with that
@@ -101,12 +96,6 @@ def nash_residual(game, probs, pis):
     """Stationarity residual: the product equations for every (player, pure
     strategy) pair in player order, then the simplex sums minus one."""
     return NashInstance(game).residual(_checked_point(game, probs, pis))
-
-
-def nash_residual_jacobian(game, probs, pis):
-    """Analytic Jacobian of ``nash_residual`` in the flat variable order:
-    strategy blocks player by player, then the payoff variables."""
-    return NashInstance(game).residual_jacobian(_checked_point(game, probs, pis))
 
 
 def is_equilibrium(game, probs, pis):
@@ -159,10 +148,6 @@ class NashInstance(RootSystem):
     def split(self, x):
         x = self.check_point(x)
         return [x[b] for b in self._blocks], x[self._strat:]
-
-    def pack(self, probs, pis):
-        return np.concatenate([np.asarray(p, dtype=float) for p in probs]
-                              + [np.asarray(pis, dtype=float)])
 
     def _evaluate(self, X, every_pair=True):
         """Per row of the stack ``X``: the strategies probs[i] (m x d_i), the

@@ -13,8 +13,10 @@ opposite way.  Two algebraic encodings turn assembly into root finding:
 The linear system is only necessary.  The exponential system separates
 translated fakes that the linear one accepts, because exp(k . u) responds
 multiplicatively to shifts.  ``verify_geometric`` is the ground-truth check
-that never consults either encoding.  ``PuzzleInstance`` stacks both and
-computes the exponentials once per stack of points.
+that never consults either encoding.  ``PuzzleInstance`` is the one
+implementation of both: it stacks them and computes the exponentials once per
+stack of points.  ``linear_residual`` and ``exponential_residual`` are its two
+blocks at one placement.
 """
 
 from __future__ import annotations
@@ -117,9 +119,12 @@ class Puzzle:
         self.frame = frame
         self.pieces = pieces
         k_set = DEFAULT_K_SET if k_set is None else k_set
-        self.k_set = tuple((int(kx), int(ky)) for kx, ky in k_set)
-        if not self.k_set:
-            raise ValueError("frequency set must be non-empty")
+        try:
+            self.k_set = tuple((int(kx), int(ky)) for kx, ky in k_set)
+        except (TypeError, ValueError):
+            raise ValueError("k_set must be a list of int pairs") from None
+        if not self.k_set or (0, 0) in self.k_set:  # k = (0, 0) gives identically zero sums
+            raise ValueError("k_set must be non-empty, without (0, 0)")
 
         all_edges = list(frame.edges) + [e for piece in pieces for e in piece.edges]
         self.colors = sorted({e.color for e in all_edges})
@@ -138,7 +143,7 @@ class Puzzle:
         self.classes = classes
         self.label = label if label is not None else f"puzzle-{len(pieces)}p"
 
-        # edges in ``placed_edges`` order: the frame, then each piece in turn
+        # every edge in order: the frame's, then each piece's in turn
         self.edges = all_edges
         self.owner = np.repeat(np.arange(-1, len(pieces)),
                                [len(frame.edges)] + [len(p.edges) for p in pieces])
@@ -169,43 +174,36 @@ class Puzzle:
         shifts = np.concatenate([frame, placement], axis=-2)
         return self.offsets + shifts[..., self.owner + 1, :]
 
-    def placed_edges(self, placement):
-        """All edges at absolute positions: (piece_index, edge, position).
-        The frame has index -1."""
-        return list(zip(self.owner.tolist(), self.edges, self.positions(placement)))
+
+def _blocks(puzzle, placement):
+    """The linear and the exponential block of ``PuzzleInstance(puzzle)``'s
+    residual at a (pieces, 2) placement."""
+    if np.shape(placement) != (len(puzzle.pieces), 2):
+        raise ValueError(f"placement must have shape ({len(puzzle.pieces)}, 2), "
+                         f"got {np.shape(placement)}")
+    return np.split(PuzzleInstance(puzzle).residual(np.ravel(placement)), [2 * len(puzzle.classes)])
 
 
 def linear_residual(puzzle, placement):
     """Signed position sums, two components per class."""
-    return (puzzle.sign @ puzzle.positions(placement)).ravel()
+    return _blocks(puzzle, placement)[0]
 
 
 def exponential_residual(puzzle, placement):
     """Signed exponential sums, one component per (class, frequency) pair
-    of the puzzle's ``k_set``.
-
-    Each class is rescaled by its largest exponent so the evaluation stays
-    in range; rescaling never moves a zero away from zero.
-    """
-    freqs = np.array(puzzle.k_set, dtype=float)
-    member = (puzzle.sign != 0)[:, :, None]
-    exps = np.where(member, (puzzle.positions(placement) @ freqs.T)[None], -np.inf)
-    shift = exps.max(axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.einsum("ce,cek->ck", puzzle.sign, np.exp(exps - shift))
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError("exponential residual overflow")
-    return out.ravel()
+    of the puzzle's ``k_set``; EvaluationError where an exponential
+    overflows."""
+    return _blocks(puzzle, placement)[1]
 
 
 def verify_geometric(puzzle, placement):
     """Ground truth: every edge must coincide with exactly one partner edge
     of equal color and opposite direction, within ANGLE_TOL in direction
     and in position."""
-    placed = puzzle.placed_edges(placement)
+    placed = list(zip(puzzle.edges, puzzle.positions(placement)))
     partners = []
-    for i, (_, ei, pi) in enumerate(placed):
-        cand = [j for j, (_, ej, pj) in enumerate(placed)
+    for i, (ei, pi) in enumerate(placed):
+        cand = [j for j, (ej, pj) in enumerate(placed)
                 if j != i and ej.color == ei.color
                 and abs(_circ_diff(ej.angle, ei.angle + math.pi)) <= ANGLE_TOL
                 and np.max(np.abs(pj - pi)) <= ANGLE_TOL]
@@ -214,13 +212,6 @@ def verify_geometric(puzzle, placement):
         partners.append(cand[0])
     # mutual partners pair the edges off, so their number is even
     return all(partners[j] == i for i, j in enumerate(partners))
-
-
-def exp_coordinates(placement):
-    """Componentwise exponential of a placement, the coordinates in which
-    the exponential encoding is polynomial.  Reporting helper only; all
-    solvers and residuals work on plain positions."""
-    return np.exp(np.asarray(placement, dtype=float))
 
 
 def generate_grid_puzzle(columns, rows, n_colors, seed):
@@ -261,9 +252,9 @@ def generate_grid_puzzle(columns, rows, n_colors, seed):
 
 
 class PuzzleInstance(RootSystem):
-    """Root system stacking the linear equations and the raw exponential
-    equations (no per-class rescaling, so the map stays smooth for
-    derivative checks; desk-scale puzzles keep the exponents small)."""
+    """Root system stacking the linear equations and the exponential
+    equations, both as raw sums: desk-scale puzzles keep the exponents k . u
+    small, and a point where one overflows is a failed row."""
 
     family = "puzzle"
     _failure = "exponential overflow"

@@ -186,10 +186,7 @@ def test_cluster_variable_counts():
 
 def test_lj_dimer_minimum():
     inst = LennardJonesCluster(2)
-    r_min, e_min = inst.pair_minimum()
-    assert r_min == pytest.approx(2 ** (1 / 6), abs=1e-14)
-    assert e_min == -1.0
-    x = np.array([r_min])
+    x = np.array([2 ** (1 / 6)])
     assert inst.energy(x) == pytest.approx(-1.0, abs=1e-10)
     assert abs(inst.gradient(x)[0]) < 1e-12
     sp = classify(inst, x)
@@ -198,17 +195,11 @@ def test_lj_dimer_minimum():
 
 def test_lj_scaling_with_parameters():
     inst = LennardJonesCluster(2, epsilon=2.5, sigma=0.8)
-    r_min, e_min = inst.pair_minimum()
-    assert r_min == pytest.approx(0.8 * 2 ** (1 / 6))
-    assert e_min == -2.5
-    assert inst.energy(np.array([r_min])) == pytest.approx(-2.5, abs=1e-10)
+    assert inst.energy(np.array([0.8 * 2 ** (1 / 6)])) == pytest.approx(-2.5, abs=1e-10)
 
 
 def test_morse_dimer_minimum():
     inst = MorseCluster(2, rho=6.0)
-    r_min, e_min = inst.pair_minimum()
-    assert r_min == 1.0
-    assert e_min == -1.0
     assert inst.energy(np.array([1.0])) == pytest.approx(-1.0, abs=1e-12)
     assert abs(inst.gradient(np.array([1.0]))[0]) < 1e-12
 

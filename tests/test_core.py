@@ -14,7 +14,6 @@ from spbench.core import (
     Provenance,
     classify,
     dedup,
-    point_distance,
 )
 from spbench.serialize import _point_columns, _points_text
 from test_hessians import _fd_signature, fd_gradient, fd_hessian
@@ -122,23 +121,6 @@ def test_fd_gradient_raises_on_non_finite_energy():
 
     with pytest.raises(EvaluationError):
         fd_gradient(Bad(), np.zeros(1))
-
-
-def test_point_distance_euclidean():
-    a = np.array([0.0, 3.0])
-    b = np.array([4.0, 0.0])
-    assert point_distance(a, b, EUCLIDEAN) == pytest.approx(5.0)
-
-
-def test_point_distance_angular_wraps():
-    a = np.array([0.1])
-    b = np.array([2 * np.pi - 0.1])
-    assert point_distance(a, b, ANGULAR_MOD_2PI) == pytest.approx(0.2)
-    # interior distances agree with euclidean
-    a2 = np.array([1.0, 2.0])
-    b2 = np.array([1.5, 1.0])
-    assert point_distance(a2, b2, ANGULAR_MOD_2PI) == pytest.approx(
-        point_distance(a2, b2, EUCLIDEAN))
 
 
 def _columns(rows, index=None):

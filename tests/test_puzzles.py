@@ -11,7 +11,6 @@ from spbench.puzzles import (
     Piece,
     Puzzle,
     PuzzleInstance,
-    exp_coordinates,
     exponential_residual,
     generate_grid_puzzle,
     linear_residual,
@@ -125,14 +124,6 @@ def test_exponential_residual_custom_k_set():
     assert np.max(np.abs(r)) < 1e-12
 
 
-def test_exponential_residual_shift_guard():
-    # rescaling by the class maximum keeps huge exponents finite
-    puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
-    far = sol + 500.0
-    r = exponential_residual(puz, far)
-    assert np.all(np.isfinite(r))
-
-
 def test_instance_residual_and_jacobian():
     puz, sol = generate_grid_puzzle(2, 2, 3, seed=5)
     inst = PuzzleInstance(puz)
@@ -164,11 +155,14 @@ def test_instance_gradient_matches_fd():
 
 
 def test_instance_overflow_raises():
-    puz, _ = generate_grid_puzzle(2, 1, 1, seed=0)
+    puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
     inst = PuzzleInstance(puz)
     x = np.full(inst.n, 600.0)
     with pytest.raises(EvaluationError):
         inst.residual(x)
+    # the block view raises where the instance does: k . u reaches about 2000
+    with pytest.raises(EvaluationError):
+        exponential_residual(puz, sol + 500.0)
 
 
 def test_instance_jacobian_overflow_raises():
@@ -180,31 +174,20 @@ def test_instance_jacobian_overflow_raises():
 
 
 def test_instance_exponential_block_is_unshifted_exponential_residual():
-    # both encodings read one class membership: the instance's raw sums are
-    # the rescaled sums of exponential_residual times exp(class shift), and
-    # its linear block is the per-class signed position sum
+    # both blocks against per-class signed_indicator sums, edge by edge: of
+    # the positions for the linear block, of exp(k . u) for the exponential one
     puz, _ = generate_grid_puzzle(2, 2, 3, seed=5)
-    inst = PuzzleInstance(puz)
-    x = inst.sample_start(np.random.default_rng(4))
-    placement = x.reshape(-1, 2)
-    n_cls = len(puz.classes)
-    res = inst.residual(x)
-    lin = res[:2 * n_cls].reshape(n_cls, 2)
-    raw = res[2 * n_cls:].reshape(n_cls, -1)
-    scaled = exponential_residual(puz, placement).reshape(n_cls, -1)
+    placement = PuzzleInstance(puz).sample_start(np.random.default_rng(4)).reshape(-1, 2)
+    lin = linear_residual(puz, placement).reshape(len(puz.classes), 2)
+    expo = exponential_residual(puz, placement).reshape(len(puz.classes), -1)
     freqs = np.array(puz.k_set, dtype=float)
-    placed = puz.placed_edges(placement)
+    pos = puz.positions(placement)
     for c, (color, rep) in enumerate(puz.classes):
-        signs = np.array([signed_indicator(e, color, rep) for _, e, _ in placed])
-        members = np.array([pos for _, _, pos in placed])[signs != 0]
-        assert np.allclose(lin[c], signs[signs != 0] @ members, rtol=0, atol=1e-12)
-        shift = np.exp(np.max(members @ freqs.T, axis=0))
-        assert np.all(np.abs(raw[c] - scaled[c] * shift) <= 1e-12 * len(members) * shift)
-
-
-def test_exp_coordinates():
-    p = np.array([[0.0, 1.0]])
-    assert np.allclose(exp_coordinates(p), [[1.0, math.e]])
+        signs = np.array([signed_indicator(e, color, rep) for e in puz.edges])
+        members, signs = pos[signs != 0], signs[signs != 0]
+        assert np.allclose(lin[c], signs @ members, rtol=0, atol=1e-12)
+        terms = np.exp(members @ freqs.T)
+        assert np.all(np.abs(expo[c] - signs @ terms) <= 1e-12 * np.abs(terms).sum(axis=0))
 
 
 def test_grid_spec_validation():
@@ -216,8 +199,11 @@ def test_grid_spec_validation():
 
 def test_placement_shape_checked():
     puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
-    with pytest.raises(ValueError):
-        linear_residual(puz, sol[:1])
+    # too few pieces, a stack of one placement, one coordinate per piece
+    for placement in (sol[:1], sol[None], sol[:, :1]):
+        for encoding in (linear_residual, exponential_residual):
+            with pytest.raises(ValueError, match="placement must have shape"):
+                encoding(puz, placement)
 
 
 def test_instance_hessian_overflow_raises():

@@ -751,19 +751,30 @@ def _drop(*keys):
      "result file: solutions must be a JSON object"),
     ("verify", "result", lambda raw: raw.update(schema_version=2),
      "unsupported schema_version 2"),
+    ("solve", "puzzle", lambda raw: raw["params"].update(k_set=[1, 2]),
+     "k_set must be a list of int pairs"),
+    ("solve", "puzzle", lambda raw: raw["params"].update(k_set=[[1, 2, 3]]),
+     "k_set must be a list of int pairs"),
+    ("solve", "puzzle", lambda raw: raw["params"].update(k_set=[[0, 0]]),
+     "k_set must be non-empty, without (0, 0)"),
+    ("solve", "nash", lambda raw: raw["params"]["payoffs"][1][0].append(2.0),
+     "player 2 tensor must be a rectangular array of numbers"),
 ], ids=["result-list", "stats-list", "point-int", "provenance-null", "instance-list",
         "no-params", "no-frame", "no-pieces", "no-edges", "no-solutions", "no-config",
-        "no-label", "no-points", "no-energy", "points-int", "solutions-list", "schema-2"])
+        "no-label", "no-points", "no-energy", "points-int", "solutions-list", "schema-2",
+        "k-set-ints", "k-set-triple", "k-set-zero", "payoffs-ragged"])
 def test_cli_malformed_file_is_an_error(tmp_path, capsys, command, file, spoil, says):
     # a file that is not what its reader expects ends in one error line that
     # names what is wrong where, not in a traceback
     paths = {"instance": tmp_path / "phi4.json", "result": tmp_path / "r.json",
-             "puzzle": tmp_path / "puzzle.json"}
+             "puzzle": tmp_path / "puzzle.json", "nash": tmp_path / "pennies.json"}
     assert run_cli("generate", "phi4", "--N", "2", "-o", str(paths["instance"])) == 0
     assert run_cli("solve", str(paths["instance"]), "-o", str(paths["result"]),
                    "--starts", "grid3") == 0
     assert run_cli("generate", "puzzle", "--grid", "2x2", "--colors", "3", "--seed", "8",
                    "-o", str(paths["puzzle"])) == 0
+    assert run_cli("generate", "nash", "--preset", "matching-pennies",
+                   "-o", str(paths["nash"])) == 0
     raw = json.loads(paths[file].read_text())
     paths[file].write_text(json.dumps(spoil(raw) or raw))
     capsys.readouterr()

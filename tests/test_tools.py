@@ -48,10 +48,11 @@ def test_drift_writes_the_cli_files_byte_for_byte(tmp_path):
     a, b = tmp_path / "a" / "cli", tmp_path / "b" / "cli"
     names = sorted(p.name for p in a.iterdir())
     assert names == ["disordered-gradsq.json", "disordered.json", "lj-epsilon.json",
-                     "lj-sigma.json", "lj.json", "morse-re.json", "morse.json", "pennies.json",
-                     "phi4-J.json", "phi4-grid3.json", "phi4-lam.json", "phi4-mu2.json",
-                     "phi4.json", "puzzle.json", "ring-bc.json", "ring-constant.json",
-                     "ring-homotopy.json", "ring.json", "thomson.json", "xy-nogauge.json"]
+                     "lj-sigma.json", "lj.json", "morse-re.json", "morse.json",
+                     "pennies-solved.json", "pennies.json", "phi4-J.json", "phi4-grid3.json",
+                     "phi4-lam.json", "phi4-mu2.json", "phi4.json", "puzzle-solved.json",
+                     "puzzle.json", "ring-bc.json", "ring-constant.json", "ring-homotopy.json",
+                     "ring.json", "thomson.json", "xy-nogauge.json"]
     assert sorted(p.name for p in b.iterdir()) == names
     assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
 

@@ -46,6 +46,8 @@ CLI_RUNS = (
      "--starts", "40", "--seed", "7"),
     ("generate", "nash", "--preset", "matching-pennies", "-o", "pennies.json"),
     ("generate", "puzzle", "--grid", "2x2", "--colors", "3", "--seed", "8", "-o", "puzzle.json"),
+    ("solve", "puzzle.json", "-o", "puzzle-solved.json", "--starts", "10", "--seed", "1"),
+    ("solve", "pennies.json", "-o", "pennies-solved.json", "--starts", "20", "--seed", "1"),
     ("generate", "thomson", "--charges", "5", "-o", "thomson.json"),
     ("generate", "lj", "--atoms", "4", "-o", "lj.json"),
     ("generate", "morse", "--atoms", "4", "--rho", "6", "-o", "morse.json"),
