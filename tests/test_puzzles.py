@@ -124,6 +124,15 @@ def test_exponential_residual_custom_k_set():
     assert np.max(np.abs(r)) < 1e-12
 
 
+def test_exponential_residual_shift_guard():
+    # a shifted placement stays finite while exp(k . u) fits in a float; past
+    # that (k . u reaches about 2000 at sol + 500) it raises like the instance
+    puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
+    assert np.all(np.isfinite(exponential_residual(puz, sol + 50.0)))
+    with pytest.raises(EvaluationError):
+        exponential_residual(puz, sol + 500.0)
+
+
 def test_instance_residual_and_jacobian():
     puz, sol = generate_grid_puzzle(2, 2, 3, seed=5)
     inst = PuzzleInstance(puz)
@@ -155,14 +164,11 @@ def test_instance_gradient_matches_fd():
 
 
 def test_instance_overflow_raises():
-    puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
+    puz, _ = generate_grid_puzzle(2, 1, 1, seed=0)
     inst = PuzzleInstance(puz)
     x = np.full(inst.n, 600.0)
     with pytest.raises(EvaluationError):
         inst.residual(x)
-    # the block view raises where the instance does: k . u reaches about 2000
-    with pytest.raises(EvaluationError):
-        exponential_residual(puz, sol + 500.0)
 
 
 def test_instance_jacobian_overflow_raises():
