@@ -172,6 +172,9 @@ class ThomsonSphere(_Cluster):
     def _pair_dvdr(r):
         return -1.0 / r**2
 
+    # r**3 here and (sigma/r)**6 in LJ keep ``**``: numpy powers a positive
+    # base on its vector path, unlike the signed ones the phi4 kernels write as
+    # products, and a product would move these results' rounding for little gain
     @staticmethod
     def _pair_d2vdr2(r):
         return 2.0 / r**3

@@ -36,7 +36,9 @@ class Phi4Lattice(ProblemInstance):
     neighbor slots contributes J/4 * (x - x_neighbor)^2.  Neighbor slots are a
     multiset: on a 2 x 2 grid the up and down neighbors coincide, and on a
     1 x 1 grid all four slots point back at the site itself, so the coupling
-    term cancels from the gradient exactly.
+    term cancels from the gradient exactly.  The kernels write x^3 and x^4 as
+    products: on signed values numpy computes ``X**3`` with one scalar ``pow``
+    call per element, about twenty times slower than ``X * X * X``.
     """
 
     family = "phi4"
@@ -69,7 +71,8 @@ class Phi4Lattice(ProblemInstance):
 
     def energy_batch(self, X):
         X = self.check_points(X)
-        onsite = np.sum(self.lam / 24.0 * X**4 - 0.5 * self.mu2 * X**2, axis=1)
+        X2 = X * X
+        onsite = np.sum(self.lam / 24.0 * (X2 * X2) - 0.5 * self.mu2 * X2, axis=1)
         springs = (X[:, :, None] - X[:, self.neighbors]) ** 2
         spring = 0.25 * self.J * np.sum(springs.reshape(len(X), 4 * self.n), axis=1)
         return onsite + spring, np.zeros(len(X), dtype=bool)
@@ -77,7 +80,7 @@ class Phi4Lattice(ProblemInstance):
     def residual_batch(self, X):
         X = self.check_points(X)
         nb_sum = X[:, self.neighbors].sum(axis=2)
-        g = self.lam / 6.0 * X**3 + (4.0 * self.J - self.mu2) * X - self.J * nb_sum
+        g = self.lam / 6.0 * (X * X * X) + (4.0 * self.J - self.mu2) * X - self.J * nb_sum
         return g, np.zeros(len(X), dtype=bool)
 
     def residual_jacobian_batch(self, X):

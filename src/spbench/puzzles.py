@@ -175,12 +175,17 @@ class Puzzle:
         return self.offsets + shifts[..., self.owner + 1, :]
 
 
-def _blocks(puzzle, placement):
-    """The linear and the exponential block of ``PuzzleInstance(puzzle)``'s
-    residual at a (pieces, 2) placement."""
+def _check_placement(puzzle, placement):
+    """ValueError unless ``placement`` is one (pieces, 2) placement."""
     if np.shape(placement) != (len(puzzle.pieces), 2):
         raise ValueError(f"placement must have shape ({len(puzzle.pieces)}, 2), "
                          f"got {np.shape(placement)}")
+
+
+def _blocks(puzzle, placement):
+    """The linear and the exponential block of ``PuzzleInstance(puzzle)``'s
+    residual at a (pieces, 2) placement."""
+    _check_placement(puzzle, placement)
     return np.split(PuzzleInstance(puzzle).residual(np.ravel(placement)), [2 * len(puzzle.classes)])
 
 
@@ -199,7 +204,8 @@ def exponential_residual(puzzle, placement):
 def verify_geometric(puzzle, placement):
     """Ground truth: every edge must coincide with exactly one partner edge
     of equal color and opposite direction, within ANGLE_TOL in direction
-    and in position."""
+    and in position.  ValueError unless ``placement`` is (pieces, 2)."""
+    _check_placement(puzzle, placement)
     placed = list(zip(puzzle.edges, puzzle.positions(placement)))
     partners = []
     for i, (ei, pi) in enumerate(placed):

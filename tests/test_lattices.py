@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spbench.core import classify
+from spbench.solvers import SolverConfig, multistart
 from spbench.lattices import (
     ANTI_PERIODIC,
     GRID_CAP,
@@ -116,6 +117,19 @@ def test_phi4_index_counts_sites_at_zero():
     x = np.array([0.0, ROOT, -ROOT, 0.0])
     sp = classify(inst, x)
     assert sp.index == 2
+
+
+def test_phi4_census_points_sit_at_site_roots():
+    # the phi4-census campaign: every start converges, 972 of the 3^9 points
+    inst = Phi4Lattice(3)
+    result = multistart(inst, SolverConfig(starts=1000, seed=0))
+    assert result.stats.converged == 1000
+    cols = result.solutions.columns
+    assert len(cols) == 972
+    off = np.abs(cols.coords[:, :, None] - np.array(inst.site_roots())).min(axis=2)
+    assert off.max() <= 1e-8
+    np.testing.assert_array_equal(cols.index, (np.abs(cols.coords) <= 1e-8).sum(axis=1))
+    assert not cols.zero_eigs.any()
 
 
 def test_xy_dims_and_gauge():
@@ -292,10 +306,11 @@ def _phi4_reference(inst, p):
     terms and springs each summed over the point, the Hessian's springs
     added one neighbor slot at a time."""
     x = np.asarray(p, dtype=float)
-    onsite = np.sum(inst.lam / 24.0 * x**4 - 0.5 * inst.mu2 * x**2)
+    x2 = x * x
+    onsite = np.sum(inst.lam / 24.0 * (x2 * x2) - 0.5 * inst.mu2 * x2)
     energy = float(onsite + 0.25 * inst.J * np.sum((x[:, None] - x[inst.neighbors]) ** 2))
     nb_sum = x[inst.neighbors].sum(axis=1)
-    g = inst.lam / 6.0 * x**3 + (4.0 * inst.J - inst.mu2) * x - inst.J * nb_sum
+    g = inst.lam / 6.0 * (x * x * x) + (4.0 * inst.J - inst.mu2) * x - inst.J * nb_sum
     h = np.zeros((inst.n, inst.n))
     h[np.arange(inst.n), np.arange(inst.n)] = 0.5 * inst.lam * x**2 + (4.0 * inst.J - inst.mu2)
     np.add.at(h, (np.repeat(np.arange(inst.n), 4), inst.neighbors.ravel()), -inst.J)

@@ -207,7 +207,7 @@ def test_placement_shape_checked():
     puz, sol = generate_grid_puzzle(2, 1, 1, seed=0)
     # too few pieces, a stack of one placement, one coordinate per piece
     for placement in (sol[:1], sol[None], sol[:, :1]):
-        for encoding in (linear_residual, exponential_residual):
+        for encoding in (linear_residual, exponential_residual, verify_geometric):
             with pytest.raises(ValueError, match="placement must have shape"):
                 encoding(puz, placement)
 

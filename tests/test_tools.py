@@ -1,7 +1,10 @@
 """tools/drift.py writes the files that two checkouts compare byte for byte;
 tools/size.py counts the library's lines and significant tokens."""
 
+import json
 import runpy
+import shutil
+from collections import Counter
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -55,6 +58,42 @@ def test_drift_writes_the_cli_files_byte_for_byte(tmp_path):
                      "ring.json", "thomson.json", "xy-nogauge.json"]
     assert sorted(p.name for p in b.iterdir()) == names
     assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+def test_drift_compare_names_what_differs_and_how(tmp_path, capsys):
+    drift = runpy.run_path(str(DRIFT))
+    a, b = tmp_path / "a", tmp_path / "b"
+    drift["write_campaigns"](a, "phi4-census", 0)
+    shutil.copytree(a, b)
+    (a / "only-a.trace").write_text("")
+    folder = "phi4-census-seed-0"
+    result = b / folder / "phi4-N3-census.json"
+    d = json.loads(result.read_text())
+    points = d["solutions"]["points"]
+    points[0]["coords"][0] += 5e-7  # moved within the tolerance 1e-6
+    points[1]["coords"][0] += 1e-3  # moved out of it
+    points[2]["index"] += 1
+    result.write_text(json.dumps(d))
+    starts = b / folder / "phi4-N3-census.starts"
+    lines = starts.read_text().splitlines(keepends=True)
+    status, iterations, rest = lines[0].split(" ", 2)
+    lines[0] = f"{status} {int(iterations) + 1} {rest}"
+    starts.write_text("".join(lines))
+    drift["main"](["--compare", str(a), str(b)])
+    out = capsys.readouterr().out.splitlines()
+    stats = json.dumps(d["campaign_stats"], sort_keys=True)
+    hist = dict(sorted(Counter(p["index"] for p in points).items()))
+    assert out[0] == f"only in {a}: only-a.trace"
+    assert out[1] == f"differs: {folder}/phi4-N3-census.json"
+    assert out[2] == f"  campaign_stats: {stats} | {stats}"
+    assert out[3] == "  distinct: 972 | 972"
+    assert out[4].startswith("  index histogram: ") and out[4].endswith(f" | {hist}")
+    for side, line in zip("AB", out[5:7]):
+        assert line == (f"  {side} within 1e-06 (euclidean) of the other side: "
+                        "971 of 972, 970 with the same index")
+    assert out[7] == f"differs: {folder}/phi4-N3-census.starts"
+    assert out[8] == "  starts agreeing on status and iterations: 999 of 1000"
+    assert out[9] == "3 of 3 files differ"
 
 
 def test_size_counts_lines_and_significant_tokens(capsys):

@@ -14,6 +14,15 @@ instance and result files they write in ``OUT/cli/``, and writes
 bytes (hex) and the repr of its residual norm.  Run it in two
 checkouts; ``diff -r OUT_A OUT_B`` prints nothing when every result is
 byte-identical.
+
+    python3 tools/drift.py --compare OUT_A OUT_B
+
+names each file that differs between two such folders, or that only one of
+them has.  For a result file it prints both sides' ``campaign_stats``,
+distinct count and index histogram, and how many of each side's points lie
+within the file's ``tolerance``, under its ``metric``, of a point on the other
+side (and how many of those share its index).  For a ``.starts`` file it
+prints how many starts agree on status and iteration count.
 """
 
 from __future__ import annotations
@@ -21,8 +30,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import sys
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -100,10 +113,71 @@ def write_traces(out):
         (folder / f"{method}.trace").write_text("".join(lines))
 
 
+def _matched(sol, other):
+    """How many of ``sol``'s points lie within its tolerance, under its metric,
+    of one of the points ``other``, and how many of those share that point's index."""
+    if not other:
+        return 0, 0
+    X = np.array([q["coords"] for q in other], dtype=float)
+    near = same = 0
+    for p in sol["points"]:
+        d = spbench.core._wrap(X - p["coords"], sol["metric"])
+        hits = np.flatnonzero(np.linalg.norm(d, axis=1) <= sol["tolerance"])
+        near += hits.size > 0
+        same += any(other[k]["index"] == p["index"] for k in hits)
+    return near, same
+
+
+def _compare_results(a, b):
+    sides = [json.loads(path.read_text()) for path in (a, b)]
+    sols = [d["solutions"] for d in sides]
+    stats = [json.dumps(d["campaign_stats"], sort_keys=True) for d in sides]
+    hists = [dict(sorted(Counter(p["index"] for p in s["points"]).items())) for s in sols]
+    print(f"  campaign_stats: {stats[0]} | {stats[1]}")
+    print(f"  distinct: {len(sols[0]['points'])} | {len(sols[1]['points'])}")
+    print(f"  index histogram: {hists[0]} | {hists[1]}")
+    for side, sol, other in (("A", sols[0], sols[1]), ("B", sols[1], sols[0])):
+        near, same = _matched(sol, other["points"])
+        print(f"  {side} within {sol['tolerance']!r} ({sol['metric']}) of the other side: "
+              f"{near} of {len(sol['points'])}, {same} with the same index")
+
+
+def _compare_starts(a, b):
+    rows = [[line.split(" ")[:2] for line in path.read_text().splitlines()] for path in (a, b)]
+    agree = sum(x == y for x, y in zip(*rows))
+    # a start that only one side has agrees with nothing
+    print(f"  starts agreeing on status and iterations: {agree} of {max(map(len, rows))}")
+
+
+def compare(out_a, out_b):
+    """Print the report of ``--compare`` for the folders ``out_a`` and ``out_b``."""
+    names = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in (out_a, out_b)]
+    shared = names[0] & names[1]
+    differ = sorted((names[0] ^ names[1])
+                    | {n for n in shared if (out_a / n).read_bytes() != (out_b / n).read_bytes()})
+    for name in differ:
+        if name not in shared:
+            print(f"only in {out_a if name in names[0] else out_b}: {name}")
+            continue
+        print(f"differs: {name}")
+        a, b = out_a / name, out_b / name
+        if name.suffix == ".starts":
+            _compare_starts(a, b)
+        elif name.suffix == ".json" and "campaign_stats" in json.loads(a.read_text()):
+            _compare_results(a, b)
+    print(f"{len(differ)} of {len(names[0] | names[1])} files differ")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="directory to write the files into")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("out", type=Path, nargs="?", help="directory to write the files into")
+    what.add_argument("--compare", type=Path, nargs=2, metavar=("OUT_A", "OUT_B"),
+                      help="report how two folders this script wrote differ")
     args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return
     if (ROOT / "src").resolve() not in Path(spbench.__file__).resolve().parents:
         sys.exit(f"spbench was imported from {spbench.__file__}, not from {ROOT / 'src'}")
     for name in WORKLOADS:
