@@ -114,8 +114,7 @@ class _Cluster(ProblemInstance):
 
     def residual_jacobian_batch(self, X):
         *parts, failed = self._cartesian(X, hessian=True)
-        h = self._pull_hessian(*parts)[:, self._free[:, None], self._free]
-        return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
+        return _masked(self._pull_hessian(*parts)[:, self._free[:, None], self._free], failed)
 
     def sample_start_batch(self, rngs):
         """Starts from the draw region, rejection-sampled so that every pair of
@@ -248,7 +247,7 @@ class LennardJonesCluster(_PairPotentialCluster):
     """12-6 pair potential 4 eps ((sigma/r)^12 - (sigma/r)^6) summed over pairs."""
 
     family = "lj"
-    _PARAMS = {"atoms": "an int", "epsilon": "a number", "sigma": "a number"}
+    _PARAMS = {"atoms": "an int", "epsilon": "a finite number", "sigma": "a finite number"}
 
     def __init__(self, atoms, epsilon=1.0, sigma=1.0, label=None):
         if label is None:
@@ -274,7 +273,8 @@ class MorseCluster(_PairPotentialCluster):
     """Morse pair potential eps * u * (u - 2) with u = exp(rho (1 - r/r_e))."""
 
     family = "morse"
-    _PARAMS = {"atoms": "an int", "rho": "a number", "epsilon": "a number", "r_e": "a number"}
+    _PARAMS = {"atoms": "an int", "rho": "a finite number", "epsilon": "a finite number",
+               "r_e": "a finite number"}
 
     def __init__(self, atoms, rho, epsilon=1.0, r_e=1.0, label=None):
         if label is None:

@@ -2,8 +2,9 @@
 classification and windowed duplicate removal.
 
 Every problem family subclasses ProblemInstance and writes its energy, its
-residual and its Jacobian once, as kernels over an (m, n) stack of points;
-every per-point evaluation is their batch of one.  Gradient families (the
+residual and its Jacobian once, as kernels over an (m, n) stack of points
+that return one array, a row that could not be evaluated not finite; every
+per-point evaluation is their batch of one.  Gradient families (the
 lattice and cluster models) expose the objective as ``energy`` and the
 system to solve is its gradient.  Root-finding families (game and puzzle
 systems) subclass RootSystem: the residual is their polynomial system, and
@@ -18,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -47,7 +49,7 @@ class ProblemInstance:
     override ``params`` and ``from_params``.
     The per-point ``energy``, ``residual``, ``residual_jacobian`` and
     ``sample_start`` are the batch of one, and the first three raise
-    EvaluationError where the kernel masks the row; for the gradient
+    EvaluationError where the kernel's row is not finite; for the gradient
     families the residual is also the ``gradient`` and, as
     ``hessian_batch``, its Jacobian the ``hessian``.  Starts are drawn
     uniformly from the region ``_draw_lo + _draw_span u``, u in [0, 1)^n,
@@ -60,7 +62,7 @@ class ProblemInstance:
     # each constructor parameter but ``label``, kept as an attribute of its
     # name, with the ``_TYPES`` rule of its value in an instance file
     _PARAMS = {}
-    # what makes a kernel mask a row, for the per-point error messages
+    # what makes a kernel's row not finite, for the per-point error messages
     _failure = "evaluation failed"
 
     def __init__(self, n, label):
@@ -81,28 +83,27 @@ class ProblemInstance:
         return X
 
     def energy_batch(self, X):
-        """Energies at the rows of ``X`` and the failed rows, as ``residual_batch``."""
+        """Energies at the rows of ``X``, as ``residual_batch``."""
         raise NotImplementedError
 
     def residual_batch(self, X):
-        """Residuals at the rows of the (m, n) array ``X``, stacked, and a
-        boolean mask of the rows that could not be evaluated.  A row's
-        values do not depend on the other rows, and a stack of no rows
-        gives values and a mask of no rows."""
+        """Residuals at the rows of the (m, n) array ``X``, stacked in one
+        C-order array, where a row that could not be evaluated is not
+        finite.  A row's values do not depend on the other rows, and a
+        stack of no rows gives no rows."""
         raise NotImplementedError
 
     def residual_jacobian_batch(self, X):
-        """Residual Jacobians at the rows of ``X``, stacked, and the mask of
-        rows that could not be evaluated, as ``residual_batch``."""
+        """Residual Jacobians at the rows of ``X``, as ``residual_batch``."""
         raise NotImplementedError
 
     def _at_point(self, kernel, p):
         """The values of ``kernel`` at the single point ``p``, the batch of
-        one; EvaluationError if the kernel masks it."""
-        values, failed = kernel(self.check_point(p)[None])
-        if failed[0]:
+        one; EvaluationError if they are not finite."""
+        values = kernel(self.check_point(p)[None])[0]
+        if not np.isfinite(values).all():
             raise EvaluationError(f"{self.label}: {self._failure}")
-        return values[0]
+        return values
 
     def residual(self, p):
         return self._at_point(self.residual_batch, p)
@@ -117,15 +118,15 @@ class ProblemInstance:
         return self.residual(p)
 
     def hessian_batch(self, X):
-        """Energy Hessians at the rows of ``X`` and the failed rows, as ``residual_batch``."""
+        """Energy Hessians at the rows of ``X``, as ``residual_batch``."""
         return self.residual_jacobian_batch(X)
 
     def hessian(self, p):
         return self._at_point(self.hessian_batch, p)
 
-    def _energies(self, X, res, failed):
-        """``energy_batch(X)``, given the residuals ``res`` and their failed
-        rows ``failed`` at the rows of ``X``, which a family may reuse."""
+    def _energies(self, X, res):
+        """``energy_batch(X)``, given the residuals ``res`` at the rows of
+        ``X``, which a family may reuse."""
         return self.energy_batch(X)
 
     def params(self):
@@ -152,29 +153,29 @@ class RootSystem(ProblemInstance):
 
     Subclasses also implement ``_jacobian_and_curvature_batch``.  The energy
     is f . f, the gradient 2 J^T f and the Hessian 2 (J^T J + sum_k f_k
-    grad^2 f_k), exact, from one evaluation and masked where not finite.
+    grad^2 f_k), exact, from one evaluation, and not finite where J or the
+    curvature is not.
     """
 
     def _jacobian_and_curvature_batch(self, X):
-        """Per row of ``X``: the Jacobian, as ``residual_jacobian_batch``
-        gives it, and sum_k f_k grad^2 f_k, the residual's second
-        derivatives weighted by its own components; then the failed rows."""
+        """Per row of ``X``, as ``residual_jacobian_batch`` gives it: the
+        Jacobian, and sum_k f_k grad^2 f_k, the residual's second
+        derivatives weighted by its own components."""
         raise NotImplementedError
 
     def energy_batch(self, X):
-        return self._energies(X, *self.residual_batch(X))
+        return self._energies(X, self.residual_batch(X))
 
-    def _energies(self, X, res, failed):
-        return _dots(res, res), failed
+    def _energies(self, X, res):
+        return _dots(res, res)
 
     def gradient(self, p):
         return 2.0 * self.residual_jacobian(p).T @ self.residual(p)
 
     def hessian_batch(self, X):
-        jac, curv, failed = self._jacobian_and_curvature_batch(X)
+        jac, curv = self._jacobian_and_curvature_batch(X)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = 2.0 * (jac.swapaxes(1, 2) @ jac + curv)
-        return _masked(h, failed | ~np.isfinite(h).all(axis=(1, 2)))
+            return 2.0 * (jac.swapaxes(1, 2) @ jac + curv)
 
 
 def _uniform_rows(rngs, lo, span, n):
@@ -187,12 +188,12 @@ def _uniform_rows(rngs, lo, span, n):
 
 
 def _masked(values, failed):
-    """A kernel's return: ``values`` in C order, since the solvers' row-wise
-    products round differently on strided rows than on a lone point, with
-    the rows of ``failed`` set to nan; and ``failed``."""
+    """A kernel's return where failed rows would be finite: ``values`` in C
+    order, since the solvers' row-wise products round differently on strided
+    rows than on a lone point, with the rows of ``failed`` set to nan."""
     values = np.ascontiguousarray(values)
     values[failed] = np.nan
-    return values, failed
+    return values
 
 
 def _block_diagonal(blocks):
@@ -205,11 +206,16 @@ def _block_diagonal(blocks):
     return out.reshape(m, count * rows, count * cols)
 
 
+def _finite(values):
+    """Whether every number is a finite float or an int that converts to one."""
+    return all(abs(v) <= sys.float_info.max for v in values)
+
+
 # the rule of a value read from a file or given as a setting: the types it
 # admits, where a bool is no number, and a test of all the values at once;
 # "numbers" admits a number or nested lists of them, "a list ..." only the lists
-_TYPES = {"a number": (Real, None), "numbers": (Real, None), "an int": (Integral, None),
-          "a list": (list, None), "a list of numbers": (Real, None),
+_TYPES = {"a finite number": (Real, _finite), "numbers": (Real, None), "an int": (Integral, None),
+          "a list": (list, None), "a list of finite numbers": (Real, _finite),
           "a list of ints": (Integral, None),
           "a non-negative int": (Integral, lambda vs: min(vs) >= 0),
           "finite and >= 0": (Real, lambda vs: all(0 <= v < math.inf for v in vs)),
@@ -364,25 +370,24 @@ def classify_batch(instance, P, solver="direct", seed=0, start_id=0):
     """
     P = instance.check_points(P)
     m, n = P.shape
-    H, failed = instance.hessian_batch(P)
-    H = np.asarray(H, dtype=float)
+    H = np.asarray(instance.hessian_batch(P), dtype=float)
     if H.shape != (m, n, n):
         raise ValueError(f"{instance.label}: Hessians have shape {H.shape}, "
                          f"expected {(m, n, n)}")
-    res, res_failed = instance.residual_batch(P)
-    res = np.asarray(res, dtype=float)
-    energies, energy_failed = instance._energies(P, res, res_failed)
+    res = np.asarray(instance.residual_batch(P), dtype=float)
+    energies = np.asarray(instance._energies(P, res), dtype=float)
     bad = ~np.isfinite(H).all(axis=(1, 2))
-    stopped = failed | bad | res_failed | energy_failed
+    failed = ~(np.isfinite(res).all(axis=1) & np.isfinite(energies))
+    stopped = bad | failed
     errors = {}
     for i in np.flatnonzero(stopped).tolist():
-        why = "non-finite Hessian entries at classify point" if bad[i] and not failed[i] else None
-        errors[i] = EvaluationError(f"{instance.label}: {why or instance._failure}")
+        why = instance._failure if failed[i] else "non-finite Hessian entries at classify point"
+        errors[i] = EvaluationError(f"{instance.label}: {why}")
     eigs = np.linalg.eigvalsh(np.where(bad[:, None, None], 0.0, 0.5 * (H + H.swapaxes(1, 2))))
     tol = ZERO_TOL * (1.0 + np.abs(eigs).max(axis=1, initial=0.0))[:, None]
     zero_eigs = (np.abs(eigs) <= tol).sum(axis=1)
     ok = np.flatnonzero(~stopped)
-    return PointColumns(instance.label, P[ok], np.asarray(energies, dtype=float)[ok],
+    return PointColumns(instance.label, P[ok], energies[ok],
                         np.sqrt(_dots(res, res))[ok], (eigs < -tol).sum(axis=1)[ok],
                         zero_eigs[ok], zero_eigs[ok] > 0, [solver] * len(ok), [seed] * len(ok),
                         np.broadcast_to(start_id, (m,))[ok]), errors
@@ -404,9 +409,7 @@ def _wrap(d, metric):
     one, each component wrapped onto (-pi, pi] for the angular one."""
     if metric == EUCLIDEAN:
         return d
-    if metric == ANGULAR_MOD_2PI:
-        return np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-    raise ValueError(f"unknown metric {metric!r}, expected one of {_METRICS}")
+    return np.mod(d + np.pi, 2.0 * np.pi) - np.pi
 
 
 def dedup(columns, tol=1e-6, metric=EUCLIDEAN):

@@ -212,21 +212,21 @@ class NashInstance(RootSystem):
 
     def residual_batch(self, X):
         probs, pis, _, resp = self._evaluate(X, every_pair=False)
-        return self._residual(probs, pis, resp), np.zeros(len(pis), dtype=bool)
+        return self._residual(probs, pis, resp)
 
     def residual_jacobian_batch(self, X):
         probs, pis, pairs, resp = self._evaluate(X)
-        return self._jacobian(probs, pis, pairs, resp), np.zeros(len(pis), dtype=bool)
+        return self._jacobian(probs, pis, pairs, resp)
 
     def _jacobian_and_curvature_batch(self, X):
         probs, pis, pairs, resp = self._evaluate(X)
         curv = self._curvature(probs, pairs, self._residual(probs, pis, resp))
-        return self._jacobian(probs, pis, pairs, resp), curv, np.zeros(len(pis), dtype=bool)
+        return self._jacobian(probs, pis, pairs, resp), curv
 
     @classmethod
     def from_params(cls, params, label=None):
         params = _checked(params, {"players": "an int", "strategy_counts": "a list of ints",
-                                   "payoffs": "a list of numbers"})
+                                   "payoffs": "a list of finite numbers"})
         game = NashGame(params["payoffs"])
         counts = params["strategy_counts"]
         if list(game.shape) != counts:

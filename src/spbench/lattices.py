@@ -42,7 +42,8 @@ class Phi4Lattice(ProblemInstance):
     """
 
     family = "phi4"
-    _PARAMS = {"N": "an int", "lam": "a number", "mu2": "a number", "J": "a number"}
+    _PARAMS = {"N": "an int", "lam": "a finite number", "mu2": "a finite number",
+               "J": "a finite number"}
     _draw_lo, _draw_span = -6.0, 12.0
 
     def __init__(self, N, lam=0.6, mu2=2.0, J=0.0, label=None):
@@ -75,20 +76,19 @@ class Phi4Lattice(ProblemInstance):
         onsite = np.sum(self.lam / 24.0 * (X2 * X2) - 0.5 * self.mu2 * X2, axis=1)
         springs = (X[:, :, None] - X[:, self.neighbors]) ** 2
         spring = 0.25 * self.J * np.sum(springs.reshape(len(X), 4 * self.n), axis=1)
-        return onsite + spring, np.zeros(len(X), dtype=bool)
+        return onsite + spring
 
     def residual_batch(self, X):
         X = self.check_points(X)
         nb_sum = X[:, self.neighbors].sum(axis=2)
-        g = self.lam / 6.0 * (X * X * X) + (4.0 * self.J - self.mu2) * X - self.J * nb_sum
-        return g, np.zeros(len(X), dtype=bool)
+        return self.lam / 6.0 * (X * X * X) + (4.0 * self.J - self.mu2) * X - self.J * nb_sum
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
         h = np.repeat(self._coupling[None], len(X), axis=0)
         diag = np.arange(self.n)
         h[:, diag, diag] += 0.5 * self.lam * X**2 + (4.0 * self.J - self.mu2)
-        return h, np.zeros(len(X), dtype=bool)
+        return h
 
     def site_roots(self):
         """Roots of the decoupled single-site equation: 0 and +-sqrt(6 mu2/lam)."""
@@ -142,7 +142,7 @@ def _normalize_disorder(disorder):
         kind, *numbers = disorder.split(":")
     elif isinstance(disorder, dict):
         kind = disorder.get("kind")
-        numbers = [_typed([disorder[k]], "a number", f"disorder {k}")[0]
+        numbers = [_typed([disorder[k]], "a finite number", f"disorder {k}")[0]
                    for k in _DISORDER_KINDS.get(kind, ()) if k in disorder]
     else:
         raise ValueError(f"cannot interpret disorder spec {disorder!r}")
@@ -181,7 +181,7 @@ class XYLattice(ProblemInstance):
     family = "xy"
     _PARAMS = {"d": "an int", "L": "an int", "bc": "a string", "disorder": "a JSON object",
                "seed": "a non-negative int", "gauge_fixed": "a bool",
-               "couplings": "a list of numbers"}
+               "couplings": "a list of finite numbers"}
     dedup_metric = ANGULAR_MOD_2PI
     # starts pi - U[0, 2pi) land in (-pi, pi]
     _draw_lo, _draw_span = np.pi, -2.0 * np.pi
@@ -264,7 +264,7 @@ class XYLattice(ProblemInstance):
         # the edge differences come back strided, and a sum along a strided
         # row rounds differently from the sum over a lone point's edges
         c = self._j_eff * np.cos(np.ascontiguousarray(self._edge_deltas(X)))
-        return np.sum(1.0 - c, axis=1), np.zeros(len(c), dtype=bool)
+        return np.sum(1.0 - c, axis=1)
 
     # Both kernels scatter every row's edge terms into bins of their own by
     # offsetting the row's indices, so each bin sums the same terms in the
@@ -277,7 +277,7 @@ class XYLattice(ProblemInstance):
         g = (np.bincount((self.edge_a + rows).ravel(), weights=s.ravel(), minlength=m * size)
              - np.bincount((self.edge_b + rows).ravel(), weights=s.ravel(), minlength=m * size))
         g = g.reshape(m, size)
-        return (g[:, 1:] if self.gauge_fixed else g), np.zeros(m, dtype=bool)
+        return np.ascontiguousarray(g[:, 1:]) if self.gauge_fixed else g
 
     def residual_jacobian_batch(self, X):
         c = self._j_eff * np.cos(self._edge_deltas(X))
@@ -286,7 +286,7 @@ class XYLattice(ProblemInstance):
         weights = np.concatenate((c, c, -c, -c), axis=1)
         h = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m * size)
         h = h.reshape(m, self.sites, self.sites)
-        return (h[:, 1:, 1:] if self.gauge_fixed else h), np.zeros(m, dtype=bool)
+        return np.ascontiguousarray(h[:, 1:, 1:]) if self.gauge_fixed else h
 
     @property
     def n_edges(self):

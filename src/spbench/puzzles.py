@@ -265,7 +265,7 @@ class PuzzleInstance(RootSystem):
     family = "puzzle"
     _failure = "exponential overflow"
     # an edge's offset, color and angle in an instance file: their keys and rules
-    _EDGE_RULES = {"b": "a list of numbers", "c": "a string", "theta": "a number"}
+    _EDGE_RULES = {"b": "a list of finite numbers", "c": "a string", "theta": "a finite number"}
 
     def __init__(self, puzzle, label=None):
         self.puzzle = puzzle
@@ -296,13 +296,12 @@ class PuzzleInstance(RootSystem):
         return terms, pos, overflow
 
     def _residual(self, terms, pos):
-        """The stacked residuals, and the mask of rows whose sums overflow."""
+        """The stacked residuals, not finite where the sums overflow."""
         sign, m = self.puzzle.sign, len(pos)
         with np.errstate(over="ignore"):
-            out = np.concatenate([(sign @ pos).reshape(m, 2 * len(sign)),
-                                  (sign @ terms).reshape(m, len(sign) * len(self._freqs))],
-                                 axis=1)
-        return out, ~np.isfinite(out).all(axis=1)
+            return np.concatenate([(sign @ pos).reshape(m, 2 * len(sign)),
+                                   (sign @ terms).reshape(m, len(sign) * len(self._freqs))],
+                                  axis=1)
 
     def _per_piece(self, terms):
         """sum_e s_ce exp(k . u_e) over each piece's edges, (m, classes,
@@ -319,8 +318,7 @@ class PuzzleInstance(RootSystem):
 
     def residual_batch(self, X):
         terms, pos, overflow = self._exp_terms(X)
-        out, failed = self._residual(terms, pos)
-        return _masked(out, overflow | failed)
+        return _masked(self._residual(terms, pos), overflow)
 
     def residual_jacobian_batch(self, X):
         terms, _, overflow = self._exp_terms(X)
@@ -330,13 +328,13 @@ class PuzzleInstance(RootSystem):
         # the linear rows are flat; exponential row (c, k) adds f_ck k k^T
         # times piece i's share of its sum to piece i's 2 x 2 diagonal block
         terms, pos, overflow = self._exp_terms(X)
-        f, failed = self._residual(terms, pos)
+        f = self._residual(terms, pos)
         per_piece = self._per_piece(terms)
         m, classes, pieces, _ = per_piece.shape
         weight = f[:, 2 * classes:].reshape(m, classes, len(self._freqs))
         blocks = np.einsum("mck,mcik->mik", weight, per_piece) @ self._freq_outer
         curv = _block_diagonal(blocks.reshape(m, pieces, 2, 2))
-        return self._jacobian(per_piece), curv, overflow | failed
+        return _masked(self._jacobian(per_piece), overflow), curv
 
     @classmethod
     def from_params(cls, params, label=None):

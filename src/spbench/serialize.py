@@ -108,7 +108,8 @@ def _points_text(cols):
 
 # the rule of each field of a ``_POINT`` record, in the order of ``PointColumns``; a
 # wrong index, like a wrong shape, loads for ``check_result`` to report
-_POINT_RULES = {"coords": "numbers", "energy": "a number", "residual_norm": "a number",
+_POINT_RULES = {"coords": "numbers", "energy": "a finite number",
+                "residual_norm": "a finite number",
                 "index": "an int", "zero_eigs": "an int", "singular": "a bool",
                 "solver": "a string", "seed": "a non-negative int",
                 "start_id": "a non-negative int"}

@@ -39,6 +39,11 @@ moves to the ``_Batch`` columns when it ends.  A row's arithmetic never
 depends on the other rows, so a start ends exactly where it would alone;
 ``solve`` is the batch of one.
 
+A kernel row that is not finite could not be evaluated: a start whose
+residual is not finite ends ``eval-error``, a trial point whose residual is
+not finite is refused, and a Jacobian that is not finite has no linear step,
+so its start ends ``singular-step``.
+
 ``multistart`` runs any of them over seeded starts as one batch, classifies
 the converged points and deduplicates them.  Start vectors depend only on
 (seed, start_id), so campaigns are reproducible at any batch size.
@@ -116,9 +121,6 @@ class Status(str, enum.Enum):
     SINGULAR_STEP = "singular-step"
 
 
-_DEFAULT_MAX_ITERS = {"newton": 100, "gradsq": 5000, "homotopy": 2000}
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "newton"
@@ -130,12 +132,11 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.method not in _DEFAULT_MAX_ITERS:
-            raise ValueError(f"unknown method {self.method!r}, "
-                             f"expected one of {sorted(_DEFAULT_MAX_ITERS)}")
-        _checked(vars(self), {"starts": "a non-negative int", "seed": "a non-negative int",
-                              "accept_tol": "finite and >= 0", "dedup_tol": "finite and >= 0",
-                              "record_trace": "a bool"})
+        _checked(vars(self), {"method": "a string", "starts": "a non-negative int",
+                              "seed": "a non-negative int", "accept_tol": "finite and >= 0",
+                              "dedup_tol": "finite and >= 0", "record_trace": "a bool"})
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {sorted(_METHODS)}")
         if self.max_iters is not None:
             _typed([self.max_iters], "a non-negative int", "max_iters")
 
@@ -153,18 +154,17 @@ def _resolved(cfg):
     """``cfg``, or the default config, with its method's default ``max_iters`` filled in."""
     cfg = cfg or SolverConfig()
     if cfg.max_iters is None:
-        cfg = dataclasses.replace(cfg, max_iters=_DEFAULT_MAX_ITERS[cfg.method])
+        cfg = dataclasses.replace(cfg, max_iters=_METHODS[cfg.method][1])
     return cfg
 
 
 def _residuals(instance, X):
     """Residuals at the rows of X, their norms, and the mask of rows whose
-    evaluation raised or whose norm is not finite or overflows (norm inf)."""
-    f, failed = instance.residual_batch(X)
-    f = np.asarray(f, dtype=float)
+    residual or norm is not finite; a failed row's norm is inf."""
+    f = np.asarray(instance.residual_batch(X), dtype=float)
     with np.errstate(over="ignore"):
         norm = np.sqrt(_dots(f, f))
-    failed = failed | ~np.isfinite(norm)
+    failed = ~np.isfinite(norm)
     norm[failed] = np.inf
     return f, norm, failed
 
@@ -361,10 +361,8 @@ def _newton_batch(instance, starts, cfg):
             b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
         if not len(live):
             break
-        jac, failed = instance.residual_jacobian_batch(live.x)
-        live.delta, ok = _linear_steps(jac, -live.f)
-        b.end(live, failed, Status.EVAL_ERROR, it)
-        b.end(live, ~ok[~failed], Status.SINGULAR_STEP, it)
+        live.delta, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f)
+        b.end(live, ~ok, Status.SINGULAR_STEP, it)
         norm0 = live.norm.copy()
         taken = _line_search(instance, live, live.delta, np.full(len(live), STEP0),
                              lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
@@ -384,8 +382,7 @@ def _gradsq_batch(instance, starts, cfg):
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
         b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
-        live.jac, failed = instance.residual_jacobian_batch(live.x)
-        b.end(live, failed, Status.EVAL_ERROR, it)
+        live.jac = instance.residual_jacobian_batch(live.x)
         if not len(live):
             break
         live.grad = ((2.0 * live.jac.transpose(0, 2, 1)) @ live.f[:, :, None])[:, :, 0]
@@ -421,10 +418,8 @@ def _homotopy_batch(instance, starts, cfg):
     while len(live):
         b.end(live, live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
         # the velocity at x solves J(x) v = -f0
-        jac, failed = instance.residual_jacobian_batch(live.x)
-        live.velocity, ok = _linear_steps(jac, -live.f0)
-        b.end(live, failed, Status.EVAL_ERROR, live.steps)
-        b.end(live, ~ok[~failed], Status.SINGULAR_STEP, live.steps)
+        live.velocity, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f0)
+        b.end(live, ~ok, Status.SINGULAR_STEP, live.steps)
         dt_eff = np.minimum(live.dt, 1.0 - live.t)
         t_new = live.t + dt_eff
         cur = live.x + dt_eff[:, None] * live.velocity
@@ -460,22 +455,23 @@ def _correct(instance, cur, shift, tol):
         active, h = active[go_on], h[go_on]
         if k == CORRECTOR_ITERS or not active.size:
             break
-        jac, failed = instance.residual_jacobian_batch(cur[active])
-        dc, ok = _linear_steps(jac, -h)
-        ok &= ~failed
+        dc, ok = _linear_steps(instance.residual_jacobian_batch(cur[active]), -h)
         active = active[ok]
         cur[active] = cur[active] + dc[ok]
     return used, cur_norm
 
 
-_METHODS = {"newton": _newton_batch, "gradsq": _gradsq_batch, "homotopy": _homotopy_batch}
+# each method's batch solver and default ``max_iters``
+_METHODS = {"newton": (_newton_batch, 100), "gradsq": (_gradsq_batch, 5000),
+            "homotopy": (_homotopy_batch, 2000)}
 
 
 def solve(instance, start, cfg=None):
     """Run ``cfg.method`` (Newton by default) from the one point ``start``:
     the batch of one."""
     cfg = _resolved(cfg)
-    return _METHODS[cfg.method](instance, instance.check_point(start)[None], cfg).outcomes()[0]
+    return _METHODS[cfg.method][0](instance, instance.check_point(start)[None],
+                                   cfg).outcomes()[0]
 
 
 @dataclass
@@ -574,7 +570,7 @@ def multistart(instance, cfg=None, starts=None):
                           dtype=float).reshape(len(starts), instance.n)
 
     began = time.perf_counter()
-    batch = _METHODS[cfg.method](instance, starts, cfg)
+    batch = _METHODS[cfg.method][0](instance, starts, cfg)
     wall = time.perf_counter() - began
 
     ends = np.flatnonzero(batch.status == _STATUSES.index(Status.CONVERGED))

@@ -4,7 +4,10 @@ The references below are the sequential forms of Newton, gradsq and the
 homotopy tracker: one start, one point per residual call, scalar step
 lengths and 1-d dot products.  The batched solvers must reproduce them
 bitwise: same status, iteration count, end point and residual norm for every
-start, whatever else shares the batch.
+start, whatever else shares the batch.  A residual that cannot be evaluated
+ends a start ``eval-error`` or refuses a trial point; a Jacobian that cannot
+be evaluated is taken as nan, which has no step, so the start ends
+``singular-step``.
 """
 
 import math
@@ -30,6 +33,14 @@ def _norm(instance, x):
     if not math.isfinite(norm):
         raise EvaluationError("non-finite residual")
     return f, norm
+
+
+def _jacobian(instance, x, f):
+    """The residual Jacobian at ``x``, nan where it cannot be evaluated."""
+    try:
+        return np.asarray(instance.residual_jacobian(x), dtype=float)
+    except EvaluationError:
+        return np.full((len(f), len(x)), np.nan)
 
 
 def _step(jac, rhs):
@@ -76,10 +87,7 @@ def _newton(instance, x, cfg):
             return Status.CONVERGED, x, norm, it
         if it == cfg.max_iters:
             return Status.MAX_ITERS, x, norm, it
-        try:
-            delta = _step(instance.residual_jacobian(x), -f)
-        except EvaluationError:
-            return Status.EVAL_ERROR, x, norm, it
+        delta = _step(_jacobian(instance, x, f), -f)
         if delta is None:
             return Status.SINGULAR_STEP, x, norm, it
         step = STEP0
@@ -106,10 +114,7 @@ def _gradsq(instance, x, cfg):
             return Status.EVAL_ERROR, x, math.inf, it
         if norm <= cfg.accept_tol:
             return Status.CONVERGED, x, norm, it
-        try:
-            jac = np.asarray(instance.residual_jacobian(x), dtype=float)
-        except EvaluationError:
-            return Status.EVAL_ERROR, x, norm, it
+        jac = _jacobian(instance, x, f)
         grad = 2.0 * jac.T @ f
         gnorm = math.sqrt(grad @ grad)
         jnorm = math.sqrt(float(np.sum(jac * jac)))
@@ -155,10 +160,7 @@ def _homotopy(instance, x, cfg):
     while t < 1.0:
         if steps >= cfg.max_iters:
             return Status.MAX_ITERS, x, norm, steps
-        try:
-            velocity = _step(instance.residual_jacobian(x), -f0)
-        except EvaluationError:
-            return Status.EVAL_ERROR, x, norm, steps
+        velocity = _step(_jacobian(instance, x, f0), -f0)
         if velocity is None:
             return Status.SINGULAR_STEP, x, norm, steps
         dt_eff = min(dt, 1.0 - t)
@@ -176,10 +178,7 @@ def _homotopy(instance, x, cfg):
                 break
             if k == CORRECTOR_ITERS:
                 break
-            try:
-                dc = _step(instance.residual_jacobian(cur), -h)
-            except EvaluationError:
-                break
+            dc = _step(_jacobian(instance, cur, f), -h)
             if dc is None:
                 break
             cur = cur + dc
@@ -199,17 +198,18 @@ REFERENCES = {"newton": _newton, "gradsq": _gradsq, "homotopy": _homotopy}
 
 
 class CountingHole(Hole):
-    """``Hole`` from starts in [0.5, 3], counting the rows it masks: a start
-    is never masked, so those are line-search rungs that land in the hole."""
+    """``Hole`` from starts in [0.5, 3], counting the rows it cannot
+    evaluate: a start never is one, so those are line-search rungs that land
+    in the hole."""
 
     def __init__(self):
         super().__init__()
         self.masked = 0
 
     def residual_batch(self, X):
-        f, failed = super().residual_batch(X)
-        self.masked += int(failed.sum())
-        return f, failed
+        f = super().residual_batch(X)
+        self.masked += int((~np.isfinite(f).all(axis=1)).sum())
+        return f
 
     def sample_start_batch(self, rngs):
         return np.array([rng.uniform(0.5, 3.0, 1) for rng in rngs]).reshape(len(rngs), 1)

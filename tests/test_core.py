@@ -30,15 +30,15 @@ class Quadratic(ProblemInstance):
 
     def energy_batch(self, X):
         X = self.check_points(X)
-        return 0.5 * (X[:, None, :] @ self.A @ X[:, :, None])[:, 0, 0], np.zeros(len(X), dtype=bool)
+        return 0.5 * (X[:, None, :] @ self.A @ X[:, :, None])[:, 0, 0]
 
     def residual_batch(self, X):
         X = self.check_points(X)
-        return (self.A @ X[:, :, None])[:, :, 0], np.zeros(len(X), dtype=bool)
+        return (self.A @ X[:, :, None])[:, :, 0]
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
-        return np.repeat(self.A[None], len(X), axis=0), np.zeros(len(X), dtype=bool)
+        return np.repeat(self.A[None], len(X), axis=0)
 
 
 def test_check_point_rejects_wrong_shape():

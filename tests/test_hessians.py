@@ -81,8 +81,8 @@ def test_jacobian_and_curvature_returns_the_residual_jacobian():
     for k, inst in enumerate(instances):
         for i in range(10):
             x = inst.sample_start(np.random.default_rng((4300, k, i)))
-            jac, curv, failed = inst._jacobian_and_curvature_batch(x[None])
-            assert not failed[0]
+            jac, curv = inst._jacobian_and_curvature_batch(x[None])
+            assert np.isfinite(curv).all(), inst.label
             assert jac[0].tobytes() == inst.residual_jacobian(x).tobytes(), inst.label
             assert curv.shape == (1, inst.n, inst.n)
 

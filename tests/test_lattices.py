@@ -286,10 +286,8 @@ def _xy_reference(inst, p):
 def test_xy_batch_kernels_match_single_points(d, L, bc, gauge):
     inst = XYLattice(d, L, bc=bc, disorder="uniform-signed", seed=3, gauge_fixed=gauge)
     X = np.random.default_rng(d * 10 + L).uniform(-4.0, 4.0, (9, inst.n))
-    e, e_failed = inst.energy_batch(X)
-    g, g_failed = inst.residual_batch(X)
-    h, h_failed = inst.residual_jacobian_batch(X)
-    assert not e_failed.any() and not g_failed.any() and not h_failed.any()
+    e, g, h = inst.energy_batch(X), inst.residual_batch(X), inst.residual_jacobian_batch(X)
+    assert g.flags.c_contiguous and h.flags.c_contiguous
     for i, x in enumerate(X):
         theta_ref, e_ref, g_ref, h_ref = _xy_reference(inst, x)
         assert np.array_equal(inst.full_angles(x), theta_ref)
@@ -321,10 +319,8 @@ def _phi4_reference(inst, p):
 def test_phi4_batch_kernels_match_single_points(N):
     inst = Phi4Lattice(N, J=0.37)
     X = np.random.default_rng(N).uniform(-6.0, 6.0, (9, inst.n))
-    e, e_failed = inst.energy_batch(X)
-    g, g_failed = inst.residual_batch(X)
-    h, h_failed = inst.residual_jacobian_batch(X)
-    assert not e_failed.any() and not g_failed.any() and not h_failed.any()
+    e, g, h = inst.energy_batch(X), inst.residual_batch(X), inst.residual_jacobian_batch(X)
+    assert g.flags.c_contiguous and h.flags.c_contiguous
     for i, x in enumerate(X):
         e_ref, g_ref, h_ref = _phi4_reference(inst, x)
         assert e[i].tobytes() == np.float64(e_ref).tobytes(), i

@@ -235,6 +235,8 @@ def _puzzle():
 @pytest.mark.parametrize("make, key, spoil", [
     (lambda: Phi4Lattice(2), "N", lambda d: d["params"].update(N=2.7)),
     (lambda: Phi4Lattice(2), "J", lambda d: d["params"].update(J=False)),
+    (lambda: Phi4Lattice(2), "J", lambda d: d["params"].update(J=math.inf)),
+    (lambda: Phi4Lattice(2), "J", lambda d: d["params"].update(J=10**400)),  # no float has it
     (lambda: Phi4Lattice(2), "lam", lambda d: d["params"].update(lam="0.6")),
     (lambda: MorseCluster(2, rho=6.0), "rho", lambda d: d["params"].update(rho="6")),
     (lambda: XYLattice(1, 4), "L", lambda d: d["params"].update(L=3.0)),
@@ -242,6 +244,8 @@ def _puzzle():
     (lambda: XYLattice(1, 4), "gauge_fixed", lambda d: d["params"].update(gauge_fixed="yes")),
     (lambda: XYLattice(1, 4), "couplings",
      lambda d: d["params"].update(couplings=[str(c) for c in d["params"]["couplings"]])),
+    (lambda: XYLattice(1, 4), "couplings",
+     lambda d: d["params"]["couplings"].__setitem__(2, math.nan)),
     (lambda: XYLattice(1, 4), "disorder value",
      lambda d: d["params"]["disorder"].update(value=True)),
     (lambda: NashInstance(matching_pennies()), "players",
@@ -262,8 +266,9 @@ def _puzzle():
      lambda d: d["params"].update(payoffs=1.0)),
     (_puzzle, "k_set", lambda d: d["params"].update(k_set=5)),
     (_puzzle, "edge b", lambda d: d["params"]["frame"]["edges"][0].update(b=0.5)),
-], ids=["phi4-N-float", "phi4-J-bool", "phi4-lam-str", "morse-rho-str", "xy-L-float",
-        "xy-seed-float", "xy-gauge_fixed-str", "xy-couplings-str", "xy-disorder-bool",
+], ids=["phi4-N-float", "phi4-J-bool", "phi4-J-inf", "phi4-J-int-overflow", "phi4-lam-str",
+        "morse-rho-str", "xy-L-float", "xy-seed-float", "xy-gauge_fixed-str", "xy-couplings-str",
+        "xy-couplings-nan", "xy-disorder-bool",
         "nash-players-float", "nash-strategy_counts", "nash-payoff-bool", "puzzle-k_set",
         "puzzle-theta-str", "puzzle-color-int", "label-int", "xy-couplings-scalar",
         "nash-strategy_counts-scalar", "nash-payoffs-scalar", "puzzle-k_set-scalar",
@@ -371,7 +376,8 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
 
 @pytest.mark.parametrize("record, field, spoil", [
     ("point", "index", lambda v: 1.5), ("point", "index", str),
-    ("point", "energy", str), ("point", "residual_norm", str),
+    ("point", "energy", str), ("point", "energy", lambda v: math.nan),
+    ("point", "residual_norm", str), ("point", "residual_norm", lambda v: math.inf),
     ("point", "coords", lambda v: [str(c) for c in v]),
     ("provenance", "seed", lambda v: True), ("provenance", "solver", lambda v: 7),
     ("provenance", "start_id", lambda v: 2.9),
@@ -379,7 +385,8 @@ def test_result_file_damping_and_schedule_are_validated(tmp_path, capsys):
     ("solutions", "tolerance", str), ("solutions", "tolerance", lambda v: -v),
     ("solutions", "tolerance", lambda v: math.nan), ("solutions", "metric", lambda v: 7),
     ("solutions", "metric", lambda v: "manhattan"),
-], ids=["index-float", "index-str", "energy-str", "residual-str", "coords-str", "seed-bool",
+], ids=["index-float", "index-str", "energy-str", "energy-nan", "residual-str", "residual-inf",
+        "coords-str", "seed-bool",
         "solver-int", "start_id-float", "converged-float", "converged-str", "tolerance-str",
         "tolerance-negative", "tolerance-nan", "metric-int", "metric-unknown"])
 def test_cli_verify_exits_1_on_a_field_of_the_wrong_type(tmp_path, capsys, record, field, spoil):
@@ -529,8 +536,8 @@ class BreakableHessian(Phi4Lattice):
     broken = False
 
     def hessian_batch(self, X):
-        h, failed = super().hessian_batch(X)
-        return (np.full_like(h, np.nan) if self.broken else h), failed
+        h = super().hessian_batch(X)
+        return np.full_like(h, np.nan) if self.broken else h
 
 
 def test_check_result_reports_classify_failure(tmp_path):
@@ -574,8 +581,7 @@ def test_cli_verify_exits_3_when_classify_fails(tmp_path, capsys, monkeypatch):
     assert run_cli("solve", str(inst), "-o", str(resf), "--starts", "grid3") == 0
     capsys.readouterr()
     monkeypatch.setattr(Phi4Lattice, "hessian_batch",
-                        lambda self, X: (np.full((len(X), self.n, self.n), np.nan),
-                                         np.zeros(len(X), dtype=bool)))
+                        lambda self, X: np.full((len(X), self.n, self.n), np.nan))
     assert run_cli("verify", str(inst), str(resf)) == 3
     assert "classification failed" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ import pytest
 
 from spbench import serialize, solvers
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
-from spbench.core import ProblemInstance, RootSystem, _dots, classify
+from spbench.core import ProblemInstance, RootSystem, _dots, _masked, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -28,10 +28,6 @@ from test_clusters import _reference_start
 GRADSQ, HOMOTOPY = SolverConfig(method="gradsq"), SolverConfig(method="homotopy")
 
 
-def _none_failed(X):
-    return np.zeros(len(X), dtype=bool)
-
-
 class Cubic(ProblemInstance):
     """V(x) = sum(x^4/4 - x^2/2): roots of the gradient at 0 and +-1."""
 
@@ -42,18 +38,18 @@ class Cubic(ProblemInstance):
 
     def energy_batch(self, X):
         X = self.check_points(X)
-        return np.sum(X**4 / 4 - X**2 / 2, axis=1), _none_failed(X)
+        return np.sum(X**4 / 4 - X**2 / 2, axis=1)
 
     def residual_batch(self, X):
         X = self.check_points(X)
-        return X**3 - X, _none_failed(X)
+        return X**3 - X
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
         jac = np.zeros((len(X), self.n, self.n))
         own = np.arange(self.n)
         jac[:, own, own] = 3 * X**2 - 1
-        return jac, _none_failed(X)
+        return jac
 
     def sample_start_batch(self, rngs):
         return np.array([rng.uniform(-2, 2, self.n) for rng in rngs]).reshape(len(rngs), self.n)
@@ -70,16 +66,15 @@ class NoRoot(RootSystem):
 
     def residual_batch(self, X):
         X = self.check_points(X)
-        return X**2 + 1.0, _none_failed(X)
+        return X**2 + 1.0
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
-        return (2.0 * X)[:, :, None], _none_failed(X)
+        return (2.0 * X)[:, :, None]
 
     def _jacobian_and_curvature_batch(self, X):
         # f'' = 2, so f f'' = 2 (x^2 + 1)
-        jac, failed = self.residual_jacobian_batch(X)
-        return jac, (2.0 * (X**2 + 1.0))[:, :, None], failed
+        return self.residual_jacobian_batch(X), (2.0 * (X**2 + 1.0))[:, :, None]
 
 
 class Hole(ProblemInstance):
@@ -92,15 +87,15 @@ class Hole(ProblemInstance):
 
     def energy_batch(self, X):
         X = self.check_points(X)
-        return (X[:, 0] ** 2 - 1) ** 2, np.abs(X[:, 0]) < 0.5
+        return _masked((X[:, 0] ** 2 - 1) ** 2, np.abs(X[:, 0]) < 0.5)
 
     def residual_batch(self, X):
         X = self.check_points(X)
-        return 4 * X * (X**2 - 1), np.abs(X[:, 0]) < 0.5
+        return _masked(4 * X * (X**2 - 1), np.abs(X[:, 0]) < 0.5)
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
-        return (12 * X**2 - 4)[:, :, None], np.abs(X[:, 0]) < 0.5
+        return _masked((12 * X**2 - 4)[:, :, None], np.abs(X[:, 0]) < 0.5)
 
 
 def test_newton_converges_quadratically_to_nearby_root():
@@ -305,6 +300,8 @@ def test_solve_is_the_campaign_of_one_start(method):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="bfgs")
+    with pytest.raises(ValueError, match="^method must be a string"):  # not an unhashable lookup
+        SolverConfig(method=["newton"])
     with pytest.raises(ValueError, match="starts"):
         SolverConfig(starts=-5)
     with pytest.raises(ValueError, match="max_iters"):
@@ -505,7 +502,7 @@ def test_multistart_chunk_invariance(name):
     res = multistart(inst, cfg)
     outcomes = [[(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
                  for o in res.outcomes]]
-    solver, resolved = solvers._METHODS[cfg.method], _resolved(cfg)
+    solver, resolved = solvers._METHODS[cfg.method][0], _resolved(cfg)
     for chunks in (7, starts):
         outcomes.append([(o.status, o.iterations, o.point.tobytes(), o.residual_norm)
                          for chunk in np.array_split(np.array(res.starts), chunks)
@@ -543,11 +540,11 @@ def test_eval_error_ends_only_its_start(method):
 
 
 class NanJacobian(Cubic):
-    """The Cubic residual with a Jacobian that is nan but not masked."""
+    """The Cubic residual with a Jacobian that is nan everywhere."""
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
-        return np.full((len(X), self.n, self.n), np.nan), _none_failed(X)
+        return np.full((len(X), self.n, self.n), np.nan)
 
 
 @pytest.mark.parametrize("method", ["newton", "gradsq", "homotopy"])
@@ -564,8 +561,7 @@ class Huge(Cubic):
     """The Cubic residual times 1e200: finite, but its square overflows."""
 
     def residual_batch(self, X):
-        f, failed = super().residual_batch(X)
-        return 1e200 * f, failed
+        return 1e200 * super().residual_batch(X)
 
 
 def test_residual_norm_overflow_is_a_failed_row():
@@ -703,7 +699,7 @@ def test_linear_steps_make_no_svd_call_when_every_row_passes(monkeypatch):
 
 
 class Shell(ProblemInstance):
-    """f(x) = x (|x|^2 - 1) in the plane, masked inside |x| < 0.5; counts its
+    """f(x) = x (|x|^2 - 1) in the plane, nan inside |x| < 0.5; counts its
     calls and keeps every row it evaluates."""
 
     family = "synthetic"
@@ -717,7 +713,7 @@ class Shell(ProblemInstance):
         self.calls += 1
         self.seen.extend(X.copy())
         r2 = _dots(X, X)
-        return X * (r2 - 1.0)[:, None], r2 < 0.25
+        return _masked(X * (r2 - 1.0)[:, None], r2 < 0.25)
 
 
 def _search_alone(inst, x, direction, step, accepts):
