@@ -84,8 +84,6 @@ def signed_indicator(edge, color, angle):
 
 def _cluster_angles(angles):
     """Representative angles, merging values within ANGLE_TOL (circularly)."""
-    if not angles:
-        return []
     ordered = sorted(wrap_angle(a) for a in angles)
     reps = [ordered[0]]
     for a in ordered[1:]:

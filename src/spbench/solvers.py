@@ -30,14 +30,15 @@ start; all three share one outcome type:
   step, under an adaptive step length.  Its trace holds the start and every
   accepted step.
 
-Each method is written once, over an (m, n) stack of starts: it advances the
-starts still live together, one call of a family's stacked kernel
+Each method is written once, over an (m, n) stack of starts.  Its ``_Batch``
+evaluates the starts and ends those that cannot be evaluated; the method
+advances the others together, one call of a family's stacked kernel
 (``residual_batch``, ``residual_jacobian_batch``) per step, while every start
-keeps its own point, status, iteration count, step length and trace.  A
-live start's state sits in one place, its row of the ``_Live`` arrays, and
-moves to the ``_Batch`` columns when it ends.  A row's arithmetic never
-depends on the other rows, so a start ends exactly where it would alone;
-``solve`` is the batch of one.
+keeps its own point, status, iteration count, step length and trace: in its
+row of the ``_Live`` arrays while it is live, in the ``_Batch`` columns once
+it ends.  Newton and gradsq share one line search along ``live.delta``.  A
+row's arithmetic never depends on the other rows, so a start ends exactly
+where it would alone; ``solve`` is the batch of one.
 
 A kernel row that is not finite could not be evaluated: a start whose
 residual is not finite ends ``eval-error``, a trial point whose residual is
@@ -171,8 +172,8 @@ def _residuals(instance, X):
 
 class _Live:
     """One entry per live start in each array attribute, kept aligned: ``idx``
-    is the start's row in the batch, ``x`` its current point, ``norm`` its
-    residual norm, and solvers add what else they carry from step to step."""
+    is the start's row, ``x`` its point, ``f`` its residual (the homotopy's
+    stays f(x0)), ``norm`` its residual norm; solvers add what they carry."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -189,20 +190,22 @@ _STATUSES = list(Status)  # a status code is its position here
 
 
 class _Batch:
-    """The starts of one batched solve: as columns each start's point
-    ``x``, status code, iteration count and residual norm, and its trace.
-    ``x`` holds the starts until ``end`` writes a start's end point there;
-    until then the point moves in ``_Live.x``."""
+    """The starts of one batched solve: as columns each start's point ``x``,
+    status code, iteration count and residual norm, and its trace.  It
+    evaluates the starts, ends those that cannot be evaluated ``eval-error``
+    at 0 iterations and moves the others, with a column per ``carried``
+    scalar, in ``live`` until ``end`` writes their end points to ``x``."""
 
-    def __init__(self, instance, starts, cfg):
+    def __init__(self, instance, starts, cfg, **carried):
         self.x = instance.check_points(starts).copy()
         m = len(self.x)
         self.status = np.full(m, -1)  # until the start ends
         self.iterations, self.norm = np.zeros(m, dtype=int), np.zeros(m)
         self.traces = [[] for _ in self.x] if cfg.record_trace else None
-
-    def live(self, norm, **arrays):
-        return _Live(idx=np.arange(len(self.x)), x=self.x.copy(), norm=norm, **arrays)
+        f, norm, failed = _residuals(instance, self.x)
+        self.live = _Live(idx=np.arange(m), x=self.x.copy(), f=f, norm=norm,
+                          **{name: np.full(m, value) for name, value in carried.items()})
+        self.end(self.live, failed, Status.EVAL_ERROR, 0)
 
     def record(self, live, steps, mask=None):
         """Append (step, point, norm) to the traces of the live starts, or
@@ -310,28 +313,27 @@ def _linear_steps(jac, rhs, mu=None):
 LADDER_RUNGS = 8
 
 
-def _line_search(instance, live, direction, step, sufficient):
-    """Backtrack along ``direction`` from each live row's point ``live.x``
+def _line_search(instance, live, step, sufficient):
+    """Backtrack along ``live.delta`` from each live row's point ``live.x``
     with first step ``step``; move the rows where ``sufficient(norm, steps,
-    rows)`` holds for a rung's residual norm, updating their ``x``, ``f``
-    and ``norm`` in ``live``, and return the step each row took (0 where it
-    did not move): the first acceptable rung of step, step * BACKTRACK, ... down to
-    ``MIN_STEP``, as a one-at-a-time search would.  Each round is one
-    dense (rows, rungs) block in one call: one rung per row, then
-    ``LADDER_RUNGS``.  A block's rungs below ``MIN_STEP`` are evaluated but
-    never taken: the ladder only falls, so a one-at-a-time search stops
-    before them."""
+    rows)`` holds for a rung's residual norm, updating their ``x``, ``f`` and
+    ``norm`` in ``live``, and return the step each row took (0 where it did
+    not move): the first acceptable rung of step, step * BACKTRACK, ... down
+    to ``MIN_STEP``, as a one-at-a-time search would.  Each round is one dense
+    (rows, rungs) block in one call: one rung per row, then ``LADDER_RUNGS``.
+    A block's rungs below ``MIN_STEP`` are evaluated but never taken: the
+    ladder only falls, so a one-at-a-time search stops before them."""
     taken = np.zeros(len(live))
     go_on = step >= MIN_STEP
     rows, step = go_on.nonzero()[0], step[go_on]
-    n, rungs = direction.shape[1], 1
+    n, rungs = live.delta.shape[1], 1
     while rows.size:
         m = len(rows)
         ladder = np.full((m, rungs), BACKTRACK)
         ladder[:, 0] = step
         ladder = np.multiply.accumulate(ladder, axis=1)  # the bits of repeated *=
         cand = (live.x[rows][:, None, :]
-                + ladder[:, :, None] * direction[rows][:, None, :]).reshape(m * rungs, n)
+                + ladder[:, :, None] * live.delta[rows][:, None, :]).reshape(m * rungs, n)
         f, norm, _ = _residuals(instance, cand)
         accept = ((ladder >= MIN_STEP)
                   & sufficient(norm.reshape(m, rungs), ladder, rows[:, None]))
@@ -351,9 +353,7 @@ def _line_search(instance, live, direction, step, sufficient):
 
 def _newton_batch(instance, starts, cfg):
     b = _Batch(instance, starts, cfg)
-    f, norm, failed = _residuals(instance, b.x)
-    live = b.live(norm, f=f)
-    b.end(live, failed, Status.EVAL_ERROR, 0)
+    live = b.live
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
         b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
@@ -364,17 +364,15 @@ def _newton_batch(instance, starts, cfg):
         live.delta, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f)
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
         norm0 = live.norm.copy()
-        taken = _line_search(instance, live, live.delta, np.full(len(live), STEP0),
+        taken = _line_search(instance, live, np.full(len(live), STEP0),
                              lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
         b.end(live, taken == 0, Status.DIVERGED, it)
     return b
 
 
 def _gradsq_batch(instance, starts, cfg):
-    b = _Batch(instance, starts, cfg)
-    f, norm, failed = _residuals(instance, b.x)
-    live = b.live(norm, f=f, mu=np.full_like(norm, MU0))
-    b.end(live, failed, Status.EVAL_ERROR, 0)
+    b = _Batch(instance, starts, cfg, mu=MU0)
+    live = b.live
     def flat(a, r):  # the spurious-minimum test, gradient tolerances times a and r
         return (((live.gnorm <= a * GRADSQ_ABS_GTOL)
                  | (live.gnorm <= r * GRADSQ_REL_GTOL * 2.0 * live.jnorm * live.norm))
@@ -382,9 +380,9 @@ def _gradsq_batch(instance, starts, cfg):
     for it in range(cfg.max_iters + 1):
         b.record(live, it)
         b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
-        live.jac = instance.residual_jacobian_batch(live.x)
         if not len(live):
             break
+        live.jac = instance.residual_jacobian_batch(live.x)
         live.grad = ((2.0 * live.jac.transpose(0, 2, 1)) @ live.f[:, :, None])[:, :, 0]
         live.gnorm = np.sqrt(_dots(live.grad, live.grad))
         live.jnorm = np.sqrt(np.sum(live.jac * live.jac, axis=(1, 2)))
@@ -395,7 +393,7 @@ def _gradsq_batch(instance, starts, cfg):
         b.end(live, ~ok, Status.SINGULAR_STEP, it)
         # Armijo on W along delta: W(x + s delta) <= W + d s grad . delta
         w, slope = live.norm * live.norm, _dots(live.grad, live.delta)
-        taken = _line_search(instance, live, live.delta, np.full(len(live), STEP0),
+        taken = _line_search(instance, live, np.full(len(live), STEP0),
                              lambda norm, s, r: norm * norm <= w[r] + DECREASE * s * slope[r])
         live.mu = np.maximum(np.where(taken == STEP0, live.mu / 3.0, 4.0 * live.mu), MU_MIN)
         # where W cannot fall at floating-point resolution, relaxed thresholds
@@ -408,22 +406,19 @@ def _gradsq_batch(instance, starts, cfg):
 
 def _homotopy_batch(instance, starts, cfg):
     tol = cfg.accept_tol
-    b = _Batch(instance, starts, cfg)
-    m = len(b.x)
-    f0, norm, failed = _residuals(instance, b.x)
-    live = b.live(norm, f0=f0, t=np.zeros(m), dt=np.full(m, DT0), steps=np.zeros(m, dtype=int))
-    b.end(live, failed, Status.EVAL_ERROR, 0)
+    b = _Batch(instance, starts, cfg, t=0.0, dt=DT0, steps=0)
+    live = b.live  # the homotopy never moves live.f off f(x0)
     b.record(live, 0)
     b.end(live, live.norm <= tol, Status.CONVERGED, 0)
     while len(live):
         b.end(live, live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
-        # the velocity at x solves J(x) v = -f0
-        live.velocity, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f0)
+        # the velocity at x solves J(x) v = -f(x0)
+        live.velocity, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f)
         b.end(live, ~ok, Status.SINGULAR_STEP, live.steps)
         dt_eff = np.minimum(live.dt, 1.0 - live.t)
         t_new = live.t + dt_eff
         cur = live.x + dt_eff[:, None] * live.velocity
-        used, cur_norm = _correct(instance, cur, (1.0 - t_new)[:, None] * live.f0, tol)
+        used, cur_norm = _correct(instance, cur, (1.0 - t_new)[:, None] * live.f, tol)
         took = used >= 0
         live.x[took], live.norm[took], live.t[took] = cur[took], cur_norm[took], t_new[took]
         live.steps[took] += 1

@@ -217,6 +217,8 @@ def test_pair_curvature_closed_forms():
     assert pair_curvature(LennardJonesCluster(2)) == 72.0
     assert pair_curvature(MorseCluster(2, rho=6.0)) == 72.0
     assert pair_curvature(MorseCluster(2, rho=3.0)) == 18.0
+    with pytest.raises(ValueError, match="no pair potential for family 'thomson'"):
+        pair_curvature(ThomsonSphere(3))
 
 
 def _numeric_pair_curvature(cluster):

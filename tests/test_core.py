@@ -13,6 +13,7 @@ from spbench.core import (
     PointColumns,
     Provenance,
     classify,
+    classify_batch,
     dedup,
 )
 from spbench.serialize import _point_columns, _points_text
@@ -47,6 +48,17 @@ def test_check_point_rejects_wrong_shape():
         inst.check_point(np.zeros(3))
     with pytest.raises(ValueError):
         inst.energy(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"points have shape \(2,\), expected \(m, 2\)"):
+        inst.check_points(np.zeros(2))
+
+
+def test_classify_batch_rejects_hessians_of_the_wrong_shape():
+    class FlatHessian(Quadratic):
+        def hessian_batch(self, X):
+            return np.zeros((len(X), self.n))
+
+    with pytest.raises(ValueError, match=r"Hessians have shape \(1, 2\), expected \(1, 2, 2\)"):
+        classify_batch(FlatHessian([1.0, 2.0]), np.zeros((1, 2)))
 
 
 def test_classify_counts_negative_eigenvalues():
@@ -167,6 +179,11 @@ def test_dedup_idempotent():
 def test_dedup_rejects_points_of_different_lengths():
     with pytest.raises(ValueError, match=r"lengths \[2, 3\] for 'x'"):
         dedup(_columns([([0.0, 0.0], 0.0), ([0.0, 0.0, 0.0], 1.0)]))
+
+
+def test_dedup_rejects_an_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric 'manhattan'"):
+        dedup(_columns([([0.0, 0.0], 0.0)]), metric="manhattan")
 
 
 def _dedup_reference(points, tol, metric):

@@ -23,6 +23,8 @@ def test_game_validation():
         NashGame([np.zeros(2), np.zeros(2)])  # missing axes
     with pytest.raises(ValueError):
         NashGame([np.array([[np.inf, 0], [0, 0]]), np.zeros((2, 2))])
+    with pytest.raises(ValueError, match=r"at least one strategy, got \(0, 2\)"):
+        NashGame([np.zeros((0, 2)), np.zeros((0, 2))])
 
 
 def test_matching_pennies_equilibrium_root():

@@ -80,6 +80,14 @@ def test_phi4_bezout_values():
     assert isinstance(phi4_bezout(7), int)
 
 
+def test_lattice_sides_and_boundary_are_validated():
+    for build in (Phi4Lattice, phi4_bezout):
+        with pytest.raises(ValueError, match="grid side must be >= 1, got 0"):
+            build(0)
+    with pytest.raises(ValueError, match="unknown boundary condition 'open'"):
+        XYLattice(1, 4, bc="open")
+
+
 def test_phi4_enumeration_histogram_and_count():
     inst = Phi4Lattice(2)
     sols = phi4_enumerate_decoupled(inst)

@@ -46,6 +46,18 @@ def test_signed_indicator():
     assert signed_indicator(e3, "red", 0.0) == 0
 
 
+def test_pieces_and_puzzles_validated():
+    edge = Edge((0, 0), "a", 0.0)
+    with pytest.raises(ValueError, match=r"edge offset must be a 2-vector, got shape \(3,\)"):
+        Edge((0, 0, 0), "a", 0.0)
+    with pytest.raises(ValueError, match="a piece needs at least one edge"):
+        Piece([])
+    with pytest.raises(ValueError, match="frame must be a Piece"):
+        Puzzle([edge], [Piece([edge])])
+    with pytest.raises(ValueError, match="need at least one movable piece"):
+        Puzzle(Piece([edge]), [])
+
+
 def test_unbalanced_puzzle_rejected():
     frame = Piece([Edge((0, 0), "a", 0.0), Edge((1, 0), "a", math.pi)])
     lonely = Piece([Edge((0, 0), "a", 0.0)])
@@ -210,6 +222,9 @@ def test_placement_shape_checked():
         for encoding in (linear_residual, exponential_residual, verify_geometric):
             with pytest.raises(ValueError, match="placement must have shape"):
                 encoding(puz, placement)
+        if placement.ndim == 2:  # a stack of one is a valid stack of positions
+            with pytest.raises(ValueError, match="placement must have shape"):
+                puz.positions(placement)
 
 
 def test_instance_hessian_overflow_raises():

@@ -63,6 +63,13 @@ def test_dumps_rejects_non_finite():
         serialize.dumps({"x": float("inf")})
 
 
+def test_dumps_rejects_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="JSON keys must be strings, got 1"):
+        serialize.dumps({1: 2.0})
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        serialize.dumps({"x": object()})
+
+
 def test_dumps_numpy_scalars():
     text = serialize.dumps({"i": np.int64(3), "f": np.float64(0.25),
                             "b": np.bool_(True), "v": np.arange(3.0)})
@@ -77,6 +84,13 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "world\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_write_atomic_leaves_nothing_when_the_write_fails(tmp_path):
+    path = tmp_path / "f.json"
+    with pytest.raises(UnicodeEncodeError, match="can't encode character"):
+        serialize.write_atomic(path, "\udcff")  # a lone surrogate has no encoding
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -605,6 +606,11 @@ def test_linear_step_stack_mixes_branches():
             assert np.allclose(delta[0], [1.0, 1.0], rtol=0.0, atol=1e-15)
 
 
+def test_linear_steps_take_a_stack():
+    with pytest.raises(ValueError, match="jacobians must be a 3-d stack, got 2-d"):
+        _linear_steps(np.eye(2), np.ones((1, 2)))
+
+
 @pytest.mark.parametrize("k,n", [(3, 3), (8, 8), (15, 15), (20, 8), (156, 8)])
 def test_linear_steps_agree_with_numpy(k, n):
     # well-conditioned square systems against solve, full-rank tall ones
@@ -755,13 +761,14 @@ def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
     b = _Batch(inst, r0[:, None] * u, SolverConfig())
     f, norm0, _ = _residuals(inst, b.x)
     x0, direction = b.x.copy(), sign[:, None] * u
-    live = b.live(norm0.copy(), f=f.copy())
+    live = b.live
+    live.delta = direction
 
     def sufficient(norm, s, r):
         return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
 
     inst.calls, inst.seen = 0, []
-    taken = _line_search(inst, live, direction, step.copy(), sufficient)
+    taken = _line_search(inst, live, step.copy(), sufficient)
     calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
 
     rounds, evaluated = [0], 0
@@ -786,3 +793,37 @@ def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
     # and the masked first rung was evaluated but no row moved into the mask
     assert (x0[5] + step[5] * direction[5]).tobytes() in seen
     assert _dots(live.x, live.x).min() >= 0.25
+
+
+class HoledRing(XYLattice):
+    """``XYLattice(1, 4)`` whose residual cannot be evaluated past x[0] = 3."""
+
+    def __init__(self):
+        super().__init__(1, 4)
+
+    def residual_batch(self, X):
+        X = self.check_points(X)
+        return np.where(X[:, :1] > 3.0, np.nan, super().residual_batch(X))
+
+
+@pytest.mark.parametrize("method", ["newton", "gradsq", "homotopy"])
+def test_a_start_life_from_start_to_end(method, monkeypatch):
+    # a root ends at once, a start that cannot be evaluated ends before its
+    # first trace entry, and max_iters=0 ends the start after its first one
+    cfg = SolverConfig(method=method, record_trace=True)
+    root, hole = multistart(HoledRing(), cfg, starts=[np.zeros(3), [4.0, 0.0, 0.0]]).outcomes
+    assert (root.status, root.iterations, len(root.trace)) == (Status.CONVERGED, 0, 1)
+    assert (hole.status, hole.iterations, hole.trace) == (Status.EVAL_ERROR, 0, [])
+    out = solve(HoledRing(), [0.5, 1.0, 1.5], dataclasses.replace(cfg, max_iters=0))
+    assert (out.status, out.iterations, len(out.trace)) == (Status.MAX_ITERS, 0, 1)
+    # the bench's disordered-gradsq campaign, run with each method, calls no
+    # family kernel on an empty stack of points
+    inst, empty = XYLattice(2, 3, disorder="uniform-signed", seed=1), []
+    for name in ("residual_batch", "residual_jacobian_batch", "hessian_batch", "energy_batch"):
+        def counted(X, kernel=getattr(inst, name), name=name):
+            if not len(X):
+                empty.append(name)
+            return kernel(X)
+        monkeypatch.setattr(inst, name, counted)
+    multistart(inst, SolverConfig(method=method, starts=25, seed=7, max_iters=1500))
+    assert empty == []
