@@ -370,6 +370,8 @@ def classify_batch(instance, P, solver="direct", seed=0, start_id=0):
     """
     P = instance.check_points(P)
     m, n = P.shape
+    if not m:
+        return PointColumns(instance.label, P, *[()] * len(PointColumns.COLUMNS)), {}
     H = np.asarray(instance.hessian_batch(P), dtype=float)
     if H.shape != (m, n, n):
         raise ValueError(f"{instance.label}: Hessians have shape {H.shape}, "

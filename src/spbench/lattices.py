@@ -268,7 +268,8 @@ class XYLattice(ProblemInstance):
 
     # Both kernels scatter every row's edge terms into bins of their own by
     # offsetting the row's indices, so each bin sums the same terms in the
-    # same order as for a single point.
+    # same order as for a single point.  Their float cast copies nothing but
+    # an empty stack, whose bincount is int64.
 
     def residual_batch(self, X):
         s = self._j_eff * np.sin(self._edge_deltas(X))
@@ -276,7 +277,7 @@ class XYLattice(ProblemInstance):
         rows = size * np.arange(m)[:, None]
         g = (np.bincount((self.edge_a + rows).ravel(), weights=s.ravel(), minlength=m * size)
              - np.bincount((self.edge_b + rows).ravel(), weights=s.ravel(), minlength=m * size))
-        g = g.reshape(m, size)
+        g = g.reshape(m, size).astype(float, copy=False)
         return np.ascontiguousarray(g[:, 1:]) if self.gauge_fixed else g
 
     def residual_jacobian_batch(self, X):
@@ -285,7 +286,7 @@ class XYLattice(ProblemInstance):
         idx = self._hess_idx + size * np.arange(m)[:, None]
         weights = np.concatenate((c, c, -c, -c), axis=1)
         h = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m * size)
-        h = h.reshape(m, self.sites, self.sites)
+        h = h.reshape(m, self.sites, self.sites).astype(float, copy=False)
         return np.ascontiguousarray(h[:, 1:, 1:]) if self.gauge_fixed else h
 
     @property

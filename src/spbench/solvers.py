@@ -194,7 +194,7 @@ class _Batch:
     status code, iteration count and residual norm, and its trace.  It
     evaluates the starts, ends those that cannot be evaluated ``eval-error``
     at 0 iterations and moves the others, with a column per ``carried``
-    scalar, in ``live`` until ``end`` writes their end points to ``x``."""
+    scalar, into ``live``, whose starts it records and ends itself."""
 
     def __init__(self, instance, starts, cfg, **carried):
         self.x = instance.check_points(starts).copy()
@@ -205,23 +205,25 @@ class _Batch:
         f, norm, failed = _residuals(instance, self.x)
         self.live = _Live(idx=np.arange(m), x=self.x.copy(), f=f, norm=norm,
                           **{name: np.full(m, value) for name, value in carried.items()})
-        self.end(self.live, failed, Status.EVAL_ERROR, 0)
+        self.end(failed, Status.EVAL_ERROR, 0)
 
-    def record(self, live, steps, mask=None):
+    def record(self, steps, mask=None):
         """Append (step, point, norm) to the traces of the live starts, or
         of those selected by ``mask``."""
         if self.traces is None:
             return
+        live = self.live
         steps = np.broadcast_to(steps, live.idx.shape)
         for i in np.flatnonzero(mask) if mask is not None else range(len(live)):
             self.traces[live.idx[i]].append((int(steps[i]), live.x[i].copy(),
                                              float(live.norm[i])))
 
-    def end(self, live, mask, status, steps):
+    def end(self, mask, status, steps):
         """End the live starts selected by ``mask`` at their points with
         ``status`` after ``steps`` iterations, and drop them from ``live``."""
         if not mask.any():
             return
+        live = self.live
         rows = live.idx[mask]
         self.x[rows] = live.x[mask]
         self.status[rows] = _STATUSES.index(status)
@@ -313,41 +315,34 @@ def _linear_steps(jac, rhs, mu=None):
 LADDER_RUNGS = 8
 
 
-def _line_search(instance, live, step, sufficient):
-    """Backtrack along ``live.delta`` from each live row's point ``live.x``
-    with first step ``step``; move the rows where ``sufficient(norm, steps,
-    rows)`` holds for a rung's residual norm, updating their ``x``, ``f`` and
-    ``norm`` in ``live``, and return the step each row took (0 where it did
-    not move): the first acceptable rung of step, step * BACKTRACK, ... down
-    to ``MIN_STEP``, as a one-at-a-time search would.  Each round is one dense
-    (rows, rungs) block in one call: one rung per row, then ``LADDER_RUNGS``.
-    A block's rungs below ``MIN_STEP`` are evaluated but never taken: the
+def _line_search(instance, live, sufficient):
+    """Backtrack along ``live.delta`` from each live row's point ``live.x``;
+    move the rows where ``sufficient(norm, steps, rows)`` holds for a rung's
+    residual norm, updating their ``x``, ``f`` and ``norm`` in ``live``, and
+    return the step each row took (0 where it did not move): the first
+    acceptable rung of STEP0, STEP0 * BACKTRACK, ... down to ``MIN_STEP``, as
+    a one-at-a-time search would.  Every row starts at STEP0, so all rows of
+    a round try the same rungs: a round is one ladder, one rung and then
+    ``LADDER_RUNGS``, evaluated as one dense (rows, rungs) block in one call.
+    A ladder's rungs below ``MIN_STEP`` are evaluated but never taken: the
     ladder only falls, so a one-at-a-time search stops before them."""
     taken = np.zeros(len(live))
-    go_on = step >= MIN_STEP
-    rows, step = go_on.nonzero()[0], step[go_on]
-    n, rungs = live.delta.shape[1], 1
-    while rows.size:
+    rows, step, rungs = np.arange(len(live)), STEP0, 1
+    while rows.size and step >= MIN_STEP:
         m = len(rows)
-        ladder = np.full((m, rungs), BACKTRACK)
-        ladder[:, 0] = step
-        ladder = np.multiply.accumulate(ladder, axis=1)  # the bits of repeated *=
+        ladder = np.multiply.accumulate([step] + [BACKTRACK] * (rungs - 1))  # bits of *=
         cand = (live.x[rows][:, None, :]
-                + ladder[:, :, None] * live.delta[rows][:, None, :]).reshape(m * rungs, n)
+                + ladder[:, None] * live.delta[rows][:, None, :]).reshape(m * rungs, instance.n)
         f, norm, _ = _residuals(instance, cand)
-        accept = ((ladder >= MIN_STEP)
-                  & sufficient(norm.reshape(m, rungs), ladder, rows[:, None]))
+        accept = (ladder >= MIN_STEP) & sufficient(norm.reshape(m, rungs), ladder, rows[:, None])
         hit = accept.any(axis=1)
         took = rows[hit]
-        if took.size:
-            pick = hit.nonzero()[0] * rungs + accept[hit].argmax(axis=1)
-            live.x[took] = cand[pick]
-            live.f[took], live.norm[took] = f[pick], norm[pick]
-            taken[took] = ladder.ravel()[pick]
-        step = ladder[:, -1] * BACKTRACK
-        go_on = ~hit & (step >= MIN_STEP)
-        rows, step = rows[go_on], step[go_on]
-        rungs = LADDER_RUNGS
+        rung = accept[hit].argmax(axis=1)
+        pick = hit.nonzero()[0] * rungs + rung
+        live.x[took] = cand[pick]
+        live.f[took], live.norm[took] = f[pick], norm[pick]
+        taken[took] = ladder[rung]
+        rows, step, rungs = rows[~hit], ladder[-1] * BACKTRACK, LADDER_RUNGS
     return taken
 
 
@@ -355,18 +350,18 @@ def _newton_batch(instance, starts, cfg):
     b = _Batch(instance, starts, cfg)
     live = b.live
     for it in range(cfg.max_iters + 1):
-        b.record(live, it)
-        b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
+        b.record(it)
+        b.end(live.norm <= cfg.accept_tol, Status.CONVERGED, it)
         if it == cfg.max_iters:
-            b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
+            b.end(np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
         if not len(live):
             break
         live.delta, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f)
-        b.end(live, ~ok, Status.SINGULAR_STEP, it)
+        b.end(~ok, Status.SINGULAR_STEP, it)
         norm0 = live.norm.copy()
-        taken = _line_search(instance, live, np.full(len(live), STEP0),
+        taken = _line_search(instance, live,
                              lambda norm, s, r: norm <= (1.0 - DECREASE * s) * norm0[r])
-        b.end(live, taken == 0, Status.DIVERGED, it)
+        b.end(taken == 0, Status.DIVERGED, it)
     return b
 
 
@@ -378,29 +373,29 @@ def _gradsq_batch(instance, starts, cfg):
                  | (live.gnorm <= r * GRADSQ_REL_GTOL * 2.0 * live.jnorm * live.norm))
                 & (live.norm > 100.0 * cfg.accept_tol))
     for it in range(cfg.max_iters + 1):
-        b.record(live, it)
-        b.end(live, live.norm <= cfg.accept_tol, Status.CONVERGED, it)
+        b.record(it)
+        b.end(live.norm <= cfg.accept_tol, Status.CONVERGED, it)
         if not len(live):
             break
         live.jac = instance.residual_jacobian_batch(live.x)
         live.grad = ((2.0 * live.jac.transpose(0, 2, 1)) @ live.f[:, :, None])[:, :, 0]
         live.gnorm = np.sqrt(_dots(live.grad, live.grad))
         live.jnorm = np.sqrt(np.sum(live.jac * live.jac, axis=(1, 2)))
-        b.end(live, flat(1.0, 1.0), Status.SPURIOUS_MINIMUM, it)
+        b.end(flat(1.0, 1.0), Status.SPURIOUS_MINIMUM, it)
         if it == cfg.max_iters:
-            b.end(live, np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
+            b.end(np.ones(len(live), dtype=bool), Status.MAX_ITERS, it)
         live.delta, ok = _linear_steps(live.jac, -live.f, live.mu)
-        b.end(live, ~ok, Status.SINGULAR_STEP, it)
+        b.end(~ok, Status.SINGULAR_STEP, it)
         # Armijo on W along delta: W(x + s delta) <= W + d s grad . delta
         w, slope = live.norm * live.norm, _dots(live.grad, live.delta)
-        taken = _line_search(instance, live, np.full(len(live), STEP0),
+        taken = _line_search(instance, live,
                              lambda norm, s, r: norm * norm <= w[r] + DECREASE * s * slope[r])
         live.mu = np.maximum(np.where(taken == STEP0, live.mu / 3.0, 4.0 * live.mu), MU_MIN)
         # where W cannot fall at floating-point resolution, relaxed thresholds
         # tell a spurious minimum from plain divergence
         spurious = (taken == 0) & flat(1e4, 1e2)
-        b.end(live, spurious, Status.SPURIOUS_MINIMUM, it)
-        b.end(live, taken[~spurious] == 0, Status.DIVERGED, it)
+        b.end(spurious, Status.SPURIOUS_MINIMUM, it)
+        b.end(taken[~spurious] == 0, Status.DIVERGED, it)
     return b
 
 
@@ -408,13 +403,15 @@ def _homotopy_batch(instance, starts, cfg):
     tol = cfg.accept_tol
     b = _Batch(instance, starts, cfg, t=0.0, dt=DT0, steps=0)
     live = b.live  # the homotopy never moves live.f off f(x0)
-    b.record(live, 0)
-    b.end(live, live.norm <= tol, Status.CONVERGED, 0)
+    b.record(0)
+    b.end(live.norm <= tol, Status.CONVERGED, 0)
     while len(live):
-        b.end(live, live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
+        b.end(live.steps >= cfg.max_iters, Status.MAX_ITERS, live.steps)
+        if not len(live):
+            break
         # the velocity at x solves J(x) v = -f(x0)
         live.velocity, ok = _linear_steps(instance.residual_jacobian_batch(live.x), -live.f)
-        b.end(live, ~ok, Status.SINGULAR_STEP, live.steps)
+        b.end(~ok, Status.SINGULAR_STEP, live.steps)
         dt_eff = np.minimum(live.dt, 1.0 - live.t)
         t_new = live.t + dt_eff
         cur = live.x + dt_eff[:, None] * live.velocity
@@ -422,14 +419,14 @@ def _homotopy_batch(instance, starts, cfg):
         took = used >= 0
         live.x[took], live.norm[took], live.t[took] = cur[took], cur_norm[took], t_new[took]
         live.steps[took] += 1
-        b.record(live, live.steps, took)
+        b.record(live.steps, took)
         easy = took & (used <= EASY_ITERS)
         live.dt[easy] = np.minimum(live.dt * DT_GROW, DT_MAX)[easy]
         live.dt[~took] *= 0.5
-        b.end(live, ~took & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
+        b.end(~took & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
         done = live.t >= 1.0
-        b.end(live, done & (live.norm <= tol), Status.CONVERGED, live.steps)
-        b.end(live, live.t >= 1.0, Status.DIVERGED, live.steps)
+        b.end(done & (live.norm <= tol), Status.CONVERGED, live.steps)
+        b.end(live.t >= 1.0, Status.DIVERGED, live.steps)
     return b
 
 
@@ -441,6 +438,8 @@ def _correct(instance, cur, shift, tol):
     cur_norm = np.zeros(len(cur))
     active = np.arange(len(cur))
     for k in range(CORRECTOR_ITERS + 1):
+        if not active.size:  # cur is empty, or no row had a step
+            break
         f, norm, failed = _residuals(instance, cur[active])
         h = f - shift[active]
         met = ~failed & (np.sqrt(_dots(h, h)) <= tol)

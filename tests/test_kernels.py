@@ -6,8 +6,9 @@ must equal the per-point call bitwise whatever else shares the stack.  Since
 ``_reference_energy``, per-point arithmetic of its own.  A row that cannot
 be evaluated is not finite, alone, while the per-point call raises; the
 clusters and the puzzle fill it with nan, and a phi4 row overflows by
-itself.  Every family's kernels also take a stack of no rows, which the
-solvers pass once every start has stopped.
+itself.  Every family's kernels also take a stack of no rows, as float
+arrays of the full (0, ...) shape: the solvers no longer pass one, but a
+0-start campaign and outside callers do.
 """
 
 import math
@@ -73,8 +74,9 @@ def test_stack_rows_equal_per_point_calls(name):
                 assert values.flags.c_contiguous
                 for i, row in enumerate(values):
                     assert _same(row, expected[lo + i]), (kernel, size, lo + i)
-        # the solvers hand a kernel an empty stack once every row has stopped
-        assert getattr(inst, kernel)(X[:0]).shape == (0,) + np.shape(expected[0])
+        # a 0-start campaign and outside callers hand a kernel an empty stack
+        empty = getattr(inst, kernel)(X[:0])
+        assert empty.shape == (0,) + np.shape(expected[0]) and empty.dtype == np.float64
     if isinstance(inst, RootSystem):
         jac, curv = inst._jacobian_and_curvature_batch(X[:0])
         assert jac.shape == (0,) + per_point["residual_jacobian_batch"][0].shape
@@ -144,15 +146,18 @@ def test_classify_evaluates_a_root_system_twice(name):
                                   lambda: Phi4Lattice(3, J=0.5)], ids=["xy", "phi4"])
 def test_lattice_kernels_take_an_empty_stack(make):
     inst = make()
-    for kernel in (inst.residual_batch, inst.residual_jacobian_batch):
-        assert len(kernel(np.empty((0, inst.n)))) == 0
+    k = len(inst.residual(np.zeros(inst.n)))
+    for kernel, shape in ((inst.residual_batch, (0, k)),
+                          (inst.residual_jacobian_batch, (0, k, inst.n))):
+        empty = kernel(np.empty((0, inst.n)))
+        assert empty.shape == shape and empty.dtype == np.float64
 
 
 @pytest.mark.parametrize("name", ["thomson-4", "nash-2x3x2x2", "puzzle"])
-def test_gradsq_campaign_ends_on_an_empty_stack(name, monkeypatch):
-    # from Newton's roots every row converges at iteration 0, and with a
-    # MIN_STEP above the first step every row stops in its first line
-    # search; either way gradsq's next round evaluates an empty stack
+def test_every_gradsq_start_ends_in_round_0(name, monkeypatch):
+    # from Newton's roots every start converges at iteration 0; with a
+    # MIN_STEP above STEP0 the line search tries no rung, so every start
+    # ends diverged at iteration 0
     inst = FAMILIES[name]()
     found = multistart(inst, SolverConfig(starts=8, seed=1)).solutions.points
     roots = [sp.point for sp in found]

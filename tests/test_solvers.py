@@ -738,61 +738,72 @@ def _search_alone(inst, x, direction, step, accepts):
 @pytest.mark.parametrize("backtrack", [0.5, 0.99], ids=["halving", "backtrack-0.99"])
 def test_line_search_matches_one_row_at_a_time(backtrack, monkeypatch):
     # each row backtracks along +-u from radius r0; a rung is acceptable when
-    # the norm falls enough and its step lies in [lo, hi]
+    # the norm falls enough and its step lies in [lo, hi].  Every row of a
+    # search starts at STEP0, so the rows are searched in groups by first step
     min_step = 0.01
     monkeypatch.setattr(solvers, "BACKTRACK", backtrack)
     monkeypatch.setattr(solvers, "MIN_STEP", min_step)
     u = np.array([0.6, 0.8])
-    rows = [  # (r0, sign of the direction, first step, lo, hi)
-        (2.0, -1.0, 1.0, 0.0, np.inf),  # above min_step, first rung taken
-        (2.0, -1.0, min_step, 0.0, np.inf),  # equal to min_step
-        (2.0, -1.0, 0.5 * min_step, 0.0, np.inf),  # below: no search
-        (2.0, -1.0, 1.0, 0.0, 2.0 * min_step),  # taken near min_step
-        # acceptable only at the first rung below min_step
-        (2.0, -1.0, 1.0, 0.9 * backtrack * min_step,
-         np.nextafter(min_step, 0.0)),
-        (1.6, -1.0, 1.3, 0.0, np.inf),  # the first rungs land in the mask
-        (2.0, 1.0, 1.0, 0.0, np.inf),  # uphill: no rung is acceptable
+    searches = [  # (first step, its rows (r0, sign of the direction, lo, hi))
+        (1.0, [(2.0, -1.0, 0.0, np.inf),  # above min_step, first rung taken
+               (2.0, -1.0, 0.0, 2.0 * min_step),  # taken near min_step
+               # acceptable only at the first rung below min_step
+               (2.0, -1.0, 0.9 * backtrack * min_step, np.nextafter(min_step, 0.0)),
+               (2.0, 1.0, 0.0, np.inf)]),  # uphill: no rung is acceptable
+        (min_step, [(2.0, -1.0, 0.0, np.inf)]),  # equal to min_step
+        (0.5 * min_step, [(2.0, -1.0, 0.0, np.inf)]),  # below: no search
+        (1.3, [(1.6, -1.0, 0.0, np.inf)]),  # the first rungs land in the mask
         # uphill, and rung 8, the last of round 2, is the last one >= min_step
-        (2.0, 1.0, min_step * backtrack**-8.5, 0.0, np.inf),
+        (min_step * backtrack**-8.5, [(2.0, 1.0, 0.0, np.inf)]),
     ]
-    r0, sign, step, lo, hi = (np.array(col) for col in zip(*rows))
-    inst = Shell()
-    b = _Batch(inst, r0[:, None] * u, SolverConfig())
-    f, norm0, _ = _residuals(inst, b.x)
-    x0, direction = b.x.copy(), sign[:, None] * u
-    live = b.live
-    live.delta = direction
 
-    def sufficient(norm, s, r):
-        return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
+    def search(step, rows):
+        """One line search from ``step`` over ``rows``, each row against
+        ``_search_alone``; returns which rows moved, their start points and
+        directions, and the points the search evaluated."""
+        monkeypatch.setattr(solvers, "STEP0", step)
+        r0, sign, lo, hi = (np.array(col) for col in zip(*rows))
+        inst = Shell()
+        b = _Batch(inst, r0[:, None] * u, SolverConfig())
+        f, norm0, _ = _residuals(inst, b.x)
+        x0, direction = b.x.copy(), sign[:, None] * u
+        live = b.live
+        live.delta = direction
 
-    inst.calls, inst.seen = 0, []
-    taken = _line_search(inst, live, step.copy(), sufficient)
-    calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
+        def sufficient(norm, s, r):
+            return (norm <= (1.0 - 1e-4 * s) * norm0[r]) & (lo[r] <= s) & (s <= hi[r])
 
-    rounds, evaluated = [0], 0
-    for i in range(len(rows)):
-        tried, took = _search_alone(inst, x0[i], direction[i], step[i],
-                                    lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])))
-        assert taken[i] == (0.0 if took is None else took[3])
-        point, fi, ni, _ = took or (x0[i], f[i], norm0[i], 0.0)
-        assert np.array_equal(live.x[i], point)
-        assert np.array_equal(live.f[i], fi) and live.norm[i] == ni
-        assert seen.issuperset(p.tobytes() for p in tried)
-        if tried:  # rung 0 alone, then LADDER_RUNGS rungs a round
-            rounds.append(1 + math.ceil((len(tried) - 1) / LADDER_RUNGS))
-            evaluated += 1 + LADDER_RUNGS * (rounds[-1] - 1)
-    assert (taken > 0).tolist() == [True, True, False, True, False, True, False, False]
-    assert calls == max(rounds) and rows_in == evaluated
+        inst.calls, inst.seen = 0, []
+        taken = _line_search(inst, live, sufficient)
+        calls, rows_in, seen = inst.calls, len(inst.seen), {p.tobytes() for p in inst.seen}
+        rounds, evaluated = [0], 0
+        for i in range(len(rows)):
+            tried, took = _search_alone(inst, x0[i], direction[i], step,
+                                        lambda n_, s_, i=i: sufficient(n_, s_, np.array([i])))
+            assert taken[i] == (0.0 if took is None else took[3])
+            point, fi, ni, _ = took or (x0[i], f[i], norm0[i], 0.0)
+            assert np.array_equal(live.x[i], point)
+            assert np.array_equal(live.f[i], fi) and live.norm[i] == ni
+            assert seen.issuperset(p.tobytes() for p in tried)
+            if tried:  # rung 0 alone, then LADDER_RUNGS rungs a round
+                rounds.append(1 + math.ceil((len(tried) - 1) / LADDER_RUNGS))
+                evaluated += 1 + LADDER_RUNGS * (rounds[-1] - 1)
+        assert calls == max(rounds) and rows_in == evaluated
+        assert _dots(live.x, live.x).min() >= 0.25  # no row moved into the mask
+        return (taken > 0).tolist(), x0, direction, seen
+
+    results = [search(step, rows) for step, rows in searches]
+    assert [moved for moved, *_ in results] == \
+        [[True, True, False, False], [True], [False], [True], [False]]
     # the row acceptable only below min_step evaluated that rung in its block
-    s = step[4]
+    _, x0, direction, seen = results[0]
+    s = 1.0
     while s >= min_step:
         s *= backtrack
-    assert (x0[4] + s * direction[4]).tobytes() in seen
-    # and the masked first rung was evaluated but no row moved into the mask
-    assert (x0[5] + step[5] * direction[5]).tobytes() in seen
-    assert _dots(live.x, live.x).min() >= 0.25
+    assert (x0[2] + s * direction[2]).tobytes() in seen
+    # and the masked first rung was evaluated
+    _, x0, direction, seen = results[3]
+    assert (x0[0] + 1.3 * direction[0]).tobytes() in seen
 
 
 class HoledRing(XYLattice):
@@ -816,14 +827,22 @@ def test_a_start_life_from_start_to_end(method, monkeypatch):
     assert (hole.status, hole.iterations, hole.trace) == (Status.EVAL_ERROR, 0, [])
     out = solve(HoledRing(), [0.5, 1.0, 1.5], dataclasses.replace(cfg, max_iters=0))
     assert (out.status, out.iterations, len(out.trace)) == (Status.MAX_ITERS, 0, 1)
-    # the bench's disordered-gradsq campaign, run with each method, calls no
-    # family kernel on an empty stack of points
-    inst, empty = XYLattice(2, 3, disorder="uniform-signed", seed=1), []
-    for name in ("residual_batch", "residual_jacobian_batch", "hessian_batch", "energy_batch"):
-        def counted(X, kernel=getattr(inst, name), name=name):
-            if not len(X):
-                empty.append(name)
-            return kernel(X)
-        monkeypatch.setattr(inst, name, counted)
-    multistart(inst, SolverConfig(method=method, starts=25, seed=7, max_iters=1500))
+    # no campaign below, run with each method, calls a family kernel on an
+    # empty stack of points: the bench's disordered-gradsq campaign; the ring
+    # at max_iters=3, where no homotopy start converges and the last ones end
+    # max-iters or singular-step in one pass; and LJ-4, where every row of a
+    # homotopy corrector can lack a step
+    campaigns = [(XYLattice(2, 3, disorder="uniform-signed", seed=1), 25, 7, 1500),
+                 (XYLattice(1, 4), 20, 0, 3), (LennardJonesCluster(4), 5, 0, 300)]
+    empty = []
+    for inst, starts, seed, max_iters in campaigns:
+        for name in ("residual_batch", "residual_jacobian_batch", "hessian_batch",
+                     "energy_batch"):
+            def counted(X, kernel=getattr(inst, name), name=name):
+                if not len(X):
+                    empty.append((inst.label, name))
+                return kernel(X)
+            monkeypatch.setattr(inst, name, counted)
+        multistart(inst, SolverConfig(method=method, starts=starts, seed=seed,
+                                      max_iters=max_iters))
     assert empty == []
