@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ProblemInstance, _block_diagonal, _label, _masked
+from .core import ProblemInstance, _block_diagonal, _label
 
 _COINCIDENCE_TOL = 1e-12
 # sample_start_batch draws until all pairs are this far apart, for at most this many draws
@@ -27,17 +27,16 @@ _MAX_TRIES = 10000
 
 def _pair_distances(pos, pairs):
     """For an (m, N, 3) stack of positions: the separation vectors, the
-    distance matrices with a unit diagonal, the lengths of the pairs
-    ``pairs`` (upper-triangle indices) and the mask of rows with coincident
-    particles, whose distances are all 1 so that they stay finite."""
+    distance matrices with a unit diagonal and the lengths of the pairs
+    ``pairs`` (upper-triangle indices).  A row with coincident particles has
+    nan for all its distances, so every value built from them is nan."""
     diff = pos[:, :, None, :] - pos[:, None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=3))
     lengths = dist[:, pairs[0], pairs[1]]
-    failed = np.any(lengths < _COINCIDENCE_TOL, axis=1)
     own = np.arange(pos.shape[1])
     dist[:, own, own] = 1.0
-    dist[failed] = 1.0
-    return diff, dist, lengths, failed
+    dist[np.any(lengths < _COINCIDENCE_TOL, axis=1)] = np.nan
+    return diff, dist, lengths
 
 
 def _cartesian_gradient(diff, dist, dvdr):
@@ -84,22 +83,20 @@ class _Cluster(ProblemInstance):
 
     def energy_batch(self, X):
         _, pos = self._chart(self.check_points(X))
-        _, dist, _, failed = _pair_distances(pos, self._pairs)
-        # the masked distances keep coincident rows finite; fsum rounds
-        # once, so copies of one configuration under rotation and
-        # permutation do not differ by the rounding of the summation
+        dist = _pair_distances(pos, self._pairs)[1]
+        # fsum rounds once, so copies of one configuration under rotation
+        # and permutation do not differ by the rounding of the summation
         terms = self._pair_energy(dist[:, self._pairs[0], self._pairs[1]])
-        return _masked(np.array([math.fsum(row) for row in terms.tolist()]), failed)
+        return np.array([math.fsum(row) for row in terms.tolist()])
 
     def _cartesian(self, X, hessian):
         """The chart and the positions of every row of ``X``, the Cartesian
-        gradients, the Cartesian Hessians if ``hessian``, and the mask of
-        rows with coincident particles."""
+        gradients and the Cartesian Hessians if ``hessian``."""
         chart, pos = self._chart(self.check_points(X))
-        diff, dist, _, failed = _pair_distances(pos, self._pairs)
+        diff, dist, _ = _pair_distances(pos, self._pairs)
         cart, radial = _cartesian_gradient(diff, dist, self._pair_dvdr)
         kart = _cartesian_hessian(diff, dist, radial, self._pair_d2vdr2) if hessian else None
-        return chart, pos, cart, kart, failed
+        return chart, pos, cart, kart
 
     def _pull_gradient(self, chart, cart):
         return cart
@@ -108,13 +105,13 @@ class _Cluster(ProblemInstance):
         return kart
 
     def residual_batch(self, X):
-        chart, _, cart, _, failed = self._cartesian(X, hessian=False)
+        chart, _, cart, _ = self._cartesian(X, hessian=False)
         g = self._pull_gradient(chart, cart)
-        return _masked(g.reshape(len(g), math.prod(g.shape[1:]))[:, self._free], failed)
+        return np.ascontiguousarray(g.reshape(len(g), math.prod(g.shape[1:]))[:, self._free])
 
     def residual_jacobian_batch(self, X):
-        *parts, failed = self._cartesian(X, hessian=True)
-        return _masked(self._pull_hessian(*parts)[:, self._free[:, None], self._free], failed)
+        hess = self._pull_hessian(*self._cartesian(X, hessian=True))
+        return np.ascontiguousarray(hess[:, self._free[:, None], self._free])
 
     def sample_start_batch(self, rngs):
         """Starts from the draw region, rejection-sampled so that every pair of

@@ -208,6 +208,7 @@ class XYLattice(ProblemInstance):
         self.gauge_fixed = bool(gauge_fixed)
         self.disorder = _normalize_disorder(disorder)
         self.sites = L**d
+        self._free = slice(1 if self.gauge_fixed else 0, None)
         self.edge_a, self.edge_b, self.wrap = self._edge_table(d, L)
         if couplings is None:
             couplings = self._draw_couplings(self.n_edges)
@@ -242,22 +243,12 @@ class XYLattice(ProblemInstance):
             return rng.integers(0, 2, n_edges) * 2.0 - 1.0
         return rng.uniform(d["low"], d["high"], n_edges)
 
-    def _full_angles_batch(self, X):
-        """Every site's angle, one row per point of X: site 0 pinned to zero
-        when the gauge is fixed."""
-        X = self.check_points(X)
-        if not self.gauge_fixed:
-            return X
-        theta = np.zeros((len(X), self.sites))
-        theta[:, 1:] = X
-        return theta
-
-    def full_angles(self, p):
-        return self._full_angles_batch(self.check_point(p)[None])[0]
-
     def _edge_deltas(self, X):
-        """Angle differences across every edge, one row per point of X."""
-        theta = self._full_angles_batch(X)
+        """Angle differences across every edge, one row per point of X: the
+        variables are the angles of the ``_free`` sites, and any other's is 0."""
+        X = self.check_points(X)
+        theta = np.zeros((len(X), self.sites))
+        theta[:, self._free] = X
         return theta[:, self.edge_a] - theta[:, self.edge_b]
 
     def energy_batch(self, X):
@@ -268,8 +259,8 @@ class XYLattice(ProblemInstance):
 
     # Both kernels scatter every row's edge terms into bins of their own by
     # offsetting the row's indices, so each bin sums the same terms in the
-    # same order as for a single point.  Their float cast copies nothing but
-    # an empty stack, whose bincount is int64.
+    # same order as for a single point.  They return the free sites' bins in
+    # C order and as floats, also for an empty stack, whose bincount is int64.
 
     def residual_batch(self, X):
         s = self._j_eff * np.sin(self._edge_deltas(X))
@@ -277,8 +268,7 @@ class XYLattice(ProblemInstance):
         rows = size * np.arange(m)[:, None]
         g = (np.bincount((self.edge_a + rows).ravel(), weights=s.ravel(), minlength=m * size)
              - np.bincount((self.edge_b + rows).ravel(), weights=s.ravel(), minlength=m * size))
-        g = g.reshape(m, size).astype(float, copy=False)
-        return np.ascontiguousarray(g[:, 1:]) if self.gauge_fixed else g
+        return np.ascontiguousarray(g.reshape(m, size)[:, self._free], dtype=float)
 
     def residual_jacobian_batch(self, X):
         c = self._j_eff * np.cos(self._edge_deltas(X))
@@ -286,8 +276,8 @@ class XYLattice(ProblemInstance):
         idx = self._hess_idx + size * np.arange(m)[:, None]
         weights = np.concatenate((c, c, -c, -c), axis=1)
         h = np.bincount(idx.ravel(), weights=weights.ravel(), minlength=m * size)
-        h = h.reshape(m, self.sites, self.sites).astype(float, copy=False)
-        return np.ascontiguousarray(h[:, 1:, 1:]) if self.gauge_fixed else h
+        h = h.reshape(m, self.sites, self.sites)[:, self._free, self._free]
+        return np.ascontiguousarray(h, dtype=float)
 
     @property
     def n_edges(self):

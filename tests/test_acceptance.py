@@ -188,17 +188,12 @@ def _ring_grad(theta):
 
 
 def _ring_hess(theta):
-    diff = theta - np.roll(theta, -1, axis=1)
-    c = np.cos(diff)
-    m = theta.shape[0]
-    hess = np.zeros((m, 4, 4))
-    for k in range(4):
-        kn = (k + 1) % 4
-        hess[:, k, k] += c[:, k]
-        hess[:, kn, kn] += c[:, k]
-        hess[:, k, kn] -= c[:, k]
-        hess[:, kn, k] -= c[:, k]
-    return hess[:, 1:, 1:]
+    # the Hessian in the free sites 1-3, built from the four bond cosines;
+    # 0.0 - c keeps the signed zeros of subtracting from an empty matrix
+    c0, c1, c2, c3 = np.cos(theta - np.roll(theta, -1, axis=1)).T
+    zero, b1, b2 = np.zeros(len(theta)), 0.0 - c1, 0.0 - c2
+    return np.stack((c0 + c1, b1, zero, b1, c1 + c2, b2, zero, b2, c2 + c3),
+                    axis=1).reshape(len(theta), 3, 3)
 
 
 def _ring_energy(angles3):
@@ -212,13 +207,15 @@ def _solve3(hess, rhs):
     a, b, c = hess[:, 0, 0], hess[:, 0, 1], hess[:, 0, 2]
     d, e, f = hess[:, 1, 0], hess[:, 1, 1], hess[:, 1, 2]
     g, h, i = hess[:, 2, 0], hess[:, 2, 1], hess[:, 2, 2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    r0, r1, r2 = rhs[:, 0], rhs[:, 1], rhs[:, 2]
+    ei_fh, di_fg, dh_eg = e * i - f * h, d * i - f * g, d * h - e * g
+    ri_fr, dr_rg = r1 * i - f * r2, d * r2 - r1 * g
+    det = a * ei_fh - b * di_fg + c * dh_eg
     live = np.abs(det) > 1e-12
     safe = np.where(live, det, 1.0)
-    r0, r1, r2 = rhs[:, 0], rhs[:, 1], rhs[:, 2]
-    x0 = (r0 * (e * i - f * h) - b * (r1 * i - f * r2) + c * (r1 * h - e * r2)) / safe
-    x1 = (a * (r1 * i - f * r2) - r0 * (d * i - f * g) + c * (d * r2 - r1 * g)) / safe
-    x2 = (a * (e * r2 - r1 * h) - b * (d * r2 - r1 * g) + r0 * (d * h - e * g)) / safe
+    x0 = (r0 * ei_fh - b * ri_fr + c * (r1 * h - e * r2)) / safe
+    x1 = (a * ri_fr - r0 * di_fg + c * dr_rg) / safe
+    x2 = (a * (e * r2 - r1 * h) - b * dr_rg + r0 * dh_eg) / safe
     step = np.column_stack((x0, x1, x2))
     step[~live] = 0.0
     return step
@@ -243,22 +240,21 @@ def test_criterion_06_xy_ring_matches_grid_oracle():
     for k in range(3):
         theta[:, k + 1] = mesh[k].ravel()
 
-    alive = np.ones(theta.shape[0], dtype=bool)
+    # the rows still iterating, by index into theta and as a compact copy
+    live, cur = np.arange(theta.shape[0]), theta
     for _ in range(50):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        grad = _ring_grad(theta[idx])
+        grad = _ring_grad(cur)
         done = np.linalg.norm(grad, axis=1) <= 1e-13
-        alive[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
+        theta[live[done]] = cur[done]
+        live, cur, grad = live[~done], cur[~done], grad[~done]
+        if live.size == 0:
             break
-        step = _solve3(_ring_hess(theta[idx]), -grad[~done])
+        step = _solve3(_ring_hess(cur), -grad)
         norms = np.linalg.norm(step, axis=1)
         big = norms > 1.0
         step[big] /= norms[big][:, None]
-        theta[idx, 1:] += step
+        cur[:, 1:] += step
+    theta[live] = cur
 
     grad = _ring_grad(theta)
     roots = theta[np.linalg.norm(grad, axis=1) <= 1e-12]
@@ -466,7 +462,7 @@ def _run_cli(argv):
     assert rc == 0, "cli failed: %s" % " ".join(argv)
 
 
-def test_criterion_10_thread_count_determinism(tmp_path):
+def test_criterion_10_two_runs_are_identical(tmp_path):
     t0 = time.perf_counter()
     generators = [
         ["generate", "phi4", "--N", "2", "-o", str(tmp_path / "census.json")],

@@ -4,11 +4,12 @@ Every per-point method is the batch of one, so each row of a stacked call
 must equal the per-point call bitwise whatever else shares the stack.  Since
 ``energy`` is the batch of one too, an energy row is held instead to
 ``_reference_energy``, per-point arithmetic of its own.  A row that cannot
-be evaluated is not finite, alone, while the per-point call raises; the
-clusters and the puzzle fill it with nan, and a phi4 row overflows by
-itself.  Every family's kernels also take a stack of no rows, as float
-arrays of the full (0, ...) shape: the solvers no longer pass one, but a
-0-start campaign and outside callers do.
+be evaluated is not finite, alone, while the per-point call raises: a
+cluster row is nan because its pair distances are, the puzzle fills its
+row with nan, and a phi4 row overflows by itself.  Every family's kernels
+also take a stack of no rows, as float arrays of the full (0, ...) shape:
+the solvers no longer pass one, but a 0-start campaign and outside callers
+do.
 """
 
 import math
@@ -93,6 +94,8 @@ CLASHES = {
     "thomson-5": (lambda: ThomsonSphere(5), _coincident),
     "lj-3": (lambda: LennardJonesCluster(3), lambda inst: np.array([0.0, 0.3, 0.4])),
     "lj-7": (lambda: LennardJonesCluster(7), _coincident),
+    "morse-3": (lambda: MorseCluster(3, rho=6.0), lambda inst: np.array([0.0, 0.3, 0.4])),
+    "morse-7": (lambda: MorseCluster(7, rho=6.0), _coincident),
     "puzzle": (lambda: PuzzleInstance(generate_grid_puzzle(2, 2, 3, seed=8)[0]),
                lambda inst: np.full(inst.n, 600.0)),
     "phi4": (lambda: Phi4Lattice(3, J=0.5), lambda inst: np.full(inst.n, 1e200)),

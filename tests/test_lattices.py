@@ -284,8 +284,8 @@ def _xy_reference(inst, p):
                        weights=np.concatenate((c, c, -c, -c)), minlength=m * m)
     h = flat.reshape(m, m)
     if inst.gauge_fixed:
-        return theta, energy, g[1:], h[1:, 1:]
-    return theta, energy, g, h
+        return energy, g[1:], h[1:, 1:]
+    return energy, g, h
 
 
 @pytest.mark.parametrize("d,L", [(1, 4), (1, 2), (2, 3), (3, 2)])
@@ -297,8 +297,7 @@ def test_xy_batch_kernels_match_single_points(d, L, bc, gauge):
     e, g, h = inst.energy_batch(X), inst.residual_batch(X), inst.residual_jacobian_batch(X)
     assert g.flags.c_contiguous and h.flags.c_contiguous
     for i, x in enumerate(X):
-        theta_ref, e_ref, g_ref, h_ref = _xy_reference(inst, x)
-        assert np.array_equal(inst.full_angles(x), theta_ref)
+        e_ref, g_ref, h_ref = _xy_reference(inst, x)
         assert e[i].tobytes() == np.float64(e_ref).tobytes(), i
         assert inst.energy(x) == e_ref
         assert np.array_equal(g[i], g_ref)
