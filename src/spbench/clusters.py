@@ -31,7 +31,10 @@ def _pair_distances(pos, pairs):
     ``pairs`` (upper-triangle indices).  A row with coincident particles has
     nan for all its distances, so every value built from them is nan."""
     diff = pos[:, :, None, :] - pos[:, None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=3))
+    # (x x + y y) + z z is the order numpy's sum takes over a length-3 axis,
+    # so the distances keep its bits without its slow generic reduction
+    sq = diff * diff
+    dist = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])
     lengths = dist[:, pairs[0], pairs[1]]
     own = np.arange(pos.shape[1])
     dist[:, own, own] = 1.0
@@ -61,10 +64,18 @@ def _cartesian_hessian(diff, dist, radial, d2vdr2):
     m, count = dist.shape[:2]
     own = np.arange(count)
     along[:, own, own] = 0.0
-    hess = -np.einsum("mij,mijc,mijd->micjd", along, diff, diff)
-    hess -= radial[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
-    hess[:, own, :, own, :] = -hess.sum(axis=3).swapaxes(0, 1)
-    return hess.reshape(m, 3 * count, 3 * count)
+    # the blocks (m, i, j, c, d) are (-along d_c) d_d less v'/r where c = d, the
+    # bits of einsum's -(along d_c d_d) but for the sign of a zero; a diagonal
+    # block sums its row's blocks over j left to right, the order numpy's sum
+    # takes over a strided axis, so every result keeps its bytes
+    blocks = (-along[..., None] * diff)[..., :, None] * diff[..., None, :]
+    for c in range(3):
+        blocks[..., c, c] -= radial
+    rows = blocks[:, :, 0].copy()
+    for j in range(1, count):
+        rows += blocks[:, :, j]
+    blocks[:, own, own] = -rows
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(m, 3 * count, 3 * count)
 
 
 class _Cluster(ProblemInstance):
@@ -182,7 +193,9 @@ class ThomsonSphere(_Cluster):
         angles[:, self._free] = X
         sin, cos = np.sin(angles), np.cos(angles)
         st, sp, ct, cp = sin[:, 0::2], sin[:, 1::2], cos[:, 0::2], cos[:, 1::2]
-        return (st, ct, sp, cp), np.stack((st * cp, st * sp, ct), axis=2)
+        pos = np.empty((len(X), self.charges, 3))
+        pos[..., 0], pos[..., 1], pos[..., 2] = st * cp, st * sp, ct
+        return (st, ct, sp, cp), pos
 
     @staticmethod
     def _in_plane(cart, cp, sp):
@@ -194,21 +207,28 @@ class ThomsonSphere(_Cluster):
     def _pull_gradient(self, chart, cart):
         st, ct, sp, cp = chart
         along, across = self._in_plane(cart, cp, sp)
-        return np.stack((ct * along - st * cart[..., 2], st * across), axis=2)
+        grad = np.empty(st.shape + (2,))
+        grad[..., 0], grad[..., 1] = ct * along - st * cart[..., 2], st * across
+        return grad
 
     def _pull_hessian(self, chart, pos, cart, kart):
         """J^T K J + sum_i g_i . d^2 pos_i, with K and g the Cartesian Hessian
         and gradient and J the Jacobian of the chart."""
         st, ct, sp, cp = chart
-        d_theta = np.stack((ct * cp, ct * sp, -st), axis=2)
-        d_phi = np.stack((-st * sp, st * cp, np.zeros_like(st)), axis=2)
-        jac = _block_diagonal(np.stack((d_theta, d_phi), axis=3))
-        # g_i . d^2 pos_i / d(theta, phi)^2, where d^2 pos / d theta^2 = -pos
+        # d pos_i / d theta_i and d pos_i / d phi_i, the columns of each block
+        blocks = np.empty(st.shape + (3, 2))
+        blocks[..., 0, 0], blocks[..., 1, 0], blocks[..., 2, 0] = ct * cp, ct * sp, -st
+        blocks[..., 0, 1], blocks[..., 1, 1], blocks[..., 2, 1] = -st * sp, st * cp, 0.0
+        jac = _block_diagonal(blocks)
+        # g_i . d^2 pos_i / d(theta, phi)^2, where d^2 pos / d theta^2 = -pos;
+        # g_i . pos_i summed as numpy sums a length-3 axis, (x + y) + z
         along, across = self._in_plane(cart, cp, sp)
-        curv = np.stack((-np.sum(cart * pos, axis=2), ct * across, ct * across, -st * along),
-                        axis=2)
-        return (jac.transpose(0, 2, 1) @ kart @ jac
-                + _block_diagonal(curv.reshape(len(curv), self.charges, 2, 2)))
+        curv = np.empty(st.shape + (2, 2))
+        terms = cart * pos
+        curv[..., 0, 0] = -((terms[..., 0] + terms[..., 1]) + terms[..., 2])
+        curv[..., 0, 1] = curv[..., 1, 0] = ct * across
+        curv[..., 1, 1] = -st * along
+        return jac.transpose(0, 2, 1) @ kart @ jac + _block_diagonal(curv)
 
 
 class _PairPotentialCluster(_Cluster):

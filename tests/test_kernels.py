@@ -17,10 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
+from spbench.clusters import (LennardJonesCluster, MorseCluster, ThomsonSphere,
+                              _cartesian_gradient, _cartesian_hessian, _pair_distances)
 from spbench import serialize, solvers
 from spbench.core import (EvaluationError, Provenance, RootSystem,
-                          StationaryPoint, classify, classify_batch)
+                          StationaryPoint, _block_diagonal, classify, classify_batch)
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -82,6 +83,78 @@ def test_stack_rows_equal_per_point_calls(name):
         jac, curv = inst._jacobian_and_curvature_batch(X[:0])
         assert jac.shape == (0,) + per_point["residual_jacobian_batch"][0].shape
         assert curv.shape == (0, inst.n, inst.n)
+
+
+# The forms the cluster kernels replaced: numpy's sum over a length-3 axis,
+# np.stack and a three-operand einsum, each slower than the broadcasts and
+# explicit sums that keep their bits.
+def _summed_distances(pos):
+    diff = pos[:, :, None, :] - pos[:, None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=3))
+    own = np.arange(pos.shape[1])
+    dist[:, own, own] = 1.0
+    return dist
+
+
+def _einsum_hessian(diff, dist, radial, d2vdr2):
+    along = (d2vdr2(dist) - radial) / (dist * dist)
+    m, count = dist.shape[:2]
+    own = np.arange(count)
+    along[:, own, own] = 0.0
+    hess = -np.einsum("mij,mijc,mijd->micjd", along, diff, diff)
+    hess -= radial[:, :, None, :, None] * np.eye(3)[None, None, :, None, :]
+    hess[:, own, :, own, :] = -hess.sum(axis=3).swapaxes(0, 1)
+    return hess.reshape(m, 3 * count, 3 * count)
+
+
+def _stacked_positions(chart):
+    st, ct, sp, cp = chart
+    return np.stack((st * cp, st * sp, ct), axis=2)
+
+
+def _stacked_gradient(chart, cart):
+    st, ct, sp, cp = chart
+    along, across = ThomsonSphere._in_plane(cart, cp, sp)
+    return np.stack((ct * along - st * cart[..., 2], st * across), axis=2)
+
+
+def _stacked_hessian(chart, pos, cart, kart):
+    st, ct, sp, cp = chart
+    d_theta = np.stack((ct * cp, ct * sp, -st), axis=2)
+    d_phi = np.stack((-st * sp, st * cp, np.zeros_like(st)), axis=2)
+    jac = _block_diagonal(np.stack((d_theta, d_phi), axis=3))
+    along, across = ThomsonSphere._in_plane(cart, cp, sp)
+    curv = np.stack((-np.sum(cart * pos, axis=2), ct * across, ct * across, -st * along),
+                    axis=2)
+    return (jac.transpose(0, 2, 1) @ kart @ jac
+            + _block_diagonal(curv.reshape(len(curv), st.shape[1], 2, 2)))
+
+
+CLUSTER_SIZES = {
+    **{f"thomson-{N}": (lambda N=N: ThomsonSphere(N)) for N in (*range(2, 8), 12)},
+    **{f"lj-{a}": (lambda a=a: LennardJonesCluster(a)) for a in (*range(2, 8), 13)},
+    **{f"morse-{a}": (lambda a=a: MorseCluster(a, rho=6.0)) for a in (*range(2, 8), 13)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_SIZES))
+def test_cluster_kernels_keep_the_bits_of_the_forms_they_replaced(name):
+    inst = CLUSTER_SIZES[name]()
+    rng = np.random.default_rng(9)
+    X = np.array([inst.sample_start(rng) for _ in range(23)])
+    for size in (1, 7, 23):
+        chart, pos = inst._chart(X[:size])
+        diff, dist, _ = _pair_distances(pos, inst._pairs)
+        assert _same(dist, _summed_distances(pos)), size
+        cart, radial = _cartesian_gradient(diff, dist, inst._pair_dvdr)
+        kart = _cartesian_hessian(diff, dist, radial, inst._pair_d2vdr2)
+        # einsum sums into +0.0, so a zero entry may differ in its sign alone
+        assert np.array_equal(kart, _einsum_hessian(diff, dist, radial, inst._pair_d2vdr2))
+        if isinstance(inst, ThomsonSphere):
+            assert _same(pos, _stacked_positions(chart)), size
+            assert _same(inst._pull_gradient(chart, cart), _stacked_gradient(chart, cart)), size
+            assert _same(inst._pull_hessian(chart, pos, cart, kart),
+                         _stacked_hessian(chart, pos, cart, kart)), size
 
 
 def _coincident(inst):

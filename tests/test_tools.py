@@ -79,7 +79,7 @@ def test_drift_compare_names_what_differs_and_how(tmp_path, capsys):
     status, iterations, rest = lines[0].split(" ", 2)
     lines[0] = f"{status} {int(iterations) + 1} {rest}"
     starts.write_text("".join(lines))
-    drift["main"](["--compare", str(a), str(b)])
+    assert drift["main"](["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     stats = json.dumps(d["campaign_stats"], sort_keys=True)
     hist = dict(sorted(Counter(p["index"] for p in points).items()))
@@ -94,6 +94,22 @@ def test_drift_compare_names_what_differs_and_how(tmp_path, capsys):
     assert out[7] == f"differs: {folder}/phi4-N3-census.starts"
     assert out[8] == "  starts agreeing on status and iterations: 999 of 1000"
     assert out[9] == "3 of 3 files differ"
+
+
+def test_drift_compare_exits_1_when_a_file_differs(tmp_path, capsys):
+    drift = runpy.run_path(str(DRIFT))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for side in (a, b):
+        drift["write_traces"](side)
+    assert drift["main"](["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 3 files differ"]
+    trace = b / "traces" / "newton.trace"
+    data = bytearray(trace.read_bytes())
+    data[0] ^= 1  # the first start's id, "0", becomes "1"
+    trace.write_bytes(bytes(data))
+    assert drift["main"](["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == ["differs: traces/newton.trace",
+                                                    "1 of 3 files differ"]
 
 
 def test_size_counts_lines_and_significant_tokens(capsys):

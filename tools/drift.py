@@ -18,11 +18,12 @@ byte-identical.
     python3 tools/drift.py --compare OUT_A OUT_B
 
 names each file that differs between two such folders, or that only one of
-them has.  For a result file it prints both sides' ``campaign_stats``,
-distinct count and index histogram, and how many of each side's points lie
-within the file's ``tolerance``, under its ``metric``, of a point on the other
-side (and how many of those share its index).  For a ``.starts`` file it
-prints how many starts agree on status and iteration count.
+them has, and exits with status 1 if there is one, else 0.  For a result
+file it prints both sides' ``campaign_stats``, distinct count and index
+histogram, and how many of each side's points lie within the file's
+``tolerance``, under its ``metric``, of a point on the other side (and how
+many of those share its index).  For a ``.starts`` file it prints how many
+starts agree on status and iteration count.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def _compare_starts(a, b):
 
 
 def compare(out_a, out_b):
-    """Print the report of ``--compare`` for the folders ``out_a`` and ``out_b``."""
+    """Print the report of ``--compare`` for the folders ``out_a`` and ``out_b``;
+    return the names of the files that differ or that only one side has."""
     names = [{p.relative_to(out) for p in out.rglob("*") if p.is_file()} for out in (out_a, out_b)]
     shared = names[0] & names[1]
     differ = sorted((names[0] ^ names[1])
@@ -166,6 +168,7 @@ def compare(out_a, out_b):
         elif name.suffix == ".json" and "campaign_stats" in json.loads(a.read_text()):
             _compare_results(a, b)
     print(f"{len(differ)} of {len(names[0] | names[1])} files differ")
+    return differ
 
 
 def main(argv=None):
@@ -176,8 +179,7 @@ def main(argv=None):
                       help="report how two folders this script wrote differ")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*args.compare)
-        return
+        return 1 if compare(*args.compare) else 0
     if (ROOT / "src").resolve() not in Path(spbench.__file__).resolve().parents:
         sys.exit(f"spbench was imported from {spbench.__file__}, not from {ROOT / 'src'}")
     for name in WORKLOADS:
@@ -185,7 +187,8 @@ def main(argv=None):
             write_campaigns(args.out, name, seed)
     write_cli(args.out)
     write_traces(args.out)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
