@@ -26,8 +26,7 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which this tool reserves
-    # for empty solves; route usage errors to exit 1 instead
+    # usage errors exit 1: argparse's 2 is this tool's code for an empty solve
     def error(self, message):
         raise CliError(message)
 
@@ -82,7 +81,7 @@ def _build_parser():
     p.add_argument("--colors", type=int, required=True, help="interior color count")
     p.add_argument("--seed", type=int, required=True, help="edge-color seed")
 
-    for name, sp in fam.choices.items():
+    for sp in fam.choices.values():
         sp.add_argument("-o", "--out", required=True, help="instance file to write")
         sp.add_argument("--label", default=None, help="override the instance label")
 
@@ -219,12 +218,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (None, 0) else 1
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (CliError, OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -171,8 +171,10 @@ class NashInstance(RootSystem):
         return probs, pis, pairs, resp
 
     def _residual(self, probs, pis, resp):
-        return np.concatenate([p * (pi[:, None] - r) for p, pi, r in zip(probs, pis.T, resp)]
-                              + [np.stack([p.sum(axis=1) - 1.0 for p in probs], axis=1)], axis=1)
+        f = np.empty((len(pis), self.n))
+        for i, (b, p, r) in enumerate(zip(self._blocks, probs, resp)):
+            f[:, b], f[:, self._strat + i] = p * (pis[:, i, None] - r), p.sum(axis=1) - 1.0
+        return f
 
     def _jacobian(self, probs, pis, pairs, resp):
         jac = np.zeros((len(pis), self.n, self.n))

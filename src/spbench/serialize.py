@@ -38,7 +38,7 @@ def _fmt_float(v):
     if not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite float {v!r}")
     s = format(float(v), ".17g")
-    if "." not in s and "e" not in s and "n" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -155,12 +155,11 @@ def _emit(obj, out, indent):
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
         out.append("[\n")
-        for i, v in enumerate(seq):
+        for i, v in enumerate(obj):
             out.append(pad + "  ")
             _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
+            out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -240,28 +240,33 @@ class _Batch:
 
 def _inverses(jac):
     """Inverses of a stack of square matrices, and the mask of rows with
-    cond_inf = |J|_inf |J^-1|_inf below COND_LIMIT / n.  Since
-    cond_2 <= n cond_inf, every singular value of such a row passes the SVD
-    guard.  A stacked ``inv`` fails as a whole on one exactly singular
-    matrix; the stack is then bisected, so that only such a matrix fails."""
-    m, n = len(jac), jac.shape[-1]
+    cond_inf = |J|_inf |J^-1|_inf below COND_LIMIT / n, never one that is not
+    finite, under the caller's ``errstate``.  Since cond_2 <= n cond_inf,
+    every singular value of such a row passes the SVD guard.  One pass sums
+    |J| and |J^-1| side by side in an (n, 2m, n) buffer along its outer axis,
+    so no reduction runs along a short axis.  A stacked ``inv`` fails as a
+    whole on one exactly singular matrix; it is bisected down to that matrix."""
+    m, _, n = jac.shape
     try:
         inv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
         if m == 1:  # the matrix stands in for the inverse it has not
-            return jac, np.zeros(1, dtype=bool)
+            return jac, np.array([False])
         halves = _inverses(jac[:m // 2]), _inverses(jac[m // 2:])
         return tuple(np.concatenate(part) for part in zip(*halves))
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
-    return inv, cond < COND_LIMIT / n
+    absolute = np.empty((n, 2 * m, n))
+    np.abs(jac.transpose(2, 0, 1), out=absolute[:, :m])
+    np.abs(inv.transpose(2, 0, 1), out=absolute[:, m:])
+    norm = np.maximum.reduce(np.add.reduce(absolute).T.copy())
+    return inv, norm[:m] * norm[m:] < COND_LIMIT / n
 
 
 def _linear_steps(jac, rhs, mu=None):
     """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems, inverse
     first, SVD where the guard is in doubt; returns the steps and a mask of
-    the rows that have one.  An undamped square row that passes the test of
-    ``_inverses`` takes inv @ rhs; the other rows share one stacked thin SVD.
+    the rows that have one.  An undamped square stack goes whole through
+    ``_inverses`` and inv @ rhs; only the finite rows that fail its guard, or
+    all finite rows of another stack, are gathered for one stacked thin SVD.
     Given a damping ``mu[i]`` per row, every finite row has a step, the
     Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
 
@@ -280,14 +285,14 @@ def _linear_steps(jac, rhs, mu=None):
         raise ValueError(f"jacobians must be a 3-d stack, got {jac.ndim}-d")
     m, k, n = jac.shape
     delta, ok = np.zeros((m, n)), np.zeros(m, dtype=bool)
-    rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)))
     if mu is None and k == n:
-        inv, good = _inverses(jac[rows])
-        delta[rows[good]] = (inv[good] @ rhs[rows[good]][:, :, None])[:, :, 0]
-        ok[rows[good]] = True
-        rows = rows[~good]
-        if not len(rows):
-            return delta, ok
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv, ok = _inverses(jac)
+            delta = (inv @ rhs[..., None])[..., 0]
+        delta[~ok] = 0.0
+    rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & ~ok)
+    if not len(rows):
+        return delta, ok
     b = rhs[rows]
     u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
     keep = (s > 0.0) & (s >= s[:, :1] / COND_LIMIT)
@@ -424,8 +429,7 @@ def _homotopy_batch(instance, starts, cfg):
         live.dt[easy] = np.minimum(live.dt * DT_GROW, DT_MAX)[easy]
         live.dt[~took] *= 0.5
         b.end(~took & (live.dt < DT_MIN), Status.DIVERGED, live.steps)
-        done = live.t >= 1.0
-        b.end(done & (live.norm <= tol), Status.CONVERGED, live.steps)
+        b.end((live.t >= 1.0) & (live.norm <= tol), Status.CONVERGED, live.steps)
         b.end(live.t >= 1.0, Status.DIVERGED, live.steps)
     return b
 
@@ -560,8 +564,7 @@ def multistart(instance, cfg=None, starts=None):
     if starts is None:
         starts = draw_starts(instance, cfg)
     else:
-        starts = np.array([instance.check_point(s) for s in starts],
-                          dtype=float).reshape(len(starts), instance.n)
+        starts = np.reshape([instance.check_point(s) for s in starts], (len(starts), instance.n))
 
     began = time.perf_counter()
     batch = _METHODS[cfg.method][0](instance, starts, cfg)

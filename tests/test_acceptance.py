@@ -191,9 +191,14 @@ def _ring_hess(theta):
     # the Hessian in the free sites 1-3, built from the four bond cosines;
     # 0.0 - c keeps the signed zeros of subtracting from an empty matrix
     c0, c1, c2, c3 = np.cos(theta - np.roll(theta, -1, axis=1)).T
-    zero, b1, b2 = np.zeros(len(theta)), 0.0 - c1, 0.0 - c2
-    return np.stack((c0 + c1, b1, zero, b1, c1 + c2, b2, zero, b2, c2 + c3),
-                    axis=1).reshape(len(theta), 3, 3)
+    # row 3 i + j of one preallocated array holds entry (i, j) of every
+    # Hessian, so each write is contiguous; its transpose, viewed as
+    # (m, 3, 3), is the stack of Hessians
+    hess = np.zeros((9, len(theta)))
+    hess[0], hess[4], hess[8] = c0 + c1, c1 + c2, c2 + c3
+    hess[1] = hess[3] = 0.0 - c1
+    hess[5] = hess[7] = 0.0 - c2
+    return hess.T.reshape(len(theta), 3, 3)
 
 
 def _ring_energy(angles3):

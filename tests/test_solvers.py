@@ -704,6 +704,68 @@ def test_linear_steps_make_no_svd_call_when_every_row_passes(monkeypatch):
     assert len(calls) == 2
 
 
+def _conditioned(rng, m, n, log_cond):
+    """m random n x n matrices Q1 diag(s) Q2^T, s falling geometrically from
+    1 to 10**-log_cond[i] in matrix i."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((m, n, n)))[0] for _ in range(2))
+    s = 10.0 ** -(np.linspace(0.0, 1.0, n) * log_cond[:, None])
+    return (q1 * s[:, None, :]) @ q2.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_inverse_guard_decides_as_numpy_row_sums(n):
+    # the guard's one pass over the stack against cond_inf from numpy's sums
+    # along each row: the same decision on every row but those within 1e-12
+    # (relative) of the threshold, where a sum in another order may round
+    # across it
+    rng = np.random.default_rng(n)
+    limit = solvers.COND_LIMIT / n
+    for m in (1, 2, 37, 1000):
+        jac = _conditioned(rng, m, n, rng.uniform(9.0, 14.0, m))
+        inv, good = solvers._inverses(jac)
+        assert np.array_equal(inv, np.linalg.inv(jac))
+        cond = np.abs(jac).sum(axis=2).max(axis=1) * np.abs(inv).sum(axis=2).max(axis=1)
+        clear = np.abs(cond - limit) > 1e-12 * limit
+        assert np.array_equal(good[clear], (cond < limit)[clear])
+    assert 0 < good.sum() < 1000
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_linear_steps_of_a_bench_size_mixed_stack_match_each_row_alone(n):
+    # 600 rows, as many as the bench's largest stacks: rows that pass the
+    # inverse guard (kind 0), rows with a nan or an inf (1, 2), exactly
+    # singular rows, on which a stacked inv raises and is bisected (3), and
+    # rows that fail the guard, some keeping every singular value and some
+    # not (4).  Half the rows of kinds 3 and 4 have rhs in the range, so the
+    # SVD gives them a step; most others get none.
+    rng = np.random.default_rng(n)
+    m = 600
+    kind = np.arange(m) % 5
+    rng.shuffle(kind)
+    jac = rng.standard_normal((m, n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+    jac[kind == 1, 0, n - 1] = np.nan
+    jac[kind == 2, n - 1, 0] = np.inf
+    jac[kind == 3, n - 1] = 0.0
+    jac[kind == 4] = _conditioned(rng, np.sum(kind == 4), n, rng.uniform(11.5, 15.0, m)[kind == 4])
+    rhs = rng.standard_normal((m, n))
+    ranged = (kind >= 3) & (np.arange(m) % 2 == 0)
+    rhs[ranged] = (jac[ranged] @ rng.standard_normal((np.sum(ranged), n, 1)))[:, :, 0]
+    # a row whose inverse overflows to inf or nan, with no rhs in that
+    # direction: the SVD's least-norm step
+    over = np.flatnonzero((kind == 4) & ~ranged)[0]
+    jac[over], rhs[over, n - 1] = np.diag(np.r_[np.ones(n - 1), 1e-310]), 0.0
+    delta, ok = _linear_steps(jac, rhs)
+    for i in range(m):
+        alone, has = _linear_steps(jac[i:i + 1], rhs[i:i + 1])
+        assert has[0] == ok[i] and alone[0].tobytes() == delta[i].tobytes()
+    assert ok[kind == 0].all() and not ok[(kind == 1) | (kind == 2)].any()
+    assert not delta[~ok].any()
+    assert ok[ranged].all() and ok[over]
+    assert 1 < ok[(kind >= 3) & ~ranged].sum() < np.sum(kind >= 3) / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not solvers._inverses(jac[kind == 4])[1].any()
+
+
 class Shell(ProblemInstance):
     """f(x) = x (|x|^2 - 1) in the plane, nan inside |x| < 0.5; counts its
     calls and keeps every row it evaluates."""
