@@ -187,15 +187,6 @@ def _uniform_rows(rngs, lo, span, n):
     return lo + span * u
 
 
-def _masked(values, failed):
-    """A kernel's return where failed rows would be finite: ``values`` in C
-    order, since the solvers' row-wise products round differently on strided
-    rows than on a lone point, with the rows of ``failed`` set to nan."""
-    values = np.ascontiguousarray(values)
-    values[failed] = np.nan
-    return values
-
-
 def _block_diagonal(blocks):
     """The (m, N a, N b) stack of matrices with the (m, N, a, b) ``blocks``
     on their diagonals."""

@@ -26,7 +26,7 @@ from collections import Counter
 
 import numpy as np
 
-from .core import EvaluationError, RootSystem, _block_diagonal, _checked, _masked, _typed
+from .core import RootSystem, _block_diagonal, _checked, _typed
 
 TWO_PI = 2.0 * math.pi
 # the slack of edge directions, and of the positions ``verify_geometric`` matches
@@ -282,24 +282,17 @@ class PuzzleInstance(RootSystem):
         self._freq_outer = (self._freqs[:, :, None] * self._freqs[:, None, :]).reshape(-1, 4)
 
     def _exp_terms(self, X):
-        """Per row of the stack ``X``: exp(k . u), (edges x frequencies), the
-        edge positions u, and the mask of rows where an exponential
-        overflows, whose terms are zero so that their sums stay finite."""
+        """Per row of the stack ``X``: exp(k . u), (edges x frequencies), inf
+        where it overflows, and the edge positions u."""
         X = self.check_points(X)
         pos = self.puzzle.positions(X.reshape(len(X), self.n // 2, 2))
-        with np.errstate(over="ignore"):
-            terms = np.exp(pos @ self._freqs.T)
-        overflow = ~np.isfinite(terms).all(axis=(1, 2))
-        terms[overflow] = 0.0
-        return terms, pos, overflow
+        return np.exp(pos @ self._freqs.T), pos
 
     def _residual(self, terms, pos):
-        """The stacked residuals, not finite where the sums overflow."""
+        """The stacked residuals."""
         sign, m = self.puzzle.sign, len(pos)
-        with np.errstate(over="ignore"):
-            return np.concatenate([(sign @ pos).reshape(m, 2 * len(sign)),
-                                   (sign @ terms).reshape(m, len(sign) * len(self._freqs))],
-                                  axis=1)
+        return np.concatenate([(sign @ pos).reshape(m, 2 * len(sign)),
+                               (sign @ terms).reshape(m, len(sign) * len(self._freqs))], axis=1)
 
     def _per_piece(self, terms):
         """sum_e s_ce exp(k . u_e) over each piece's edges, (m, classes,
@@ -315,24 +308,24 @@ class PuzzleInstance(RootSystem):
         return np.concatenate([linear, expo.reshape(len(expo), rows, self.n)], axis=1)
 
     def residual_batch(self, X):
-        terms, pos, overflow = self._exp_terms(X)
-        return _masked(self._residual(terms, pos), overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._residual(*self._exp_terms(X))
 
     def residual_jacobian_batch(self, X):
-        terms, _, overflow = self._exp_terms(X)
-        return _masked(self._jacobian(self._per_piece(terms)), overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._jacobian(self._per_piece(self._exp_terms(X)[0]))
 
     def _jacobian_and_curvature_batch(self, X):
         # the linear rows are flat; exponential row (c, k) adds f_ck k k^T
         # times piece i's share of its sum to piece i's 2 x 2 diagonal block
-        terms, pos, overflow = self._exp_terms(X)
-        f = self._residual(terms, pos)
-        per_piece = self._per_piece(terms)
-        m, classes, pieces, _ = per_piece.shape
-        weight = f[:, 2 * classes:].reshape(m, classes, len(self._freqs))
-        blocks = np.einsum("mck,mcik->mik", weight, per_piece) @ self._freq_outer
-        curv = _block_diagonal(blocks.reshape(m, pieces, 2, 2))
-        return _masked(self._jacobian(per_piece), overflow), curv
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms, pos = self._exp_terms(X)
+            f = self._residual(terms, pos)
+            per_piece = self._per_piece(terms)
+            m, classes, pieces, _ = per_piece.shape
+            weight = f[:, 2 * classes:].reshape(m, classes, len(self._freqs))
+            blocks = np.einsum("mck,mcik->mik", weight, per_piece) @ self._freq_outer
+            return self._jacobian(per_piece), _block_diagonal(blocks.reshape(m, pieces, 2, 2))
 
     @classmethod
     def from_params(cls, params, label=None):

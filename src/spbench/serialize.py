@@ -201,14 +201,14 @@ FAMILIES = {cls.family: cls for cls in (
     puzzles.PuzzleInstance)}
 
 
-def instance_from_dict(d):
-    if _typed([d], "a JSON object", "instance file")[0].get("schema_version") != SCHEMA_VERSION:
+def _read(path, what):
+    """The JSON object in the file ``path``, a ``what`` ("instance file" or
+    "result file") of this ``SCHEMA_VERSION``; ValueError otherwise."""
+    with open(path) as fh:
+        d = _typed([json.load(fh)], "a JSON object", what)[0]
+    if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    family = d.get("family")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    label = _typed([d.get("label")], "a string or null", "label")[0]
-    return FAMILIES[family].from_params(_checked(d, {"params": "a JSON object"})["params"], label)
+    return d
 
 
 def save_instance(instance, path):
@@ -216,13 +216,12 @@ def save_instance(instance, path):
 
 
 def load_instance(path):
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
-
-
-def config_from_dict(d):
-    d = _typed([d], "a JSON object", "config")[0]
-    return SolverConfig(**{k: v for k, v in d.items() if k not in _RETIRED_KEYS})
+    d = _read(path, "instance file")
+    family = d.get("family")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    label = _typed([d.get("label")], "a string or null", "label")[0]
+    return FAMILIES[family].from_params(_checked(d, {"params": "a JSON object"})["params"], label)
 
 
 def save_result(result, cfg, path):
@@ -244,10 +243,7 @@ def save_result(result, cfg, path):
 
 
 def load_result(path):
-    with open(path) as fh:
-        d = _typed([json.load(fh)], "a JSON object", "result file")[0]
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+    d = _read(path, "result file")
     top = _checked(d, {"instance_label": "a string", "config": "a JSON object",
                        "solutions": "a JSON object"}, "result file: ")
     sol = _checked(top["solutions"], {"instance_label": "a string", "tolerance": "finite and >= 0",
@@ -260,7 +256,8 @@ def load_result(path):
                              for f in dataclasses.fields(CampaignStats) if f.type == "int"})
     return {
         "instance_label": top["instance_label"],
-        "config": config_from_dict(top["config"]),
+        "config": SolverConfig(**{k: v for k, v in top["config"].items()
+                                  if k not in _RETIRED_KEYS}),
         "campaign_stats": stats,
         "solutions": solutions,
     }

@@ -265,10 +265,10 @@ def _linear_steps(jac, rhs, mu=None):
     """Solve jac[i] @ delta[i] = rhs[i] for a stack of (k, n) systems, inverse
     first, SVD where the guard is in doubt; returns the steps and a mask of
     the rows that have one.  An undamped square stack goes whole through
-    ``_inverses`` and inv @ rhs; only the finite rows that fail its guard, or
-    all finite rows of another stack, are gathered for one stacked thin SVD.
-    Given a damping ``mu[i]`` per row, every finite row has a step, the
-    Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
+    ``_inverses`` and inv @ rhs; only the rows that fail its guard, or every
+    row of another stack, are gathered, and the finite ones go to one stacked
+    thin SVD.  Given a damping ``mu[i]`` per row, every finite row has a
+    step, the Levenberg-Marquardt one V diag(s / (s^2 + mu)) U^T rhs.
 
     The SVD J = U diag(s) V^T gives both the conditioning guard and the step:
     singular values with s > 0 and s >= s[0] / COND_LIMIT are kept, and the
@@ -290,11 +290,14 @@ def _linear_steps(jac, rhs, mu=None):
             inv, ok = _inverses(jac)
             delta = (inv @ rhs[..., None])[..., 0]
         delta[~ok] = 0.0
-    rows = np.flatnonzero(np.isfinite(jac).all(axis=(1, 2)) & ~ok)
+    rows = np.flatnonzero(~ok)
     if not len(rows):
         return delta, ok
+    sub = jac[rows]
+    finite = np.isfinite(sub).all(axis=(1, 2))
+    rows, sub = rows[finite], sub[finite]
     b = rhs[rows]
-    u, s, vt = np.linalg.svd(jac[rows], full_matrices=False)
+    u, s, vt = np.linalg.svd(sub, full_matrices=False)
     keep = (s > 0.0) & (s >= s[:, :1] / COND_LIMIT)
     proj = (b[:, None, :] @ u)[:, 0, :]
     coef = np.divide(proj, s, out=np.zeros_like(proj), where=keep)

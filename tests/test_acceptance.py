@@ -180,17 +180,23 @@ def test_criterion_05_thomson_small_clusters():
             % (spreads[5], spreads[6], elapsed))
 
 
-def _ring_grad(theta):
+def _bond_diffs(theta):
     # theta has shape (m, 4); bond k joins sites k and k+1 mod 4
-    diff = theta - np.roll(theta, -1, axis=1)
-    s = np.sin(diff)
-    return (s - np.roll(s, 1, axis=1))[:, 1:]
+    diff = np.empty_like(theta)
+    np.subtract(theta[:, :3], theta[:, 1:], out=diff[:, :3])
+    np.subtract(theta[:, 3:], theta[:, :1], out=diff[:, 3:])
+    return diff
+
+
+def _ring_grad(theta):
+    s = np.sin(_bond_diffs(theta))
+    return s[:, 1:] - s[:, :3]
 
 
 def _ring_hess(theta):
     # the Hessian in the free sites 1-3, built from the four bond cosines;
     # 0.0 - c keeps the signed zeros of subtracting from an empty matrix
-    c0, c1, c2, c3 = np.cos(theta - np.roll(theta, -1, axis=1)).T
+    c0, c1, c2, c3 = np.cos(_bond_diffs(theta)).T
     # row 3 i + j of one preallocated array holds entry (i, j) of every
     # Hessian, so each write is contiguous; its transpose, viewed as
     # (m, 3, 3), is the stack of Hessians

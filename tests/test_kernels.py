@@ -5,11 +5,10 @@ must equal the per-point call bitwise whatever else shares the stack.  Since
 ``energy`` is the batch of one too, an energy row is held instead to
 ``_reference_energy``, per-point arithmetic of its own.  A row that cannot
 be evaluated is not finite, alone, while the per-point call raises: a
-cluster row is nan because its pair distances are, the puzzle fills its
-row with nan, and a phi4 row overflows by itself.  Every family's kernels
-also take a stack of no rows, as float arrays of the full (0, ...) shape:
-the solvers no longer pass one, but a 0-start campaign and outside callers
-do.
+cluster row is nan because its pair distances are, and a puzzle or phi4 row
+overflows by itself.  Every family's kernels also take a stack of no rows,
+as float arrays of the full (0, ...) shape: the solvers no longer pass one,
+but a 0-start campaign and outside callers do.
 """
 
 import math
@@ -176,7 +175,7 @@ CLASHES = {
 
 
 @pytest.mark.parametrize("name", sorted(CLASHES))
-def test_a_failing_row_is_masked_alone(name):
+def test_a_failing_row_is_not_finite_alone(name):
     make, bad_point = CLASHES[name]
     inst = make()
     rng = np.random.default_rng(4)
@@ -184,12 +183,13 @@ def test_a_failing_row_is_masked_alone(name):
     X[2] = bad_point(inst)
     for kernel, per_point in (("energy_batch", inst.energy),
                               ("residual_batch", inst.residual),
-                              ("residual_jacobian_batch", inst.residual_jacobian)):
+                              ("residual_jacobian_batch", inst.residual_jacobian),
+                              ("hessian_batch", inst.hessian)):
         with np.errstate(all="ignore"):
             values = getattr(inst, kernel)(X)
         finite = np.isfinite(values).reshape(len(X), -1).all(axis=1)
         assert finite.tolist() == [True, True, False, True, True, True]
-        assert np.isnan(values[2]).all() or name == "phi4"
+        assert np.isnan(values[2]).all() or name in ("phi4", "puzzle")
         for i in (0, 1, 3, 4, 5):
             assert _same(values[i], per_point(X[i]))
         with np.errstate(all="ignore"), pytest.raises(EvaluationError) as raised:

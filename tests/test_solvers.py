@@ -6,7 +6,7 @@ import pytest
 
 from spbench import serialize, solvers
 from spbench.clusters import LennardJonesCluster, MorseCluster, ThomsonSphere
-from spbench.core import ProblemInstance, RootSystem, _dots, _masked, classify
+from spbench.core import ProblemInstance, RootSystem, _dots, classify
 from spbench.games import NashGame, NashInstance
 from spbench.lattices import Phi4Lattice, XYLattice
 from spbench.puzzles import PuzzleInstance, generate_grid_puzzle
@@ -88,15 +88,15 @@ class Hole(ProblemInstance):
 
     def energy_batch(self, X):
         X = self.check_points(X)
-        return _masked((X[:, 0] ** 2 - 1) ** 2, np.abs(X[:, 0]) < 0.5)
+        return np.where(np.abs(X[:, 0]) < 0.5, np.nan, (X[:, 0] ** 2 - 1) ** 2)
 
     def residual_batch(self, X):
         X = self.check_points(X)
-        return _masked(4 * X * (X**2 - 1), np.abs(X[:, 0]) < 0.5)
+        return np.where(np.abs(X) < 0.5, np.nan, 4 * X * (X**2 - 1))
 
     def residual_jacobian_batch(self, X):
         X = self.check_points(X)
-        return _masked((12 * X**2 - 4)[:, :, None], np.abs(X[:, 0]) < 0.5)
+        return np.where(np.abs(X[:, :, None]) < 0.5, np.nan, (12 * X**2 - 4)[:, :, None])
 
 
 def test_newton_converges_quadratically_to_nearby_root():
@@ -781,7 +781,7 @@ class Shell(ProblemInstance):
         self.calls += 1
         self.seen.extend(X.copy())
         r2 = _dots(X, X)
-        return _masked(X * (r2 - 1.0)[:, None], r2 < 0.25)
+        return np.where((r2 < 0.25)[:, None], np.nan, X * (r2 - 1.0)[:, None])
 
 
 def _search_alone(inst, x, direction, step, accepts):
